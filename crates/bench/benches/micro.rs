@@ -160,7 +160,7 @@ fn bench_xplainer(c: &mut Criterion) {
 ///
 /// * `sum_card*` / `avg_card*` isolate the per-filter probe fan-out of one
 ///   high-cardinality attribute search.
-/// * `engine_4queries_*` replays the `explain_many` data path: a batch of
+/// * `engine_4queries_*` replays the `execute_batch` data path: a batch of
 ///   four Why Queries over FLIGHT, each searching five candidate attributes —
 ///   `serial` answers them one by one with fresh state (the seed engine's
 ///   behaviour), `parallel` fans the probes out, and `parallel_cached`
@@ -202,7 +202,7 @@ fn bench_parallel_engine(c: &mut Criterion) {
     }
 
     // A batch of four Why Queries over FLIGHT (120k rows), five candidate
-    // attributes each — the explain_many workload.
+    // attributes each — the `execute_batch` workload.
     let data = flight::generate(120_000, 1).into_segmented();
     let attributes = ["Rain", "Carrier", "Hour", "DayOfWeek", "DelayOver15"];
     let queries: Vec<WhyQuery> = [

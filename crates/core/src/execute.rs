@@ -20,10 +20,8 @@
 //!
 //! [`XInsight::execute`](crate::pipeline::XInsight::execute) and
 //! [`XInsight::execute_batch`](crate::pipeline::XInsight::execute_batch)
-//! consume these; the deprecated `explain*` methods are thin adapters that
-//! build a default request and call
-//! [`ExplainResponse::into_explanations`].  A default request reproduces
-//! the old path byte-for-byte (property-tested in `tests/api_v2.rs`).
+//! consume these; [`ExplainResponse::into_explanations`] recovers the bare
+//! ranked list a default request produces.
 
 use crate::explanation::{Explanation, ExplanationType};
 use crate::why_query::WhyQuery;

@@ -5,8 +5,7 @@
 //! [`XInsight::execute`]: a typed [`ExplainRequest`] (query + per-request
 //! controls) in, a self-describing [`ExplainResponse`] (ranked, scored,
 //! flagged, optionally provenance-carrying) out.  Single, batch and
-//! cache-sharing entry points are thin shells over the same codepath, and
-//! the legacy `explain*` methods survive as deprecated adapters.
+//! cache-sharing entry points are thin shells over the same codepath.
 
 use crate::execute::{ExplainRequest, ExplainResponse, Provenance, ScoredExplanation};
 use crate::explanation::{Explanation, ExplanationType, XdaSemantics};
@@ -70,8 +69,8 @@ pub struct XInsightOptions {
     /// Possible-D-SEP stage fan out over the rayon pool (AND-ed with
     /// [`FciOptions::parallel`](xinsight_discovery::FciOptions) from the
     /// XLearner options).  Online: per-attribute searches in
-    /// [`XInsight::explain`], per-query searches in
-    /// [`XInsight::explain_many`], and the per-filter probe loops inside the
+    /// [`XInsight::execute`], per-query searches in
+    /// [`XInsight::execute_batch`], and the per-filter probe loops inside the
     /// strategies (the latter also honour
     /// [`XPlainerOptions::parallel`](crate::XPlainerOptions) — both must be
     /// `true` for the inner loops to fan out).  Results are identical either
@@ -209,7 +208,7 @@ impl XInsight {
     /// dataset, reloaded by a serving process.  The online options are
     /// supplied fresh, so a server can e.g. change the search strategy or
     /// parallelism without re-fitting.  Given the same data and options,
-    /// [`XInsight::explain`] and [`XInsight::explain_many`] answer
+    /// [`XInsight::execute`] and [`XInsight::execute_batch`] answer
     /// identically to the engine that produced the model.
     pub fn from_fitted(
         data: &Dataset,
@@ -426,47 +425,6 @@ impl XInsight {
                 .collect()
         };
         results.into_iter().collect()
-    }
-
-    /// Answers a Why Query with a ranked list of explanations.
-    #[deprecated(note = "use `XInsight::execute` with an `ExplainRequest`")]
-    pub fn explain(&self, query: &WhyQuery) -> Result<Vec<Explanation>> {
-        Ok(self
-            .execute(&ExplainRequest::new(query.clone()))?
-            .into_explanations())
-    }
-
-    /// Answers a batch of Why Queries with one shared [`SelectionCache`].
-    #[deprecated(note = "use `XInsight::execute_batch` with `ExplainRequest`s")]
-    pub fn explain_many(&self, queries: &[WhyQuery]) -> Result<Vec<Vec<Explanation>>> {
-        let requests: Vec<ExplainRequest> = queries
-            .iter()
-            .map(|query| ExplainRequest::new(query.clone()))
-            .collect();
-        Ok(self
-            .execute_batch(&requests)?
-            .into_iter()
-            .map(ExplainResponse::into_explanations)
-            .collect())
-    }
-
-    /// Answers a batch of Why Queries through a caller-supplied
-    /// [`SelectionCache`].
-    #[deprecated(note = "use `XInsight::execute_batch_with_cache` with `ExplainRequest`s")]
-    pub fn explain_many_with_cache(
-        &self,
-        queries: &[WhyQuery],
-        cache: Arc<SelectionCache>,
-    ) -> Result<Vec<Vec<Explanation>>> {
-        let requests: Vec<ExplainRequest> = queries
-            .iter()
-            .map(|query| ExplainRequest::new(query.clone()))
-            .collect();
-        Ok(self
-            .execute_batch_with_cache(&requests, cache)?
-            .into_iter()
-            .map(ExplainResponse::into_explanations)
-            .collect())
     }
 
     /// The execution core behind every online entry point, parameterized by
@@ -821,31 +779,6 @@ mod tests {
         assert_eq!(restored.graph(), engine.graph());
         assert_eq!(restored.data(), engine.data());
         assert_eq!(explain(&restored, &why_query()), direct);
-    }
-
-    #[test]
-    fn deprecated_shims_match_execute_exactly() {
-        let data = lung_cancer_data(1200);
-        let engine = XInsight::fit(&data, &XInsightOptions::default()).unwrap();
-        let query = why_query();
-        let via_execute = explain(&engine, &query);
-        #[allow(deprecated)]
-        {
-            assert_eq!(engine.explain(&query).unwrap(), via_execute);
-            assert_eq!(
-                engine.explain_many(std::slice::from_ref(&query)).unwrap(),
-                vec![via_execute.clone()]
-            );
-            assert_eq!(
-                engine
-                    .explain_many_with_cache(
-                        std::slice::from_ref(&query),
-                        Arc::new(SelectionCache::new())
-                    )
-                    .unwrap(),
-                vec![via_execute]
-            );
-        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! complete orientation rules), which this crate implements from scratch:
 //!
 //! * [`SepsetMap`] — separating sets recorded during the adjacency search,
-//! * [`skeleton_search`] — the PC-style adjacency search shared by PC and FCI,
-//! * [`pc`] — the PC algorithm (baseline in Table 2 of the paper),
+//! * [`skeleton_search`] — the PC-style adjacency search FCI starts from,
 //! * [`fci`] — the FCI algorithm (FCI-SL skeleton phase with Possible-D-SEP
 //!   pruning, followed by the FCI-Orient rules R1–R4 and R8–R10),
 //! * [`OracleCiTest`] — a d-separation oracle over a known ground-truth graph,
@@ -23,13 +22,11 @@
 mod fci;
 mod oracle;
 mod orientation;
-mod pc;
 mod sepset;
 mod skeleton;
 
 pub use fci::{fci, fci_orient, fci_skeleton, possible_d_sep, FciOptions, FciResult};
 pub use oracle::OracleCiTest;
 pub use orientation::{apply_fci_rules, orient_colliders};
-pub use pc::{pc, PcOptions, PcResult};
 pub use sepset::SepsetMap;
 pub use skeleton::{skeleton_search, SkeletonOptions, SkeletonResult};

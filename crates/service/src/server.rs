@@ -33,6 +33,14 @@
 //! and the event loop is woken ([`polling::Poller::notify`]) to write it
 //! to the socket.
 //!
+//! The four explain routes (`/explain`, `/explain_batch`, `/v2/explain`,
+//! `/v2/explain_batch`) are thin wire adapters over **one explain core**:
+//! each parses its body into a model id, a list of queries and the request
+//! options, and the core runs every query through the same cache lookup,
+//! single-flight, engine batch, accounting and trace spans, returning one
+//! slot per query for the adapter's envelope.  v1 and v2 differ only in
+//! the cache-key suffix, the cached payload encoder and the error shape.
+//!
 //! **Graceful shutdown** (`POST /admin/shutdown` or
 //! [`ServerHandle::trigger_shutdown`]): the flag flips, the event loop
 //! closes the listener and idle connections, workers drain the
@@ -47,12 +55,13 @@ use crate::registry::{LoadedModel, ModelRegistry};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::trace::{Stage, TraceBuilder, TraceStore};
 use crate::wire;
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use xinsight_core::{ExplainRequest, WhyQuery};
+use xinsight_core::{ExplainRequest, ExplainResponse, WhyQuery};
 use xinsight_data::{DataError, Result};
 use xinsight_stats::CacheStats;
 
@@ -542,6 +551,14 @@ fn model_not_found_v2(model: &str) -> Response {
     response
 }
 
+/// Times a response-body build as the trace's serialize span.
+fn serialized(trace: &mut TraceBuilder, build: impl FnOnce() -> Response) -> Response {
+    let started = Instant::now();
+    let response = build();
+    trace.span(Stage::Serialize, started, Instant::now(), "");
+    response
+}
+
 fn count_response(shared: &Shared, response: &Response) {
     if response.status >= 500 {
         shared.stats.server_errors.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
@@ -632,7 +649,11 @@ fn handle_metrics(shared: &Shared) -> Response {
             }
         })
         .collect();
-    let queue_depth = shared.jobs.lock().expect("jobs lock").len();
+    let queue_depth = shared
+        .jobs
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .len();
     let text = metrics::render(&metrics::MetricsSnapshot {
         stats: &shared.stats,
         result_cache: shared.cache.stats(),
@@ -693,6 +714,21 @@ enum CacheOutcome {
     Miss,
 }
 
+impl CacheOutcome {
+    fn is_hit(&self) -> bool {
+        matches!(self, CacheOutcome::Hit(_))
+    }
+
+    /// The tier name cache-lookup trace spans report.
+    fn tier(&self) -> &'static str {
+        match self {
+            CacheOutcome::Hit(_) => "hit",
+            CacheOutcome::Merge => "merge",
+            CacheOutcome::Miss => "miss",
+        }
+    }
+}
+
 /// Resolves a cacheable explain against the result cache, attempting
 /// prefix promotion when the cache surfaces a candidate.
 fn lookup_or_promote(shared: &Shared, model: &LoadedModel, key: &CacheKey) -> CacheOutcome {
@@ -733,7 +769,11 @@ fn lookup_or_promote(shared: &Shared, model: &LoadedModel, key: &CacheKey) -> Ca
 /// [`SelectionCache`]: xinsight_core::SelectionCache
 fn suffix_cannot_change_answer(model: &LoadedModel, query: &WhyQuery, covered: usize) -> bool {
     let store = model.engine.data();
-    store.segments()[covered..].iter().all(|segment| {
+    // A prefix longer than the store proves nothing: recompute.
+    let Some(suffix) = store.segments().get(covered..) else {
+        return false;
+    };
+    suffix.iter().all(|segment| {
         let untouched = |subspace: &xinsight_data::Subspace| {
             model
                 .selection
@@ -745,452 +785,251 @@ fn suffix_cannot_change_answer(model: &LoadedModel, query: &WhyQuery, covered: u
     })
 }
 
-/// The v1 `/explain` handler — now an adapter: it builds a *default*
-/// [`ExplainRequest`] and routes through the same `execute` core as `/v2`,
-/// serializing the response back into the stable v1 wire shape (a bare
-/// explanation array, cached under the empty options suffix).
-fn handle_explain(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
-    let request = match wire::ExplainV1::parse(body) {
-        Ok(r) => r,
-        Err(e) => return error_response(&e),
-    };
-    let Some(model) = shared.registry.get(&request.model) else {
-        return Response::error(404, &format!("model `{}` is not loaded", request.model));
-    };
-    let key = CacheKey {
-        model: model.id.clone(),
-        query: request.query.clone(),
-        options: String::new(),
-    };
-    let lookup_started = Instant::now();
-    let outcome = lookup_or_promote(shared, &model, &key);
-    if let CacheOutcome::Hit(hit) = outcome {
-        trace.span(Stage::CacheLookup, lookup_started, Instant::now(), "hit");
-        shared.stats.explain.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-        return serialized(trace, || {
-            Response::json(200, wire::explain_response(&model.id, true, &hit))
-        });
-    }
-    // Single-flight: if another request is already recomputing exactly
-    // this key, wait for its insert and replay it instead of duplicating
-    // the engine work; the guard (when owned) releases on every return.
-    let flight = shared.flights.claim(&key);
-    let role = if flight.is_some() {
-        "owner"
-    } else {
-        "follower"
-    };
-    let outcome = if flight.is_some() {
-        outcome
-    } else {
-        match lookup_or_promote(shared, &model, &key) {
-            CacheOutcome::Hit(hit) => {
-                trace.span(
-                    Stage::CacheLookup,
-                    lookup_started,
-                    Instant::now(),
-                    "hit,flight=follower",
-                );
-                shared.stats.explain.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-                return serialized(trace, || {
-                    Response::json(200, wire::explain_response(&model.id, true, &hit))
-                });
-            }
-            refreshed => refreshed,
-        }
-    };
-    let tier = if matches!(outcome, CacheOutcome::Merge) {
-        "merge"
-    } else {
-        "miss"
-    };
-    trace.span(
-        Stage::CacheLookup,
-        lookup_started,
-        Instant::now(),
-        format!("{tier},flight={role}"),
-    );
-    let engine_request = ExplainRequest::new(request.query);
-    let execute_started = Instant::now();
-    match model
-        .engine
-        .execute_with_cache(&engine_request, Arc::clone(&model.selection))
-    {
-        Ok(response) => {
-            trace.span(Stage::Execute, execute_started, Instant::now(), "");
-            if matches!(outcome, CacheOutcome::Merge) {
-                shared.cache.merged();
-            }
-            let serialize_started = Instant::now();
-            let explanations = response.into_explanations();
-            let json: Arc<str> = Arc::from(wire::explanations_to_string(&explanations).as_str());
-            shared.cache.insert(
-                key,
-                model.fingerprint.clone(),
-                model.dict_len,
-                Arc::clone(&json),
-            );
-            shared.stats.explain.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-            let response = Response::json(200, wire::explain_response(&model.id, false, &json));
-            trace.span(Stage::Serialize, serialize_started, Instant::now(), "");
-            response
-        }
-        Err(e) => {
-            trace.span(Stage::Execute, execute_started, Instant::now(), "error");
-            error_response(&e)
-        }
-    }
+/// The two explain wire generations.  They differ in the cache-key suffix
+/// (v1 entries live under the empty suffix, v2 entries under
+/// [`wire::RequestOptions::cache_key`], so the two never alias), in the
+/// encoder of the cached payload, and in the error shape.
+#[derive(Clone, Copy)]
+enum WireVersion {
+    V1,
+    V2,
 }
 
-/// Times a response-body build as the trace's serialize span.
-fn serialized(trace: &mut TraceBuilder, build: impl FnOnce() -> Response) -> Response {
-    let started = Instant::now();
-    let response = build();
-    trace.span(Stage::Serialize, started, Instant::now(), "");
-    response
-}
+impl WireVersion {
+    fn cache_suffix(self, options: &wire::RequestOptions) -> String {
+        match self {
+            WireVersion::V1 => String::new(),
+            WireVersion::V2 => options.cache_key(),
+        }
+    }
 
-/// The v1 `/explain_batch` handler — an adapter over the batched execute
-/// core, keeping the v1 response bytes stable.
-fn handle_explain_batch(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
-    let request = match wire::ExplainBatchV1::parse(body) {
-        Ok(r) => r,
-        Err(e) => return error_response(&e),
-    };
-    let Some(model) = shared.registry.get(&request.model) else {
-        return Response::error(404, &format!("model `{}` is not loaded", request.model));
-    };
-    // Serve what the LRU already has (exact hits and promotable prefix
-    // entries); answer the rest in one engine batch through the model's
-    // persistent SelectionCache.
-    let lookup_started = Instant::now();
-    let mut results: Vec<Option<(bool, Arc<str>)>> = vec![None; request.queries.len()];
-    let mut uncached = Vec::new();
-    for (i, query) in request.queries.iter().enumerate() {
-        let key = CacheKey {
-            model: model.id.clone(),
-            query: query.clone(),
-            options: String::new(),
+    /// The cacheable payload: a bare explanation array (v1) or the scored
+    /// v2 result object.
+    fn encode(self, response: ExplainResponse) -> Arc<str> {
+        let text = match self {
+            WireVersion::V1 => wire::explanations_to_string(&response.into_explanations()),
+            WireVersion::V2 => wire::v2_result_to_string(&response),
         };
-        match lookup_or_promote(shared, &model, &key) {
-            CacheOutcome::Hit(hit) => results[i] = Some((true, hit)),
-            CacheOutcome::Merge => uncached.push((i, key, true)),
-            CacheOutcome::Miss => uncached.push((i, key, false)),
+        Arc::from(text.as_str())
+    }
+
+    fn error(self, error: &DataError) -> Response {
+        match self {
+            WireVersion::V1 => error_response(error),
+            WireVersion::V2 => error_response_v2(error),
         }
     }
-    let hits = request.queries.len() - uncached.len();
-    trace.span(
-        Stage::CacheLookup,
-        lookup_started,
-        Instant::now(),
-        format!("hits={hits},uncached={}", uncached.len()),
-    );
-    // Covers the all-hits case; overwritten after the engine batch so the
-    // serialize span never swallows execute time.
-    let mut serialize_started = Instant::now();
-    if !uncached.is_empty() {
-        let requests: Vec<ExplainRequest> = uncached
-            .iter()
-            .map(|(_, k, _)| ExplainRequest::new(k.query.clone()))
-            .collect();
+
+    fn model_not_found(self, model: &str) -> Response {
+        match self {
+            WireVersion::V1 => Response::error(404, &format!("model `{model}` is not loaded")),
+            WireVersion::V2 => model_not_found_v2(model),
+        }
+    }
+}
+
+/// The one explain path behind all four explain routes.  `call` is the
+/// parsed request: model id, queries in order, and the options applied to
+/// each.  Every query is resolved against the result cache (exact hit or
+/// prefix promotion); the rest run as one engine batch through the model's
+/// persistent [`SelectionCache`](xinsight_core::SelectionCache).  Each fresh
+/// answer is accounted (a merge-tier recompute cut by its deadline counts as
+/// a miss), cached unless its deadline was hit, and encoded into its slot.
+/// `render` turns the model id and the slots into the route's envelope; it
+/// runs only on success, so the counters it bumps rise only then.
+///
+/// Single-flight ([`Flights`]) applies when exactly one slot needs the
+/// engine, which covers every single-query request.  A batch with two or
+/// more uncached slots skips it: two overlapping batches, each holding one
+/// claim while waiting on the other's, would stall for
+/// [`FLIGHT_WAIT_LIMIT`].
+fn explain_core(
+    shared: &Shared,
+    call: Result<(String, Vec<WhyQuery>, wire::RequestOptions)>,
+    version: WireVersion,
+    trace: &mut TraceBuilder,
+    render: impl FnOnce(&str, &[wire::BatchSlotV2]) -> Response,
+) -> Response {
+    let (model_id, queries, options) = match call {
+        Ok(call) => call,
+        Err(e) => return version.error(&e),
+    };
+    let Some(model) = shared.registry.get(&model_id) else {
+        return version.model_not_found(&model_id);
+    };
+    let single = queries.len() == 1;
+    let suffix = version.cache_suffix(&options);
+    let lookup_started = Instant::now();
+    let mut lookups: Vec<(CacheKey, CacheOutcome)> = queries
+        .into_iter()
+        .map(|query| {
+            let key = CacheKey {
+                model: model.id.clone(),
+                query,
+                options: suffix.clone(),
+            };
+            let outcome = lookup_or_promote(shared, &model, &key);
+            (key, outcome)
+        })
+        .collect();
+    let mut pending = lookups.iter_mut().filter(|(_, outcome)| !outcome.is_hit());
+    // The guard (when owned) releases the claim on every return path; a
+    // follower whose owner just inserted replays the cached bytes.
+    let (_flight, role) = match (pending.next(), pending.next()) {
+        (Some((key, outcome)), None) => match shared.flights.claim(key) {
+            Some(flight) => (Some(flight), "owner"),
+            None => {
+                *outcome = lookup_or_promote(shared, &model, key);
+                (None, "follower")
+            }
+        },
+        _ => (None, ""),
+    };
+    let requests: Vec<ExplainRequest> = lookups
+        .iter()
+        .filter(|(_, outcome)| !outcome.is_hit())
+        .map(|(key, _)| options.to_engine_request(key.query.clone()))
+        .collect();
+    let (hits, uncached) = (lookups.len() - requests.len(), requests.len());
+    let detail: Cow<'static, str> = match lookups.first() {
+        Some((_, outcome)) if single && role.is_empty() => outcome.tier().into(),
+        Some((_, outcome)) if single => format!("{},flight={role}", outcome.tier()).into(),
+        _ => format!("hits={hits},uncached={uncached}").into(),
+    };
+    trace.span(Stage::CacheLookup, lookup_started, Instant::now(), detail);
+
+    let mut answers = Vec::new();
+    if !requests.is_empty() {
         let execute_started = Instant::now();
-        let answers = match model
+        answers = match model
             .engine
             .execute_batch_with_cache(&requests, Arc::clone(&model.selection))
         {
-            Ok(a) => a,
+            Ok(answers) => answers,
             Err(e) => {
                 trace.span(Stage::Execute, execute_started, Instant::now(), "error");
-                return error_response(&e);
+                return version.error(&e);
             }
         };
-        trace.span(
-            Stage::Execute,
-            execute_started,
-            Instant::now(),
-            format!("queries={}", requests.len()),
-        );
-        serialize_started = Instant::now();
-        for ((i, key, merge), response) in uncached.into_iter().zip(answers) {
-            if merge {
-                shared.cache.merged();
-            }
-            let explanations = response.into_explanations();
-            let json: Arc<str> = Arc::from(wire::explanations_to_string(&explanations).as_str());
-            shared.cache.insert(
-                key,
-                model.fingerprint.clone(),
-                model.dict_len,
-                Arc::clone(&json),
-            );
-            results[i] = Some((false, json));
+        // A single query's execute span carries the engine's own
+        // attribution: how many attributes the search visited vs pruned.
+        let detail: Cow<'static, str> = match answers.as_slice() {
+            [only] if single => only.provenance.as_ref().map_or("".into(), |p| {
+                let (searched, skipped) = (p.attributes_searched, p.attributes_skipped);
+                format!("attrs_searched={searched},attrs_skipped={skipped}").into()
+            }),
+            _ => format!("queries={}", answers.len()).into(),
+        };
+        trace.span(Stage::Execute, execute_started, Instant::now(), detail);
+    }
+
+    let serialize_started = Instant::now();
+    let mut slots: Vec<wire::BatchSlotV2> = lookups
+        .iter()
+        .map(|(_, outcome)| wire::BatchSlotV2 {
+            cached: outcome.is_hit(),
+            deadline_hit: false,
+            provenance: None,
+            result: match outcome {
+                CacheOutcome::Hit(hit) => Arc::clone(hit),
+                _ => Arc::from(""),
+            },
+        })
+        .collect();
+    // Fresh slots are filled in query order from the engine's answers.
+    let cache = &shared.cache;
+    let fresh = slots.iter_mut().zip(lookups).filter(|(s, _)| !s.cached);
+    for ((slot, (key, outcome)), mut response) in fresh.zip(answers) {
+        match outcome {
+            CacheOutcome::Merge if response.deadline_hit => cache.note_miss(),
+            CacheOutcome::Merge => cache.merged(),
+            _ => {}
+        }
+        slot.deadline_hit = response.deadline_hit;
+        slot.provenance = response.provenance.take();
+        if let Some(provenance) = slot.provenance.as_mut() {
+            // Engines restored from a bundle lose their fit-time CI
+            // counters; the registry persisted them, so re-attach.
+            provenance.ci_cache_fit_time = model.ci_cache_stats;
+        }
+        slot.result = version.encode(response);
+        // A deadline-hit answer is partial; caching it would replay the
+        // partiality to later (possibly unhurried) requests.
+        if !slot.deadline_hit {
+            let fingerprint = model.fingerprint.clone();
+            cache.insert(key, fingerprint, model.dict_len, Arc::clone(&slot.result));
         }
     }
-    let results: Vec<(bool, Arc<str>)> = results
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect();
-    shared.stats.explain_batch.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-    shared
-        .stats
-        .batch_queries
-        .fetch_add(results.len() as u64, Ordering::Relaxed); // relaxed: monotonic stats counter
-    let response = Response::json(200, wire::explain_batch_response(&model.id, &results));
+    let response = render(&model.id, &slots);
     trace.span(Stage::Serialize, serialize_started, Instant::now(), "");
     response
 }
 
-/// `POST /v2/explain`: the full request/response surface — per-request
-/// options in, the self-describing envelope out.
+/// The body of the unreachable case where a single-query call is answered
+/// with other than one slot.
+const NOT_ONE_SLOT: &str = "explain answered other than one slot for one query";
+
+/// `POST /explain` (v1): default options, the bare explanation array.
+fn handle_explain(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
+    let call = wire::ExplainV1::parse(body).map(|r| (r.model, vec![r.query], Default::default()));
+    explain_core(shared, call, WireVersion::V1, trace, |model, slots| {
+        let [slot] = slots else {
+            return Response::error(500, NOT_ONE_SLOT);
+        };
+        shared.stats.explain.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+        let body = wire::explain_response(model, slot.cached, &slot.result);
+        Response::json(200, body)
+    })
+}
+
+/// `POST /explain_batch` (v1): default options for every query.
+fn handle_explain_batch(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
+    let call = wire::ExplainBatchV1::parse(body).map(|r| (r.model, r.queries, Default::default()));
+    explain_core(shared, call, WireVersion::V1, trace, |model, slots| {
+        count_batch(shared, &shared.stats.explain_batch, slots.len());
+        Response::json(200, wire::explain_batch_response(model, slots))
+    })
+}
+
+/// `POST /v2/explain`: per-request options in, the self-describing envelope
+/// out.  `elapsed_us` is the handler wall-clock from entry (parse, lookup,
+/// engine), so cached and uncached answers are comparable.
 fn handle_explain_v2(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
     let started = Instant::now();
-    let request = match wire::ExplainV2::parse(body) {
-        Ok(r) => r,
-        Err(e) => return error_response_v2(&e),
-    };
-    let Some(model) = shared.registry.get(&request.model) else {
-        return model_not_found_v2(&request.model);
-    };
-    let key = CacheKey {
-        model: model.id.clone(),
-        query: request.query.clone(),
-        options: request.options.cache_key(),
-    };
-    let lookup_started = Instant::now();
-    let outcome = lookup_or_promote(shared, &model, &key);
-    if let CacheOutcome::Hit(hit) = outcome {
-        trace.span(Stage::CacheLookup, lookup_started, Instant::now(), "hit");
+    let call = wire::ExplainV2::parse(body).map(|r| (r.model, vec![r.query], r.options));
+    explain_core(shared, call, WireVersion::V2, trace, |model, slots| {
+        let [slot] = slots else {
+            return Response::error(500, NOT_ONE_SLOT);
+        };
         shared.stats.explain_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-                                                                 // A cached result was not recomputed, so there is no fresh
-                                                                 // provenance to report — `cached: true` *is* the provenance.
         let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        return serialized(trace, || {
-            Response::json(
-                200,
-                wire::explain_v2_response(&model.id, true, false, elapsed_us, None, &hit),
-            )
-        });
-    }
-    // Single-flight: collapse concurrent recomputes of this exact key
-    // into one engine execution (see [`Flights`]); a follower whose owner
-    // just inserted replays the cached bytes.
-    let flight = shared.flights.claim(&key);
-    let role = if flight.is_some() {
-        "owner"
-    } else {
-        "follower"
-    };
-    let outcome = if flight.is_some() {
-        outcome
-    } else {
-        match lookup_or_promote(shared, &model, &key) {
-            CacheOutcome::Hit(hit) => {
-                trace.span(
-                    Stage::CacheLookup,
-                    lookup_started,
-                    Instant::now(),
-                    "hit,flight=follower",
-                );
-                shared.stats.explain_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-                let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                return serialized(trace, || {
-                    Response::json(
-                        200,
-                        wire::explain_v2_response(&model.id, true, false, elapsed_us, None, &hit),
-                    )
-                });
-            }
-            refreshed => refreshed,
-        }
-    };
-    let tier = if matches!(outcome, CacheOutcome::Merge) {
-        "merge"
-    } else {
-        "miss"
-    };
-    trace.span(
-        Stage::CacheLookup,
-        lookup_started,
-        Instant::now(),
-        format!("{tier},flight={role}"),
-    );
-    let engine_request = request.options.to_engine_request(request.query);
-    let execute_started = Instant::now();
-    match model
-        .engine
-        .execute_with_cache(&engine_request, Arc::clone(&model.selection))
-    {
-        Ok(mut response) => {
-            // The execute span carries the engine's own attribution: how
-            // many attributes the search visited versus pruned.
-            let detail = match response.provenance.as_ref() {
-                Some(p) => format!(
-                    "attrs_searched={},attrs_skipped={}",
-                    p.attributes_searched, p.attributes_skipped
-                ),
-                None => String::new(),
-            };
-            trace.span(Stage::Execute, execute_started, Instant::now(), detail);
-            if matches!(outcome, CacheOutcome::Merge) {
-                // A deadline-cut recompute skipped searches instead of
-                // merging the cached partials — count it honestly.
-                if response.deadline_hit {
-                    shared.cache.note_miss();
-                } else {
-                    shared.cache.merged();
-                }
-            }
-            if let Some(provenance) = response.provenance.as_mut() {
-                // Engines restored from a bundle lose their fit-time CI
-                // counters; the registry persisted them, so re-attach.
-                provenance.ci_cache_fit_time = model.ci_cache_stats;
-            }
-            let serialize_started = Instant::now();
-            let result: Arc<str> = Arc::from(wire::v2_result_to_string(&response).as_str());
-            // A deadline-hit response is a *partial* answer; caching it
-            // would replay the partiality to future (possibly unhurried)
-            // requests.
-            if !response.deadline_hit {
-                shared.cache.insert(
-                    key,
-                    model.fingerprint.clone(),
-                    model.dict_len,
-                    Arc::clone(&result),
-                );
-            }
-            shared.stats.explain_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-                                                                     // Handler wall-clock on both paths (parse + lookup + engine),
-                                                                     // so cached and uncached `elapsed_us` are comparable.
-            let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let http_response = Response::json(
-                200,
-                wire::explain_v2_response(
-                    &model.id,
-                    false,
-                    response.deadline_hit,
-                    elapsed_us,
-                    response.provenance.as_ref(),
-                    &result,
-                ),
-            );
-            trace.span(Stage::Serialize, serialize_started, Instant::now(), "");
-            http_response
-        }
-        Err(e) => {
-            trace.span(Stage::Execute, execute_started, Instant::now(), "error");
-            error_response_v2(&e)
-        }
-    }
+        let body = wire::explain_v2_response(
+            model,
+            slot.cached,
+            slot.deadline_hit,
+            elapsed_us,
+            slot.provenance.as_ref(),
+            &slot.result,
+        );
+        Response::json(200, body)
+    })
 }
 
-/// `POST /v2/explain_batch`: one options object applied to every query,
-/// answered through the LRU plus one shared-cache engine batch.
+/// `POST /v2/explain_batch`: one options object applied to every query.
 fn handle_explain_batch_v2(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
-    let request = match wire::ExplainBatchV2::parse(body) {
-        Ok(r) => r,
-        Err(e) => return error_response_v2(&e),
-    };
-    let Some(model) = shared.registry.get(&request.model) else {
-        return model_not_found_v2(&request.model);
-    };
-    let options_key = request.options.cache_key();
-    let lookup_started = Instant::now();
-    let mut results: Vec<Option<wire::BatchSlotV2>> = Vec::new();
-    results.resize_with(request.queries.len(), || None);
-    let mut uncached = Vec::new();
-    for (i, query) in request.queries.iter().enumerate() {
-        let key = CacheKey {
-            model: model.id.clone(),
-            query: query.clone(),
-            options: options_key.clone(),
-        };
-        match lookup_or_promote(shared, &model, &key) {
-            CacheOutcome::Hit(hit) => {
-                results[i] = Some(wire::BatchSlotV2 {
-                    cached: true,
-                    deadline_hit: false,
-                    provenance: None,
-                    result: hit,
-                });
-            }
-            CacheOutcome::Merge => uncached.push((i, key, true)),
-            CacheOutcome::Miss => uncached.push((i, key, false)),
-        }
-    }
-    let hits = request.queries.len() - uncached.len();
-    trace.span(
-        Stage::CacheLookup,
-        lookup_started,
-        Instant::now(),
-        format!("hits={hits},uncached={}", uncached.len()),
-    );
-    let mut serialize_started = Instant::now();
-    if !uncached.is_empty() {
-        let requests: Vec<ExplainRequest> = uncached
-            .iter()
-            .map(|(_, k, _)| request.options.to_engine_request(k.query.clone()))
-            .collect();
-        let execute_started = Instant::now();
-        let answers = match model
-            .engine
-            .execute_batch_with_cache(&requests, Arc::clone(&model.selection))
-        {
-            Ok(a) => a,
-            Err(e) => {
-                trace.span(Stage::Execute, execute_started, Instant::now(), "error");
-                return error_response_v2(&e);
-            }
-        };
-        trace.span(
-            Stage::Execute,
-            execute_started,
-            Instant::now(),
-            format!("queries={}", requests.len()),
-        );
-        serialize_started = Instant::now();
-        for ((i, key, merge), mut response) in uncached.into_iter().zip(answers) {
-            if merge {
-                if response.deadline_hit {
-                    shared.cache.note_miss();
-                } else {
-                    shared.cache.merged();
-                }
-            }
-            if let Some(provenance) = response.provenance.as_mut() {
-                provenance.ci_cache_fit_time = model.ci_cache_stats;
-            }
-            let result: Arc<str> = Arc::from(wire::v2_result_to_string(&response).as_str());
-            if !response.deadline_hit {
-                shared.cache.insert(
-                    key,
-                    model.fingerprint.clone(),
-                    model.dict_len,
-                    Arc::clone(&result),
-                );
-            }
-            results[i] = Some(wire::BatchSlotV2 {
-                cached: false,
-                deadline_hit: response.deadline_hit,
-                provenance: response.provenance,
-                result,
-            });
-        }
-    }
-    let results: Vec<wire::BatchSlotV2> = results
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect();
-    shared
-        .stats
-        .explain_batch_v2
-        .fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-    shared
-        .stats
-        .batch_queries
-        .fetch_add(results.len() as u64, Ordering::Relaxed); // relaxed: monotonic stats counter
-    let http_response = Response::json(200, wire::explain_batch_v2_response(&model.id, &results));
-    trace.span(Stage::Serialize, serialize_started, Instant::now(), "");
-    http_response
+    let call = wire::ExplainBatchV2::parse(body).map(|r| (r.model, r.queries, r.options));
+    explain_core(shared, call, WireVersion::V2, trace, |model, slots| {
+        count_batch(shared, &shared.stats.explain_batch_v2, slots.len());
+        Response::json(200, wire::explain_batch_v2_response(model, slots))
+    })
+}
+
+/// Counts one successful batch request on its route counter and its
+/// queries on the shared `batch_queries` counter.
+fn count_batch(shared: &Shared, route: &AtomicU64, queries: usize) {
+    let batch_queries = &shared.stats.batch_queries;
+    route.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+    batch_queries.fetch_add(queries as u64, Ordering::Relaxed); // relaxed: monotonic stats counter
 }
 
 /// `POST /v2/ingest`: validates the wire rows against the model's raw
@@ -1514,7 +1353,11 @@ fn handle_stats(shared: &Shared) -> Response {
         .iter()
         .map(|m| m.selection.stats())
         .fold(CacheStats::default(), CacheStats::merged);
-    let queue_depth = shared.jobs.lock().expect("jobs lock").len();
+    let queue_depth = shared
+        .jobs
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .len();
     let doc = shared.stats.to_json(StatsSnapshot {
         result_cache: shared.cache.stats(),
         selection,
@@ -1988,74 +1831,105 @@ mod tests {
             .unwrap()
     }
 
+    /// The four explain routes, v1 then v2, single then batch.
+    const EXPLAIN_ROUTES: [&str; 4] = [
+        "/explain",
+        "/explain_batch",
+        "/v2/explain",
+        "/v2/explain_batch",
+    ];
+
+    /// A one-query body for `route` against the `tri` model.
+    fn explain_body(route: &str, query_json: &str) -> String {
+        if route.ends_with("_batch") {
+            format!("{{\"model\":\"tri\",\"queries\":[{query_json}]}}")
+        } else {
+            format!("{{\"model\":\"tri\",\"query\":{query_json}}}")
+        }
+    }
+
+    /// The `cached` flag and the answer bytes of a one-query response from
+    /// any explain route: the explanation array (v1) or the result object
+    /// (v2), unwrapped from the batch envelope when there is one.
+    fn cached_answer(route: &str, body: &str) -> (bool, String) {
+        let doc = Json::parse(body).unwrap();
+        let slot = match doc.get("results") {
+            Ok(results) => results.as_arr().unwrap()[0].clone(),
+            Err(_) => doc,
+        };
+        let answer = if route.starts_with("/v2/") {
+            slot.get("result").unwrap().to_string()
+        } else {
+            slot.get("explanations").unwrap().to_string()
+        };
+        (slot.get("cached").unwrap().as_bool().unwrap(), answer)
+    }
+
     #[test]
     fn non_intersecting_ingest_promotes_instead_of_invalidating() {
-        let (handle, dir) = start_tri("promote", ServerConfig::default());
-        let mut client = HttpClient::connect(handle.addr()).unwrap();
-        let body = format!("{{\"model\":\"tri\",\"query\":{}}}", tiny_query().to_json());
-        let cold = client.post("/explain", &body).unwrap();
-        assert_eq!(cold.status, 200, "body: {}", cold.body);
-        assert!(!cached_flag(&cold.body));
-        let baseline = explanations_of(&cold.body);
+        let mut baselines = Vec::new();
+        for (i, route) in EXPLAIN_ROUTES.into_iter().enumerate() {
+            // A fresh server per route: v1 single and batch requests share
+            // cache keys, so one route's entries would warm the next.
+            let (handle, dir) = start_tri(&format!("promote{i}"), ServerConfig::default());
+            let mut client = HttpClient::connect(handle.addr()).unwrap();
+            let body = explain_body(route, &tiny_query().to_json());
+            let mut explain = || {
+                let resp = client.post(route, &body).unwrap();
+                assert_eq!(resp.status, 200, "{route}: {}", resp.body);
+                cached_answer(route, &resp.body)
+            };
+            let (cached, baseline) = explain();
+            assert!(!cached, "{route}");
 
-        // Ingest rows the query's subspaces (`Location` A vs B) never
-        // select: all existing categories, so the dictionary is unchanged.
-        let c_row = "{\"Location\":\"C\",\"Smoking\":\"No\",\"Severity\":1.5}";
-        let resp = client
-            .ingest_v2("tri", &format!("[{c_row},{c_row}]"))
-            .unwrap();
-        assert_eq!(resp.status, 200, "body: {}", resp.body);
+            // Ingest rows the query's subspaces (`Location` A vs B) never
+            // select: all existing categories, so the dictionary is
+            // unchanged.
+            let ingest = |rows: &str| {
+                let mut client = HttpClient::connect(handle.addr()).unwrap();
+                let resp = client.ingest_v2("tri", rows).unwrap();
+                assert_eq!(resp.status, 200, "body: {}", resp.body);
+            };
+            let c_row = "{\"Location\":\"C\",\"Smoking\":\"No\",\"Severity\":1.5}";
+            ingest(&format!("[{c_row},{c_row}]"));
 
-        // The pre-ingest entry is *promoted*: served as cached, bytes
-        // identical, no recompute.
-        let warm = client.post("/explain", &body).unwrap();
-        assert!(
-            cached_flag(&warm.body),
-            "a provably-unaffected cached answer must survive ingest"
-        );
-        assert_eq!(explanations_of(&warm.body), baseline);
-        let stats = Json::parse(&client.get("/stats").unwrap().body).unwrap();
-        let cache = stats.get("result_cache").unwrap();
-        assert_eq!(cache.get("prefix_hits").unwrap().as_u64().unwrap(), 1);
-        assert_eq!(cache.get("merged").unwrap().as_u64().unwrap(), 0);
+            // The pre-ingest entry is *promoted*: served as cached, bytes
+            // identical, no recompute.
+            let (cached, warm) = explain();
+            assert!(
+                cached,
+                "{route}: a provably-unaffected cached answer must survive ingest"
+            );
+            assert_eq!(warm, baseline, "{route}");
+            let cache_counter = |name: &str| {
+                let mut client = HttpClient::connect(handle.addr()).unwrap();
+                let stats = Json::parse(&client.get("/stats").unwrap().body).unwrap();
+                let cache = stats.get("result_cache").unwrap();
+                cache.get(name).unwrap().as_u64().unwrap()
+            };
+            assert_eq!(cache_counter("prefix_hits"), 1, "{route}");
+            assert_eq!(cache_counter("merged"), 0, "{route}");
 
-        // An ingest that *does* intersect S1 forces the merge path: the
-        // recompute replays the old segments' partials and only computes
-        // the new one — and must agree with a cold recompute.
-        let a_row = "{\"Location\":\"A\",\"Smoking\":\"Yes\",\"Severity\":3.0}";
-        assert_eq!(
-            client
-                .ingest_v2("tri", &format!("[{a_row}]"))
-                .unwrap()
-                .status,
-            200
-        );
-        let merged = client.post("/explain", &body).unwrap();
-        assert!(
-            !cached_flag(&merged.body),
-            "an intersecting ingest must recompute"
-        );
-        let stats = Json::parse(&client.get("/stats").unwrap().body).unwrap();
-        let cache = stats.get("result_cache").unwrap();
-        assert_eq!(cache.get("merged").unwrap().as_u64().unwrap(), 1);
+            // An ingest that *does* intersect S1 forces the merge path: the
+            // recompute replays the old segments' partials and only
+            // computes the new one.
+            ingest("[{\"Location\":\"A\",\"Smoking\":\"Yes\",\"Severity\":3.0}]");
+            let (cached, _) = explain();
+            assert!(!cached, "{route}: an intersecting ingest must recompute");
+            assert_eq!(cache_counter("merged"), 1, "{route}");
 
-        // A *new category* on any dimension blocks promotion even when the
-        // new rows miss the subspaces (cardinality moves scores).
-        let new_cat = "{\"Location\":\"C\",\"Smoking\":\"Quit\",\"Severity\":1.0}";
-        assert_eq!(
-            client
-                .ingest_v2("tri", &format!("[{new_cat}]"))
-                .unwrap()
-                .status,
-            200
-        );
-        let after_growth = client.post("/explain", &body).unwrap();
-        assert!(
-            !cached_flag(&after_growth.body),
-            "dictionary growth must force a recompute"
-        );
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+            // A *new category* on any dimension blocks promotion even when
+            // the new rows miss the subspaces (cardinality moves scores).
+            ingest("[{\"Location\":\"C\",\"Smoking\":\"Quit\",\"Severity\":1.0}]");
+            let (cached, _) = explain();
+            assert!(!cached, "{route}: dictionary growth must force a recompute");
+            baselines.push(baseline);
+            handle.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // Single and batch routes of one generation answer the same bytes.
+        assert_eq!(baselines[0], baselines[1]);
+        assert_eq!(baselines[2], baselines[3]);
     }
 
     #[test]
@@ -2063,6 +1937,18 @@ mod tests {
         let (handle, dir) = start_tiny("deadline", ServerConfig::default());
         let mut client = HttpClient::connect(handle.addr()).unwrap();
         let query_json = tiny_query().to_json();
+        let other_json = WhyQuery::new(
+            "Severity",
+            Aggregate::Sum,
+            Subspace::of("Location", "A"),
+            Subspace::of("Location", "B"),
+        )
+        .unwrap()
+        .to_json();
+        let batch = format!(
+            "{{\"model\":\"tiny\",\"queries\":[{query_json},{other_json}],\
+             \"options\":{{\"deadline_ms\":0}}}}"
+        );
         // An already-expired deadline skips every search: the response is
         // partial and must not be cached — the repeat is not a hit.
         for _ in 0..2 {
@@ -2071,11 +1957,18 @@ mod tests {
                 .unwrap();
             assert_eq!(resp.status, 200, "body: {}", resp.body);
             let doc = Json::parse(&resp.body).unwrap();
-            assert!(doc.get("deadline_hit").unwrap().as_bool().unwrap());
-            assert!(
-                !doc.get("cached").unwrap().as_bool().unwrap(),
-                "a deadline-hit partial must never be served from cache"
-            );
+            let resp = client.post("/v2/explain_batch", &batch).unwrap();
+            assert_eq!(resp.status, 200, "body: {}", resp.body);
+            let batch_doc = Json::parse(&resp.body).unwrap();
+            let batch_slots = batch_doc.get("results").unwrap().as_arr().unwrap();
+            assert_eq!(batch_slots.len(), 2);
+            for slot in std::iter::once(&doc).chain(batch_slots) {
+                assert!(slot.get("deadline_hit").unwrap().as_bool().unwrap());
+                assert!(
+                    !slot.get("cached").unwrap().as_bool().unwrap(),
+                    "a deadline-hit partial must never be served from cache"
+                );
+            }
         }
         let stats = Json::parse(&client.get("/stats").unwrap().body).unwrap();
         let cache = stats.get("result_cache").unwrap();

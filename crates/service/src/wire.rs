@@ -556,21 +556,21 @@ pub fn explain_response(model: &str, cached: bool, explanations_json: &str) -> S
     out
 }
 
-/// Assembles the `/explain_batch` (v1) response envelope;
-/// `results[i]` is the `(cached, serialized explanations)` pair of
-/// `queries[i]`.
-pub fn explain_batch_response(model: &str, results: &[(bool, std::sync::Arc<str>)]) -> String {
+/// Assembles the `/explain_batch` (v1) response envelope; `results[i]`
+/// answers `queries[i]` and carries its serialized explanation array.  The
+/// v1 shape reports only each slot's `cached` flag.
+pub fn explain_batch_response(model: &str, results: &[BatchSlotV2]) -> String {
     let mut out = String::from("{\"model\":");
     Json::Str(model.to_owned()).write(&mut out);
     out.push_str(",\"results\":[");
-    for (i, (cached, json)) in results.iter().enumerate() {
+    for (i, slot) in results.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"cached\":");
-        out.push_str(if *cached { "true" } else { "false" });
+        out.push_str(if slot.cached { "true" } else { "false" });
         out.push_str(",\"explanations\":");
-        out.push_str(json);
+        out.push_str(&slot.result);
         out.push('}');
     }
     out.push_str("]}");
@@ -616,7 +616,8 @@ pub fn explain_v2_response(
     out
 }
 
-/// One slot of a v2 batch response.
+/// One answered query: the unit the server's explain core returns for
+/// every route, whichever envelope then renders it.
 #[derive(Debug, Clone)]
 pub struct BatchSlotV2 {
     /// Whether the slot was answered from the result cache.
@@ -625,7 +626,8 @@ pub struct BatchSlotV2 {
     pub deadline_hit: bool,
     /// The slot's provenance, when requested and freshly computed.
     pub provenance: Option<Provenance>,
-    /// The serialized result payload ([`v2_result_to_string`]).
+    /// The serialized payload: [`v2_result_to_string`] for v2,
+    /// [`explanations_to_string`] for v1.
     pub result: std::sync::Arc<str>,
 }
 
@@ -886,7 +888,13 @@ mod tests {
     #[test]
     fn batch_envelope_embeds_each_result() {
         let json: Arc<str> = Arc::from(explanations_to_string(&[explanation()]).as_str());
-        let body = explain_batch_response("m", &[(true, Arc::clone(&json)), (false, json)]);
+        let slot = |cached: bool, result: Arc<str>| BatchSlotV2 {
+            cached,
+            deadline_hit: false,
+            provenance: None,
+            result,
+        };
+        let body = explain_batch_response("m", &[slot(true, Arc::clone(&json)), slot(false, json)]);
         let doc = Json::parse(&body).unwrap();
         let results = doc.get("results").unwrap().as_arr().unwrap();
         assert_eq!(results.len(), 2);

@@ -31,9 +31,9 @@ pub trait IndexedCiTest: Sync {
 
 /// A conditional-independence test `X ⫫ Y | Z` evaluated on a dataset.
 ///
-/// Discovery algorithms (PC, FCI, XLearner) are generic over this trait so
-/// the same code runs against the chi-square test, the G-test, the Fisher-z
-/// test or the d-separation oracle used in unit tests.
+/// Discovery algorithms (FCI, XLearner) are generic over this trait so the
+/// same code runs against the chi-square test or the d-separation oracle
+/// used in unit tests.
 ///
 /// `Sync` is a supertrait so a test can be shared across the depth-parallel
 /// skeleton search; every test in this crate is a plain value or uses

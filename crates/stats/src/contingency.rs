@@ -62,8 +62,8 @@ impl ContingencyTable {
     /// the joint `Z` configuration, so high-cardinality conditioning sets
     /// cost memory proportional to the strata that actually occur.  Both paths yield
     /// identical [`chi_square_statistic`](ContingencyTable::chi_square_statistic)
-    /// and [`g_statistic`](ContingencyTable::g_statistic) values, because
-    /// empty strata contribute neither statistic nor degrees of freedom.
+    /// values, because empty strata contribute neither statistic nor degrees
+    /// of freedom.
     ///
     /// Returns [`DataError::Overflow`] only when the joint stratum space
     /// cannot even be indexed (product of cardinalities exceeds `u128`).
@@ -245,24 +245,6 @@ impl ContingencyTable {
     /// strata.  Strata (and rows/columns within a stratum) with zero margin
     /// contribute neither to the statistic nor to the degrees of freedom.
     pub fn chi_square_statistic(&self) -> (f64, f64) {
-        self.statistic(|observed, expected| {
-            let d = observed - expected;
-            d * d / expected
-        })
-    }
-
-    /// Likelihood-ratio (G-test) statistic and degrees of freedom.
-    pub fn g_statistic(&self) -> (f64, f64) {
-        self.statistic(|observed, expected| {
-            if observed == 0.0 {
-                0.0
-            } else {
-                2.0 * observed * (observed / expected).ln()
-            }
-        })
-    }
-
-    fn statistic(&self, cell_term: impl Fn(f64, f64) -> f64) -> (f64, f64) {
         let mut stat = 0.0;
         let mut dof = 0.0;
         // Margin scratch is shared across strata — one allocation per call,
@@ -300,7 +282,8 @@ impl ContingencyTable {
                     }
                     let expected = row_sums[xi] as f64 * col_sums[yi] as f64 / n as f64;
                     let observed = counts[xi * self.y_cardinality + yi] as f64;
-                    stat += cell_term(observed, expected);
+                    let d = observed - expected;
+                    stat += d * d / expected;
                 }
             }
         }
@@ -393,18 +376,6 @@ mod tests {
         let (stat, dof) = t.chi_square_statistic();
         assert_eq!(dof, 4.0);
         assert!(stat > 50.0);
-    }
-
-    #[test]
-    fn g_statistic_tracks_chi_square() {
-        let dep = dependent_data();
-        let t = ContingencyTable::build(&dep, "X", "Y", &[]).unwrap();
-        let (chi, _) = t.chi_square_statistic();
-        let (g, dof) = t.g_statistic();
-        assert_eq!(dof, 1.0);
-        assert!(g > 50.0);
-        // Both statistics should agree on the order of magnitude.
-        assert!((chi - g).abs() / chi < 0.5);
     }
 
     #[test]
@@ -504,7 +475,6 @@ mod tests {
         assert!(sparse.n_strata() <= dense.n_strata());
         // … but the statistics are identical.
         assert_eq!(dense.chi_square_statistic(), sparse.chi_square_statistic());
-        assert_eq!(dense.g_statistic(), sparse.g_statistic());
     }
 
     #[test]

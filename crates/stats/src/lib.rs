@@ -14,8 +14,7 @@
 //! * [`ContingencyTable`] — stratified cross tabulations of dimensions, built
 //!   in one pass from a view (with a sparse stratum fallback for
 //!   high-cardinality conditioning sets),
-//! * [`ChiSquareTest`] and [`GTest`] — CI tests for categorical data,
-//! * [`FisherZTest`] — partial-correlation CI test for numerical data,
+//! * [`ChiSquareTest`] — the CI test for categorical data,
 //! * [`CiTest`] — the trait the discovery algorithms program against, with
 //!   [`CiTest::compile`] producing an [`IndexedCiTest`] that answers queries
 //!   by dense variable id, plus a [`CachedCiTest`] wrapper memoising repeated
@@ -28,8 +27,6 @@ mod cache;
 mod chi_square;
 mod ci_test;
 mod contingency;
-mod fisher_z;
-mod gtest;
 mod small_vec;
 pub mod special;
 mod view;
@@ -38,7 +35,5 @@ pub use cache::{CacheStats, CachedCiTest};
 pub use chi_square::ChiSquareTest;
 pub use ci_test::{CiOutcome, CiTest, IndexedCiTest};
 pub use contingency::ContingencyTable;
-pub use fisher_z::FisherZTest;
-pub use gtest::GTest;
 pub use small_vec::SmallVec;
 pub use view::DiscoveryView;

@@ -4,8 +4,9 @@
 //! The redesign's correctness bar has two halves:
 //!
 //! * **engine level** — `execute` with a default [`ExplainRequest`] is
-//!   byte-identical to the legacy (now deprecated) `explain` path,
-//!   including when served through the bounded LRU (property test);
+//!   byte-identical to its bare ranked list (`into_explanations`), the
+//!   legacy payload, including when served through the bounded LRU
+//!   (property test);
 //! * **wire level** — on a served SYN-A bundle, the v1 endpoints and
 //!   `/v2` with default options answer with the same explanation bytes,
 //!   and the v2 per-request controls (`top_k`, type allowlist, deadline)
@@ -28,8 +29,8 @@ use xinsight::service::{
 struct Fixture {
     engine: XInsight,
     queries: Vec<WhyQuery>,
-    /// Serialized explanation lists produced by the deprecated `explain`
-    /// shim — the pre-redesign behavior the new core must reproduce.
+    /// Serialized bare explanation lists of default requests — the legacy
+    /// payload the LRU-served path must reproduce.
     legacy: Vec<String>,
 }
 
@@ -39,10 +40,12 @@ fn fixture() -> &'static Fixture {
         let data = syn_a_serving_data(500, 7).unwrap();
         let engine = XInsight::fit(&data, &XInsightOptions::default()).unwrap();
         let queries = demo_queries(&data, 6).unwrap();
-        #[allow(deprecated)]
         let legacy = queries
             .iter()
-            .map(|q| wire::explanations_to_string(&engine.explain(q).unwrap()))
+            .map(|q| {
+                let response = engine.execute(&ExplainRequest::new(q.clone())).unwrap();
+                wire::explanations_to_string(&response.into_explanations())
+            })
             .collect();
         Fixture {
             engine,
@@ -56,8 +59,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // `execute` with default options — directly and served through a
-    // tiny, eviction-heavy LRU — reproduces the deprecated `explain`
-    // path's bytes exactly.
+    // tiny, eviction-heavy LRU — reproduces the legacy payload's bytes
+    // exactly.
     #[test]
     fn default_execute_is_byte_identical_to_legacy_explain(
         stream in prop::collection::vec(0usize..6, 1..20),

@@ -5,7 +5,7 @@
 //!
 //! * serving through the bounded LRU [`ResultCache`] — including after
 //!   forced evictions and recomputation — returns explanation bytes
-//!   identical to direct [`XInsight::explain_many`] (property test);
+//!   identical to direct [`XInsight::execute_batch`] (property test);
 //! * a `fit → save bundle → serve over HTTP → N concurrent clients`
 //!   round trip answers every query byte-identically to a serial,
 //!   freshly fitted engine (integration test).
