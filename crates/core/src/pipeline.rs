@@ -403,7 +403,7 @@ impl XInsight {
     /// The cache only replays `Δ(·)` building blocks, it never changes
     /// answers.  Callers that own the cache can read
     /// [`SelectionCache::stats`] afterwards (the serving layer accumulates
-    /// them into its `/stats` endpoint) or share one cache across several
+    /// them into its `/metrics` endpoint) or share one cache across several
     /// related batches.  The usual cache rules apply: one cache per dataset
     /// (enforced by a fingerprint check), and entries are never evicted, so
     /// scope a cache to a bounded working set rather than holding one

@@ -178,7 +178,7 @@ impl SelectionCache {
     /// A snapshot of the hit/miss counters and the total entry count
     /// (masks + partial aggregates) in the engine-wide
     /// [`CacheStats`](xinsight_stats::CacheStats) shape, for the serving
-    /// layer's `/stats` endpoint and the benches.
+    /// layer's `/metrics` endpoint and the benches.
     pub fn stats(&self) -> xinsight_stats::CacheStats {
         xinsight_stats::CacheStats {
             hits: self.hits(),

@@ -196,7 +196,7 @@ impl EventLoop {
             self.shared
                 .stats
                 .loop_last_poll_wait_us
-                // relaxed: single-writer gauge sampled by /stats; a stale
+                // relaxed: single-writer gauge sampled by /metrics; a stale
                 // read costs nothing and no other state hangs off it.
                 .store(wait_started.elapsed().as_micros() as u64, Ordering::Relaxed);
             if self.shared.shutdown.load(Ordering::SeqCst) && !self.draining {
@@ -285,7 +285,7 @@ impl EventLoop {
                         .fetch_add(1, Ordering::Relaxed);
                     if self.open >= self.shared.max_connections {
                         // relaxed: both are monotonic shed counters for
-                        // /stats; no ordering edge with connection state.
+                        // /metrics; no ordering edge with connection state.
                         self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                         self.shared.stats.conn_shed.fetch_add(1, Ordering::Relaxed);
                         // Accepted sockets don't inherit non-blocking; the
@@ -340,7 +340,7 @@ impl EventLoop {
                     self.shared
                         .stats
                         .conn_active
-                        // relaxed: live-connection gauge for /stats only.
+                        // relaxed: live-connection gauge for /metrics only.
                         .fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -439,7 +439,7 @@ impl EventLoop {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 if jobs.len() >= self.shared.queue_capacity {
                     drop(jobs);
-                    // relaxed: monotonic shed counters for /stats; no
+                    // relaxed: monotonic shed counters for /metrics; no
                     // ordering edge with the admission decision itself.
                     self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                     self.shared.stats.conn_shed.fetch_add(1, Ordering::Relaxed);
@@ -478,7 +478,7 @@ impl EventLoop {
                 self.shared
                     .stats
                     .client_errors
-                    // relaxed: monotonic error counter for /stats.
+                    // relaxed: monotonic error counter for /metrics.
                     .fetch_add(1, Ordering::Relaxed);
                 let response = match e {
                     http::HttpError::Malformed(message) => Response::error(400, &message),
@@ -655,7 +655,7 @@ impl EventLoop {
         self.shared
             .stats
             .loop_slots_occupied
-            // relaxed: single-writer gauge sampled by /stats.
+            // relaxed: single-writer gauge sampled by /metrics.
             .store(self.open as u64, Ordering::Relaxed);
         for slot in 0..self.conns.len() {
             let Some(conn) = conn_ref(&self.conns, slot) else {
@@ -686,12 +686,12 @@ impl EventLoop {
         self.shared
             .stats
             .conn_parked_idle
-            // relaxed: single-writer gauge sampled by /stats.
+            // relaxed: single-writer gauge sampled by /metrics.
             .store(parked, Ordering::Relaxed);
         self.shared
             .stats
             .loop_last_tick_us
-            // relaxed: single-writer gauge sampled by /stats.
+            // relaxed: single-writer gauge sampled by /metrics.
             .store(now.elapsed().as_micros() as u64, Ordering::Relaxed);
         // relaxed: monotonic tick counter; liveness probes tolerate lag.
         self.shared.stats.loop_ticks.fetch_add(1, Ordering::Relaxed);
@@ -715,10 +715,10 @@ impl EventLoop {
         self.shared
             .stats
             .conn_active
-            // relaxed: live-connection gauge for /stats only.
+            // relaxed: live-connection gauge for /metrics only.
             .fetch_sub(1, Ordering::Relaxed);
         if shed {
-            // relaxed: monotonic shed counter for /stats.
+            // relaxed: monotonic shed counter for /metrics.
             self.shared.stats.conn_shed.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -435,7 +435,7 @@ mod tests {
 
     #[test]
     fn parses_a_get_without_body_and_connection_close() {
-        let req = parse_raw(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse_raw(b"GET /models HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
         assert!(req.wants_close());
@@ -540,13 +540,13 @@ mod tests {
     fn incremental_parser_handles_pipelined_requests() {
         let mut parser = RequestParser::new();
         let mut wire = WIRE.to_vec();
-        wire.extend_from_slice(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n");
+        wire.extend_from_slice(b"GET /models HTTP/1.1\r\nConnection: close\r\n\r\n");
         parser.feed(&wire);
         let first = parser.try_parse().unwrap().expect("first framed");
         assert_eq!(first.path, "/explain");
         assert!(!parser.is_empty(), "second request stays buffered");
         let second = parser.try_parse().unwrap().expect("second framed");
-        assert_eq!(second.path, "/stats");
+        assert_eq!(second.path, "/models");
         assert!(second.wants_close());
         assert!(parser.is_empty());
         assert!(parser.try_parse().unwrap().is_none());

@@ -37,14 +37,15 @@
 //!   envelope), sharing the engine's hand-rolled
 //!   [`json`](xinsight_core::json) codepath and `WhyQuery`'s canonical
 //!   serialization;
-//! * [`stats`] — QPS, latency histogram and cache-effectiveness counters
-//!   behind `GET /stats`;
+//! * [`stats`] — the lock-free request counters and latency histograms the
+//!   serving path records into;
 //! * [`metrics`] / [`trace`] — the observability surface: hand-rolled
-//!   Prometheus text exposition at `GET /metrics` (per-endpoint counters,
-//!   request and per-stage latency histograms, cache tiers, event-loop
-//!   health gauges) and per-request lifecycle traces — parse, queue-wait,
-//!   cache-lookup, execute, serialize, write spans on one monotonic clock
-//!   — kept in a bounded ring plus a slow-trace reservoir
+//!   Prometheus text exposition at `GET /metrics`, the server's one
+//!   counters view (per-endpoint counters, request and per-stage latency
+//!   histograms, cache tiers, compaction, queue and event-loop gauges,
+//!   per-model store shapes) and per-request lifecycle traces — parse,
+//!   queue-wait, cache-lookup, execute, serialize, write spans on one
+//!   monotonic clock — kept in a bounded ring plus a slow-trace reservoir
 //!   (`--trace-slow-ms`) behind `GET /debug/traces`;
 //! * [`demo`] — fitted SYN-A / FLIGHT demo bundles and deterministic
 //!   query pools for the smoke test and the `loadgen` bench.
@@ -67,8 +68,7 @@
 //! | `GET /v2/graph` | `?model=<id>&format=json\|dot\|mermaid` | the fitted PAG + FD graph + sepsets, as JSON or rendered DOT/Mermaid |
 //! | `POST /v2/ingest` | `{"model", "rows"}` | appends a sealed segment, bumps the generation — no reload |
 //! | `GET /models` | — | loaded models + example queries + ingest templates |
-//! | `GET /stats` | — | QPS, latency, per-stage latency, cache hit rates, per-model segments/rows/epoch |
-//! | `GET /metrics` | — | Prometheus text exposition of everything `/stats` counts plus per-stage histograms and event-loop gauges |
+//! | `GET /metrics` | — | Prometheus text exposition of every server counter: requests, request and per-stage latency, cache tiers, compaction, queue and event-loop gauges, per-model segments/rows/epoch |
 //! | `POST /admin/reload` | `{"model"}` | atomic hot-reload of one bundle |
 //! | `POST /admin/shutdown` | — | graceful shutdown |
 //! | `POST /debug/sleep` | `{"ms"}` | worker-occupying fixed sleep for overload experiments — gated on `--debug-endpoints`, `404` otherwise |
@@ -96,7 +96,7 @@ pub mod wire;
 pub use client::{explain_v2_body, ingest_v2_body, wait_healthy, ClientResponse, HttpClient};
 pub use demo::{build_demo_bundles, demo_queries, demo_v2_options, DemoModel};
 pub use lru::{CacheKey, Lookup, ResultCache, ResultCacheStats, SegmentRef};
-pub use metrics::validate_exposition;
+pub use metrics::{series_value, validate_exposition};
 pub use registry::{save_bundle, CompactionReport, IngestReport, LoadedModel, ModelRegistry};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use trace::{Stage, TraceStore};

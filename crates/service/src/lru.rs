@@ -50,7 +50,7 @@
 //! the entries and a `BTreeMap<tick, key>` orders them, making
 //! lookup/insert `O(log n)` without an intrusive linked list.  One mutex
 //! guards both maps (lookups are cheap relative to an explain);
-//! hit/miss/eviction counters are relaxed atomics so `/stats` never
+//! hit/miss/eviction counters are relaxed atomics so `/metrics` never
 //! contends with serving.
 //!
 //! [`SelectionCache`]: xinsight_core::SelectionCache
@@ -162,7 +162,7 @@ impl LruState {
     }
 }
 
-/// A point-in-time snapshot of the result cache for `/stats`.
+/// A point-in-time snapshot of the result cache for `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResultCacheStats {
     /// Lookups that reached a tier verdict.  Because every tier counter is
@@ -197,21 +197,6 @@ pub struct ResultCacheStats {
     pub byte_budget: usize,
 }
 
-impl ResultCacheStats {
-    /// Fraction of lookups served from cached state — exact replays,
-    /// prefix promotions and prefix merges — out of all lookups (`0.0`
-    /// before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let served = self.hits + self.prefix_hits + self.merged;
-        let lookups = served + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            served as f64 / lookups as f64
-        }
-    }
-}
-
 /// Bounded, thread-safe, memory-accounted LRU cache of serialized
 /// explanation results, scoped by segment-set fingerprints (see the
 /// module docs for the design).
@@ -221,7 +206,7 @@ pub struct ResultCache {
     byte_budget: usize,
     // Tier counters are atomics for lock-free *reads*, but every write
     // happens while holding `state`, paired with a `lookups` increment —
-    // that is what makes the `/stats` tier sum reconcile exactly (see
+    // that is what makes the `/metrics` tier sum reconcile exactly (see
     // [`ResultCacheStats::lookups`]).
     lookups: AtomicU64,
     hits: AtomicU64,
@@ -347,7 +332,7 @@ impl ResultCache {
     /// current fingerprint.
     pub fn merged(&self) {
         // Taken under the state lock (like every tier increment) so a
-        // racing `/stats` snapshot can never see the tier sum and
+        // racing `/metrics` snapshot can never see the tier sum and
         // `lookups` disagree.
         let _state = self.state.lock();
         self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter

@@ -1,18 +1,19 @@
 //! Prometheus text exposition for `GET /metrics`, hand-rolled like the
 //! rest of the wire layer.
 //!
-//! The `/stats` JSON document is for humans; this module renders the same
-//! counters — per-endpoint requests, the latency histogram, result-cache
-//! tiers, connections, compaction, ingest, the engine-side
-//! SelectionCache/CachedCiTest hit rates — plus the per-stage latency
-//! histograms and event-loop health gauges in the [Prometheus text
+//! `/metrics` is the server's one counters view: per-endpoint requests,
+//! the request and per-stage latency histograms, result-cache tiers,
+//! connections, compaction, ingest, the engine-side
+//! SelectionCache/CachedCiTest counters, queue and event-loop gauges and
+//! per-model store shapes, in the [Prometheus text
 //! format](https://prometheus.io/docs/instrumenting/exposition_formats/)
-//! (version `0.0.4`) so a real scraper can ingest them.
+//! (version `0.0.4`).  Derived figures — rates, hit ratios, totals across
+//! endpoints — are arithmetic over these series and left to the scraper.
 //!
 //! Histograms deserve a note: the internal [`LatencyHistogram`] keeps 592
 //! log-linear buckets, far more than a scrape should carry.  The renderer
-//! publishes a coarse `le` ladder instead, but **snaps every published
-//! bound to an exact internal bucket edge** via
+//! publishes a coarse `le` ladder instead, from 1 µs to 10 s, but **snaps
+//! every published bound to an exact internal bucket edge** via
 //! [`LatencyHistogram::cumulative_le`], so the cumulative count at each
 //! published bound is exact rather than re-quantized — the ladder is a
 //! lossless down-sampling of the internal histogram.
@@ -21,7 +22,8 @@
 //! (comment/type/sample grammar, histogram bucket monotonicity, `_count`
 //! against the `+Inf` bucket).  `loadgen` runs every scrape through it, and
 //! the `verify.sh` smoke does the same, so a malformed exposition fails
-//! loudly instead of silently breaking a scraper.
+//! loudly instead of silently breaking a scraper.  [`series_value`] reads
+//! one sample back off the text.
 
 // HashMap here never leaks iteration order into output: exposition-validator scratch tables; never iterated into output (see clippy.toml).
 #![allow(clippy::disallowed_types)]
@@ -37,10 +39,11 @@ use xinsight_stats::CacheStats;
 /// The published histogram bucket ladder, in microseconds.  Each bound is
 /// snapped up to the exact internal bucket edge at render time, so the
 /// effective ladder is slightly coarser than written here but the counts
-/// are exact.
-const LE_LADDER_US: [u64; 16] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 2_500_000, 5_000_000, 10_000_000,
+/// are exact.  Bounds below 16 µs are exact edges; 25 and 50 snap to 25
+/// and 51.
+const LE_LADDER_US: [u64; 22] = [
+    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
+    250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
 ];
 
 /// Per-model shape gauges (one label set per loaded model).
@@ -59,8 +62,7 @@ pub struct ModelGauges {
 }
 
 /// Everything one `/metrics` scrape renders: the server's own counters
-/// plus the externally-owned pieces assembled at scrape time (mirrors
-/// [`crate::stats::StatsSnapshot`]).
+/// plus the externally-owned pieces assembled at scrape time.
 #[derive(Debug)]
 pub struct MetricsSnapshot<'a> {
     /// The server's counter block (borrowed — atomics are read in place).
@@ -173,7 +175,6 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
         ("ingest_v2", &s.ingest_v2),
         ("graph_v2", &s.graph_v2),
         ("models", &s.models),
-        ("stats", &s.stats),
         ("metrics", &s.metrics),
         ("debug", &s.debug),
         ("admin", &s.admin),
@@ -648,6 +649,16 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
     out
 }
 
+/// The value of one exposition sample, parsed straight off the text —
+/// `series` is the full sample name including its label block, exactly as
+/// rendered (e.g. `xinsight_requests_total{endpoint="explain"}`).
+pub fn series_value(text: &str, series: &str) -> Option<f64> {
+    text.lines().find_map(|line| {
+        let (name, value) = line.rsplit_once(' ')?;
+        (name == series).then(|| value.parse().ok())?
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Exposition-format validation
 // ---------------------------------------------------------------------------
@@ -970,10 +981,18 @@ mod tests {
     fn rendered_exposition_validates_and_carries_every_family() {
         let stats = ServerStats::default();
         stats.explain_v2.fetch_add(5, Ordering::Relaxed);
+        stats.rejected.fetch_add(1, Ordering::Relaxed);
+        stats.conn_accepted.fetch_add(5, Ordering::Relaxed);
+        stats.conn_active.store(2, Ordering::Relaxed);
+        stats.conn_parked_idle.store(1, Ordering::Relaxed);
+        stats.conn_shed.fetch_add(1, Ordering::Relaxed);
+        stats.record_compaction(5, 1, 4096);
+        stats.record_compaction(3, 1, 1024);
         for us in [120u64, 450, 900, 15_000, 2_000_000] {
             stats.latency.record(Duration::from_micros(us));
             stats.stages[Stage::Execute.index()].record(Duration::from_micros(us));
         }
+        stats.stages[Stage::Parse.index()].record(Duration::from_micros(3));
         let text = render(&snapshot_with(&stats));
         validate_exposition(&text).expect("rendered exposition must validate");
         for family in [
@@ -993,6 +1012,36 @@ mod tests {
         // Histogram counts at published bounds are exact: every recorded
         // sample is <= 10 s, so the final ladder bucket holds all 5.
         assert!(text.contains("xinsight_request_latency_seconds_count 5"));
+        let value = |series: &str| series_value(&text, series);
+        // The ladder resolves below 100 µs: exact edges under 16 µs, and
+        // 50 µs snapped up to the 51 µs bucket edge.
+        let parse_le = |le: &str| {
+            value(&format!(
+                "xinsight_stage_latency_seconds_bucket{{stage=\"parse\",le=\"{le}\"}}"
+            ))
+        };
+        assert_eq!(parse_le("0.000002"), Some(0.0));
+        assert_eq!(parse_le("0.000005"), Some(1.0));
+        assert_eq!(parse_le("0.000051"), Some(1.0));
+        // Shed, connection and compaction counters: the run count, the
+        // *last* before/after shape, and the *cumulative* bytes reclaimed.
+        for (series, expected) in [
+            ("xinsight_rejected_total", 1.0),
+            ("xinsight_connections_accepted_total", 5.0),
+            ("xinsight_connections{state=\"active\"}", 2.0),
+            ("xinsight_connections{state=\"parked_idle\"}", 1.0),
+            ("xinsight_connections_shed_total", 1.0),
+            ("xinsight_read_timeouts_total", 0.0),
+            ("xinsight_compactions_total", 2.0),
+            ("xinsight_compaction_last_segments{phase=\"before\"}", 3.0),
+            ("xinsight_compaction_last_segments{phase=\"after\"}", 1.0),
+            ("xinsight_compaction_bytes_reclaimed_total", 5120.0),
+            ("xinsight_compact_after", 6.0),
+            ("xinsight_queue_capacity", 64.0),
+            ("xinsight_workers", 4.0),
+        ] {
+            assert_eq!(value(series), Some(expected), "{series}");
+        }
     }
 
     #[test]

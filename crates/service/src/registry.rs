@@ -10,7 +10,7 @@
 //! * `<id>.meta.json` — bundle metadata: which columns are dimensions vs
 //!   measures (CSV kind inference alone would mistake numeric-looking
 //!   categories), example queries for smoke tests and load generation, and
-//!   the fit-time CI-cache counters so `/stats` can report them even
+//!   the fit-time CI-cache counters so `/metrics` can report them even
 //!   across persistence.
 //!
 //! [`ModelRegistry::open`] loads every bundle it finds and keeps the
@@ -93,7 +93,7 @@ fn fingerprint_of(engine: &XInsight) -> Vec<SegmentRef> {
         .collect()
 }
 
-/// What one completed compaction did, for LRU remapping and `/stats`.
+/// What one completed compaction did, for LRU remapping and `/metrics`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionReport {
     /// The compacted model's id.

@@ -52,7 +52,7 @@ use crate::http::{Request, Response};
 use crate::lru::{CacheKey, Lookup, ResultCache};
 use crate::metrics;
 use crate::registry::{LoadedModel, ModelRegistry};
-use crate::stats::{ServerStats, StatsSnapshot};
+use crate::stats::ServerStats;
 use crate::trace::{Stage, TraceBuilder, TraceStore};
 use crate::wire;
 use std::borrow::Cow;
@@ -595,7 +595,6 @@ fn route(shared: &Shared, request: &Request, trace: &mut TraceBuilder) -> (Respo
         ("POST", "/v2/ingest") => (handle_ingest_v2(shared, &request.body, trace), false),
         ("GET", "/v2/graph") => (handle_graph_v2(shared, query, trace), false),
         ("GET", "/models") => (handle_models(shared), false),
-        ("GET", "/stats") => (handle_stats(shared), false),
         ("GET", "/metrics") => (handle_metrics(shared), false),
         ("POST", "/admin/reload") => (handle_reload(shared, &request.body), false),
         ("POST", "/admin/shutdown") => {
@@ -610,7 +609,7 @@ fn route(shared: &Shared, request: &Request, trace: &mut TraceBuilder) -> (Respo
         (
             "GET" | "POST",
             "/healthz" | "/explain" | "/explain_batch" | "/v2/explain" | "/v2/explain_batch"
-            | "/v2/ingest" | "/v2/graph" | "/models" | "/stats" | "/metrics" | "/admin/reload"
+            | "/v2/ingest" | "/v2/graph" | "/models" | "/metrics" | "/admin/reload"
             | "/admin/shutdown",
         ) => (Response::error(405, "method not allowed"), false),
         _ => (
@@ -621,17 +620,21 @@ fn route(shared: &Shared, request: &Request, trace: &mut TraceBuilder) -> (Respo
     // xlint-endpoints: end(route)
 }
 
-/// `GET /metrics`: the Prometheus text exposition (see [`crate::metrics`]).
-/// Assembled exactly like `/stats` — live selection-cache sums, one
-/// consistent result-cache snapshot — then rendered as text; the scrape
-/// counter is incremented *after* rendering so a scrape does not count
-/// itself (mirroring `/stats`).
+/// `GET /metrics`: the Prometheus text exposition (see [`crate::metrics`]),
+/// the server's one counters view.  Assembled from live selection-cache
+/// sums and one consistent result-cache snapshot, then rendered as text;
+/// the scrape counter is incremented *after* rendering so a scrape does
+/// not count itself.
 fn handle_metrics(shared: &Shared) -> Response {
     let models = shared.registry.models();
     let ci: CacheStats = models
         .iter()
         .map(|m| m.ci_cache_stats)
         .fold(CacheStats::default(), CacheStats::merged);
+    // The selection-cache view is *live*: each model's persistent partial
+    // cache is summed at scrape time (the caches are shared across
+    // requests and ingests, so per-request accumulation would double
+    // count).
     let selection: CacheStats = models
         .iter()
         .map(|m| m.selection.stats())
@@ -1321,57 +1324,6 @@ fn handle_models(shared: &Shared) -> Response {
     Response::json(200, Json::Arr(models).to_string())
 }
 
-fn handle_stats(shared: &Shared) -> Response {
-    use xinsight_core::json::Json;
-    let models = shared.registry.models();
-    let ci: CacheStats = models
-        .iter()
-        .map(|m| m.ci_cache_stats)
-        .fold(CacheStats::default(), CacheStats::merged);
-    // Per-model store shape: how segmented each served store currently is,
-    // how many rows it holds, and its ingest epoch.
-    let model_stores = Json::Arr(
-        models
-            .iter()
-            .map(|m| {
-                let store = m.engine.data();
-                Json::Obj(vec![
-                    ("id".to_owned(), Json::Str(m.id.clone())),
-                    ("generation".to_owned(), Json::Num(m.generation as f64)),
-                    ("segments".to_owned(), Json::Num(store.n_segments() as f64)),
-                    ("rows".to_owned(), Json::Num(store.n_rows() as f64)),
-                    ("epoch".to_owned(), Json::Num(store.epoch() as f64)),
-                ])
-            })
-            .collect(),
-    );
-    // The selection-cache view is *live*: each model's persistent partial
-    // cache is summed at snapshot time (the caches are shared across
-    // requests and ingests, so per-request accumulation would double
-    // count).
-    let selection: CacheStats = models
-        .iter()
-        .map(|m| m.selection.stats())
-        .fold(CacheStats::default(), CacheStats::merged);
-    let queue_depth = shared
-        .jobs
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .len();
-    let doc = shared.stats.to_json(StatsSnapshot {
-        result_cache: shared.cache.stats(),
-        selection,
-        ci_cache: ci,
-        models: model_stores,
-        queue_depth,
-        queue_capacity: shared.queue_capacity,
-        workers: shared.workers,
-        compact_after: shared.compact_after,
-    });
-    shared.stats.stats.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-    Response::json(200, doc.to_string())
-}
-
 fn handle_reload(shared: &Shared, body: &[u8]) -> Response {
     let id = match wire::parse_reload_request(body) {
         Ok(id) => id,
@@ -1404,6 +1356,19 @@ mod tests {
     use xinsight_core::pipeline::XInsightOptions;
     use xinsight_core::WhyQuery;
     use xinsight_data::{Aggregate, Dataset, DatasetBuilder, Subspace};
+
+    /// One fresh `/metrics` scrape.
+    fn scrape(client: &mut HttpClient) -> String {
+        let resp = client.get("/metrics").unwrap();
+        assert_eq!(resp.status, 200, "body: {}", resp.body);
+        resp.body
+    }
+
+    /// One series off a scrape; a missing series fails the test.
+    fn metric(text: &str, series: &str) -> f64 {
+        metrics::series_value(text, series)
+            .unwrap_or_else(|| panic!("no `{series}` in /metrics:\n{text}"))
+    }
 
     fn tiny_data() -> Dataset {
         let mut loc = Vec::new();
@@ -1512,7 +1477,7 @@ mod tests {
             direct_other
         );
 
-        // /models and /stats report the serving state.
+        // /models and /metrics report the serving state.
         let models = client.get("/models").unwrap();
         let doc = Json::parse(&models.body).unwrap();
         let entry = &doc.as_arr().unwrap()[0];
@@ -1523,37 +1488,17 @@ mod tests {
             .as_arr()
             .unwrap()
             .is_empty());
-        let stats = client.get("/stats").unwrap();
-        let doc = Json::parse(&stats.body).unwrap();
+        let text = scrape(&mut client);
         assert_eq!(
-            doc.get("requests")
-                .unwrap()
-                .get("explain")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            2
+            metric(&text, "xinsight_requests_total{endpoint=\"explain\"}"),
+            2.0
         );
-        let result_cache = doc.get("result_cache").unwrap();
-        assert_eq!(result_cache.get("hits").unwrap().as_u64().unwrap(), 2);
-        assert!(
-            doc.get("selection_cache")
-                .unwrap()
-                .get("misses")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-                > 0
+        assert_eq!(
+            metric(&text, "xinsight_result_cache_total{tier=\"hit\"}"),
+            2.0
         );
-        assert!(
-            doc.get("ci_cache_fit_time")
-                .unwrap()
-                .get("misses")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-                > 0
-        );
+        assert!(metric(&text, "xinsight_selection_cache_total{outcome=\"miss\"}") > 0.0);
+        assert!(metric(&text, "xinsight_ci_cache_fit_time_total{outcome=\"miss\"}") > 0.0);
 
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1743,20 +1688,16 @@ mod tests {
         assert_eq!(doc.get("segments").unwrap().as_u64().unwrap(), 2);
         assert_eq!(doc.get("epoch").unwrap().as_u64().unwrap(), 1);
         assert_eq!(doc.get("generation").unwrap().as_u64().unwrap(), 2);
-        // /stats surfaces the per-model store shape.
-        let stats = client.get("/stats").unwrap();
-        let doc = Json::parse(&stats.body).unwrap();
-        let entry = &doc.get("models").unwrap().as_arr().unwrap()[0];
-        assert_eq!(entry.get("segments").unwrap().as_u64().unwrap(), 2);
-        assert_eq!(entry.get("epoch").unwrap().as_u64().unwrap(), 1);
-        assert!(
-            doc.get("requests")
-                .unwrap()
-                .get("ingest_v2")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-                == 1
+        // /metrics surfaces the per-model store shape.
+        let text = scrape(&mut client);
+        assert_eq!(
+            metric(&text, "xinsight_model_segments{model=\"tiny\"}"),
+            2.0
+        );
+        assert_eq!(metric(&text, "xinsight_model_epoch{model=\"tiny\"}"), 1.0);
+        assert_eq!(
+            metric(&text, "xinsight_requests_total{endpoint=\"ingest_v2\"}"),
+            1.0
         );
         // A re-issued explain answers against the grown store: the old
         // cached entry is unreachable (generation rolled), so this is a
@@ -1901,14 +1842,16 @@ mod tests {
                 "{route}: a provably-unaffected cached answer must survive ingest"
             );
             assert_eq!(warm, baseline, "{route}");
-            let cache_counter = |name: &str| {
+            let cache_counter = |tier: &str| {
                 let mut client = HttpClient::connect(handle.addr()).unwrap();
-                let stats = Json::parse(&client.get("/stats").unwrap().body).unwrap();
-                let cache = stats.get("result_cache").unwrap();
-                cache.get(name).unwrap().as_u64().unwrap()
+                let text = scrape(&mut client);
+                metric(
+                    &text,
+                    &format!("xinsight_result_cache_total{{tier=\"{tier}\"}}"),
+                )
             };
-            assert_eq!(cache_counter("prefix_hits"), 1, "{route}");
-            assert_eq!(cache_counter("merged"), 0, "{route}");
+            assert_eq!(cache_counter("prefix_hit"), 1.0, "{route}");
+            assert_eq!(cache_counter("merged"), 0.0, "{route}");
 
             // An ingest that *does* intersect S1 forces the merge path: the
             // recompute replays the old segments' partials and only
@@ -1916,7 +1859,7 @@ mod tests {
             ingest("[{\"Location\":\"A\",\"Smoking\":\"Yes\",\"Severity\":3.0}]");
             let (cached, _) = explain();
             assert!(!cached, "{route}: an intersecting ingest must recompute");
-            assert_eq!(cache_counter("merged"), 1, "{route}");
+            assert_eq!(cache_counter("merged"), 1.0, "{route}");
 
             // A *new category* on any dimension blocks promotion even when
             // the new rows miss the subspaces (cardinality moves scores).
@@ -1970,10 +1913,12 @@ mod tests {
                 );
             }
         }
-        let stats = Json::parse(&client.get("/stats").unwrap().body).unwrap();
-        let cache = stats.get("result_cache").unwrap();
-        assert_eq!(cache.get("hits").unwrap().as_u64().unwrap(), 0);
-        assert_eq!(cache.get("entries").unwrap().as_u64().unwrap(), 0);
+        let text = scrape(&mut client);
+        assert_eq!(
+            metric(&text, "xinsight_result_cache_total{tier=\"hit\"}"),
+            0.0
+        );
+        assert_eq!(metric(&text, "xinsight_result_cache_entries"), 0.0);
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2003,33 +1948,21 @@ mod tests {
         }
         // The compactor folds the store to one segment within a few scans.
         let deadline = Instant::now() + Duration::from_secs(10);
-        let compaction = loop {
-            let stats = Json::parse(&client.get("/stats").unwrap().body).unwrap();
-            let compaction = stats.get("compaction").unwrap().clone();
-            if compaction.get("runs").unwrap().as_u64().unwrap() >= 1 {
-                break compaction;
+        let text = loop {
+            let text = scrape(&mut client);
+            if metric(&text, "xinsight_compactions_total") >= 1.0 {
+                break text;
             }
-            assert!(Instant::now() < deadline, "compactor never ran: {stats}");
+            assert!(Instant::now() < deadline, "compactor never ran:\n{text}");
             std::thread::sleep(Duration::from_millis(50));
         };
-        assert!(compaction.get("enabled").unwrap().as_bool().unwrap());
+        assert_eq!(metric(&text, "xinsight_compact_after"), 3.0);
         assert_eq!(
-            compaction
-                .get("last_segments_after")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            1
+            metric(&text, "xinsight_compaction_last_segments{phase=\"after\"}"),
+            1.0
         );
-        assert!(
-            compaction
-                .get("last_segments_before")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-                >= 2
-        );
-        assert!(compaction.get("bytes_reclaimed").unwrap().as_u64().unwrap() > 0);
+        assert!(metric(&text, "xinsight_compaction_last_segments{phase=\"before\"}") >= 2.0);
+        assert!(metric(&text, "xinsight_compaction_bytes_reclaimed_total") > 0.0);
         let models = Json::parse(&client.get("/models").unwrap().body).unwrap();
         let entry = &models.as_arr().unwrap()[0];
         assert_eq!(entry.get("segments").unwrap().as_u64().unwrap(), 1);
@@ -2066,9 +1999,12 @@ mod tests {
         let resp = client.post("/explain", "{not json").unwrap();
         assert_eq!(resp.status, 400);
         assert!(Json::parse(&resp.body).unwrap().get("error").is_ok());
-        // Unknown endpoint → 404; wrong method → 405.
-        let resp = client.get("/nope").unwrap();
-        assert_eq!(resp.status, 404);
+        // Unknown endpoint → 404, `/stats` included (every counter lives
+        // on `/metrics`); wrong method → 405.
+        for path in ["/nope", "/stats"] {
+            let resp = client.get(path).unwrap();
+            assert_eq!(resp.status, 404, "{path}");
+        }
         let resp = client.get("/explain").unwrap();
         assert_eq!(resp.status, 405);
         // A query over a column the model does not have → 400, not 500.
@@ -2117,7 +2053,7 @@ mod tests {
         // Worker busy, queue full: the next request is shed *by the event
         // loop* with 503 — no worker is needed to say no.
         let mut third = HttpClient::connect(addr).unwrap();
-        let resp = third.get("/stats").unwrap();
+        let resp = third.get("/models").unwrap();
         assert_eq!(resp.status, 503, "body: {}", resp.body);
         assert!(resp.closing, "a shed request closes its connection");
         // The occupied worker and the queued request both still answer.
@@ -2140,7 +2076,7 @@ mod tests {
         // And the port stops accepting.
         std::thread::sleep(Duration::from_millis(50));
         assert!(HttpClient::connect(addr)
-            .and_then(|mut c| c.get("/stats"))
+            .and_then(|mut c| c.get("/models"))
             .is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

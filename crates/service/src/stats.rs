@@ -1,20 +1,18 @@
 //! Server-side observability: request counters and a latency histogram.
 //!
 //! Everything is lock-free (relaxed atomics): the serving hot path only
-//! ever increments counters, and `/stats` assembles a point-in-time JSON
-//! snapshot without contending with workers.  Latencies go into a
-//! log-linear (HDR-style) microsecond histogram — exact below 16 µs, 16
-//! sub-buckets per power of two above, so every reported percentile is
-//! within 6.25 % of the true value — from which percentiles are derived as
-//! the upper bound of their bucket (conservative).  The `loadgen` bench
-//! reports *exact* percentiles from its own recorded samples; the
-//! histogram is for the live endpoint.
+//! ever increments counters, and `/metrics` reads a point-in-time snapshot
+//! without contending with workers (see [`crate::metrics`]).  Latencies go
+//! into a log-linear (HDR-style) microsecond histogram — exact below 16 µs,
+//! 16 sub-buckets per power of two above, so any bucket edge is within
+//! 6.25 % of the true value.  `/metrics` publishes a coarse `le` ladder
+//! snapped to those edges, so its cumulative counts stay exact.  The
+//! `loadgen` bench reports *exact* percentiles from its own recorded
+//! samples; the histogram is for the live endpoint.
 
 use crate::trace::{Stage, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use xinsight_core::json::Json;
-use xinsight_stats::CacheStats;
 
 /// Values below this many microseconds get one exact bucket each.
 const LINEAR_LIMIT: u64 = 16;
@@ -90,15 +88,6 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed) // relaxed: monotonic stats counter
     }
 
-    /// Mean latency in microseconds (`0` before any sample).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us
-            // relaxed: stats read; sum/count may skew, the mean is advisory
-            .load(Ordering::Relaxed)
-            .checked_div(self.count())
-            .unwrap_or(0)
-    }
-
     /// Sum of all recorded samples, in microseconds.
     pub fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed) // relaxed: monotonic stats counter
@@ -120,65 +109,6 @@ impl LatencyHistogram {
         }
         (bucket_upper_us(index), seen)
     }
-
-    /// `quantile` (in `[0, 1]`) as the upper bound of the bucket containing
-    /// it, in microseconds — within 6.25 % of the true sample value.
-    pub fn quantile_upper_us(&self, quantile: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((count as f64) * quantile.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            // relaxed: advisory histogram read; cells may skew slightly
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper_us(i);
-            }
-        }
-        bucket_upper_us(LATENCY_BUCKETS - 1)
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("count".to_owned(), Json::Num(self.count() as f64)),
-            ("mean_us".to_owned(), Json::Num(self.mean_us() as f64)),
-            (
-                "p50_us".to_owned(),
-                Json::Num(self.quantile_upper_us(0.50) as f64),
-            ),
-            (
-                "p99_us".to_owned(),
-                Json::Num(self.quantile_upper_us(0.99) as f64),
-            ),
-        ])
-    }
-}
-
-/// The externally-owned pieces of one `/stats` snapshot, assembled by the
-/// server at request time and rendered by [`ServerStats::to_json`].
-#[derive(Debug)]
-pub struct StatsSnapshot {
-    /// The LRU result cache's counters and occupancy.
-    pub result_cache: crate::lru::ResultCacheStats,
-    /// Live sum of every loaded model's persistent `SelectionCache`
-    /// counters (summed at snapshot time — the caches are shared across
-    /// requests, so per-request accumulation would double count).
-    pub selection: CacheStats,
-    /// Merged fit-time CI-test cache counters over all loaded models.
-    pub ci_cache: CacheStats,
-    /// Per-model store shapes (id / generation / segments / rows / epoch),
-    /// already rendered.
-    pub models: Json,
-    /// Admitted connections currently waiting for a worker.
-    pub queue_depth: usize,
-    /// Admission-queue capacity.
-    pub queue_capacity: usize,
-    /// Worker-pool size.
-    pub workers: usize,
-    /// The compaction threshold (`0` = compactor disabled).
-    pub compact_after: usize,
 }
 
 /// Aggregate counters of one server instance.
@@ -201,8 +131,6 @@ pub struct ServerStats {
     pub batch_queries: AtomicU64,
     /// `GET /models` requests answered.
     pub models: AtomicU64,
-    /// `GET /stats` requests answered.
-    pub stats: AtomicU64,
     /// `GET /metrics` scrapes answered.
     pub metrics: AtomicU64,
     /// Debug requests (`/debug/sleep`, `/debug/traces`) answered.
@@ -268,7 +196,6 @@ impl Default for ServerStats {
             graph_v2: AtomicU64::new(0),
             batch_queries: AtomicU64::new(0),
             models: AtomicU64::new(0),
-            stats: AtomicU64::new(0),
             metrics: AtomicU64::new(0),
             debug: AtomicU64::new(0),
             admin: AtomicU64::new(0),
@@ -307,7 +234,7 @@ impl ServerStats {
         segments_after: usize,
         bytes_reclaimed: usize,
     ) {
-        // relaxed: compaction counters/gauges feed /stats only; the single
+        // relaxed: compaction counters/gauges feed /metrics only; the single
         // compactor thread is the only writer.
         self.compactions.fetch_add(1, Ordering::Relaxed);
         self.compaction_last_before
@@ -329,210 +256,11 @@ impl ServerStats {
             self.stages[span.stage.index()].record(Duration::from_micros(span.duration_us));
         }
     }
-
-    /// Total requests that reached a handler (everything but `503`s).
-    pub fn requests_total(&self) -> u64 {
-        // relaxed: a /stats aggregate over independent counters; a torn
-        // cross-counter view is inherent and harmless.
-        self.explain.load(Ordering::Relaxed)
-            + self.explain_batch.load(Ordering::Relaxed)
-            + self.explain_v2.load(Ordering::Relaxed)
-            + self.explain_batch_v2.load(Ordering::Relaxed)
-            + self.ingest_v2.load(Ordering::Relaxed)
-            + self.graph_v2.load(Ordering::Relaxed)
-            + self.models.load(Ordering::Relaxed)
-            + self.stats.load(Ordering::Relaxed)
-            + self.metrics.load(Ordering::Relaxed)
-            + self.debug.load(Ordering::Relaxed)
-            + self.admin.load(Ordering::Relaxed)
-            + self.client_errors.load(Ordering::Relaxed)
-            + self.server_errors.load(Ordering::Relaxed)
-    }
-
-    /// The `/stats` JSON document, assembled from this instance's counters
-    /// plus the externally-owned pieces in the [`StatsSnapshot`].
-    pub fn to_json(&self, snapshot: StatsSnapshot) -> Json {
-        let StatsSnapshot {
-            result_cache,
-            selection,
-            ci_cache,
-            models,
-            queue_depth,
-            queue_capacity,
-            workers,
-            compact_after,
-        } = snapshot;
-        let uptime = self.started.elapsed().as_secs_f64();
-        let total = self.requests_total();
-        let qps = if uptime > 0.0 {
-            total as f64 / uptime
-        } else {
-            0.0
-        };
-        // relaxed: /stats snapshot reads of independent counters
-        let load = |a: &AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
-        Json::Obj(vec![
-            ("uptime_s".to_owned(), Json::Num(uptime)),
-            ("requests_total".to_owned(), Json::Num(total as f64)),
-            ("qps".to_owned(), Json::Num(qps)),
-            (
-                "requests".to_owned(),
-                Json::Obj(vec![
-                    ("explain".to_owned(), load(&self.explain)),
-                    ("explain_batch".to_owned(), load(&self.explain_batch)),
-                    ("explain_v2".to_owned(), load(&self.explain_v2)),
-                    ("explain_batch_v2".to_owned(), load(&self.explain_batch_v2)),
-                    ("ingest_v2".to_owned(), load(&self.ingest_v2)),
-                    ("graph_v2".to_owned(), load(&self.graph_v2)),
-                    ("batch_queries".to_owned(), load(&self.batch_queries)),
-                    ("models".to_owned(), load(&self.models)),
-                    ("stats".to_owned(), load(&self.stats)),
-                    ("metrics".to_owned(), load(&self.metrics)),
-                    ("debug".to_owned(), load(&self.debug)),
-                    ("admin".to_owned(), load(&self.admin)),
-                    ("client_errors".to_owned(), load(&self.client_errors)),
-                    ("server_errors".to_owned(), load(&self.server_errors)),
-                    ("rejected_503".to_owned(), load(&self.rejected)),
-                ]),
-            ),
-            ("latency".to_owned(), self.latency.to_json()),
-            (
-                "latency_stages".to_owned(),
-                Json::Obj(
-                    Stage::ALL
-                        .iter()
-                        .map(|stage| {
-                            (
-                                stage.name().to_owned(),
-                                self.stages[stage.index()].to_json(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "event_loop".to_owned(),
-                Json::Obj(vec![
-                    ("last_tick_us".to_owned(), load(&self.loop_last_tick_us)),
-                    (
-                        "last_poll_wait_us".to_owned(),
-                        load(&self.loop_last_poll_wait_us),
-                    ),
-                    ("slots_occupied".to_owned(), load(&self.loop_slots_occupied)),
-                    ("ticks".to_owned(), load(&self.loop_ticks)),
-                ]),
-            ),
-            (
-                "connections".to_owned(),
-                Json::Obj(vec![
-                    ("accepted".to_owned(), load(&self.conn_accepted)),
-                    ("active".to_owned(), load(&self.conn_active)),
-                    ("parked_idle".to_owned(), load(&self.conn_parked_idle)),
-                    ("shed".to_owned(), load(&self.conn_shed)),
-                    ("read_timeouts".to_owned(), load(&self.read_timeouts)),
-                ]),
-            ),
-            ("models".to_owned(), models),
-            (
-                "queue".to_owned(),
-                Json::Obj(vec![
-                    ("depth".to_owned(), Json::Num(queue_depth as f64)),
-                    ("capacity".to_owned(), Json::Num(queue_capacity as f64)),
-                    ("workers".to_owned(), Json::Num(workers as f64)),
-                ]),
-            ),
-            (
-                "compaction".to_owned(),
-                Json::Obj(vec![
-                    ("enabled".to_owned(), Json::Bool(compact_after >= 2)),
-                    ("compact_after".to_owned(), Json::Num(compact_after as f64)),
-                    ("runs".to_owned(), load(&self.compactions)),
-                    (
-                        "last_segments_before".to_owned(),
-                        load(&self.compaction_last_before),
-                    ),
-                    (
-                        "last_segments_after".to_owned(),
-                        load(&self.compaction_last_after),
-                    ),
-                    (
-                        "bytes_reclaimed".to_owned(),
-                        load(&self.compaction_bytes_reclaimed),
-                    ),
-                ]),
-            ),
-            (
-                "result_cache".to_owned(),
-                Json::Obj(vec![
-                    ("lookups".to_owned(), Json::Num(result_cache.lookups as f64)),
-                    ("hits".to_owned(), Json::Num(result_cache.hits as f64)),
-                    (
-                        "prefix_hits".to_owned(),
-                        Json::Num(result_cache.prefix_hits as f64),
-                    ),
-                    ("merged".to_owned(), Json::Num(result_cache.merged as f64)),
-                    ("misses".to_owned(), Json::Num(result_cache.misses as f64)),
-                    ("hit_rate".to_owned(), Json::Num(result_cache.hit_rate())),
-                    (
-                        "evictions".to_owned(),
-                        Json::Num(result_cache.evictions as f64),
-                    ),
-                    (
-                        "uncacheable".to_owned(),
-                        Json::Num(result_cache.uncacheable as f64),
-                    ),
-                    ("entries".to_owned(), Json::Num(result_cache.entries as f64)),
-                    ("bytes".to_owned(), Json::Num(result_cache.bytes as f64)),
-                    (
-                        "byte_budget".to_owned(),
-                        Json::Num(result_cache.byte_budget as f64),
-                    ),
-                ]),
-            ),
-            (
-                "selection_cache".to_owned(),
-                Json::Obj(vec![
-                    ("hits".to_owned(), Json::Num(selection.hits as f64)),
-                    ("misses".to_owned(), Json::Num(selection.misses as f64)),
-                    ("hit_rate".to_owned(), Json::Num(selection.hit_rate())),
-                ]),
-            ),
-            (
-                "ci_cache_fit_time".to_owned(),
-                Json::Obj(vec![
-                    ("hits".to_owned(), Json::Num(ci_cache.hits as f64)),
-                    ("misses".to_owned(), Json::Num(ci_cache.misses as f64)),
-                    ("hit_rate".to_owned(), Json::Num(ci_cache.hit_rate())),
-                ]),
-            ),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_and_quantiles_are_monotone() {
-        let h = LatencyHistogram::default();
-        for us in [1u64, 3, 3, 10, 100, 1000, 10_000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 7);
-        assert!(h.mean_us() > 0);
-        let p50 = h.quantile_upper_us(0.50);
-        let p99 = h.quantile_upper_us(0.99);
-        assert!(p50 <= p99, "p50 {p50} must be <= p99 {p99}");
-        // The linear range is exact: the 4th smallest sample is 10 µs.
-        assert_eq!(p50, 10);
-        // p99 covers the largest sample within the 6.25 % bound.
-        assert!((10_000..=10_625).contains(&p99), "got {p99}");
-        // Empty histogram.
-        let empty = LatencyHistogram::default();
-        assert_eq!(empty.quantile_upper_us(0.5), 0);
-        assert_eq!(empty.mean_us(), 0);
-    }
 
     #[test]
     fn log_linear_buckets_bound_quantization_error() {
@@ -609,126 +337,5 @@ mod tests {
         assert_eq!(stats.stages[Stage::Execute.index()].count(), 1);
         assert_eq!(stats.stages[Stage::Serialize.index()].count(), 0);
         assert_eq!(stats.stages[Stage::Parse.index()].sum_us(), 10);
-        // The /stats rendering exposes the fed stages.
-        let doc = stats.to_json(StatsSnapshot {
-            result_cache: crate::lru::ResultCacheStats::default(),
-            selection: CacheStats::default(),
-            ci_cache: CacheStats::default(),
-            models: Json::Arr(Vec::new()),
-            queue_depth: 0,
-            queue_capacity: 64,
-            workers: 2,
-            compact_after: 0,
-        });
-        let stages = doc.get("latency_stages").unwrap();
-        assert_eq!(
-            stages
-                .get("queue_wait")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            1
-        );
-        assert!(doc.get("event_loop").unwrap().get("ticks").is_ok());
-    }
-
-    #[test]
-    fn stats_json_assembles_every_section() {
-        let stats = ServerStats::default();
-        stats.explain.fetch_add(3, Ordering::Relaxed);
-        stats.rejected.fetch_add(1, Ordering::Relaxed);
-        stats.conn_accepted.fetch_add(5, Ordering::Relaxed);
-        stats.conn_active.store(2, Ordering::Relaxed);
-        stats.conn_parked_idle.store(1, Ordering::Relaxed);
-        stats.conn_shed.fetch_add(1, Ordering::Relaxed);
-        stats.latency.record(Duration::from_micros(500));
-        stats.record_compaction(5, 1, 4096);
-        stats.record_compaction(3, 1, 1024);
-        let result_cache = crate::lru::ResultCacheStats {
-            hits: 2,
-            prefix_hits: 1,
-            merged: 1,
-            misses: 4,
-            ..Default::default()
-        };
-        let doc = stats.to_json(StatsSnapshot {
-            result_cache,
-            selection: CacheStats {
-                hits: 10,
-                misses: 5,
-                entries: 7,
-            },
-            ci_cache: CacheStats::default(),
-            models: Json::Arr(Vec::new()),
-            queue_depth: 2,
-            queue_capacity: 64,
-            workers: 4,
-            compact_after: 6,
-        });
-        assert_eq!(doc.get("requests_total").unwrap().as_u64().unwrap(), 3);
-        let requests = doc.get("requests").unwrap();
-        assert_eq!(requests.get("explain").unwrap().as_u64().unwrap(), 3);
-        assert_eq!(requests.get("rejected_503").unwrap().as_u64().unwrap(), 1);
-        let connections = doc.get("connections").unwrap();
-        assert_eq!(connections.get("accepted").unwrap().as_u64().unwrap(), 5);
-        assert_eq!(connections.get("active").unwrap().as_u64().unwrap(), 2);
-        assert_eq!(connections.get("parked_idle").unwrap().as_u64().unwrap(), 1);
-        assert_eq!(connections.get("shed").unwrap().as_u64().unwrap(), 1);
-        assert_eq!(
-            connections.get("read_timeouts").unwrap().as_u64().unwrap(),
-            0
-        );
-        let selection = doc.get("selection_cache").unwrap();
-        assert!((selection.get("hit_rate").unwrap().as_f64().unwrap() - 10.0 / 15.0).abs() < 1e-12);
-        // All three served classes count toward the result-cache hit rate.
-        let result_cache = doc.get("result_cache").unwrap();
-        assert_eq!(
-            result_cache.get("prefix_hits").unwrap().as_u64().unwrap(),
-            1
-        );
-        assert_eq!(result_cache.get("merged").unwrap().as_u64().unwrap(), 1);
-        assert!((result_cache.get("hit_rate").unwrap().as_f64().unwrap() - 0.5).abs() < 1e-12);
-        // Compaction: runs count, the *last* before/after shape, and the
-        // *cumulative* bytes reclaimed.
-        let compaction = doc.get("compaction").unwrap();
-        assert!(compaction.get("enabled").unwrap().as_bool().unwrap());
-        assert_eq!(
-            compaction.get("compact_after").unwrap().as_u64().unwrap(),
-            6
-        );
-        assert_eq!(compaction.get("runs").unwrap().as_u64().unwrap(), 2);
-        assert_eq!(
-            compaction
-                .get("last_segments_before")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            3
-        );
-        assert_eq!(
-            compaction
-                .get("last_segments_after")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            compaction.get("bytes_reclaimed").unwrap().as_u64().unwrap(),
-            5120
-        );
-        assert_eq!(
-            doc.get("queue")
-                .unwrap()
-                .get("capacity")
-                .unwrap()
-                .as_u64()
-                .unwrap(),
-            64
-        );
-        // The document is valid canonical JSON.
-        assert!(Json::parse(&doc.to_string()).is_ok());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The serving stack has five distinct places a request can wait — event-
 //! loop framing, the admission queue, result-cache tier resolution, engine
-//! execution, and the staged socket write — and the aggregate `/stats`
+//! execution, and the staged socket write — and the aggregate `/metrics`
 //! histogram cannot attribute a tail-latency regression to any of them.
 //! This module records, per request, a **trace**: an ordered list of
 //! monotonic [`Span`]s on one shared clock (the instant the request's
@@ -274,7 +274,6 @@ pub fn endpoint_label(method: &str, path: &str) -> Cow<'static, str> {
         ("POST", "/v2/ingest") => "POST /v2/ingest",
         ("GET", "/v2/graph") => "GET /v2/graph",
         ("GET", "/models") => "GET /models",
-        ("GET", "/stats") => "GET /stats",
         ("GET", "/metrics") => "GET /metrics",
         ("POST", "/admin/reload") => "POST /admin/reload",
         ("POST", "/admin/shutdown") => "POST /admin/shutdown",

@@ -47,7 +47,7 @@ impl CacheState {
 /// Both caching layers of the engine — [`CachedCiTest`] offline and the
 /// online selection cache in `xinsight-core` — expose their private atomic
 /// hit/miss counters through this one struct, so the serving layer's
-/// `/stats` endpoint and the benches report them uniformly.
+/// `/metrics` endpoint and the benches report them uniformly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from memory.

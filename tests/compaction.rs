@@ -30,8 +30,8 @@ use xinsight::core::pipeline::{XInsight, XInsightOptions};
 use xinsight::core::{ExplainRequest, FittedModel, WhyQuery};
 use xinsight::data::{Aggregate, Dataset, DatasetBuilder, RowMask, Subspace, Value};
 use xinsight::service::{
-    demo::syn_a_serving_data, demo_queries, wire, CacheKey, HttpClient, Lookup, ModelRegistry,
-    ResultCache, ServerConfig,
+    demo::syn_a_serving_data, demo_queries, series_value, wire, CacheKey, HttpClient, Lookup,
+    ModelRegistry, ResultCache, ServerConfig,
 };
 use xinsight::synth::flight;
 
@@ -435,26 +435,10 @@ fn concurrent_compaction_never_serves_a_torn_snapshot() {
     let mut client = HttpClient::connect(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let resp = client.get("/stats").unwrap();
-        let doc = Json::parse(&resp.body).unwrap();
-        let runs = doc
-            .get("compaction")
-            .and_then(|c| c.get("runs"))
-            .and_then(Json::as_u64)
-            .unwrap();
-        let segments = doc
-            .get("models")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .find(|m| m.get("id").unwrap().as_str().unwrap() == "cc")
-            .unwrap()
-            .get("segments")
-            .unwrap()
-            .as_u64()
-            .unwrap();
-        if runs >= 1 && segments == 1 {
+        let resp = client.get("/metrics").unwrap();
+        let runs = series_value(&resp.body, "xinsight_compactions_total").unwrap();
+        let segments = series_value(&resp.body, "xinsight_model_segments{model=\"cc\"}").unwrap();
+        if runs >= 1.0 && segments == 1.0 {
             break;
         }
         assert!(

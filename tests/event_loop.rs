@@ -30,7 +30,7 @@ use xinsight::core::pipeline::{XInsight, XInsightOptions};
 use xinsight::core::{ExplainRequest, WhyQuery};
 use xinsight::data::{Aggregate, Dataset, DatasetBuilder, Subspace, Value};
 use xinsight::service::{
-    demo_queries, wire, HttpClient, ModelRegistry, ServerConfig, ServerHandle,
+    demo_queries, series_value, wire, HttpClient, ModelRegistry, ServerConfig, ServerHandle,
 };
 
 fn tri_data(n: usize) -> Dataset {
@@ -297,14 +297,18 @@ fn a_thousand_idle_keep_alives_park_and_all_answer() {
     // client is still connected, and (but for scheduling slop) parked.
     std::thread::sleep(Duration::from_millis(250));
     let mut probe = HttpClient::connect(addr).unwrap();
-    let resp = probe.get("/stats").unwrap();
+    let resp = probe.get("/metrics").unwrap();
     assert_eq!(resp.status, 200);
-    let doc = Json::parse(&resp.body).unwrap();
-    let conns = doc.get("connections").unwrap();
-    let active = conns.get("active").unwrap().as_u64().unwrap();
-    let parked = conns.get("parked_idle").unwrap().as_u64().unwrap();
-    assert!(active >= CLIENTS as u64, "only {active} active connections");
-    assert!(parked >= 1024, "only {parked} parked idle connections");
+    let gauge = |state: &str| {
+        series_value(
+            &resp.body,
+            &format!("xinsight_connections{{state=\"{state}\"}}"),
+        )
+        .unwrap()
+    };
+    let (active, parked) = (gauge("active"), gauge("parked_idle"));
+    assert!(active >= CLIENTS as f64, "only {active} active connections");
+    assert!(parked >= 1024.0, "only {parked} parked idle connections");
 
     // Every parked connection answers again, correctly, on the same socket.
     for (i, client) in clients.iter_mut().enumerate() {
@@ -447,16 +451,9 @@ fn slow_loris_partial_request_times_out_without_stalling_others() {
         stalled_at.elapsed()
     );
 
-    let resp = other.get("/stats").unwrap();
-    let doc = Json::parse(&resp.body).unwrap();
-    let timeouts = doc
-        .get("connections")
-        .unwrap()
-        .get("read_timeouts")
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    assert!(timeouts >= 1, "read_timeouts gauge never moved");
+    let resp = other.get("/metrics").unwrap();
+    let timeouts = series_value(&resp.body, "xinsight_read_timeouts_total").unwrap();
+    assert!(timeouts >= 1.0, "read_timeouts counter never moved");
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

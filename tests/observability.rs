@@ -17,8 +17,8 @@
 //!   under a flood while slow traces survive in the reservoir;
 //! * **gated surface** — `/debug/traces` 404s without `--debug-endpoints`
 //!   while `/metrics` stays public;
-//! * **cache accounting closes** — `/stats` reports result-cache tiers
-//!   with `hits + prefix_hits + merged + misses == lookups` exactly.
+//! * **cache accounting closes** — `/metrics` reports result-cache tiers
+//!   with `hit + prefix_hit + merged + miss == lookups` exactly.
 
 // HashMap here never leaks iteration order into output: scratch maps for exposition parsing (see clippy.toml).
 #![allow(clippy::disallowed_types)]
@@ -31,7 +31,8 @@ use xinsight::core::pipeline::{XInsight, XInsightOptions};
 use xinsight::core::WhyQuery;
 use xinsight::data::{Aggregate, Dataset, DatasetBuilder, Subspace, Value};
 use xinsight::service::{
-    demo_queries, validate_exposition, HttpClient, ModelRegistry, ServerConfig, ServerHandle,
+    demo_queries, series_value, validate_exposition, HttpClient, ModelRegistry, ServerConfig,
+    ServerHandle,
 };
 
 fn tri_data(n: usize) -> Dataset {
@@ -125,15 +126,6 @@ fn serve_fixture(tag: &str, config: &ServerConfig) -> (ServerHandle, std::path::
     let handle = xinsight::service::start(Arc::new(registry), config).unwrap();
     xinsight::service::wait_healthy(handle.addr(), Duration::from_secs(10)).unwrap();
     (handle, dir)
-}
-
-/// The value of one exposition series, parsed straight off the text —
-/// `series` is the full sample name including labels.
-fn series_value(text: &str, series: &str) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let (name, value) = line.rsplit_once(' ')?;
-        (name == series).then(|| value.parse().ok())?
-    })
 }
 
 /// Independent structural checks on the exposition — deliberately NOT the
@@ -238,8 +230,6 @@ fn metrics_exposition_is_valid_and_counters_reconcile_exactly() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     let resp = client.get("/models").unwrap();
     assert_eq!(resp.status, 200);
-    let resp = client.get("/stats").unwrap();
-    assert_eq!(resp.status, 200);
 
     let scrape = client.get("/metrics").unwrap();
     assert_eq!(scrape.status, 200);
@@ -264,7 +254,6 @@ fn metrics_exposition_is_valid_and_counters_reconcile_exactly() {
         1.0
     );
     assert_eq!(counter("xinsight_requests_total{endpoint=\"models\"}"), 1.0);
-    assert_eq!(counter("xinsight_requests_total{endpoint=\"stats\"}"), 1.0);
     // The metrics counter increments after its own render: the first
     // scrape reports 0 of itself, the next reports the first.
     assert_eq!(
@@ -489,7 +478,7 @@ fn debug_traces_is_gated_while_metrics_stays_public() {
 }
 
 #[test]
-fn stats_result_cache_tiers_always_sum_to_lookups() {
+fn metrics_result_cache_tiers_always_sum_to_lookups() {
     let fx = fixture();
     let (handle, dir) = serve_fixture("cache_sums", &ServerConfig::default());
     let mut client = HttpClient::connect(handle.addr()).unwrap();
@@ -510,19 +499,23 @@ fn stats_result_cache_tiers_always_sum_to_lookups() {
         }
     }
 
-    let resp = client.get("/stats").unwrap();
+    let resp = client.get("/metrics").unwrap();
     assert_eq!(resp.status, 200);
-    let doc = Json::parse(&resp.body).unwrap();
-    let cache = doc.get("result_cache").unwrap();
-    let counter = |name: &str| cache.get(name).and_then(Json::as_u64).unwrap();
-    let (lookups, hits, prefix_hits, merged, misses) = (
-        counter("lookups"),
-        counter("hits"),
-        counter("prefix_hits"),
-        counter("merged"),
-        counter("misses"),
+    let tier = |tier: &str| {
+        series_value(
+            &resp.body,
+            &format!("xinsight_result_cache_total{{tier=\"{tier}\"}}"),
+        )
+        .unwrap()
+    };
+    let lookups = series_value(&resp.body, "xinsight_result_cache_lookups_total").unwrap();
+    let (hits, prefix_hits, merged, misses) = (
+        tier("hit"),
+        tier("prefix_hit"),
+        tier("merged"),
+        tier("miss"),
     );
-    assert!(lookups > 0, "no result-cache lookups recorded");
+    assert!(lookups > 0.0, "no result-cache lookups recorded");
     assert_eq!(
         hits + prefix_hits + merged + misses,
         lookups,
