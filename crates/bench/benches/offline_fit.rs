@@ -2,8 +2,9 @@
 //!
 //! Compares the seed engine's per-test string-resolution path against the
 //! compiled `DiscoveryView` path, with and without the index-keyed CI cache
-//! and the depth-parallel batch evaluation, plus the full `XInsight::fit`
-//! and the load-a-fitted-model serving path.
+//! and the depth-parallel batch evaluation, plus the full `XInsight::fit`,
+//! the load-a-fitted-model serving path and the CSV codec that a fit starts
+//! from and a bundle is saved to.
 //!
 //! Runs as a plain binary (`harness = false`) with its own timing loop so it
 //! can emit a machine-readable `BENCH_offline.json` summary at the workspace
@@ -14,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::time::Instant;
 use xinsight_core::pipeline::{XInsight, XInsightOptions};
-use xinsight_data::{Dataset, Result};
+use xinsight_data::{read_csv_str, write_csv_string, CsvOptions, Dataset, DatasetBuilder, Result};
 use xinsight_graph::{Mark, MixedGraph};
 use xinsight_stats::{CachedCiTest, ChiSquareTest, CiOutcome, CiTest};
 use xinsight_synth::{lung_cancer, syn_a};
@@ -225,6 +226,36 @@ fn main() {
     results.push(time("fit/from_fitted_model", samples, || {
         let model = xinsight_core::FittedModel::from_json(&json).unwrap();
         XInsight::from_fitted(&cancer, model, &XInsightOptions::default()).unwrap();
+    }));
+
+    // CSV codec cells on the benchmark's fit_offline shape: SYN-A with 32
+    // core variables and their FD columns × 20k rows, plus one measure
+    // derived from the first core variable.
+    let syn = syn_a::generate(&syn_a::SynAOptions {
+        n_core_variables: 32,
+        n_rows: 20_000,
+        seed: 1,
+        ..syn_a::SynAOptions::default()
+    })
+    .data;
+    let parent = syn.dimension("V0").unwrap();
+    let mut table = DatasetBuilder::new();
+    for name in syn.schema().dimension_names() {
+        table = table.dimension_column(name, syn.dimension(name).unwrap().clone());
+    }
+    let table = table
+        .measure(
+            "M",
+            (0..syn.n_rows()).map(|row| 10.0 * parent.code(row) as f64 + (row % 97) as f64 / 29.0),
+        )
+        .build()
+        .unwrap();
+    let csv = write_csv_string(&table, &CsvOptions::default());
+    results.push(time("csv/read_syn_a_32x20k", samples, || {
+        black_box(read_csv_str(&csv, &CsvOptions::default()).unwrap());
+    }));
+    results.push(time("csv/write_syn_a_32x20k", samples, || {
+        black_box(write_csv_string(&table, &CsvOptions::default()));
     }));
 
     // Graph-representation cells: neighbor walks and the Possible-D-SEP

@@ -36,15 +36,7 @@ impl DimensionColumn {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut col = DimensionColumn {
-            codes: Vec::new(),
-            categories: Vec::new(),
-            lookup: HashMap::new(),
-        };
-        for v in values {
-            col.push(v.as_ref());
-        }
-        col
+        Self::from_optional_values(values.into_iter().map(Some))
     }
 
     /// Builds a dimension column where some values may be missing.
@@ -53,18 +45,23 @@ impl DimensionColumn {
         I: IntoIterator<Item = Option<S>>,
         S: AsRef<str>,
     {
-        let mut col = DimensionColumn {
-            codes: Vec::new(),
-            categories: Vec::new(),
-            lookup: HashMap::new(),
-        };
+        let mut col = Self::with_capacity(0);
         for v in values {
             match v {
                 Some(s) => col.push(s.as_ref()),
-                None => col.codes.push(NULL_CODE),
+                None => col.push_null(),
             }
         }
         col
+    }
+
+    /// An empty column with room for `rows` codes.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        DimensionColumn {
+            codes: Vec::with_capacity(rows),
+            categories: Vec::new(),
+            lookup: HashMap::new(),
+        }
     }
 
     /// Builds a dimension column from pre-encoded storage: per-row `codes`
@@ -99,6 +96,7 @@ impl DimensionColumn {
             Some(&c) => c,
             None => {
                 let c = self.categories.len() as u32;
+                // xlint: allow(no-alloc-hot-path, interning a category seen for the first time: one allocation per distinct value, not per cell)
                 let interned: Arc<str> = Arc::from(value);
                 self.categories.push(Arc::clone(&interned));
                 self.lookup.insert(interned, c);
@@ -106,6 +104,11 @@ impl DimensionColumn {
             }
         };
         self.codes.push(code);
+    }
+
+    /// Appends one missing value.
+    pub(crate) fn push_null(&mut self) {
+        self.codes.push(NULL_CODE);
     }
 
     /// Number of rows.

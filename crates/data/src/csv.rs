@@ -1,15 +1,50 @@
-//! Minimal CSV reading/writing for spreadsheets.
+//! CSV reading and writing for spreadsheets and model bundles.
 //!
 //! The paper anticipates spreadsheet input (or a materialized provenance
-//! table).  This module provides a dependency-free CSV round trip good enough
-//! for the examples and the bench harness: comma separation, optional quoting
-//! of fields containing separators, and automatic dimension/measure inference
-//! (a column is a measure when every non-empty cell parses as a number).
+//! table), and the serving layer stores every bundle's dataset as CSV.  This
+//! module is a dependency-free codec for both.
+//!
+//! # Kind inference
+//!
+//! A column is a measure when it has at least one non-empty cell and every
+//! non-empty cell parses as an `f64` (so `inf` and `NaN` count as numbers);
+//! otherwise — a single non-number anywhere, or no value at all — it is a
+//! dimension.  [`CsvOptions::force_dimensions`] wins over
+//! [`CsvOptions::force_measures`]; a forced measure reads unparsable cells as
+//! missing (NaN).  Dimension dictionaries keep first-appearance order.
+//!
+//! # Quoting
+//!
+//! Fields are split on [`CsvOptions::separator`].  A `"` opens a quoted run
+//! anywhere in a field; inside it the separator is literal, `""` is one
+//! quote, and the next lone `"` closes it.  A quote still open at the end
+//! of a line is an error: fields never span lines.  Cells are trimmed after
+//! unquoting and an empty cell is missing; header names are unquoted but
+//! not trimmed.  Whitespace-only lines are skipped; width and quoting
+//! errors name the physical 1-based line.  The writer quotes a field only
+//! when it contains the separator or a quote (doubling inner quotes),
+//! writes missing values as empty fields and numbers with `{}` (shortest
+//! round-trip) formatting.
+//!
+//! # Cost model
+//!
+//! Reading is one pass over the lines.  The fields of a line without `"`
+//! are borrowed slices of the input; a line with quotes is unquoted into one
+//! reused scratch buffer.  Each cell is parsed at most once: cells of a
+//! column that is still numeric go straight into its `Vec<f64>`, dimension
+//! cells are interned straight into dictionary codes, and the only per-cell
+//! allocation is the dictionary entry of a category seen for the first
+//! time.  A column that looked numeric until row `r` and then meets a
+//! non-number re-reads its first `r` cells once to intern them.
+//!
+//! Writing escapes each dictionary category once per column, then appends
+//! the rows' categories and formatted numbers (through one reused buffer)
+//! into a single `String` sized up front.
 
-use crate::column::{DimensionColumn, MeasureColumn};
+use crate::column::{Column, DimensionColumn, MeasureColumn};
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::error::{DataError, Result};
-use crate::schema::AttributeKind;
+use std::fmt::Write as _;
 
 /// Options for CSV parsing.
 #[derive(Debug, Clone)]
@@ -33,141 +68,316 @@ impl Default for CsvOptions {
     }
 }
 
+/// One column while it is being read.
+enum Cells {
+    /// Every non-empty cell so far parsed as a number (missing ones are
+    /// NaN).  `forced` columns never turn into dimensions; `saw_value`
+    /// tells an all-empty column, which ends up a dimension, from a measure.
+    Numbers {
+        values: Vec<f64>,
+        forced: bool,
+        saw_value: bool,
+    },
+    Dimension(DimensionColumn),
+}
+
+impl Cells {
+    fn new(name: &str, options: &CsvOptions, rows: usize) -> Self {
+        if options.force_dimensions.iter().any(|n| n == name) {
+            Cells::Dimension(DimensionColumn::with_capacity(rows))
+        } else {
+            Cells::Numbers {
+                values: Vec::with_capacity(rows),
+                forced: options.force_measures.iter().any(|n| n == name),
+                saw_value: false,
+            }
+        }
+    }
+
+    /// Appends one trimmed cell.  Returns `false`, appending nothing, when
+    /// an unforced numeric column meets a non-number: it must become a
+    /// dimension first.
+    fn push(&mut self, cell: &str) -> bool {
+        match self {
+            Cells::Dimension(column) if cell.is_empty() => column.push_null(),
+            Cells::Dimension(column) => column.push(cell),
+            Cells::Numbers { values, .. } if cell.is_empty() => values.push(f64::NAN),
+            Cells::Numbers {
+                values,
+                forced,
+                saw_value,
+            } => match cell.parse::<f64>() {
+                Ok(x) => {
+                    values.push(x);
+                    *saw_value = true;
+                }
+                Err(_) if *forced => values.push(f64::NAN),
+                Err(_) => return false,
+            },
+        }
+        true
+    }
+
+    /// Turns a numeric column into a dimension by interning its cells —
+    /// column `col` of the first `rows` (already validated) lines of `body`.
+    fn demote<'a>(
+        &mut self,
+        body: &(impl Iterator<Item = (usize, &'a str)> + Clone),
+        rows: usize,
+        sep: char,
+        col: usize,
+    ) -> Result<()> {
+        let Cells::Numbers { values, .. } = self else {
+            return Ok(());
+        };
+        let mut column = Cells::Dimension(DimensionColumn::with_capacity(values.capacity()));
+        let mut scratch = String::new();
+        for (line_no, line) in body.clone().take(rows) {
+            split_line(line, sep, line_no, &mut scratch, |i, field| {
+                if i == col {
+                    column.push(field.trim());
+                }
+                Ok(())
+            })?;
+        }
+        *self = column;
+        Ok(())
+    }
+}
+
 /// Parses a CSV document (with a header row) into a [`Dataset`].
 pub fn read_csv_str(input: &str, options: &CsvOptions) -> Result<Dataset> {
-    let mut lines = input.lines().filter(|l| !l.trim().is_empty());
-    let header = lines
+    let sep = options.separator;
+    let mut scratch = String::new();
+    let mut lines = records(input);
+    let (header_no, header) = lines
         .next()
         .ok_or_else(|| DataError::Csv("input is empty".into()))?;
-    let names = split_line(header, options.separator);
-    if names.is_empty() {
-        return Err(DataError::Csv("header row has no fields".into()));
-    }
-    let mut cells: Vec<Vec<Option<String>>> = vec![Vec::new(); names.len()];
-    for (lineno, line) in lines.enumerate() {
-        let fields = split_line(line, options.separator);
-        if fields.len() != names.len() {
+    let mut names = Vec::new();
+    split_line(header, sep, header_no, &mut scratch, |_, name| {
+        names.push(name.to_owned());
+        Ok(())
+    })?;
+    // Every row is one line, so the newline count bounds the row count.
+    let rows = input.bytes().filter(|&b| b == b'\n').count();
+    let mut columns: Vec<Cells> = names
+        .iter()
+        .map(|name| Cells::new(name, options, rows))
+        .collect();
+    let body = lines.clone();
+    for (row, (line_no, line)) in lines.enumerate() {
+        let width = read_row(line, line_no, sep, &mut scratch, &mut columns, row, &body)?;
+        if width != names.len() {
             return Err(DataError::Csv(format!(
-                "row {} has {} fields, expected {}",
-                lineno + 2,
-                fields.len(),
+                "line {line_no} has {width} fields, expected {}",
                 names.len()
             )));
-        }
-        for (col, field) in fields.into_iter().enumerate() {
-            let trimmed = field.trim();
-            cells[col].push(if trimmed.is_empty() {
-                None
-            } else {
-                Some(trimmed.to_owned())
-            });
         }
     }
 
     let mut builder = DatasetBuilder::new();
-    for (name, column_cells) in names.iter().zip(cells) {
-        let kind = infer_kind(name, &column_cells, options);
-        builder = match kind {
-            AttributeKind::Measure => builder.measure_column(
+    for (name, cells) in names.iter().zip(columns) {
+        builder = match cells {
+            Cells::Numbers {
+                values,
+                forced,
+                saw_value,
+            } if forced || saw_value => {
+                builder.measure_column(name, MeasureColumn::from_values(values))
+            }
+            Cells::Numbers { values, .. } => builder.dimension_column(
                 name,
-                MeasureColumn::from_optional_values(
-                    column_cells
-                        .iter()
-                        .map(|c| c.as_deref().and_then(|s| s.parse::<f64>().ok())),
-                ),
+                DimensionColumn::from_optional_values(values.iter().map(|_| None::<&str>)),
             ),
-            AttributeKind::Dimension => builder.dimension_column(
-                name,
-                DimensionColumn::from_optional_values(column_cells.iter().map(|c| c.as_deref())),
-            ),
+            Cells::Dimension(column) => builder.dimension_column(name, column),
         };
     }
     builder.build()
 }
 
-/// Serializes a dataset to CSV (header + rows).
-pub fn write_csv_string(data: &Dataset, options: &CsvOptions) -> String {
-    let sep = options.separator;
-    let mut out = String::new();
-    out.push_str(&data.schema().names().join(&sep.to_string()));
-    out.push('\n');
-    for row in 0..data.n_rows() {
-        let fields: Vec<String> = (0..data.n_attributes())
-            .map(|col| {
-                let v = data.column(col).value(row);
-                match v {
-                    crate::value::Value::Null => String::new(),
-                    other => {
-                        let s = other.to_string();
-                        if s.contains(sep) || s.contains('"') {
-                            format!("\"{}\"", s.replace('"', "\"\""))
-                        } else {
-                            s
-                        }
-                    }
-                }
-            })
-            .collect();
-        out.push_str(&fields.join(&sep.to_string()));
-        out.push('\n');
-    }
-    out
+/// The non-blank lines of `input`, each with its physical 1-based number.
+fn records(input: &str) -> impl Iterator<Item = (usize, &str)> + Clone {
+    input
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        .filter(|(_, line)| !line.trim().is_empty())
 }
 
-fn infer_kind(name: &str, cells: &[Option<String>], options: &CsvOptions) -> AttributeKind {
-    if options.force_dimensions.iter().any(|n| n == name) {
-        return AttributeKind::Dimension;
-    }
-    if options.force_measures.iter().any(|n| n == name) {
-        return AttributeKind::Measure;
-    }
-    let mut saw_value = false;
-    for cell in cells.iter().flatten() {
-        saw_value = true;
-        if cell.parse::<f64>().is_err() {
-            return AttributeKind::Dimension;
+/// Splits data row `row` (line `line_no`) and appends each trimmed cell to
+/// its column; returns the line's field count.  Fields past the header's
+/// width are counted but not stored.  A numeric column that meets a
+/// non-number is rebuilt as a dimension from the rows before it in `body`.
+fn read_row<'a>(
+    line: &str,
+    line_no: usize,
+    sep: char,
+    scratch: &mut String,
+    columns: &mut [Cells],
+    row: usize,
+    body: &(impl Iterator<Item = (usize, &'a str)> + Clone),
+) -> Result<usize> {
+    split_line(line, sep, line_no, scratch, |col, field| {
+        let Some(column) = columns.get_mut(col) else {
+            return Ok(());
+        };
+        let cell = field.trim();
+        if !column.push(cell) {
+            column.demote(body, row, sep, col)?;
+            column.push(cell);
         }
-    }
-    if saw_value {
-        AttributeKind::Measure
-    } else {
-        AttributeKind::Dimension
-    }
+        Ok(())
+    })
 }
 
-fn split_line(line: &str, sep: char) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut current = String::new();
+/// Calls `each(index, field)` for every field of `line`, in order, and
+/// returns the field count.  A line without `"` is split into borrowed
+/// slices; a line with quotes is unquoted field by field into `scratch`.
+fn split_line(
+    line: &str,
+    sep: char,
+    line_no: usize,
+    scratch: &mut String,
+    mut each: impl FnMut(usize, &str) -> Result<()>,
+) -> Result<usize> {
+    if !line.contains('"') {
+        let mut count = 0;
+        for field in line.split(sep) {
+            each(count, field)?;
+            count += 1;
+        }
+        return Ok(count);
+    }
+    let mut count = 0;
     let mut in_quotes = false;
     let mut chars = line.chars().peekable();
+    scratch.clear();
     while let Some(c) = chars.next() {
         if in_quotes {
             if c == '"' {
                 if chars.peek() == Some(&'"') {
-                    current.push('"');
+                    scratch.push('"');
                     chars.next();
                 } else {
                     in_quotes = false;
                 }
             } else {
-                current.push(c);
+                scratch.push(c);
             }
         } else if c == '"' {
             in_quotes = true;
         } else if c == sep {
-            fields.push(std::mem::take(&mut current));
+            each(count, scratch)?;
+            count += 1;
+            scratch.clear();
         } else {
-            current.push(c);
+            scratch.push(c);
         }
     }
-    fields.push(current);
-    fields
+    if in_quotes {
+        return Err(DataError::Csv(
+            // xlint: allow(no-alloc-hot-path, error path: the read stops here)
+            format!("line {line_no}: unterminated quoted field"),
+        ));
+    }
+    each(count, scratch)?;
+    Ok(count + 1)
+}
+
+/// One column as the writer sees it.
+enum Field<'d> {
+    /// Per-row dictionary codes and each category already escaped.
+    Codes(&'d [u32], Vec<String>),
+    /// Per-row numbers (NaN is missing).
+    Numbers(&'d [f64]),
+}
+
+/// Serializes a dataset to CSV (header + rows).
+pub fn write_csv_string(data: &Dataset, options: &CsvOptions) -> String {
+    let sep = options.separator;
+    let header = data.schema().names().join(sep.encode_utf8(&mut [0; 4]));
+    let mut row_bytes = 0;
+    let columns: Vec<Field> = (0..data.n_attributes())
+        .map(|col| match data.column(col) {
+            Column::Dimension(c) => {
+                let escaped: Vec<String> = c
+                    .categories()
+                    .iter()
+                    .map(|category| {
+                        let mut field = String::new();
+                        push_field(&mut field, category, sep);
+                        field
+                    })
+                    .collect();
+                row_bytes += escaped.iter().map(String::len).max().unwrap_or(0) + 1;
+                Field::Codes(c.codes(), escaped)
+            }
+            Column::Measure(c) => {
+                // Typical `{}` renderings are at most ~24 bytes; a longer one
+                // only costs a reallocation.
+                row_bytes += 25;
+                Field::Numbers(c.values())
+            }
+        })
+        .collect();
+    let mut out = String::with_capacity(header.len() + 1 + data.n_rows() * row_bytes);
+    out.push_str(&header);
+    out.push('\n');
+    write_rows(&mut out, &columns, data.n_rows(), sep);
+    out
+}
+
+/// Appends `n_rows` CSV rows of `columns` to `out`.
+fn write_rows(out: &mut String, columns: &[Field], n_rows: usize, sep: char) {
+    // xlint: allow(no-alloc-hot-path, one number buffer per write, reused by every cell)
+    let mut number = String::new();
+    for row in 0..n_rows {
+        for (i, column) in columns.iter().enumerate() {
+            if i > 0 {
+                out.push(sep);
+            }
+            match column {
+                // A missing code (`NULL_CODE`) is past the dictionary: empty.
+                Field::Codes(codes, escaped) => {
+                    if let Some(text) = escaped.get(codes[row] as usize) {
+                        out.push_str(text);
+                    }
+                }
+                Field::Numbers(values) if values[row].is_nan() => {}
+                Field::Numbers(values) => {
+                    number.clear();
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(number, "{}", values[row]);
+                    push_field(out, &number, sep);
+                }
+            }
+        }
+        out.push('\n');
+    }
+}
+
+/// Appends `text` as one field: quoted, with inner quotes doubled, when it
+/// contains the separator or a quote.
+fn push_field(out: &mut String, text: &str, sep: char) {
+    if !text.contains(sep) && !text.contains('"') {
+        out.push_str(text);
+        return;
+    }
+    out.push('"');
+    for c in text.chars() {
+        if c == '"' {
+            out.push('"');
+        }
+        out.push(c);
+    }
+    out.push('"');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::Aggregate;
+    use crate::schema::AttributeKind;
 
     const SAMPLE: &str = "Location,Smoking,LungCancer\nA,Yes,3\nA,No,2\nB,No,1\nB,Yes,2\n";
 
@@ -230,6 +440,34 @@ mod tests {
             read_csv_str(csv, &CsvOptions::default()),
             Err(DataError::Csv(_))
         ));
+    }
+
+    #[test]
+    fn width_error_names_the_physical_line() {
+        let csv = "A,B\n\nx,1\n   \ny\n";
+        let Err(DataError::Csv(message)) = read_csv_str(csv, &CsvOptions::default()) else {
+            panic!("a short row must be a CSV error");
+        };
+        assert!(message.starts_with("line 5 "), "{message}");
+    }
+
+    #[test]
+    fn unterminated_quote_is_error() {
+        for csv in [
+            "A,B\n\"abc,def\n",
+            "A,B\nx,\"two\nlines\"\n",
+            "\"A,B\n1,2\n",
+        ] {
+            let Err(DataError::Csv(message)) = read_csv_str(csv, &CsvOptions::default()) else {
+                panic!("{csv:?} must be a CSV error");
+            };
+            assert!(message.contains("unterminated quoted field"), "{message}");
+        }
+        let Err(DataError::Csv(message)) = read_csv_str("A\n\n\"x\n", &CsvOptions::default())
+        else {
+            panic!("an open quote must be a CSV error");
+        };
+        assert!(message.starts_with("line 3:"), "{message}");
     }
 
     #[test]

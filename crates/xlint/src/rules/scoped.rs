@@ -102,8 +102,9 @@ fn covered(file: &SourceFile, idx: usize, matching: &[&Scope]) -> bool {
     })
 }
 
-/// Allocation patterns: `String::…`, `Vec::…`, `format!`, `vec!`,
-/// `.to_string()`, `.to_owned()`, `.clone()`.
+/// Allocation patterns: `String::…`, `Vec::…`, `Box::…`, `Arc::new`/`from`,
+/// `Rc::new`/`from`, `format!`, `vec!`, `.to_string()`, `.to_owned()`,
+/// `.to_vec()`, `.clone()`.
 fn alloc_site(file: &SourceFile, idx: usize) -> Option<String> {
     let tokens = &file.tokens;
     let token = &tokens[idx];
@@ -120,6 +121,18 @@ fn alloc_site(file: &SourceFile, idx: usize) -> Option<String> {
             "`{}::` constructor allocates on the hot path",
             token.text
         )),
+        // `Arc::clone` only bumps a count; the constructors allocate.
+        "Arc" | "Rc" if next_is(":") => {
+            let ctor = next
+                .and_then(|n| next_code(tokens, n + 1))
+                .and_then(|n| next_code(tokens, n + 1))?;
+            matches!(tokens[ctor].text.as_str(), "new" | "from").then(|| {
+                format!(
+                    "`{}::{}` allocates on the hot path",
+                    token.text, tokens[ctor].text
+                )
+            })
+        }
         "format" | "vec" if next_is("!") && !prev_is_dot => {
             Some(format!("`{}!` allocates on the hot path", token.text))
         }

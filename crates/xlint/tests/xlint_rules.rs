@@ -89,7 +89,11 @@ fn no_alloc_pass_and_fail() {
     assert_fail(
         "no_alloc/fail",
         "no-alloc-hot-path",
-        &["`Vec::` constructor allocates", "`.to_vec()` allocates"],
+        &[
+            "`Vec::` constructor allocates",
+            "`.to_vec()` allocates",
+            "`Arc::from` allocates",
+        ],
     );
 }
 
