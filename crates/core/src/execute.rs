@@ -239,9 +239,10 @@ pub struct Provenance {
     /// their search started.
     pub attributes_skipped: usize,
     /// Snapshot of the [`SelectionCache`](crate::SelectionCache) the
-    /// request was answered through, taken after the search.  For batch
-    /// execution the cache is shared, so this attributes the *cumulative*
-    /// state, not this request alone.
+    /// request was answered through, taken after the search.  Its hits
+    /// include the request's `Δ(D)` replays.  For batch execution the cache
+    /// is shared, so this attributes the *cumulative* state, not this
+    /// request alone.
     pub selection_cache: CacheStats,
     /// Fit-time CI-test cache counters of the model that answered (zero
     /// for engines restored via

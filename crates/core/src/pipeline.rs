@@ -429,6 +429,12 @@ impl XInsight {
 
     /// The execution core behind every online entry point, parameterized by
     /// the selection cache the `Δ(·)` terms are answered through.
+    ///
+    /// `Δ(D)`, which orients the query and scales every responsibility, is
+    /// read through the cache once per request before any attribute is
+    /// searched, so a cache latched to another store fails with
+    /// [`DataError::DatasetMismatch`] even when no attribute is searched.
+    /// Provenance `selection_cache.hits` counts those `Δ(D)` replays too.
     pub fn execute_with_cache(
         &self,
         request: &ExplainRequest,
@@ -436,8 +442,12 @@ impl XInsight {
     ) -> Result<ExplainResponse> {
         let started = Instant::now();
         let deadline = request.deadline().map(|budget| started + budget);
-        let query = request.query().oriented_store(&self.augmented)?;
-        let original_delta = query.delta_store(&self.augmented)?;
+        // Δ(D) once per request, replayed from the cache entries every
+        // search context below reads for its own Δ(D).
+        let (x, y) = request
+            .query()
+            .sibling_aggregates(&self.augmented, &cache)?;
+        let (query, original_delta) = request.query().oriented_on(x, y);
         let translation = self.translation(&query);
         // `XInsightOptions::parallel` is the master switch for the whole
         // online phase (overridable per request); `xplainer.parallel` can
@@ -931,18 +941,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compaction_preserves_answers_byte_for_byte() {
+    /// The model fitted on 1500 lung-cancer rows, restored over rows
+    /// `0..900` with `900..1300` and `1300..1500` ingested: three segments.
+    fn three_segment_engine() -> XInsight {
         let data = lung_cancer_data(1500);
         let options = XInsightOptions::default();
-        let engine = XInsight::fit(&data, &options).unwrap();
-        let model = engine.fitted_model();
-        let chunked = XInsight::from_fitted(&rows_range(&data, 0, 900), model, &options)
+        let model = XInsight::fit(&data, &options).unwrap().fitted_model();
+        XInsight::from_fitted(&rows_range(&data, 0, 900), model, &options)
             .unwrap()
             .with_ingested(&rows_range(&data, 900, 1300))
             .unwrap()
             .with_ingested(&rows_range(&data, 1300, 1500))
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn compaction_preserves_answers_byte_for_byte() {
+        let chunked = three_segment_engine();
         let lineage = chunked.data().lineage();
         let compacted = chunked.with_compacted().unwrap();
         // One merged segment, same lineage (per-lineage caches stay valid),
@@ -1001,5 +1016,121 @@ mod tests {
         assert!(engine.graph().id("LungCancer").is_some());
         // The augmented dataset exposes the binned companion column.
         assert!(engine.data().categories("LungCancer_bin").is_ok());
+    }
+
+    #[test]
+    fn execute_orients_and_reports_delta_like_the_store_oracle() {
+        let engine = three_segment_engine();
+        let store = engine.data();
+        assert_eq!(store.n_segments(), 3);
+        let (mut explained, mut negative) = (0, 0);
+        for aggregate in [
+            Aggregate::Sum,
+            Aggregate::Avg,
+            Aggregate::Count,
+            Aggregate::Min,
+            Aggregate::Max,
+        ] {
+            for (a, b) in [("A", "B"), ("B", "A")] {
+                let query = WhyQuery::new(
+                    "LungCancer",
+                    aggregate,
+                    Subspace::of("Location", a),
+                    Subspace::of("Location", b),
+                )
+                .unwrap();
+                negative += usize::from(query.delta_store(store).unwrap() < 0.0);
+                let oracle = query.oriented_store(store).unwrap();
+                let oracle_delta = oracle.delta_store(store).unwrap();
+                let response = engine
+                    .execute_with_cache(
+                        &ExplainRequest::new(query),
+                        Arc::new(SelectionCache::new()),
+                    )
+                    .unwrap();
+                for scored in &response.explanations {
+                    assert_eq!(
+                        scored.explanation.original_delta.to_bits(),
+                        oracle_delta.to_bits(),
+                        "{aggregate:?} {a} vs {b}"
+                    );
+                }
+                explained += response.explanations.len();
+                // Same orientation: the already-oriented oracle query gets
+                // the same answer.
+                let reference = engine.execute(&ExplainRequest::new(oracle)).unwrap();
+                assert_eq!(response.explanations, reference.explanations);
+            }
+        }
+        assert!(explained > 0 && negative > 0);
+        // An empty side fails exactly as the oracle does.
+        let ghost = WhyQuery::new(
+            "LungCancer",
+            Aggregate::Avg,
+            Subspace::of("Location", "A"),
+            Subspace::of("Location", "Z"),
+        )
+        .unwrap();
+        assert!(matches!(
+            ghost.oriented_store(store),
+            Err(DataError::EmptyAggregate { .. })
+        ));
+        assert!(matches!(
+            engine.execute(&ExplainRequest::new(ghost)),
+            Err(DataError::EmptyAggregate { .. })
+        ));
+    }
+
+    /// A request whose (empty) type allowlist prunes every candidate.
+    fn nothing_to_search() -> ExplainRequest {
+        ExplainRequest::builder(why_query())
+            .allow_types([])
+            .include_provenance(true)
+            .build()
+    }
+
+    #[test]
+    fn warm_reexecution_computes_nothing_new() {
+        let engine = three_segment_engine();
+        for request in [ExplainRequest::new(why_query()), nothing_to_search()] {
+            let cache = Arc::new(SelectionCache::new());
+            let first = engine
+                .execute_with_cache(&request, Arc::clone(&cache))
+                .unwrap();
+            let (misses, hits) = (cache.misses(), cache.hits());
+            assert!(misses > 0, "Δ(D) is computed through the cache");
+            let again = engine
+                .execute_with_cache(&request, Arc::clone(&cache))
+                .unwrap();
+            assert_eq!(cache.misses(), misses);
+            assert_eq!(again.explanations, first.explanations);
+            if request.types().is_some() {
+                // Only Δ(D) ran: one replay per side per segment, and the
+                // provenance counts them.
+                let provenance = again.provenance.unwrap();
+                assert_eq!(provenance.attributes_searched, 0);
+                assert_eq!(cache.hits(), hits + 2 * 3);
+                assert_eq!(provenance.selection_cache.hits, cache.hits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_cache_latched_to_another_store_fails_even_with_nothing_to_search() {
+        let engine = three_segment_engine();
+        let other = XInsight::from_fitted(
+            &lung_cancer_data(600),
+            engine.fitted_model(),
+            &XInsightOptions::default(),
+        )
+        .unwrap();
+        let cache = Arc::new(SelectionCache::new());
+        engine
+            .execute_with_cache(&nothing_to_search(), Arc::clone(&cache))
+            .unwrap();
+        assert!(matches!(
+            other.execute_with_cache(&nothing_to_search(), cache),
+            Err(DataError::DatasetMismatch(_))
+        ));
     }
 }

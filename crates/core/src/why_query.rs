@@ -1,6 +1,7 @@
 //! Why Queries (Def. 2.1).
 
 use crate::json::Json;
+use crate::xplainer::SelectionCache;
 use xinsight_data::{
     Aggregate, DataError, Dataset, Filter, Result, RowMask, SegmentedDataset, Subspace,
 };
@@ -213,6 +214,38 @@ impl WhyQuery {
         }
     }
 
+    /// The two sibling aggregates `(x, y)` of `Δ(D) = x − y` over the whole
+    /// store, replayed from `cache` ([`SelectionCache::sibling_stats`]): the
+    /// one `Δ(D)` path of the pipeline and the search contexts.  Values and
+    /// errors match [`WhyQuery::delta_store`]; the cache's lineage latch is
+    /// checked first.
+    pub(crate) fn sibling_aggregates(
+        &self,
+        store: &SegmentedDataset,
+        cache: &SelectionCache,
+    ) -> Result<(f64, f64)> {
+        let (a1, a2) = cache.sibling_stats(store, &self.measure, &self.s1, &self.s2)?;
+        match (a1.value(self.aggregate), a2.value(self.aggregate)) {
+            (Some(x), Some(y)) => Ok((x, y)),
+            _ => Err(DataError::EmptyAggregate {
+                aggregate: "WHY-QUERY",
+                attribute: self.measure.clone(),
+            }),
+        }
+    }
+
+    /// [`WhyQuery::oriented_store`] from the sibling aggregates `(x, y)`:
+    /// the oriented query and its `Δ(D)`.  The flipped `Δ(D)` is computed
+    /// as `y − x`, not as `−(x − y)`, so both parts are bit-identical to
+    /// `oriented_store(..)?.delta_store(..)`, NaN sign included.
+    pub(crate) fn oriented_on(&self, x: f64, y: f64) -> (WhyQuery, f64) {
+        if x - y >= 0.0 {
+            (self.clone(), x - y)
+        } else {
+            (self.flipped(), y - x)
+        }
+    }
+
     /// The sibling-swapped query (`s1 ↔ s2`, foreground values swapped).
     fn flipped(&self) -> WhyQuery {
         let mut flipped = self.clone();
@@ -391,6 +424,69 @@ mod tests {
         .unwrap();
         assert_eq!(ghost.delta_store_opt(&split).unwrap(), None);
         assert!(ghost.delta_store(&split).is_err());
+    }
+
+    #[test]
+    fn cached_orientation_matches_the_store_oracle_bit_for_bit() {
+        // Three segments; `P` and `Q` both hold `+∞`, so their SUM, AVG and
+        // MAX differences are `∞ − ∞ = NaN` and orientation must flip the
+        // way the oracle does, NaN sign included.
+        let segment = |location: [&str; 4], values: [f64; 4]| {
+            DatasetBuilder::new()
+                .dimension("Location", location)
+                .measure("M", values)
+                .build()
+                .unwrap()
+        };
+        let store = SegmentedDataset::from_dataset(segment(
+            ["A", "B", "P", "Q"],
+            [5.0, 1.0, f64::INFINITY, 2.0],
+        ))
+        .seal(&segment(
+            ["A", "A", "B", "Q"],
+            [-3.0, 7.5, 0.25, f64::INFINITY],
+        ))
+        .unwrap()
+        .seal(&segment(["B", "A", "P", "B"], [4.0, 0.5, -1.0, -2.0]))
+        .unwrap();
+        assert_eq!(store.n_segments(), 3);
+        let outcome = |result: Result<(WhyQuery, f64)>| match result {
+            Ok((query, delta)) => Ok((query, delta.to_bits())),
+            Err(e) => Err(e.to_string()),
+        };
+        let (mut flips, mut nans) = (0, 0);
+        for aggregate in [
+            Aggregate::Sum,
+            Aggregate::Avg,
+            Aggregate::Count,
+            Aggregate::Min,
+            Aggregate::Max,
+        ] {
+            // `Z` never occurs: an empty side, undefined for AVG/MIN/MAX.
+            for (a, b) in [("A", "B"), ("B", "A"), ("P", "Q"), ("Q", "P"), ("A", "Z")] {
+                let q = WhyQuery::new(
+                    "M",
+                    aggregate,
+                    Subspace::of("Location", a),
+                    Subspace::of("Location", b),
+                )
+                .unwrap();
+                let oracle = q
+                    .oriented_store(&store)
+                    .and_then(|o| o.delta_store(&store).map(|d| (o, d)));
+                let cache = SelectionCache::new();
+                let cached = q
+                    .sibling_aggregates(&store, &cache)
+                    .map(|(x, y)| q.oriented_on(x, y));
+                if let Ok((o, delta)) = &cached {
+                    flips += usize::from(*o != q);
+                    nans += usize::from(delta.is_nan());
+                }
+                assert_eq!(outcome(cached), outcome(oracle), "{aggregate:?} {a} vs {b}");
+            }
+        }
+        assert!(flips >= 5, "both orientations must be exercised");
+        assert!(nans > 0, "the NaN orientation must be exercised");
     }
 
     #[test]

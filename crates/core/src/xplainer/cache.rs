@@ -40,7 +40,11 @@
 //! [`super::SearchContext`] (private, per-attribute reuse), a whole query
 //! (cross-attribute reuse in
 //! [`crate::pipeline::XInsight::execute`]) or a whole batch (cross-query
-//! reuse in [`crate::pipeline::XInsight::execute_batch`]).
+//! reuse in [`crate::pipeline::XInsight::execute_batch`]).  Besides the
+//! contexts, the pipeline itself reads `Δ(D)` through the cache
+//! ([`SelectionCache::sibling_stats`]) to orient each query, so `Δ(D)` is
+//! computed once per store segment and replayed by every later request and
+//! every attribute's context.
 //!
 //! Entries are never evicted: the cache grows with the number of *distinct*
 //! `(segment, clause)` pairs probed, which is what turns repeated `Δ` terms
@@ -192,7 +196,8 @@ impl SelectionCache {
     /// accepted — sealed segments are immutable, so entries computed in an
     /// older epoch remain exact in every later one; a different store is
     /// rejected.  Public entry points call this; crate-internal hot paths
-    /// call it once per search context and then use the `_trusted`
+    /// call it once per search context (through
+    /// [`SelectionCache::sibling_stats`]) and then use the `_trusted`
     /// variants.
     pub(super) fn ensure_store(&self, store: &SegmentedDataset) -> Result<()> {
         let lineage = store.lineage();
@@ -362,20 +367,67 @@ impl SelectionCache {
     ) -> Result<(Arc<MeasureStats>, bool)> {
         self.ensure_store(store)?;
         self.partial_agg_trusted(
-            segment, measure, side_key, side, attribute, values, complement,
+            segment,
+            measure,
+            side_key,
+            || Ok(side),
+            attribute,
+            values,
+            complement,
         )
+    }
+
+    /// The statistics of `measure` over the sibling subspaces `s1` and `s2`
+    /// of the whole store, each merged across segments in segment order:
+    /// the two sides of `Δ(D)`.
+    ///
+    /// Per segment each side is the empty clause's complement partial under
+    /// the subspace's side key, which is exactly the entry every
+    /// [`super::SearchContext`] probes for its own `Δ(D)`.  So the pipeline
+    /// (which orients the query on `Δ(D)`) and every context built for the
+    /// query replay one set of entries instead of rescanning the store.  A
+    /// replay touches no mask; a miss fetches the side's memoized subspace
+    /// mask and computes the partial.
+    pub fn sibling_stats(
+        &self,
+        store: &SegmentedDataset,
+        measure: &str,
+        s1: &Subspace,
+        s2: &Subspace,
+    ) -> Result<(MeasureStats, MeasureStats)> {
+        self.ensure_store(store)?;
+        store.check_measure(measure)?;
+        let full_side = |subspace: &Subspace| -> Result<MeasureStats> {
+            let side_key = subspace_key(subspace);
+            let mut merged = MeasureStats::new();
+            for segment in store.segments() {
+                let (stats, _) = self.partial_agg_trusted(
+                    segment,
+                    measure,
+                    &side_key,
+                    || self.subspace_mask_trusted(segment, subspace),
+                    "",
+                    &[],
+                    true,
+                )?;
+                merged.merge(&stats);
+            }
+            Ok(merged)
+        };
+        Ok((full_side(s1)?, full_side(s2)?))
     }
 
     /// [`SelectionCache::partial_agg`] without the per-call store check —
     /// for hot-path callers (the search context) that validated the store
-    /// once at construction and hold it for their whole lifetime.
+    /// once at construction and hold it for their whole lifetime.  The side
+    /// mask is only asked for on a miss.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn partial_agg_trusted(
+    pub(super) fn partial_agg_trusted<M: std::ops::Deref<Target = RowMask>>(
         &self,
         segment: &Segment,
         measure: &str,
         side_key: &str,
-        side: &RowMask,
+        side: impl FnOnce() -> Result<M>,
         attribute: &str,
         values: &[String],
         complement: bool,
@@ -398,9 +450,10 @@ impl SelectionCache {
             self.hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
             return Ok((Arc::clone(stats), false));
         }
+        let side = side()?;
         let clause = self.clause_mask_trusted(segment, attribute, values)?;
         let stats = Arc::new(compute_partial(
-            segment, measure, side, &clause, complement,
+            segment, measure, &side, &clause, complement,
         )?);
         // Freshness is decided by entry occupancy under the write lock: when
         // two workers race on the same key, both compute (same inputs → same
@@ -649,6 +702,37 @@ mod tests {
         assert!(cache
             .partial_agg(&store, seg(&store), "nope", "all", &side, "Y", &[], false)
             .is_err());
+    }
+
+    #[test]
+    fn sibling_stats_are_the_contexts_delta_d_entries() {
+        let store = data();
+        let cache = SelectionCache::new();
+        let (s1, s2) = (Subspace::of("X", "a"), Subspace::of("X", "b"));
+        let (a, b) = cache.sibling_stats(&store, "M", &s1, &s2).unwrap();
+        assert_eq!((a.sum(), b.sum()), (15.0, 13.0));
+        // A context's Δ(D) probe (empty clause, complement) replays them.
+        let misses = cache.misses();
+        let side = cache.subspace_mask(&store, seg(&store), &s1).unwrap();
+        let (stats, fresh) = cache
+            .partial_agg(
+                &store,
+                seg(&store),
+                "M",
+                &s1.to_string(),
+                &side,
+                "Y",
+                &[],
+                true,
+            )
+            .unwrap();
+        assert!(!fresh);
+        assert_eq!(*stats, a);
+        assert_eq!(cache.misses(), misses);
+        assert!(matches!(
+            cache.sibling_stats(&store, "X", &s1, &s2),
+            Err(DataError::WrongKind { .. })
+        ));
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //! segmentation of the same rows.
 
 use super::cache::SelectionCache;
-use super::{map_items, XPlainerOptions};
+use super::XPlainerOptions;
 use crate::why_query::WhyQuery;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use xinsight_data::{
-    DataError, Filter, MeasureStats, Predicate, Result, RowMask, Segment, SegmentedDataset,
-};
+use xinsight_data::{Filter, MeasureStats, Predicate, Result, RowMask, Segment, SegmentedDataset};
 
 /// The per-segment slice of the context: the segment plus its two
 /// sibling-subspace masks (segment-local row domain).
@@ -35,10 +33,12 @@ struct SegmentSides {
 /// All `Δ` terms are answered through a [`SelectionCache`]: per-segment
 /// masks and partial aggregates computed by one strategy (or one attribute,
 /// or one query of a batch) are replayed by the others instead of being
-/// recomputed.  The context is `Sync`, so the strategies may probe it from
-/// parallel workers; with parallelism enabled, both the per-filter probe
-/// loops *and* the per-segment partials inside one probe fan out over the
-/// shared rayon pool (searches scale with segments × attributes).
+/// recomputed.  `Δ(D)` comes from [`SelectionCache::sibling_stats`], the
+/// same entries the pipeline orients the query on, so it is computed once
+/// per query.  The context is `Sync`, so the strategies may fan their probe
+/// loops out over the shared rayon pool; one probe walks the segments in
+/// order on its own thread (on a warm cache each segment is a hash-map
+/// replay, cheaper than a task hand-off).
 #[derive(Debug)]
 pub struct SearchContext<'a> {
     store: &'a SegmentedDataset,
@@ -86,6 +86,7 @@ impl<'a> SearchContext<'a> {
     /// an ingest replays every older segment's masks and partials from the
     /// cache and only computes the newly sealed segments (the serving
     /// layer's prefix-merge path hinges on exactly this warm-up behaviour).
+    /// Its `Δ(D)` is a replay of the pipeline's when both share the cache.
     pub fn build_with_cache(
         store: &'a SegmentedDataset,
         query: &'a WhyQuery,
@@ -96,38 +97,36 @@ impl<'a> SearchContext<'a> {
         // Filters come from the global dictionary: every category observed in
         // *any* segment, in stable first-occurrence (= code) order.
         let categories = store.categories(attribute)?;
-        // Validate the measure up front: every later Δ probe relies on it and
-        // `expect`s success, so a missing/typo'd measure must surface as an
-        // error here, not a panic deep in a worker.
-        store.check_measure(query.measure())?;
         let filters: Vec<Filter> = categories
             .iter()
             .map(|v| Filter::equals(attribute, v.as_ref()))
             .collect();
-        // Validate the store against the cache's lineage latch exactly once;
-        // the warm-up below and every later Δ probe use the trusted variants.
-        cache.ensure_store(store)?;
-        // Warm the mask layer per segment: sibling-subspace and per-filter
-        // masks.  Segments are independent, so the warm-up fans out over the
-        // pool — this is the "segments × attributes" axis of engine
-        // parallelism (attributes fan out one level up, in the pipeline).
-        let sides: Vec<SegmentSides> = map_items(
-            options.parallel,
-            store.segments().iter().map(Arc::clone).collect(),
-            |segment| -> Result<SegmentSides> {
-                let s1 = cache.subspace_mask_trusted(&segment, query.s1())?;
-                let s2 = cache.subspace_mask_trusted(&segment, query.s2())?;
-                for filter in &filters {
-                    cache.filter_mask_trusted(&segment, filter.attribute(), filter.value())?;
-                }
-                Ok(SegmentSides { segment, s1, s2 })
-            },
-        )
-        .into_iter()
-        .collect::<Result<_>>()?;
+        // Δ(D) first: it checks the store against the cache's lineage latch
+        // and validates the measure.  Every later Δ probe relies on both and
+        // `expect`s success, so a foreign store or a missing/typo'd measure
+        // must surface as an error here, not a panic deep in a worker; the
+        // warm-up below and every later probe use the trusted variants.
+        let (x, y) = query.sibling_aggregates(store, &cache)?;
+        let delta_d = x - y;
+        // Warm the mask layer per segment, in segment order:
+        // sibling-subspace and per-filter masks.
+        let mut sides = Vec::with_capacity(store.n_segments());
+        for segment in store.segments() {
+            let s1 = cache.subspace_mask_trusted(segment, query.s1())?;
+            let s2 = cache.subspace_mask_trusted(segment, query.s2())?;
+            for filter in &filters {
+                cache.filter_mask_trusted(segment, filter.attribute(), filter.value())?;
+            }
+            sides.push(SegmentSides {
+                segment: Arc::clone(segment),
+                s1,
+                s2,
+            });
+        }
         let s1_key = query.s1().to_string();
         let s2_key = query.s2().to_string();
-        let mut ctx = SearchContext {
+        let m = filters.len().max(1);
+        Ok(SearchContext {
             store,
             query,
             attribute: attribute.to_owned(),
@@ -135,30 +134,16 @@ impl<'a> SearchContext<'a> {
             s1_key,
             s2_key,
             sides,
-            delta_d: 0.0,
-            epsilon: 0.0,
-            sigma: 0.0,
+            delta_d,
+            epsilon: options
+                .epsilon
+                .unwrap_or(options.epsilon_fraction * delta_d.abs()),
+            sigma: options.sigma.unwrap_or(1.0 / m as f64),
             parallel: options.parallel,
+            // Δ(D) is not a search step; it is not billed to the strategies.
             evaluations: AtomicUsize::new(0),
             cache,
-        };
-        // Δ(D) through the cache (the empty clause's complement selects the
-        // full sides), shared across every attribute of the same query.
-        let delta_d = ctx
-            .delta_clause(&[], true)
-            .ok_or_else(|| DataError::EmptyAggregate {
-                aggregate: "WHY-QUERY",
-                attribute: query.measure().to_owned(),
-            })?;
-        ctx.delta_d = delta_d;
-        ctx.epsilon = options
-            .epsilon
-            .unwrap_or(options.epsilon_fraction * delta_d.abs());
-        let m = ctx.filters.len().max(1);
-        ctx.sigma = options.sigma.unwrap_or(1.0 / m as f64);
-        // Δ(D) is not a search step; don't bill it to the strategies.
-        ctx.evaluations.store(0, Ordering::Relaxed); // relaxed: advisory effort counter
-        Ok(ctx)
+        })
     }
 
     /// Number of filters `m` on the attribute.
@@ -239,33 +224,25 @@ impl<'a> SearchContext<'a> {
     fn side_stats(
         &self,
         side_key: &str,
-        pick: impl Fn(&SegmentSides) -> &Arc<RowMask> + Sync,
+        pick: impl Fn(&SegmentSides) -> &Arc<RowMask>,
         values: &[String],
         complement: bool,
     ) -> (MeasureStats, bool) {
-        // Per-segment partials are independent; fan them out when the store
-        // is actually segmented.  The ordered collect keeps the merge
-        // deterministic either way.
-        let partials: Vec<(Arc<MeasureStats>, bool)> = map_items(
-            self.parallel && self.sides.len() > 1,
-            self.sides.iter().collect(),
-            |sides| {
-                self.cache
-                    .partial_agg_trusted(
-                        &sides.segment,
-                        self.query.measure(),
-                        side_key,
-                        pick(sides),
-                        &self.attribute,
-                        values,
-                        complement,
-                    )
-                    .expect("context attributes validated at build time")
-            },
-        );
         let mut merged = MeasureStats::new();
         let mut fresh = false;
-        for (stats, was_fresh) in partials {
+        for sides in &self.sides {
+            let (stats, was_fresh) = self
+                .cache
+                .partial_agg_trusted(
+                    &sides.segment,
+                    self.query.measure(),
+                    side_key,
+                    || Ok(&**pick(sides)),
+                    &self.attribute,
+                    values,
+                    complement,
+                )
+                .expect("context attributes validated at build time");
             merged.merge(&stats);
             fresh |= was_fresh;
         }
