@@ -242,6 +242,12 @@ impl XInsight {
         })
     }
 
+    /// The options this engine was built with (ingested and compacted
+    /// successors inherit them).
+    pub fn options(&self) -> &XInsightOptions {
+        &self.options
+    }
+
     /// The learned FD-augmented PAG.
     pub fn graph(&self) -> &MixedGraph {
         &self.learner_result.graph

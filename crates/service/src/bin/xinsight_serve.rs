@@ -23,7 +23,10 @@
 //! as bundles into the models directory before serving — the zero-to-
 //! serving path used by the smoke test and the `loadgen --spawn` bench.
 //! Thread pinning follows the engine convention: `XINSIGHT_THREADS` sizes
-//! both the rayon pool and (by default) the worker pool.
+//! both the rayon pool and (by default) the worker pool.  Served engines
+//! always answer each request serially (the worker pool is the one level
+//! of serving parallelism), so `--serial` only makes the `--demo` fits
+//! serial.
 //!
 //! The server speaks both wire generations: the stable v1 endpoints
 //! (`/explain`, `/explain_batch`) and the versioned `/v2` surface with

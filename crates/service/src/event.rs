@@ -15,16 +15,21 @@
 //!
 //! ```text
 //!  accept ──▶ Reading ──complete request──▶ Dispatched ──completion──▶ Writing
-//!               ▲  │                        (job queue,                  │
+//!               ▲  │ │                      (job queue,                ▲ │
+//!               │  │ └─ exact hit, answered on the loop ───────────────┘ │
 //!               │  └─ partial + deadline ──▶ 408 + close)  flushed ──────┤
 //!               │                                                        │
 //!               └──────────────── keep-alive (idle, parked in kernel) ◀──┘
 //! ```
 //!
 //! * **Reading** — readable events append bytes to the connection's
-//!   [`RequestParser`]; a framed request is dispatched onto the bounded
-//!   job queue (`503` + close when the queue is full: backpressure is
-//!   per-*request* now, not per-connection).
+//!   [`RequestParser`].  A framed request is first offered to
+//!   [`crate::server::serve_on_loop`]: a single-query explain that is an
+//!   exact result-cache hit (or fails to decode) is answered right here
+//!   and goes straight to Writing, with no worker involved.  Anything
+//!   else is dispatched onto the bounded job queue (`503` + close when the
+//!   queue is full: backpressure is per-*request*, and only for work that
+//!   needs a worker).
 //! * **Dispatched** — the connection is disarmed (no readiness interest)
 //!   while its request runs on a worker; the worker pushes a completion
 //!   and wakes the loop via [`polling::Poller::notify`].
@@ -47,7 +52,7 @@
 //! staged response flushed (or [`SHUTDOWN_DRAIN_GRACE`] expires).
 
 use crate::http::{self, RequestParser, Response};
-use crate::server::{Completion, Job, Shared};
+use crate::server::{Completion, Job, OnLoop, Shared};
 use crate::trace::{Stage, TraceBuilder};
 use polling::{Event, Events};
 use std::io::{Read, Write};
@@ -407,91 +412,122 @@ impl EventLoop {
         }
     }
 
-    /// Tries to frame and dispatch the next request from the connection's
-    /// buffered bytes (one request in flight per connection at a time;
-    /// pipelined surplus waits for the response to flush).
+    /// Frames and serves the connection's buffered requests in order, one
+    /// in flight at a time (a pipelined follow-up waits until the previous
+    /// response has flushed).  A request the loop answers itself is written
+    /// at once and the next buffered request framed; the first one that
+    /// needs a worker is admitted onto the job queue and ends the pass.  A
+    /// loop rather than recursion through [`EventLoop::flush`], so a long
+    /// pipelined burst of hits cannot grow the stack.
     fn advance(&mut self, slot: usize) {
-        let Some(conn) = conn_mut(&mut self.conns, slot) else {
-            return;
-        };
-        if conn.inflight || !conn.write_buf.is_empty() {
-            return;
-        }
-        match conn.parser.try_parse() {
-            Ok(Some(request)) => {
-                conn.partial_since = None;
-                let framed = Instant::now();
-                // The epoch is the first byte's arrival; a fully buffered
-                // pipelined follow-up frames instantly, so `now` is right.
-                let epoch = conn.first_byte.take().unwrap_or(framed);
-                conn.close_after_write |= request.wants_close();
-                if self.draining {
-                    self.stage_close(slot, &Response::error(503, "server is shutting down"));
-                    return;
-                }
-                let gen = conn.gen;
-                // A worker that panicked mid-queue poisons the mutex; the
-                // queue itself is still coherent, so keep serving.
-                let mut jobs = self
-                    .shared
-                    .jobs
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if jobs.len() >= self.shared.queue_capacity {
-                    drop(jobs);
-                    // relaxed: monotonic shed counters for /metrics; no
-                    // ordering edge with the admission decision itself.
-                    self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.shared.stats.conn_shed.fetch_add(1, Ordering::Relaxed);
-                    self.stage_close(
-                        slot,
-                        &Response::error(503, "admission queue is full, retry later"),
-                    );
-                    return;
-                }
-                let mut trace = TraceBuilder::begin(
-                    self.shared.traces.next_id(),
-                    epoch,
-                    crate::trace::endpoint_label(&request.method, &request.path),
-                );
-                trace.span(Stage::Parse, epoch, framed, "");
-                jobs.push_back(Job {
-                    slot,
-                    gen,
-                    request,
-                    admitted: Instant::now(),
-                    trace,
-                });
-                drop(jobs);
-                self.inflight_jobs += 1;
-                conn.inflight = true;
-                self.shared.available.notify_one();
+        loop {
+            let Some(conn) = conn_mut(&mut self.conns, slot) else {
+                return;
+            };
+            if conn.inflight || !conn.write_buf.is_empty() {
+                return;
             }
-            Ok(None) => {
-                if conn.parser.is_empty() {
-                    conn.partial_since = None;
-                } else if conn.partial_since.is_none() {
-                    conn.partial_since = Some(Instant::now());
-                }
-            }
-            Err(e) => {
-                self.shared
-                    .stats
-                    .client_errors
-                    // relaxed: monotonic error counter for /metrics.
-                    .fetch_add(1, Ordering::Relaxed);
-                let response = match e {
-                    http::HttpError::Malformed(message) => Response::error(400, &message),
-                    // Static messages: the framing path stays allocation-free
-                    // even when rejecting oversized requests.
-                    http::HttpError::TooLarge("request body") => {
-                        Response::error(413, "request body too large")
+            let request = match conn.parser.try_parse() {
+                Ok(Some(request)) => request,
+                Ok(None) => {
+                    if conn.parser.is_empty() {
+                        conn.partial_since = None;
+                    } else if conn.partial_since.is_none() {
+                        conn.partial_since = Some(Instant::now());
                     }
-                    http::HttpError::TooLarge(_) => Response::error(431, "request head too large"),
-                    _ => Response::error(400, "bad request"),
-                };
-                self.stage_close(slot, &response);
+                    return;
+                }
+                Err(e) => {
+                    self.shared
+                        .stats
+                        .client_errors
+                        // relaxed: monotonic error counter for /metrics.
+                        .fetch_add(1, Ordering::Relaxed);
+                    let response = match e {
+                        http::HttpError::Malformed(message) => Response::error(400, &message),
+                        // Static messages: the framing path stays
+                        // allocation-free even when rejecting oversized
+                        // requests.
+                        http::HttpError::TooLarge("request body") => {
+                            Response::error(413, "request body too large")
+                        }
+                        http::HttpError::TooLarge(_) => {
+                            Response::error(431, "request head too large")
+                        }
+                        _ => Response::error(400, "bad request"),
+                    };
+                    self.stage_close(slot, &response);
+                    return;
+                }
+            };
+            conn.partial_since = None;
+            let framed = Instant::now();
+            // The epoch is the first byte's arrival; a fully buffered
+            // pipelined follow-up frames instantly, so `now` is right.
+            let epoch = conn.first_byte.take().unwrap_or(framed);
+            conn.close_after_write |= request.wants_close();
+            if self.draining {
+                self.stage_close(slot, &Response::error(503, "server is shutting down"));
+                return;
             }
+            let gen = conn.gen;
+            let mut trace = TraceBuilder::begin(
+                self.shared.traces.next_id(),
+                epoch,
+                crate::trace::endpoint_label(&request.method, &request.path),
+            );
+            trace.span(Stage::Parse, epoch, framed, "");
+            // Takes `registry-models` (read) and then `lru-state`, one
+            // after the other and never while holding `jobs`.
+            let explain =
+                match crate::server::serve_on_loop(&self.shared, &request, framed, &mut trace) {
+                    OnLoop::Answered(response) => {
+                        // Staged before the write: an optimistic write that
+                        // drains the whole response finalizes the trace.
+                        conn.pending = Some(PendingWrite {
+                            trace,
+                            staged_at: Instant::now(),
+                        });
+                        self.encode(slot, &response);
+                        if self.write_out(slot) {
+                            continue;
+                        }
+                        return;
+                    }
+                    OnLoop::Queue(explain) => explain,
+                };
+            // A worker that panicked mid-queue poisons the mutex; the
+            // queue itself is still coherent, so keep serving.
+            let mut jobs = self
+                .shared
+                .jobs
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if jobs.len() >= self.shared.queue_capacity {
+                drop(jobs);
+                // relaxed: monotonic shed counters for /metrics; no
+                // ordering edge with the admission decision itself.
+                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                self.shared.stats.conn_shed.fetch_add(1, Ordering::Relaxed);
+                self.stage_close(
+                    slot,
+                    &Response::error(503, "admission queue is full, retry later"),
+                );
+                return;
+            }
+            jobs.push_back(Job {
+                slot,
+                gen,
+                request,
+                admitted: Instant::now(),
+                trace,
+                explain,
+            });
+            drop(jobs);
+            self.inflight_jobs += 1;
+            conn.inflight = true;
+            self.shared.available.notify_one();
+            return;
         }
     }
 
@@ -506,6 +542,13 @@ impl EventLoop {
     /// Encodes `response` onto the connection's write buffer and drains
     /// what the socket will take immediately.
     fn stage(&mut self, slot: usize, response: &Response) {
+        self.encode(slot, response);
+        self.flush(slot);
+    }
+
+    /// Encodes `response` onto the connection's write buffer, asking for a
+    /// close when the connection or the server is going away.
+    fn encode(&mut self, slot: usize, response: &Response) {
         let shutting = self.draining || self.shared.shutdown.load(Ordering::SeqCst);
         let Some(conn) = conn_mut(&mut self.conns, slot) else {
             return;
@@ -514,15 +557,24 @@ impl EventLoop {
         conn.close_after_write = close;
         conn.write_buf = http::encode_response(response, close);
         conn.written = 0;
-        self.flush(slot);
+    }
+
+    /// Writes what the socket accepts of the staged response and, once the
+    /// whole response is out, frames any pipelined follow-up already
+    /// buffered.
+    fn flush(&mut self, slot: usize) {
+        if self.write_out(slot) {
+            self.advance(slot);
+        }
     }
 
     /// Writes as much of the staged response as the socket accepts; on
-    /// completion either closes or returns the connection to keep-alive
-    /// (including dispatching a pipelined follow-up already buffered).
-    fn flush(&mut self, slot: usize) {
+    /// completion either closes or returns the connection to keep-alive.
+    /// Returns whether the response is fully written and the connection
+    /// open and ready to frame its next request.
+    fn write_out(&mut self, slot: usize) -> bool {
         let Some(conn) = conn_mut(&mut self.conns, slot) else {
-            return;
+            return false;
         };
         // `written` only ever advances by what `write` reported, so the
         // range stays in bounds; `.get` keeps that a local fact rather
@@ -534,19 +586,19 @@ impl EventLoop {
             match conn.stream.write(remaining) {
                 Ok(0) => {
                     self.close(slot, false);
-                    return;
+                    return false;
                 }
                 Ok(n) => conn.written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(slot, false);
-                    return;
+                    return false;
                 }
             }
         }
         if conn.write_buf.is_empty() {
-            return; // nothing was staged
+            return false; // nothing was staged
         }
         conn.write_buf.clear();
         conn.written = 0;
@@ -563,11 +615,10 @@ impl EventLoop {
         }
         if conn.close_after_write || conn.peer_closed {
             self.close(slot, false);
-            return;
+            return false;
         }
         conn.idle_since = Instant::now();
-        // A pipelined request may already be buffered in full.
-        self.advance(slot);
+        true
     }
 
     /// Re-arms the oneshot readiness interest the connection's state wants

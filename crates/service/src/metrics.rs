@@ -3,7 +3,8 @@
 //!
 //! `/metrics` is the server's one counters view: per-endpoint requests,
 //! the request and per-stage latency histograms, result-cache tiers,
-//! connections, compaction, ingest, the engine-side
+//! loop-side hits, contained handler panics, connections, compaction,
+//! ingest, the engine-side
 //! SelectionCache/CachedCiTest counters, queue and event-loop gauges and
 //! per-model store shapes, in the [Prometheus text
 //! format](https://prometheus.io/docs/instrumenting/exposition_formats/)
@@ -227,6 +228,27 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
         "Requests shed with 503 by the admission queue.",
     );
     sample(&mut out, "xinsight_rejected_total", "", load(&s.rejected));
+
+    header(
+        &mut out,
+        "xinsight_loop_hits_total",
+        "counter",
+        "Single-query explains answered as exact result-cache hits on the event loop.",
+    );
+    sample(&mut out, "xinsight_loop_hits_total", "", load(&s.loop_hits));
+
+    header(
+        &mut out,
+        "xinsight_worker_panics_total",
+        "counter",
+        "Request-handler panics contained and answered with 500.",
+    );
+    sample(
+        &mut out,
+        "xinsight_worker_panics_total",
+        "",
+        load(&s.worker_panics),
+    );
 
     header(
         &mut out,
@@ -982,6 +1004,8 @@ mod tests {
         let stats = ServerStats::default();
         stats.explain_v2.fetch_add(5, Ordering::Relaxed);
         stats.rejected.fetch_add(1, Ordering::Relaxed);
+        stats.loop_hits.fetch_add(7, Ordering::Relaxed);
+        stats.worker_panics.fetch_add(2, Ordering::Relaxed);
         stats.conn_accepted.fetch_add(5, Ordering::Relaxed);
         stats.conn_active.store(2, Ordering::Relaxed);
         stats.conn_parked_idle.store(1, Ordering::Relaxed);
@@ -1027,6 +1051,8 @@ mod tests {
         // *last* before/after shape, and the *cumulative* bytes reclaimed.
         for (series, expected) in [
             ("xinsight_rejected_total", 1.0),
+            ("xinsight_loop_hits_total", 7.0),
+            ("xinsight_worker_panics_total", 2.0),
             ("xinsight_connections_accepted_total", 5.0),
             ("xinsight_connections{state=\"active\"}", 2.0),
             ("xinsight_connections{state=\"parked_idle\"}", 1.0),

@@ -233,7 +233,17 @@ impl ModelRegistry {
         };
         let data = read_csv_str(&csv_text, &csv_options)?;
         let model = FittedModel::load(&model_path)?;
-        let engine = XInsight::from_fitted(&data, model, &self.options)?;
+        // Served engines answer each request serially: the worker pool
+        // already runs requests side by side, and a second level of
+        // fan-out inside a request only adds thread spawns.  Ingested and
+        // compacted successors inherit the setting; the wire's per-request
+        // `"parallel"` option still overrides it, and `fit_and_save` keeps
+        // fitting in parallel.
+        let serving = XInsightOptions {
+            parallel: false,
+            ..self.options.clone()
+        };
+        let engine = XInsight::from_fitted(&data, model, &serving)?;
         let example_rows = example_rows_of(&data, 4);
         let _guard = self.swap_lock.lock();
         let generation = self
@@ -811,6 +821,67 @@ mod tests {
         // Already compact: a no-op.  Unknown id: a structured error.
         assert!(registry.compact("m").unwrap().is_none());
         assert!(registry.compact("ghost").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_engines_run_serially_and_answer_like_a_parallel_batch() {
+        let dir = temp_dir("serial");
+        let data = tiny_data();
+        let options = XInsightOptions::default();
+        assert!(options.parallel, "the registry is handed parallel options");
+        let registry = ModelRegistry::open_empty(&dir, options);
+        let fitted = registry
+            .fit_and_save("m", &data, vec![tiny_query()])
+            .unwrap();
+        assert!(fitted.options().parallel, "fits stay parallel");
+        let batch = first_rows(&data, 6);
+        let loaded = registry.load("m").unwrap();
+        let ingested = registry.ingest("m", &batch).unwrap();
+        registry.compact("m").unwrap().expect("two segments merge");
+        let compacted = registry.get("m").unwrap();
+
+        // Four requests, so the parallel reference really fans out.
+        let (a, b) = (Subspace::of("Location", "A"), Subspace::of("Location", "B"));
+        let requests: Vec<xinsight_core::ExplainRequest> = [Aggregate::Avg, Aggregate::Sum]
+            .into_iter()
+            .flat_map(|agg| {
+                [(a.clone(), b.clone()), (b.clone(), a.clone())].map(|(s1, s2)| {
+                    xinsight_core::ExplainRequest::new(
+                        WhyQuery::new("Severity", agg, s1, s2).unwrap(),
+                    )
+                })
+            })
+            .collect();
+        let bytes = |engine: &XInsight| -> Vec<String> {
+            engine
+                .execute_batch(&requests)
+                .unwrap()
+                .iter()
+                .map(crate::wire::v2_result_to_string)
+                .collect()
+        };
+        // The parallel references: the fitted engine over the same
+        // segment sets the registry built.
+        let grown = fitted.with_ingested(&batch).unwrap();
+        let references = [
+            (&loaded, bytes(&fitted)),
+            (&ingested, bytes(&grown)),
+            (&compacted, bytes(&grown.with_compacted().unwrap())),
+        ];
+        for (served, reference) in references {
+            assert!(
+                !served.engine.options().parallel,
+                "generation {} must serve serially",
+                served.generation
+            );
+            assert_eq!(
+                bytes(&served.engine),
+                reference,
+                "generation {}",
+                served.generation
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

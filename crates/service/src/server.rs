@@ -5,14 +5,14 @@
 //!
 //! ```text
 //!                 ┌────────────── Server ──────────────────────────────┐
-//!   TCP clients → │ event loop ──parsed──▶ admission ──▶ worker pool   │
-//!                 │ (epoll/poll,  request   queue          (N workers) │
-//!                 │  all sockets,          (bounded,           │       │
-//!                 │  per-conn state         503 when full)     │       │
-//!                 │  machines)  ◀──completions + notify────────┤       │
-//!                 │                                            ▼       │
-//!                 │       ResultCache  ──miss──▶  ModelRegistry        │
-//!                 │    (LRU, byte budget)        (warm XInsight per    │
+//!   TCP clients → │ event loop ──needs a──▶ admission ──▶ worker pool  │
+//!                 │ (epoll/poll,  worker     queue          (N workers)│
+//!                 │  all sockets,           (bounded,           │      │
+//!                 │  per-conn state          503 when full)     │      │
+//!                 │  machines,  ◀──completions + notify─────────┤      │
+//!                 │  exact hits)                                ▼      │
+//!                 │   │   ResultCache  ──miss──▶  ModelRegistry        │
+//!                 │   └─▶ (LRU, byte budget)     (warm XInsight per    │
 //!                 │                               model, hot-reload)   │
 //!                 └────────────────────────────────────────────────────┘
 //! ```
@@ -21,25 +21,40 @@
 //! accepts, reads and frames requests over non-blocking I/O, so idle
 //! keep-alive connections cost a poller registration instead of a thread
 //! — a million parked clients is a kernel problem, not a thread-count
-//! problem.  Fully-parsed requests go onto a **bounded admission queue**;
-//! when the queue is full the *request* is answered `503` immediately —
-//! backpressure surfaces to clients instead of building an invisible
-//! backlog.  A fixed pool of **workers** pops requests and executes them;
-//! the engine work inside a request still fans out over the shared rayon
-//! pool (`XINSIGHT_THREADS`, [`xinsight_core::parallel`]), so the worker
-//! count controls *concurrent requests* while the rayon pool controls
-//! *CPU parallelism per request* — both sized from the same knob by
-//! default.  Each finished response is handed back as a `Completion`
-//! and the event loop is woken ([`polling::Poller::notify`]) to write it
-//! to the socket.
+//! problem.  A single-query explain (`POST /explain`, `POST /v2/explain`)
+//! is decoded, keyed and looked up in the result cache **on the loop**
+//! (`serve_on_loop`): an exact hit — the common case while an analyst
+//! re-asks the same Why Queries — is rendered and written without leaving
+//! the loop thread, and so is a body that fails to decode or names an
+//! unknown model.  Work that needs a worker — misses, prefix candidates
+//! (promotion runs engine work), batches, ingest, admin and debug routes —
+//! goes onto a **bounded admission queue**; when the queue is full the
+//! *request* is answered `503` immediately — backpressure surfaces to
+//! clients instead of building an invisible backlog.  The rule: **hits
+//! never leave the loop, and queue-full `503`s apply only to work that
+//! needs a worker.**  A miss carries its decoded call and lookup verdict
+//! to the worker, so no request is decoded or looked up twice.
+//!
+//! A fixed pool of **workers** pops requests and executes them, each one
+//! serially: the registry builds served engines with `parallel: false`,
+//! so the worker count alone sets CPU parallelism across requests (only a
+//! per-request `"parallel": true` option fans one request out over the
+//! rayon pool, which otherwise serves the offline fit).  Each finished
+//! response is handed back as a `Completion` and the event loop is woken
+//! ([`polling::Poller::notify`]) to write it to the socket.  A panicking
+//! handler costs only its request: it is answered `500`, its trace names
+//! the panic, and `xinsight_worker_panics_total` counts it — the worker
+//! (or the event loop, for the loop-side path) keeps serving.
 //!
 //! The four explain routes (`/explain`, `/explain_batch`, `/v2/explain`,
 //! `/v2/explain_batch`) are thin wire adapters over **one explain core**:
 //! each parses its body into a model id, a list of queries and the request
-//! options, and the core runs every query through the same cache lookup,
-//! single-flight, engine batch, accounting and trace spans, returning one
-//! slot per query for the adapter's envelope.  v1 and v2 differ only in
-//! the cache-key suffix, the cached payload encoder and the error shape.
+//! options, one function (`look_up`) keys and looks up every query once —
+//! on the event loop for the single-query routes — and the core runs every
+//! verdict through the same promotion, single-flight, engine batch,
+//! accounting and trace spans, returning one slot per query for the
+//! adapter's envelope.  v1 and v2 differ only in the cache-key suffix, the
+//! cached payload encoder and the error shape.
 //!
 //! **Graceful shutdown** (`POST /admin/shutdown` or
 //! [`ServerHandle::trigger_shutdown`]): the flag flips, the event loop
@@ -70,7 +85,11 @@ use xinsight_stats::CacheStats;
 pub struct ServerConfig {
     /// Bind address; port `0` picks a free port (the handle reports it).
     pub addr: String,
-    /// Worker threads executing admitted requests.
+    /// Worker threads executing admitted requests — misses, batches,
+    /// ingest, admin and debug routes.  Exact result-cache hits never
+    /// reach a worker (the event loop answers them), and each request runs
+    /// serially on its worker, so this count alone sets how many requests
+    /// compute at once.
     pub workers: usize,
     /// Admission-queue capacity; requests beyond it are answered `503`.
     pub queue_capacity: usize,
@@ -107,10 +126,11 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            // Size the worker pool from the same knob as the engine's rayon
-            // pool so one `XINSIGHT_THREADS` governs the whole process; at
-            // least 2 so a long request cannot starve the admin endpoints
-            // on single-core containers.
+            // Size the worker pool from the same knob as the rayon pool the
+            // offline fit uses, so one `XINSIGHT_THREADS` governs the whole
+            // process (served engines run each request serially, so the
+            // two never multiply); at least 2 so a long request cannot
+            // starve the admin endpoints on single-core containers.
             workers: xinsight_core::parallel::configure_pool_from_env().max(2),
             addr: "127.0.0.1:0".to_owned(),
             queue_capacity: 64,
@@ -138,6 +158,9 @@ pub(crate) struct Job {
     /// worker adds queue-wait and handler spans, and the event loop closes
     /// it when the response's last byte is on the socket.
     pub(crate) trace: TraceBuilder,
+    /// A single-query explain the event loop already decoded and looked up
+    /// (see [`serve_on_loop`]); `None` for every other route.
+    pub(crate) explain: Option<Box<ExplainCall>>,
 }
 
 /// A worker's finished response, routed back to the event loop for the
@@ -479,12 +502,27 @@ fn next_job(shared: &Shared) -> Option<Job> {
 /// A worker: execute admitted requests and hand the responses back to the
 /// event loop.  Latency is recorded from *admission* (request fully
 /// parsed and queued) so queue wait under load is visible, not hidden.
+/// A panicking handler is contained to its job (see [`contain_panic`]):
+/// the worker answers `500` and moves on to the next job.
 fn worker_loop(shared: &Shared) {
     while let Some(mut job) = next_job(shared) {
         let picked = Instant::now();
         job.trace.span(Stage::QueueWait, job.admitted, picked, "");
         let spans_before = job.trace.span_count();
-        let (response, shutdown_after) = route(shared, &job.request, &mut job.trace);
+        let mut explain = job.explain.take();
+        if let Some(call) = explain.as_mut() {
+            call.skip_queue_wait(job.admitted, picked);
+        }
+        let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            route(shared, &job.request, explain, &mut job.trace)
+        }));
+        let (response, shutdown_after) = match routed {
+            Ok(routed) => routed,
+            Err(payload) => (
+                contain_panic(shared, &*payload, picked, &mut job.trace),
+                false,
+            ),
+        };
         if job.trace.span_count() == spans_before {
             // A handler without internal instrumentation (healthz, models,
             // stats, errors…) still gets one whole-handler execute span so
@@ -508,6 +546,44 @@ fn worker_loop(shared: &Shared) {
                 trace: job.trace,
             });
         let _ = shared.poller.notify();
+    }
+}
+
+/// Turns a caught handler panic into its request's answer: a `500`, an
+/// execute span from `since` naming the panic on the request's trace, and
+/// one more `xinsight_worker_panics_total`.  Locks the handler held were
+/// released by the unwind, and the result cache, registry and single-
+/// flight table all stay coherent across it, so the thread that caught the
+/// panic keeps serving.
+fn contain_panic(
+    shared: &Shared,
+    payload: &(dyn std::any::Any + Send),
+    since: Instant,
+    trace: &mut TraceBuilder,
+) -> Response {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    trace.span(
+        Stage::Execute,
+        since,
+        Instant::now(),
+        format!("panic: {message}"),
+    );
+    shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+    Response::error(500, "internal error: the request handler panicked")
+}
+
+/// Test-only fault injection for the panic-containment tests: a request
+/// carrying the `x-inject-panic` header panics inside whichever handler
+/// path picks it up — the loop-side explain path or a worker's route —
+/// in the same window a real handler bug would.
+#[cfg(test)]
+fn inject_fault(request: &Request) {
+    if let Some(message) = request.header("x-inject-panic") {
+        panic!("injected fault: {message}");
     }
 }
 
@@ -567,18 +643,30 @@ fn count_response(shared: &Shared, response: &Response) {
     }
 }
 
-/// Routes one request; the boolean asks the worker to begin shutdown after
-/// writing the response.  Handlers with internal stage attribution record
-/// spans on `trace`; the rest are covered by the worker's whole-handler
-/// execute span.
-fn route(shared: &Shared, request: &Request, trace: &mut TraceBuilder) -> (Response, bool) {
-    // Routing is query-string agnostic: `/v2/graph?model=m` is the
-    // `/v2/graph` endpoint.  Handlers that take parameters receive the raw
-    // query part.
-    let (path, query) = match request.path.split_once('?') {
+/// Splits a request target into its path and raw query string.  Routing
+/// is query-string agnostic: `/v2/graph?model=m` is the `/v2/graph`
+/// endpoint, and handlers that take parameters receive the query part.
+fn split_target(target: &str) -> (&str, Option<&str>) {
+    match target.split_once('?') {
         Some((path, query)) => (path, Some(query)),
-        None => (request.path.as_str(), None),
-    };
+        None => (target, None),
+    }
+}
+
+/// Routes one request; the boolean asks the worker to begin shutdown after
+/// writing the response.  `explain` is the call the event loop already
+/// decoded and looked up for a single-query explain route.  Handlers with
+/// internal stage attribution record spans on `trace`; the rest are
+/// covered by the worker's whole-handler execute span.
+fn route(
+    shared: &Shared,
+    request: &Request,
+    explain: Option<Box<ExplainCall>>,
+    trace: &mut TraceBuilder,
+) -> (Response, bool) {
+    #[cfg(test)]
+    inject_fault(request);
+    let (path, query) = split_target(&request.path);
     // xlint-endpoints: begin(route) — the routing match is the ground truth
     // for the endpoint inventory; add new routes inside the markers.
     match (request.method.as_str(), path) {
@@ -586,11 +674,21 @@ fn route(shared: &Shared, request: &Request, trace: &mut TraceBuilder) -> (Respo
         // model, cache or registry is touched, so it stays cheap and honest
         // even while every engine is busy.
         ("GET", "/healthz") => (Response::json(200, "{\"ok\":true}"), false),
-        ("POST", "/explain") => (handle_explain(shared, &request.body, trace), false),
-        ("POST", "/explain_batch") => (handle_explain_batch(shared, &request.body, trace), false),
-        ("POST", "/v2/explain") => (handle_explain_v2(shared, &request.body, trace), false),
+        ("POST", "/explain") => {
+            let single = explain_single(shared, WireVersion::V1, &request.body, explain, trace);
+            (single, false)
+        }
+        ("POST", "/explain_batch") => {
+            let batch = explain_batch(shared, WireVersion::V1, &request.body, trace);
+            (batch, false)
+        }
+        ("POST", "/v2/explain") => {
+            let single = explain_single(shared, WireVersion::V2, &request.body, explain, trace);
+            (single, false)
+        }
         ("POST", "/v2/explain_batch") => {
-            (handle_explain_batch_v2(shared, &request.body, trace), false)
+            let batch = explain_batch(shared, WireVersion::V2, &request.body, trace);
+            (batch, false)
         }
         ("POST", "/v2/ingest") => (handle_ingest_v2(shared, &request.body, trace), false),
         ("GET", "/v2/graph") => (handle_graph_v2(shared, query, trace), false),
@@ -732,10 +830,12 @@ impl CacheOutcome {
     }
 }
 
-/// Resolves a cacheable explain against the result cache, attempting
-/// prefix promotion when the cache surfaces a candidate.
-fn lookup_or_promote(shared: &Shared, model: &LoadedModel, key: &CacheKey) -> CacheOutcome {
-    match shared.cache.lookup(key, &model.fingerprint, model.dict_len) {
+/// Turns one [`ResultCache::lookup`] verdict into a cache outcome: an
+/// exact hit or a miss stands as it is (both already counted), and a
+/// prefix candidate is promoted when the suffix segments provably cannot
+/// change the answer, else recomputed through the merge path.
+fn resolve(shared: &Shared, model: &LoadedModel, key: &CacheKey, lookup: Lookup) -> CacheOutcome {
+    match lookup {
         Lookup::Hit(value) => CacheOutcome::Hit(value),
         Lookup::Prefix {
             prefix,
@@ -831,15 +931,235 @@ impl WireVersion {
     }
 }
 
+/// One explain request, decoded once: the wire generation, the model
+/// snapshot it is answered against, the request options, and each query's
+/// cache key with its [`ResultCache::lookup`] verdict.  Built by
+/// [`look_up`]; a single-query call that is not an exact hit rides its
+/// [`Job`] to a worker, so no request is decoded twice and no lookup is
+/// counted twice in the result-cache tiers.
+pub(crate) struct ExplainCall {
+    version: WireVersion,
+    /// The handler clock's origin (v2 `elapsed_us`): when decoding began,
+    /// moved past any admission-queue wait by [`worker_loop`].
+    started: Instant,
+    model: Arc<LoadedModel>,
+    options: wire::RequestOptions,
+    lookups: Vec<(CacheKey, Lookup)>,
+}
+
+impl ExplainCall {
+    /// Moves the handler clock past the admission-queue wait, so v2's
+    /// `elapsed_us` reports decode, lookup and engine time alike whether
+    /// the call was decoded on the loop or on a worker.
+    fn skip_queue_wait(&mut self, admitted: Instant, picked: Instant) {
+        let waited = picked.saturating_duration_since(admitted);
+        self.started = self.started.checked_add(waited).unwrap_or(picked);
+    }
+}
+
+/// A decoded explain body: model id, queries in order, and the options
+/// applied to each.
+type Decoded = Result<(String, Vec<WhyQuery>, wire::RequestOptions)>;
+
+/// Decodes a single-query explain body (`POST /explain` or
+/// `POST /v2/explain`).
+fn decode_single(version: WireVersion, body: &[u8]) -> Decoded {
+    match version {
+        WireVersion::V1 => {
+            // xlint: allow(no-alloc-hot-path, query decode: the parsed query moves into its one-slot list)
+            wire::ExplainV1::parse(body).map(|r| (r.model, vec![r.query], Default::default()))
+        }
+        WireVersion::V2 => {
+            // xlint: allow(no-alloc-hot-path, query decode: the parsed query moves into its one-slot list)
+            wire::ExplainV2::parse(body).map(|r| (r.model, vec![r.query], r.options))
+        }
+    }
+}
+
+/// Decode → key → lookup, the front half of every explain: resolves the
+/// model, builds one cache key per query and looks each one up, exactly
+/// once (exact hits and misses are counted here; a prefix candidate is
+/// counted when [`explain_core`] resolves it).  A decode error or an
+/// unknown model comes back as the route's error response.
+fn look_up(
+    shared: &Shared,
+    version: WireVersion,
+    started: Instant,
+    decoded: Decoded,
+) -> std::result::Result<ExplainCall, Response> {
+    let (model_id, queries, options) = decoded.map_err(|e| version.error(&e))?;
+    let Some(model) = shared.registry.get(&model_id) else {
+        return Err(version.model_not_found(&model_id));
+    };
+    let suffix = version.cache_suffix(&options);
+    let lookups = queries
+        .into_iter()
+        .map(|query| {
+            let key = CacheKey {
+                // xlint: allow(no-alloc-hot-path, key build: the cache key owns its model id)
+                model: model.id.clone(),
+                query,
+                // xlint: allow(no-alloc-hot-path, key build: the cache key owns its options suffix)
+                options: suffix.clone(),
+            };
+            let lookup = shared
+                .cache
+                .lookup(&key, &model.fingerprint, model.dict_len);
+            (key, lookup)
+        })
+        .collect();
+    Ok(ExplainCall {
+        version,
+        started,
+        model,
+        options,
+        lookups,
+    })
+}
+
+/// The single-query envelope (`/explain` or `/v2/explain`) around one
+/// answered slot, counted on its route counter.  The event loop renders
+/// exact hits with it and [`explain_core`] everything else, so both paths
+/// serve the same bytes.  v2's `elapsed_us` is the handler wall-clock
+/// from `started` (decode, lookup, engine), so cached and uncached
+/// answers are comparable.
+fn render_single(
+    shared: &Shared,
+    version: WireVersion,
+    model: &str,
+    slot: &wire::BatchSlotV2,
+    started: Instant,
+) -> Response {
+    match version {
+        WireVersion::V1 => {
+            shared.stats.explain.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+            let body = wire::explain_response(model, slot.cached, &slot.result);
+            Response::json(200, body)
+        }
+        WireVersion::V2 => {
+            shared.stats.explain_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+            let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+            let body = wire::explain_v2_response(
+                model,
+                slot.cached,
+                slot.deadline_hit,
+                elapsed_us,
+                slot.provenance.as_ref(),
+                &slot.result,
+            );
+            Response::json(200, body)
+        }
+    }
+}
+
+/// The largest explain body the event loop decodes itself.  A single Why
+/// Query is a few hundred bytes; a bigger body is decoded on a worker, so
+/// one oversized request cannot stall every other connection while it
+/// parses.
+const LOOP_BODY_LIMIT: usize = 16 * 1024;
+
+/// What the event loop does with a framed request.
+pub(crate) enum OnLoop {
+    /// Answered on the loop thread, accounting and trace done: stage it.
+    Answered(Response),
+    /// Needs a worker: admit it, carrying this decoded explain (if any).
+    Queue(Option<Box<ExplainCall>>),
+}
+
+/// The event loop's first look at a framed request.  A single-query
+/// explain (`POST /explain`, `POST /v2/explain`) with a body of at most
+/// [`LOOP_BODY_LIMIT`] bytes is decoded, keyed and looked up right here:
+/// an exact hit is rendered by [`render_single`] and answered without
+/// leaving the loop thread, as is a body that fails to decode or names an
+/// unknown model.  Everything else — misses, prefix candidates, every
+/// other route — is handed back to be queued, a miss together with its
+/// decoded call.
+///
+/// The loop answers, so the loop accounts: status, `stats.latency` (from
+/// `framed`, the loop's admission instant) and the error counters, plus
+/// `xinsight_loop_hits_total` for a hit.  The trace gets the worker
+/// path's vocabulary: a zero-length `queue_wait`, `cache_lookup` (decode,
+/// key and lookup) and `serialize`; a queued miss carries just its
+/// `cache_lookup`.  A panic anywhere in here is contained like a worker's
+/// (see [`contain_panic`]): the event loop, and with it the whole server,
+/// keeps running.
+pub(crate) fn serve_on_loop(
+    shared: &Shared,
+    request: &Request,
+    framed: Instant,
+    trace: &mut TraceBuilder,
+) -> OnLoop {
+    let version = match (request.method.as_str(), split_target(&request.path).0) {
+        ("POST", "/explain") => WireVersion::V1,
+        ("POST", "/v2/explain") => WireVersion::V2,
+        _ => return OnLoop::Queue(None),
+    };
+    if request.body.len() > LOOP_BODY_LIMIT {
+        return OnLoop::Queue(None);
+    }
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        #[cfg(test)]
+        inject_fault(request);
+        let call = match look_up(
+            shared,
+            version,
+            framed,
+            decode_single(version, &request.body),
+        ) {
+            Ok(call) => call,
+            Err(response) => {
+                trace.span(Stage::QueueWait, framed, framed, "");
+                trace.span(Stage::Execute, framed, Instant::now(), "");
+                return OnLoop::Answered(response);
+            }
+        };
+        let looked_up = Instant::now();
+        let hit = match call.lookups.as_slice() {
+            [(_, Lookup::Hit(value))] => Arc::clone(value),
+            lookups => {
+                let tier = match lookups {
+                    [(_, Lookup::Miss)] => "miss",
+                    _ => "prefix",
+                };
+                trace.span(Stage::CacheLookup, framed, looked_up, tier);
+                // xlint: allow(no-alloc-hot-path, a miss leaves the loop anyway; the box is its hand-off to the job)
+                return OnLoop::Queue(Some(Box::new(call)));
+            }
+        };
+        trace.span(Stage::QueueWait, framed, framed, "");
+        trace.span(Stage::CacheLookup, framed, looked_up, "hit");
+        let slot = wire::BatchSlotV2 {
+            cached: true,
+            deadline_hit: false,
+            provenance: None,
+            result: hit,
+        };
+        let response = render_single(shared, version, &call.model.id, &slot, call.started);
+        trace.span(Stage::Serialize, looked_up, Instant::now(), "");
+        shared.stats.loop_hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+        OnLoop::Answered(response)
+    }));
+    let response = match served {
+        Ok(OnLoop::Answered(response)) => response,
+        Ok(queued) => return queued,
+        Err(payload) => contain_panic(shared, &*payload, framed, trace),
+    };
+    trace.set_status(response.status);
+    shared.stats.latency.record(framed.elapsed());
+    count_response(shared, &response);
+    OnLoop::Answered(response)
+}
+
 /// The one explain path behind all four explain routes.  `call` is the
-/// parsed request: model id, queries in order, and the options applied to
-/// each.  Every query is resolved against the result cache (exact hit or
-/// prefix promotion); the rest run as one engine batch through the model's
-/// persistent [`SelectionCache`](xinsight_core::SelectionCache).  Each fresh
-/// answer is accounted (a merge-tier recompute cut by its deadline counts as
-/// a miss), cached unless its deadline was hit, and encoded into its slot.
+/// decoded request with every query's lookup verdict (see [`look_up`]).
+/// Each verdict is resolved (exact hit, prefix promotion, merge or miss);
+/// the rest run as one engine batch through the model's persistent
+/// [`SelectionCache`](xinsight_core::SelectionCache).  Each fresh answer
+/// is accounted (a merge-tier recompute cut by its deadline counts as a
+/// miss), cached unless its deadline was hit, and encoded into its slot.
 /// `render` turns the model id and the slots into the route's envelope; it
-/// runs only on success, so the counters it bumps rise only then.
+/// runs only on success, so the counters it bumps rise only then.  The
+/// `cache_lookup` span runs from `lookup_started`.
 ///
 /// Single-flight ([`Flights`]) applies when exactly one slot needs the
 /// engine, which covers every single-query request.  A batch with two or
@@ -848,30 +1168,23 @@ impl WireVersion {
 /// [`FLIGHT_WAIT_LIMIT`].
 fn explain_core(
     shared: &Shared,
-    call: Result<(String, Vec<WhyQuery>, wire::RequestOptions)>,
-    version: WireVersion,
+    call: ExplainCall,
+    lookup_started: Instant,
     trace: &mut TraceBuilder,
     render: impl FnOnce(&str, &[wire::BatchSlotV2]) -> Response,
 ) -> Response {
-    let (model_id, queries, options) = match call {
-        Ok(call) => call,
-        Err(e) => return version.error(&e),
-    };
-    let Some(model) = shared.registry.get(&model_id) else {
-        return version.model_not_found(&model_id);
-    };
-    let single = queries.len() == 1;
-    let suffix = version.cache_suffix(&options);
-    let lookup_started = Instant::now();
-    let mut lookups: Vec<(CacheKey, CacheOutcome)> = queries
+    let ExplainCall {
+        version,
+        model,
+        options,
+        lookups,
+        ..
+    } = call;
+    let single = lookups.len() == 1;
+    let mut lookups: Vec<(CacheKey, CacheOutcome)> = lookups
         .into_iter()
-        .map(|query| {
-            let key = CacheKey {
-                model: model.id.clone(),
-                query,
-                options: suffix.clone(),
-            };
-            let outcome = lookup_or_promote(shared, &model, &key);
+        .map(|(key, lookup)| {
+            let outcome = resolve(shared, &model, &key, lookup);
             (key, outcome)
         })
         .collect();
@@ -882,7 +1195,8 @@ fn explain_core(
         (Some((key, outcome)), None) => match shared.flights.claim(key) {
             Some(flight) => (Some(flight), "owner"),
             None => {
-                *outcome = lookup_or_promote(shared, &model, key);
+                let lookup = shared.cache.lookup(key, &model.fingerprint, model.dict_len);
+                *outcome = resolve(shared, &model, key, lookup);
                 (None, "follower")
             }
         },
@@ -972,58 +1286,75 @@ fn explain_core(
 /// with other than one slot.
 const NOT_ONE_SLOT: &str = "explain answered other than one slot for one query";
 
-/// `POST /explain` (v1): default options, the bare explanation array.
-fn handle_explain(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
-    let call = wire::ExplainV1::parse(body).map(|r| (r.model, vec![r.query], Default::default()));
-    explain_core(shared, call, WireVersion::V1, trace, |model, slots| {
-        let [slot] = slots else {
-            return Response::error(500, NOT_ONE_SLOT);
-        };
-        shared.stats.explain.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-        let body = wire::explain_response(model, slot.cached, &slot.result);
-        Response::json(200, body)
-    })
+/// `POST /explain` (v1: default options, the bare explanation array) and
+/// `POST /v2/explain` (per-request options, the self-describing
+/// envelope).  The event loop answers exact hits itself (see
+/// [`serve_on_loop`]) and hands everything else over already decoded and
+/// looked up as `carried`; a body too large for the loop to decode
+/// arrives without one and is decoded here.
+fn explain_single(
+    shared: &Shared,
+    version: WireVersion,
+    body: &[u8],
+    carried: Option<Box<ExplainCall>>,
+    trace: &mut TraceBuilder,
+) -> Response {
+    let lookup_started = Instant::now();
+    let call = match carried {
+        Some(call) => *call,
+        None => match look_up(
+            shared,
+            version,
+            lookup_started,
+            decode_single(version, body),
+        ) {
+            Ok(call) => call,
+            Err(response) => return response,
+        },
+    };
+    let started = call.started;
+    explain_core(
+        shared,
+        call,
+        lookup_started,
+        trace,
+        |model, slots| match slots {
+            [slot] => render_single(shared, version, model, slot, started),
+            _ => Response::error(500, NOT_ONE_SLOT),
+        },
+    )
 }
 
-/// `POST /explain_batch` (v1): default options for every query.
-fn handle_explain_batch(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
-    let call = wire::ExplainBatchV1::parse(body).map(|r| (r.model, r.queries, Default::default()));
-    explain_core(shared, call, WireVersion::V1, trace, |model, slots| {
-        count_batch(shared, &shared.stats.explain_batch, slots.len());
-        Response::json(200, wire::explain_batch_response(model, slots))
-    })
-}
-
-/// `POST /v2/explain`: per-request options in, the self-describing envelope
-/// out.  `elapsed_us` is the handler wall-clock from entry (parse, lookup,
-/// engine), so cached and uncached answers are comparable.
-fn handle_explain_v2(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
+/// `POST /explain_batch` (v1: default options) and `POST
+/// /v2/explain_batch` (one options object applied to every query).
+fn explain_batch(
+    shared: &Shared,
+    version: WireVersion,
+    body: &[u8],
+    trace: &mut TraceBuilder,
+) -> Response {
     let started = Instant::now();
-    let call = wire::ExplainV2::parse(body).map(|r| (r.model, vec![r.query], r.options));
-    explain_core(shared, call, WireVersion::V2, trace, |model, slots| {
-        let [slot] = slots else {
-            return Response::error(500, NOT_ONE_SLOT);
-        };
-        shared.stats.explain_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-        let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let body = wire::explain_v2_response(
-            model,
-            slot.cached,
-            slot.deadline_hit,
-            elapsed_us,
-            slot.provenance.as_ref(),
-            &slot.result,
-        );
-        Response::json(200, body)
-    })
-}
-
-/// `POST /v2/explain_batch`: one options object applied to every query.
-fn handle_explain_batch_v2(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
-    let call = wire::ExplainBatchV2::parse(body).map(|r| (r.model, r.queries, r.options));
-    explain_core(shared, call, WireVersion::V2, trace, |model, slots| {
-        count_batch(shared, &shared.stats.explain_batch_v2, slots.len());
-        Response::json(200, wire::explain_batch_v2_response(model, slots))
+    let decoded = match version {
+        WireVersion::V1 => {
+            wire::ExplainBatchV1::parse(body).map(|r| (r.model, r.queries, Default::default()))
+        }
+        WireVersion::V2 => {
+            wire::ExplainBatchV2::parse(body).map(|r| (r.model, r.queries, r.options))
+        }
+    };
+    let call = match look_up(shared, version, started, decoded) {
+        Ok(call) => call,
+        Err(response) => return response,
+    };
+    explain_core(shared, call, started, trace, |model, slots| match version {
+        WireVersion::V1 => {
+            count_batch(shared, &shared.stats.explain_batch, slots.len());
+            Response::json(200, wire::explain_batch_response(model, slots))
+        }
+        WireVersion::V2 => {
+            count_batch(shared, &shared.stats.explain_batch_v2, slots.len());
+            Response::json(200, wire::explain_batch_v2_response(model, slots))
+        }
     })
 }
 
@@ -1351,7 +1682,7 @@ mod tests {
     // thread::sleep allowed: tests pace real sockets and drain windows (see clippy.toml).
     #![allow(clippy::disallowed_methods)]
     use super::*;
-    use crate::client::HttpClient;
+    use crate::client::{explain_v2_body, HttpClient};
     use xinsight_core::json::Json;
     use xinsight_core::pipeline::XInsightOptions;
     use xinsight_core::WhyQuery;
@@ -2059,6 +2390,271 @@ mod tests {
         // The occupied worker and the queued request both still answer.
         assert_eq!(busy.recv().unwrap().status, 200);
         assert_eq!(queued.recv().unwrap().status, 200);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loop_served_hits_replay_the_cold_miss_bytes_and_count_once() {
+        let (handle, dir) = start_tiny("loop_bytes", ServerConfig::default());
+        let mut client = HttpClient::connect(handle.addr()).unwrap();
+        let query_json = tiny_query().to_json();
+        for (route, body) in [
+            (
+                "/explain",
+                format!("{{\"model\":\"tiny\",\"query\":{query_json}}}"),
+            ),
+            (
+                "/v2/explain",
+                explain_v2_body("tiny", &query_json, Some("{\"top_k\":2}")),
+            ),
+        ] {
+            let cold = client.post(route, &body).unwrap();
+            assert_eq!(cold.status, 200, "{route}: {}", cold.body);
+            let (cached, cold_bytes) = cached_answer(route, &cold.body);
+            assert!(!cached, "{route}: the first request is a miss");
+            let warm = client.post(route, &body).unwrap();
+            assert_eq!(warm.status, 200, "{route}: {}", warm.body);
+            let (cached, warm_bytes) = cached_answer(route, &warm.body);
+            assert!(cached, "{route}: the repeat is a hit");
+            assert_eq!(
+                warm_bytes, cold_bytes,
+                "{route}: a loop hit replays the miss's bytes"
+            );
+        }
+        // A body past the loop's decode limit is the same hit, served by a
+        // worker instead.
+        let padded = format!(
+            "{{\"model\":\"tiny\",{}\"query\":{query_json}}}",
+            " ".repeat(LOOP_BODY_LIMIT)
+        );
+        let resp = client.post("/explain", &padded).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(cached_flag(&resp.body));
+        let text = scrape(&mut client);
+        // Each hit was looked up once and answered once.
+        assert_eq!(metric(&text, "xinsight_loop_hits_total"), 2.0);
+        assert_eq!(
+            metric(&text, "xinsight_result_cache_total{tier=\"hit\"}"),
+            3.0
+        );
+        assert_eq!(
+            metric(&text, "xinsight_result_cache_total{tier=\"miss\"}"),
+            2.0
+        );
+        assert_eq!(metric(&text, "xinsight_result_cache_lookups_total"), 5.0);
+        for (endpoint, answered) in [("explain", 3.0), ("explain_v2", 2.0)] {
+            let series = format!("xinsight_requests_total{{endpoint=\"{endpoint}\"}}");
+            assert_eq!(metric(&text, &series), answered, "{endpoint}");
+        }
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tiers_reconcile_and_loop_hits_count_single_query_exact_hits() {
+        let (handle, dir) = start_tri("loop_tiers", ServerConfig::default());
+        let mut client = HttpClient::connect(handle.addr()).unwrap();
+        let query_json = tiny_query().to_json();
+        let v1 = explain_body("/explain", &query_json);
+        let batch = explain_body("/explain_batch", &query_json);
+        let v2 = explain_v2_body("tri", &query_json, None);
+        let mut ask = |route: &str, body: &str| {
+            let resp = client.post(route, body).unwrap();
+            assert_eq!(resp.status, 200, "{route}: {}", resp.body);
+            cached_answer(route, &resp.body).0
+        };
+        let ingest = |rows: &str| {
+            let mut client = HttpClient::connect(handle.addr()).unwrap();
+            let resp = client.ingest_v2("tri", rows).unwrap();
+            assert_eq!(resp.status, 200, "body: {}", resp.body);
+        };
+        assert!(!ask("/explain", &v1)); // miss
+        assert!(ask("/explain", &v1)); // exact hit, on the loop
+        assert!(ask("/explain_batch", &batch)); // exact hit, on a worker
+        assert!(!ask("/v2/explain", &v2)); // miss (v2 key)
+        assert!(ask("/v2/explain", &v2)); // exact hit, on the loop
+                                          // Rows the query never selects: the v1 entry is promoted on a
+                                          // worker, then replayed on the loop.
+        ingest("[{\"Location\":\"C\",\"Smoking\":\"No\",\"Severity\":1.5}]");
+        assert!(ask("/explain", &v1)); // prefix promotion
+        assert!(ask("/explain", &v1)); // exact hit, on the loop
+                                       // Rows inside S1: the merge path recomputes, then the loop replays.
+        ingest("[{\"Location\":\"A\",\"Smoking\":\"Yes\",\"Severity\":3.0}]");
+        assert!(!ask("/explain", &v1)); // merge
+        assert!(ask("/explain", &v1)); // exact hit, on the loop
+
+        let text = scrape(&mut client);
+        let tier = |name: &str| {
+            metric(
+                &text,
+                &format!("xinsight_result_cache_total{{tier=\"{name}\"}}"),
+            )
+        };
+        assert_eq!(tier("hit"), 5.0);
+        assert_eq!(tier("prefix_hit"), 1.0);
+        assert_eq!(tier("merged"), 1.0);
+        assert_eq!(tier("miss"), 2.0);
+        assert_eq!(
+            tier("hit") + tier("prefix_hit") + tier("merged") + tier("miss"),
+            metric(&text, "xinsight_result_cache_lookups_total"),
+            "every lookup lands in exactly one tier"
+        );
+        // Single-query exact hits only: the batch hit went to a worker and
+        // the promotion needed engine work.
+        assert_eq!(metric(&text, "xinsight_loop_hits_total"), 4.0);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cached_explains_are_answered_while_every_worker_is_busy() {
+        let (handle, dir) = start_tiny(
+            "loop_no_worker",
+            ServerConfig {
+                workers: 1,
+                queue_capacity: 1,
+                debug_endpoints: true,
+                ..ServerConfig::default()
+            },
+        );
+        let addr = handle.addr();
+        let query_json = tiny_query().to_json();
+        let v1 = format!("{{\"model\":\"tiny\",\"query\":{query_json}}}");
+        let v2 = explain_v2_body("tiny", &query_json, None);
+        let mut client = HttpClient::connect(addr).unwrap();
+        for (route, body) in [("/explain", &v1), ("/v2/explain", &v2)] {
+            assert_eq!(client.post(route, body).unwrap().status, 200, "{route}");
+        }
+        // Occupy the one worker, then fill the one-deep queue (see
+        // `admission_queue_backpressure_returns_503`).
+        let mut busy = HttpClient::connect(addr).unwrap();
+        busy.send("POST", "/debug/sleep", "{\"ms\":1500}").unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        let mut queued = HttpClient::connect(addr).unwrap();
+        queued
+            .send("POST", "/debug/sleep", "{\"ms\":1500}")
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        // Work that needs a worker is shed…
+        let mut third = HttpClient::connect(addr).unwrap();
+        assert_eq!(third.get("/models").unwrap().status, 503);
+        // …while cached explains never leave the loop.
+        for (route, body) in [("/explain", &v1), ("/v2/explain", &v2)] {
+            let resp = client.post(route, body).unwrap();
+            assert_eq!(resp.status, 200, "{route}: {}", resp.body);
+            assert!(cached_answer(route, &resp.body).0, "{route}");
+        }
+        assert_eq!(busy.recv().unwrap().status, 200);
+        assert_eq!(queued.recv().unwrap().status, 200);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pipelined_hits_are_answered_in_order_without_recursion() {
+        use std::io::{Read, Write};
+        let (handle, dir) = start_tiny("loop_pipeline", ServerConfig::default());
+        let body = format!(
+            "{{\"model\":\"tiny\",\"query\":{}}}",
+            tiny_query().to_json()
+        );
+        let mut client = HttpClient::connect(handle.addr()).unwrap();
+        let cold = client.post("/explain", &body).unwrap();
+        let expected = explanations_of(&cold.body);
+        // Thousands of hits in one burst, then a close: the loop serves
+        // them back to back from the parser buffer.
+        const N: usize = 3000;
+        let one = format!(
+            "POST /explain HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let burst = one.repeat(N) + "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+        let sender = std::thread::spawn(move || writer.write_all(burst.as_bytes()).unwrap());
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        sender.join().unwrap();
+        let text = String::from_utf8(raw).unwrap();
+        assert_eq!(text.matches("HTTP/1.1 200").count(), N + 1);
+        let explanations = format!("\"cached\":true,\"explanations\":{expected}}}");
+        assert_eq!(text.matches(&explanations).count(), N);
+        assert!(
+            text.ends_with("{\"ok\":true}"),
+            "the close request is answered last"
+        );
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sends one request with the fault-injection header on a fresh
+    /// connection and returns the raw response text.
+    fn send_faulty(addr: SocketAddr, method: &str, path: &str, body: &str, fault: &str) -> String {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: x\r\nX-Inject-Panic: {fault}\r\n\
+             Connection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw
+    }
+
+    #[test]
+    fn handler_panics_cost_one_request_not_a_thread() {
+        let (handle, dir) = start_tiny(
+            "panics",
+            ServerConfig {
+                workers: 1,
+                debug_endpoints: true,
+                ..ServerConfig::default()
+            },
+        );
+        let addr = handle.addr();
+        let body = format!(
+            "{{\"model\":\"tiny\",\"query\":{}}}",
+            tiny_query().to_json()
+        );
+        let mut client = HttpClient::connect(addr).unwrap();
+        assert_eq!(client.post("/explain", &body).unwrap().status, 200);
+        // More worker panics than there are workers: each is contained.
+        for _ in 0..3 {
+            let raw = send_faulty(addr, "GET", "/models", "", "worker");
+            assert!(raw.starts_with("HTTP/1.1 500"), "{raw}");
+        }
+        // A panic on the loop-side explain path costs the loop nothing.
+        let raw = send_faulty(addr, "POST", "/explain", &body, "loop");
+        assert!(raw.starts_with("HTTP/1.1 500"), "{raw}");
+        // The one worker and the loop both still serve.
+        assert_eq!(client.get("/models").unwrap().status, 200);
+        let hit = client.post("/explain", &body).unwrap();
+        assert_eq!(hit.status, 200, "{}", hit.body);
+        assert!(cached_flag(&hit.body));
+        let text = scrape(&mut client);
+        assert_eq!(metric(&text, "xinsight_worker_panics_total"), 4.0);
+        assert_eq!(
+            metric(&text, "xinsight_request_errors_total{class=\"server\"}"),
+            4.0
+        );
+        assert_eq!(metric(&text, "xinsight_workers"), 1.0);
+        assert!(
+            handle.threads.iter().all(|thread| !thread.is_finished()),
+            "no server thread died"
+        );
+        // Each panic is on the trace stream, named.
+        let traces = client.get("/debug/traces").unwrap().body;
+        assert_eq!(traces.matches("panic: injected fault: worker").count(), 3);
+        assert_eq!(traces.matches("panic: injected fault: loop").count(), 1);
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

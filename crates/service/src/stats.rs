@@ -143,6 +143,12 @@ pub struct ServerStats {
     pub server_errors: AtomicU64,
     /// Requests rejected with `503` by the admission queue.
     pub rejected: AtomicU64,
+    /// Single-query explains answered as exact result-cache hits on the
+    /// event-loop thread, without a worker.
+    pub loop_hits: AtomicU64,
+    /// Request-handler panics caught and answered `500` (on a worker, or
+    /// on the event loop's explain path).
+    pub worker_panics: AtomicU64,
     /// Connections the event loop has accepted, cumulatively.
     pub conn_accepted: AtomicU64,
     /// Currently open connections (gauge).
@@ -202,6 +208,8 @@ impl Default for ServerStats {
             client_errors: AtomicU64::new(0),
             server_errors: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            loop_hits: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
             conn_accepted: AtomicU64::new(0),
             conn_active: AtomicU64::new(0),
             conn_parked_idle: AtomicU64::new(0),
@@ -248,12 +256,23 @@ impl ServerStats {
     }
 
     /// Folds a completed request trace into the per-stage latency
-    /// histograms.  Called once per request by the event loop at write
-    /// completion; background traces (compaction) are published to the
-    /// trace store only and never pass through here.
+    /// histograms: one sample per stage the request passed through, the
+    /// sum of that stage's spans (a miss looked up on the event loop and
+    /// resolved on a worker records two `cache_lookup` spans, an ingest two
+    /// `execute` spans).  Called once per request by the event loop at
+    /// write completion; background traces (compaction) are published to
+    /// the trace store only and never pass through here.
     pub fn record_trace(&self, trace: &Trace) {
+        let mut per_stage: [Option<u64>; Stage::ALL.len()] = [None; Stage::ALL.len()];
         for span in &trace.spans {
-            self.stages[span.stage.index()].record(Duration::from_micros(span.duration_us));
+            if let Some(total) = per_stage.get_mut(span.stage.index()) {
+                *total = Some(total.unwrap_or(0).saturating_add(span.duration_us));
+            }
+        }
+        for (histogram, total) in self.stages.iter().zip(per_stage) {
+            if let Some(us) = total {
+                histogram.record(Duration::from_micros(us));
+            }
         }
     }
 }
@@ -337,5 +356,29 @@ mod tests {
         assert_eq!(stats.stages[Stage::Execute.index()].count(), 1);
         assert_eq!(stats.stages[Stage::Serialize.index()].count(), 0);
         assert_eq!(stats.stages[Stage::Parse.index()].sum_us(), 10);
+    }
+
+    #[test]
+    fn repeated_stage_spans_record_one_sample_per_request() {
+        use crate::trace::{Stage, TraceBuilder};
+        let stats = ServerStats::default();
+        let epoch = Instant::now();
+        let at = |us: u64| epoch + Duration::from_micros(us);
+        let mut tb = TraceBuilder::begin(1, epoch, "POST /explain".to_owned());
+        // A miss: looked up on the loop, queued, resolved on a worker.
+        tb.span(Stage::Parse, epoch, at(5), "");
+        tb.span(Stage::CacheLookup, at(5), at(9), "miss");
+        tb.span(Stage::QueueWait, at(9), at(30), "");
+        tb.span(Stage::CacheLookup, at(30), at(32), "miss,flight=owner");
+        tb.span(Stage::Execute, at(32), at(500), "");
+        stats.record_trace(&tb.finish(at(520)));
+        let lookup = &stats.stages[Stage::CacheLookup.index()];
+        assert_eq!(lookup.count(), 1, "one request, one cache_lookup sample");
+        assert_eq!(
+            lookup.sum_us(),
+            6,
+            "the sample is the request's whole lookup time"
+        );
+        assert_eq!(stats.stages[Stage::Serialize.index()].count(), 0);
     }
 }

@@ -21,7 +21,11 @@
 //! The event loop assigns the trace id at framing and records the parse
 //! span; the worker records queue-wait and the handler-side spans; the
 //! event loop closes the trace when the response's last byte is accepted
-//! by the socket.  Span starts are offsets from the trace epoch, so spans
+//! by the socket.  A single-query explain is decoded and looked up on the
+//! event loop first: an exact hit, answered right there, records a
+//! zero-length queue-wait, its cache-lookup and its serialize span on the
+//! loop; a miss records its loop-side cache-lookup, then goes the worker
+//! way (so its trace holds two cache-lookup spans).  Span starts are offsets from the trace epoch, so spans
 //! are monotonic by construction and sequential spans never overlap; the
 //! gaps between them (completion hand-off, poller wake-ups) are visible as
 //! exactly that — gaps.
@@ -50,6 +54,11 @@ pub const RING_CAPACITY: usize = 256;
 
 /// Slow traces retained in the reservoir regardless of ring churn.
 pub const SLOW_CAPACITY: usize = 64;
+
+/// Spans a request trace reserves room for: every stage once, plus the two
+/// stages a request can record twice (`cache_lookup` for a miss looked up
+/// on the event loop and resolved on a worker, `execute` for an ingest).
+const SPANS_PER_TRACE: usize = Stage::ALL.len() + 2;
 
 /// One stage of the request lifecycle.  The set is closed on purpose: each
 /// stage has a per-stage latency histogram in `/metrics`, and a bounded
@@ -202,7 +211,7 @@ impl TraceBuilder {
             endpoint: endpoint.into(),
             status: 0,
             // xlint: allow(no-alloc-hot-path, one bounded spans buffer per request sized at admission)
-            spans: Vec::with_capacity(Stage::ALL.len()),
+            spans: Vec::with_capacity(SPANS_PER_TRACE),
         }
     }
 

@@ -5,7 +5,7 @@
 #   scripts/bench_ab.sh [--workload W] [--pairs N] [--seed S] [--seconds T]
 #                       [--ref REV] [--dir DIR] [-- XBENCH_ARGS...]
 #
-# * Builds REV from a temporary `git worktree` and the working tree, each
+# * Builds REV from a `git archive` export and the working tree, each
 #   into its own CARGO_TARGET_DIR under DIR (default: a fresh temporary
 #   directory, removed on exit; a given DIR is kept, so later runs reuse
 #   its builds).  Nothing is written into the source tree, and xbench/ is
@@ -51,14 +51,16 @@ else
 fi
 checkout="$dir/ref-src"
 cleanup() {
-    git -C "$root" worktree remove --force "$checkout" >/dev/null 2>&1 || true
-    git -C "$root" worktree prune >/dev/null 2>&1 || true
+    rm -rf "$checkout"
     if [[ $keep == 0 ]]; then rm -rf "$dir"; fi
 }
 trap cleanup EXIT
 
-git -C "$root" worktree remove --force "$checkout" >/dev/null 2>&1 || true
-git -C "$root" worktree add --quiet --detach "$checkout" "$ref"
+# An export, not a worktree: nothing is registered in the repository, so
+# an interrupted run leaves no state behind in .git.
+rm -rf "$checkout"
+mkdir -p "$checkout"
+git -C "$root" archive "$ref" | tar -x -C "$checkout"
 
 build() { # build SOURCE_DIR TARGET_DIR
     echo "bench_ab: building $1" >&2
