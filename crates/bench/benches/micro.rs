@@ -293,9 +293,9 @@ fn bench_baselines(c: &mut Criterion) {
 
 /// The serving layer's per-request building blocks: canonical query
 /// serialization (the wire format *and* the LRU key), result-cache hits,
-/// and inserts under eviction pressure.  The end-to-end served-throughput
-/// numbers live in `BENCH_serve.json` (the `loadgen` bench binary); these
-/// isolate the cache path that turns a repeated query into a hash lookup.
+/// and inserts under eviction pressure.  The end-to-end serving numbers
+/// come from the xbench benchmark (`BENCHMARK.json`); these isolate the
+/// cache path that turns a repeated query into a hash lookup.
 fn bench_serving_layer(c: &mut Criterion) {
     use xinsight_service::lru::{CacheKey, ResultCache};
 

@@ -3,7 +3,7 @@
 //! Loads model bundles from a directory (optionally fitting and saving
 //! demo bundles first), binds the HTTP server and runs until a graceful
 //! shutdown (`POST /admin/shutdown`).  Exits 0 on a clean shutdown, which
-//! the verify-script smoke test asserts.
+//! the serving smoke test (`tests/serve_binary.rs`) asserts.
 //!
 //! ```text
 //! xinsight-serve --models DIR [--addr 127.0.0.1:7878] [--workers N]
@@ -21,7 +21,7 @@
 //!
 //! `--demo` fits the named demo models (`syn_a`, `flight`) and saves them
 //! as bundles into the models directory before serving — the zero-to-
-//! serving path used by the smoke test and the `loadgen --spawn` bench.
+//! serving path used by the smoke test and the xbench benchmark.
 //! Thread pinning follows the engine convention: `XINSIGHT_THREADS` sizes
 //! both the rayon pool and (by default) the worker pool.  Served engines
 //! always answer each request serially (the worker pool is the one level

@@ -1,8 +1,8 @@
 //! A minimal blocking HTTP/1.1 client for the serving layer's own wire
 //! format.
 //!
-//! Exists for the closed-loop [`loadgen`](../..) clients, the verify-script
-//! smoke test and the integration tests — all of which need keep-alive
+//! Exists for the serving smoke test against the real `xinsight-serve`
+//! binary and the integration tests — all of which need keep-alive
 //! request/response exchanges against [`crate::server`] without any
 //! external tooling (the build is offline; `curl` may not exist in the
 //! container).  It speaks exactly the subset [`crate::http`] serves.

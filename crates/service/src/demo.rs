@@ -1,8 +1,8 @@
 //! Demo model bundles and deterministic query pools.
 //!
 //! The serving layer needs real, fitted models to exercise — for the
-//! `xinsight-serve --demo` flag, the verify-script smoke test, the
-//! `loadgen` bench and the integration tests.  This module builds them
+//! `xinsight-serve --demo` flag, the serving smoke test, the xbench
+//! benchmark and the integration tests.  This module builds them
 //! from the workspace's own generators: a SYN-A instance augmented with a
 //! synthetic measure (SYN-A data is purely categorical, but a Why Query
 //! aggregates a measure), and the FLIGHT case-study simulator.

@@ -48,12 +48,10 @@
 //!   monotonic clock — kept in a bounded ring plus a slow-trace reservoir
 //!   (`--trace-slow-ms`) behind `GET /debug/traces`;
 //! * [`demo`] — fitted SYN-A / FLIGHT demo bundles and deterministic
-//!   query pools for the smoke test and the `loadgen` bench.
+//!   query pools for the smoke test and the xbench benchmark.
 //!
-//! Two binaries ship with the crate: `xinsight-serve` (the server) and
-//! `loadgen` (closed-loop concurrent clients plus coordinated-omission-free
-//! open-loop arrival schedules, emitting `BENCH_serve.json`).  See the
-//! README's serving quickstart.
+//! The crate ships one binary, `xinsight-serve` (the server); its smoke
+//! test is `tests/serve_binary.rs`.  See the README's serving quickstart.
 //!
 //! ## Endpoints
 //!

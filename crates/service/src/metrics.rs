@@ -21,9 +21,9 @@
 //!
 //! [`validate_exposition`] is a small independent checker for the format
 //! (comment/type/sample grammar, histogram bucket monotonicity, `_count`
-//! against the `+Inf` bucket).  `loadgen` runs every scrape through it, and
-//! the `verify.sh` smoke does the same, so a malformed exposition fails
-//! loudly instead of silently breaking a scraper.  [`series_value`] reads
+//! against the `+Inf` bucket).  The unit tests and the serving smoke test
+//! against the real binary run their scrapes through it, so a malformed
+//! exposition fails loudly instead of silently breaking a scraper.  [`series_value`] reads
 //! one sample back off the text.
 
 // HashMap here never leaks iteration order into output: exposition-validator scratch tables; never iterated into output (see clippy.toml).

@@ -464,8 +464,8 @@ impl ModelRegistry {
 
 /// Serializes the first `limit` raw rows of a dataset as `/v2/ingest`-shaped
 /// JSON row objects — the ingest templates `GET /models` advertises so wire
-/// clients (smoke test, `loadgen --ingest-mix`) can write without knowing
-/// the schema out of band.
+/// clients (the serving smoke test) can write without knowing the schema
+/// out of band.
 fn example_rows_of(data: &Dataset, limit: usize) -> Vec<String> {
     (0..data.n_rows().min(limit))
         .map(|row| {

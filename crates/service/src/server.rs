@@ -112,9 +112,8 @@ pub struct ServerConfig {
     /// Hard cap on concurrently open connections; accepts beyond it are
     /// answered `503` and closed immediately.
     pub max_connections: usize,
-    /// Enables `POST /debug/sleep`, a worker-occupying endpoint tests and
-    /// the loadgen overload scenario use to saturate the pool
-    /// deterministically, and `GET /debug/traces`, the per-request trace
+    /// Enables `POST /debug/sleep`, a worker-occupying endpoint tests use
+    /// to saturate the pool deterministically, and `GET /debug/traces`, the per-request trace
     /// view.  Off by default: neither must ever ship reachable.
     pub debug_endpoints: bool,
     /// Requests at least this many milliseconds end to end are retained in
@@ -780,8 +779,7 @@ fn handle_traces(shared: &Shared) -> Response {
 
 /// `POST /debug/sleep` (only with [`ServerConfig::debug_endpoints`]):
 /// occupies this worker for `{"ms": N}` milliseconds, capped at 60s — a
-/// deterministic way for tests and the loadgen overload scenario to
-/// saturate the pool and fill the admission queue without depending on
+/// deterministic way for tests to saturate the pool and fill the admission queue without depending on
 /// engine timing.
 // thread::sleep allowed: occupying the worker is this endpoint's purpose
 // (see clippy.toml).

@@ -7,7 +7,7 @@
 //! 16 sub-buckets per power of two above, so any bucket edge is within
 //! 6.25 % of the true value.  `/metrics` publishes a coarse `le` ladder
 //! snapped to those edges, so its cumulative counts stay exact.  The
-//! `loadgen` bench reports *exact* percentiles from its own recorded
+//! xbench benchmark reports *exact* percentiles from its own recorded
 //! samples; the histogram is for the live endpoint.
 
 use crate::trace::{Stage, Trace};

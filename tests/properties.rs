@@ -2,9 +2,11 @@
 //! invariants, using proptest.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use xinsight::core::{SearchStrategy, WhyQuery, XPlainer, XPlainerOptions};
 use xinsight::data::{Aggregate, DatasetBuilder, Filter, Predicate, RowMask, Subspace};
 use xinsight::graph::{separation, Dag, MixedGraph};
+use xinsight::service::http::{HttpError, Request, RequestParser, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 
 // ---------------------------------------------------------------------------
 // RowMask algebra
@@ -335,6 +337,166 @@ proptest! {
         let full = query.delta(&data).unwrap();
         let over = query.delta_over(&data, &data.all_rows()).unwrap();
         prop_assert!((full - over).abs() < 1e-9);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// HTTP framing under hostile bytes
+// ---------------------------------------------------------------------------
+
+/// Offset one past the first empty line (`\n` or `\r\n`) in `bytes`: the
+/// end of a request head.
+fn head_end(bytes: &[u8]) -> Option<usize> {
+    let mut line_start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b'\n' {
+            if matches!(&bytes[line_start..i], [] | [b'\r']) {
+                return Some(i + 1);
+            }
+            line_start = i + 1;
+        }
+    }
+    None
+}
+
+/// Feeds `stream` to a fresh parser in chunks whose lengths cycle through
+/// `cuts`, framing every complete request after each feed.  Stops at the
+/// first framing error, which is terminal for a connection.  After every
+/// framing pass the bytes still buffered — the unconsumed tail of
+/// `stream` — must fit the parser's bounds: at most one head at its bound
+/// (with its blank-line terminator) followed by at most one body at its
+/// bound.
+fn frame_in_chunks(
+    stream: &[u8],
+    cuts: &[usize],
+) -> Result<(Vec<Request>, Option<HttpError>), TestCaseError> {
+    let mut parser = RequestParser::new();
+    let mut framed = Vec::new();
+    let (mut fed, mut cut) = (0, 0);
+    while fed < stream.len() {
+        let next = (fed + cuts[cut % cuts.len()]).min(stream.len());
+        cut += 1;
+        parser.feed(&stream[fed..next]);
+        fed = next;
+        loop {
+            match parser.try_parse() {
+                Ok(Some(request)) => framed.push(request),
+                Ok(None) => break,
+                Err(e) => {
+                    prop_assert!(
+                        matches!(e, HttpError::Malformed(_) | HttpError::TooLarge(_)),
+                        "framing error {e:?} is neither a 400 nor a 413/431"
+                    );
+                    return Ok((framed, Some(e)));
+                }
+            }
+        }
+        let waiting = &stream[fed - parser.buffered()..fed];
+        let head_bound = MAX_HEAD_BYTES + 2;
+        match head_end(waiting) {
+            None => prop_assert!(
+                waiting.len() <= head_bound,
+                "{} bytes buffered without a complete head",
+                waiting.len()
+            ),
+            Some(head) => prop_assert!(
+                head <= head_bound && waiting.len() < head + MAX_BODY_BYTES,
+                "{} bytes buffered behind a {head}-byte head",
+                waiting.len()
+            ),
+        }
+    }
+    Ok((framed, None))
+}
+
+/// One fragment of a hostile byte stream: valid and broken request lines,
+/// framing headers with sane, boundary, oversized and garbled lengths,
+/// chunked transfer-encoding, bare and CRLF line ends, non-UTF-8 bytes,
+/// arbitrary noise, and (a quarter of the draws) an unterminated header
+/// run half a head bound long, so two in a row push a head past its bound.
+fn hostile_fragment(pick: u8, noise: &[u8]) -> Vec<u8> {
+    match pick {
+        0 => b"GET /healthz HTTP/1.1\r\n".to_vec(),
+        1 => b"POST /explain HTTP/1.0\n".to_vec(),
+        2 => b"Content-Length: 5\r\n".to_vec(),
+        3 => format!("Content-Length: {MAX_BODY_BYTES}\r\n").into_bytes(),
+        4 => format!("content-length: {}\r\n", MAX_BODY_BYTES + 1).into_bytes(),
+        5 => b"Content-Length: 18446744073709551616\r\n".to_vec(),
+        6 => b"Transfer-Encoding: chunked\r\n".to_vec(),
+        7 => b"\r\n".to_vec(),
+        8 => b"\n".to_vec(),
+        9 => noise.to_vec(),
+        10 => b"\xff\xfe\xc3(\r\n".to_vec(),
+        11 => b"GET / HTTP/2.0\r\n".to_vec(),
+        12 => b"5\r\nhello\r\n0\r\n\r\n".to_vec(),
+        13 => b"no colon here\r\n".to_vec(),
+        _ => {
+            let mut pad = b"X-Pad: ".to_vec();
+            pad.resize(MAX_HEAD_BYTES / 2, b'a');
+            pad
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // Arbitrary bytes and a soup of hostile HTTP fragments, fed in random
+    // chunks, never panic the framer, only ever fail as a 400/413/431, and
+    // never leave more buffered than one bounded head plus one bounded
+    // body.
+    #[test]
+    fn request_parser_survives_hostile_bytes_within_bounds(
+        noise in prop::collection::vec(any::<u8>(), 0..2048),
+        picks in prop::collection::vec(0u8..19, 0..48),
+        cuts in prop::collection::vec(1usize..1500, 1..16),
+    ) {
+        frame_in_chunks(&noise, &cuts)?;
+        let soup: Vec<u8> = picks
+            .iter()
+            .flat_map(|&pick| hostile_fragment(pick, &noise[..noise.len().min(64)]))
+            .collect();
+        frame_in_chunks(&soup, &cuts)?;
+    }
+
+    // A valid pipelined stream of 1–4 requests, cut at random split points,
+    // frames exactly the requests that feeding it whole frames — and those
+    // are the requests that were sent.
+    #[test]
+    fn pipelined_requests_frame_the_same_at_any_split(
+        seeds in prop::collection::vec(any::<u64>(), 1..5),
+        payload in prop::collection::vec(any::<u8>(), 0..600),
+        cuts in prop::collection::vec(1usize..64, 1..12),
+    ) {
+        let mut stream = Vec::new();
+        let mut sent = Vec::new();
+        let mut rest = &payload[..];
+        for (k, &seed) in seeds.iter().enumerate() {
+            let method = ["GET", "POST", "PUT"][(seed % 3) as usize];
+            let path = format!("/p{}?k={k}", (seed >> 8) % 100);
+            let eol = if seed & (1 << 16) == 0 { "\r\n" } else { "\n" };
+            let (body, tail) = rest.split_at(((seed >> 20) as usize % 200).min(rest.len()));
+            rest = tail;
+            let length_name = if seed & (1 << 17) == 0 { "Content-Length" } else { "content-length" };
+            stream.extend_from_slice(format!("{method} {path} HTTP/1.1{eol}X-Seq: {k}{eol}").as_bytes());
+            if !body.is_empty() || seed & (1 << 18) == 0 {
+                stream.extend_from_slice(format!("{length_name}: {}{eol}", body.len()).as_bytes());
+            }
+            stream.extend_from_slice(eol.as_bytes());
+            stream.extend_from_slice(body);
+            sent.push((method.to_owned(), path, body.to_vec()));
+        }
+        let (whole, error) = frame_in_chunks(&stream, &[stream.len()])?;
+        prop_assert!(error.is_none(), "valid stream rejected: {error:?}");
+        let (split, error) = frame_in_chunks(&stream, &cuts)?;
+        prop_assert!(error.is_none(), "valid stream rejected when split: {error:?}");
+        // Request has no PartialEq; its Debug form shows every field.
+        prop_assert_eq!(format!("{split:?}"), format!("{whole:?}"));
+        let framed: Vec<(String, String, Vec<u8>)> = whole
+            .into_iter()
+            .map(|r| (r.method, r.path, r.body))
+            .collect();
+        prop_assert_eq!(framed, sent);
     }
 }
 
