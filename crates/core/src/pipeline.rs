@@ -13,7 +13,7 @@ use crate::persist::FittedModel;
 use crate::why_query::WhyQuery;
 use crate::xlearner::{XLearner, XLearnerOptions, XLearnerResult};
 use crate::xplainer::{
-    ExplanationCandidate, SearchStrategy, SelectionCache, XPlainer, XPlainerOptions,
+    CompiledQuery, ExplanationCandidate, SearchStrategy, SelectionCache, XPlainer, XPlainerOptions,
 };
 use crate::xtranslator::{translate, Translation};
 use rayon::prelude::*;
@@ -410,10 +410,11 @@ impl XInsight {
     /// answers.  Callers that own the cache can read
     /// [`SelectionCache::stats`] afterwards (the serving layer accumulates
     /// them into its `/metrics` endpoint) or share one cache across several
-    /// related batches.  The usual cache rules apply: one cache per dataset
-    /// (enforced by a fingerprint check), and entries are never evicted, so
-    /// scope a cache to a bounded working set rather than holding one
-    /// forever.
+    /// related batches.  The usual cache rules apply: one cache per store
+    /// lineage (any epoch of it; enforced by the cache's lineage latch),
+    /// and a cache grows up to its byte budget — unbounded for
+    /// [`SelectionCache::new`], so hold a long-lived cache only when it was
+    /// built with [`SelectionCache::with_budget`].
     pub fn execute_batch_with_cache(
         &self,
         requests: &[ExplainRequest],
@@ -448,12 +449,13 @@ impl XInsight {
     ) -> Result<ExplainResponse> {
         let started = Instant::now();
         let deadline = request.deadline().map(|budget| started + budget);
-        // Δ(D) once per request, replayed from the cache entries every
-        // search context below reads for its own Δ(D).
-        let (x, y) = request
-            .query()
-            .sibling_aggregates(&self.augmented, &cache)?;
+        // The query is compiled to cache ids and its Δ(D) read through the
+        // cache once per request; every attribute's search context below
+        // shares the oriented compilation.
+        let compiled = CompiledQuery::new(&self.augmented, request.query(), &cache)?;
+        let (x, y) = compiled.sibling_values();
         let (query, original_delta) = request.query().oriented_on(x, y);
+        let compiled = compiled.oriented();
         let translation = self.translation(&query);
         // `XInsightOptions::parallel` is the master switch for the whole
         // online phase (overridable per request); `xplainer.parallel` can
@@ -521,13 +523,14 @@ impl XInsight {
             }
             let (_, attribute, homogeneous) = target;
             xplainer
-                .explain_attribute_cached(
+                .explain_compiled(
                     &self.augmented,
                     &query,
                     attribute,
                     self.options.strategy,
                     *homogeneous,
                     Arc::clone(&cache),
+                    compiled.clone(),
                 )
                 .map(SearchOutcome::Done)
         };

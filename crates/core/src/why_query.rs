@@ -1,9 +1,9 @@
 //! Why Queries (Def. 2.1).
 
 use crate::json::Json;
-use crate::xplainer::SelectionCache;
 use xinsight_data::{
-    Aggregate, DataError, Dataset, Filter, Result, RowMask, SegmentedDataset, Subspace,
+    Aggregate, DataError, Dataset, Filter, MeasureStats, Result, RowMask, SegmentedDataset,
+    Subspace,
 };
 
 /// A Why Query `Δ_{s1, s2, M, agg}(D) = agg_M(D_{s1}) − agg_M(D_{s2})` over two
@@ -214,17 +214,15 @@ impl WhyQuery {
         }
     }
 
-    /// The two sibling aggregates `(x, y)` of `Δ(D) = x − y` over the whole
-    /// store, replayed from `cache` ([`SelectionCache::sibling_stats`]): the
-    /// one `Δ(D)` path of the pipeline and the search contexts.  Values and
-    /// errors match [`WhyQuery::delta_store`]; the cache's lineage latch is
-    /// checked first.
-    pub(crate) fn sibling_aggregates(
+    /// The aggregates `(x, y)` of `Δ(D) = x − y` from the sibling
+    /// statistics `(a1, a2)` over the whole store
+    /// ([`crate::xplainer::SelectionCache::sibling_stats`]); values and errors match
+    /// [`WhyQuery::delta_store`].
+    pub(crate) fn sibling_values(
         &self,
-        store: &SegmentedDataset,
-        cache: &SelectionCache,
+        a1: &MeasureStats,
+        a2: &MeasureStats,
     ) -> Result<(f64, f64)> {
-        let (a1, a2) = cache.sibling_stats(store, &self.measure, &self.s1, &self.s2)?;
         match (a1.value(self.aggregate), a2.value(self.aggregate)) {
             (Some(x), Some(y)) => Ok((x, y)),
             _ => Err(DataError::EmptyAggregate {
@@ -239,11 +237,18 @@ impl WhyQuery {
     /// as `y − x`, not as `−(x − y)`, so both parts are bit-identical to
     /// `oriented_store(..)?.delta_store(..)`, NaN sign included.
     pub(crate) fn oriented_on(&self, x: f64, y: f64) -> (WhyQuery, f64) {
-        if x - y >= 0.0 {
-            (self.clone(), x - y)
-        } else {
+        if WhyQuery::flips_on(x, y) {
             (self.flipped(), y - x)
+        } else {
+            (self.clone(), x - y)
         }
+    }
+
+    /// Whether [`WhyQuery::oriented_on`] swaps the siblings of a query with
+    /// sibling aggregates `(x, y)`: when `x − y` is negative or NaN.
+    pub(crate) fn flips_on(x: f64, y: f64) -> bool {
+        let delta = x - y;
+        delta < 0.0 || delta.is_nan()
     }
 
     /// The sibling-swapped query (`s1 ↔ s2`, foreground values swapped).
@@ -304,6 +309,7 @@ impl std::fmt::Display for WhyQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xplainer::{CompiledQuery, SelectionCache};
     use xinsight_data::{DatasetBuilder, Filter};
 
     fn data() -> Dataset {
@@ -475,9 +481,10 @@ mod tests {
                     .oriented_store(&store)
                     .and_then(|o| o.delta_store(&store).map(|d| (o, d)));
                 let cache = SelectionCache::new();
-                let cached = q
-                    .sibling_aggregates(&store, &cache)
-                    .map(|(x, y)| q.oriented_on(x, y));
+                let cached = CompiledQuery::new(&store, &q, &cache).map(|compiled| {
+                    let (x, y) = compiled.sibling_values();
+                    q.oriented_on(x, y)
+                });
                 if let Ok((o, delta)) = &cached {
                     flips += usize::from(*o != q);
                     nans += usize::from(delta.is_nan());

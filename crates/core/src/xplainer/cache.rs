@@ -3,31 +3,45 @@
 //!
 //! Every XPlainer strategy spends its time evaluating `Δ(D_P)` and
 //! `Δ(D − D_P)` terms, each of which aggregates the measure over
-//! *(sibling subspace mask) ∩ (predicate clause mask)* selections.  The same
-//! building blocks recur constantly: the SUM path's per-filter masks are
-//! re-probed by the AVG greedy rounds and by brute force, sibling-subspace
-//! masks are shared by **every** clause of **every** attribute, and a batch
-//! of Why Queries over the same store overlaps almost entirely.
+//! *(sibling subspace) ∩ (predicate clause)* selections.  The same building
+//! blocks recur constantly: the SUM path's single-filter terms are re-probed
+//! by the AVG greedy rounds and by brute force, sibling-subspace masks are
+//! shared by **every** clause of **every** attribute, and a batch of Why
+//! Queries over the same store overlaps almost entirely.
 //!
-//! [`SelectionCache`] memoizes both layers **per segment**:
+//! [`SelectionCache`] memoizes two layers **per segment**:
 //!
-//! * **masks** — one [`RowMask`] per `(segment, filter)`,
-//!   `(segment, subspace)` and `(segment, clause)`, each in the segment's
-//!   local row domain, stored behind `Arc` so concurrent searches share
-//!   them;
+//! * **side masks** — one [`RowMask`] per `(segment, sibling subspace)`, in
+//!   the segment's local row domain, behind `Arc` so concurrent searches
+//!   share them.  Only a partial-aggregate miss (and the serving layer's
+//!   suffix check) reads them;
 //! * **partial aggregates** — per
-//!   `(segment, side, measure, clause, complement)` the mergeable
+//!   `(segment, measure, side, attribute, clause, complement)` the mergeable
 //!   [`MeasureStats`] sufficient statistics, from which `Δ` under any
 //!   aggregate is derived arithmetically *after* merging the per-segment
 //!   partials in segment order.
 //!
-//! Keys carry the segment's process-unique id **and its seal epoch**.
-//! Both are immutable properties of a sealed segment, so an ingest — which
-//! only ever *adds* segments in a new snapshot — invalidates nothing:
-//! the new segment simply contributes additional cache keys, and every
-//! entry computed for older segments keeps answering across epochs.  A
-//! cheap lineage latch ([`SegmentedDataset::lineage`]) rejects reuse with a
-//! *different* store outright.
+//! **Keys are dense ids, not strings.**  Every key field is a small
+//! integer: the segment's process-unique id and seal epoch, the measure and
+//! the clause attribute as schema column indices, a side as its subspace's
+//! `(column, global dictionary code)` pairs in the subspace's canonical
+//! filter order, and a clause as a bitmap of global codes (a search
+//! context's filter index *is* the category's code).  A subspace value
+//! missing from the dictionary selects no rows, so all such values share
+//! one `ABSENT` code.  Sides of up to four filters and clauses over the
+//! first 256 codes of an attribute are stored inline; wider ones fall back
+//! to a boxed word list.  Nothing is interned: the id space is the store's
+//! own schema and dictionary, so client input cannot grow a side table.  A
+//! search context resolves its query to ids once ([`QueryIds`]), and a
+//! warm `Δ` probe hashes a few words per segment and allocates nothing.
+//!
+//! Segment ids and seal epochs are immutable properties of a sealed segment
+//! and dictionary codes are append-only, so an ingest — which only ever
+//! *adds* segments in a new snapshot — invalidates nothing: the new segment
+//! simply contributes additional keys, and every entry computed for older
+//! segments keeps answering across epochs.  A cheap lineage latch
+//! ([`SegmentedDataset::lineage`]) rejects reuse with a *different* store
+//! outright.
 //!
 //! Merging per-segment [`MeasureStats`] uses exact summation
 //! ([`xinsight_data::ExactSum`]), so the merged aggregate is bit-identical
@@ -46,42 +60,60 @@
 //! computed once per store segment and replayed by every later request and
 //! every attribute's context.
 //!
-//! Entries are never evicted: the cache grows with the number of *distinct*
-//! `(segment, clause)` pairs probed, which is what turns repeated `Δ` terms
-//! into replays.  For the optimized strategies that is O(m²) small entries
-//! per attribute per segment; brute force probes O(2^m) clauses, bounded by
-//! [`super::XPlainerOptions::max_brute_force_filters`] (the same knob that
-//! bounds its running time).  Scope a cache to a bounded working set.  Two
-//! scopes are in use today: a fresh cache per `execute_batch` call (the
-//! pipeline's default), and the serving layer's **per-model cache** held
-//! across requests *and across ingest* — legal because ingest preserves the
-//! store lineage, so a post-ingest request replays every older segment's
-//! partials and computes only the newly sealed segment: the "merge cached
-//! prefix partials with fresh suffix partials" serve path.  The serving
-//! layer bounds that long-lived scope by replacing the cache wholesale on
-//! model reload and on compaction (both produce freshly-identified
-//! segments, so a stale cache would only hold dead keys).
+//! **The byte budget.**  Each entry's size is exact — a fixed-size key and
+//! slot plus the heap words of a wide key, of the exact-sum partials or of
+//! a mask — and the cache holds at most [`SelectionCache::budget`] bytes of
+//! them (a quarter for masks, the rest for partials).  [`SelectionCache::new`]
+//! is unbounded, for scopes that end on their own (a fresh cache per
+//! `execute_batch` call, the pipeline's default); the serving layer's
+//! **per-model cache**, held across requests *and across ingest*, is built
+//! with [`SelectionCache::with_budget`].  Holding it across ingest is legal
+//! because ingest preserves the store lineage, so a post-ingest request
+//! replays every older segment's partials and computes only the newly
+//! sealed segment: the "merge cached prefix partials with fresh suffix
+//! partials" serve path.  An insert that would overflow the budget first
+//! evicts by CLOCK: a hit sets the entry's referenced bit with a relaxed
+//! store under the read lock, and the eviction sweep (under the write lock
+//! the insert already holds) gives referenced entries a second chance,
+//! clears their bit and evicts the rest until the table is back under
+//! seven eighths of its budget, so sweeps are rare.  Eviction never changes
+//! an answer — an evicted entry is recomputed, bit-identically, on its next
+//! probe — only hit/miss counters and `Δ` evaluation counts.  The serving
+//! layer also replaces the cache wholesale on model reload and on
+//! compaction (both produce freshly-identified segments, so a stale cache
+//! would only hold dead keys).
 
-// HashMap here never leaks iteration order into output: mask/partial memo tables; key-looked-up only (see clippy.toml).
+// HashMap here never leaks iteration order into output: mask/partial memo
+// tables behind the sanctioned fxhash alias; key-looked-up only, and the
+// eviction sweep's visiting order only decides which entries are recomputed
+// later, never an answer (see clippy.toml).  Fx is safe here because every
+// key word is an id the store assigns (segment, column, dictionary code):
+// no key carries client bytes to craft collisions from.
 #![allow(clippy::disallowed_types)]
 
+use fxhash::FxHashMap;
 use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
+use std::mem::size_of;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use xinsight_data::{
-    DataError, MeasureStats, Result, RowMask, Segment, SegmentedDataset, Subspace,
+    Column, DataError, MeasureStats, Result, RowMask, Segment, SegmentedDataset, Subspace,
 };
 
-/// Clause masks are memoized up to this many filter values; larger unions are
-/// built transiently instead.  Rationale: a partial aggregate is computed at
-/// most once per (segment, side, clause, complement) key, so a clause mask is
-/// needed only a handful of times ever — but brute force enumerates `2^m`
-/// clauses, and retaining one mask per clause per segment in a never-evicted
-/// cache would pin hundreds of MB on large datasets.  Short clauses (the ones
-/// every strategy and attribute re-probes) stay shared; long tails stay
-/// transient.
-const MAX_CACHED_CLAUSE_VALUES: usize = 2;
+/// Inline capacity of an [`Ids`] word list: four filters of a side, or the
+/// first 256 codes of a clause's attribute.
+const INLINE_WORDS: usize = 4;
+
+/// The code a side filter carries when its value is missing from the global
+/// dictionary.  No row ever holds it (real codes are dictionary indices and
+/// missing cells hold `NULL_CODE`), so such a filter selects nothing.
+const ABSENT: u32 = u32::MAX - 1;
+
+/// The attribute of the empty clause.  The empty clause selects nothing
+/// regardless of attribute, so it is keyed attribute-free and e.g. the
+/// `Δ(D)` probes are shared across attributes.
+const NO_ATTRIBUTE: u32 = u32::MAX;
 
 /// The identity of one sealed segment: its process-unique id plus the epoch
 /// it was sealed in.  Both never change for a sealed segment, so entries
@@ -101,48 +133,318 @@ impl SegmentId {
     }
 }
 
-/// Key of one memoized row mask (scoped to a segment).
-#[derive(Debug, Clone, Hash, PartialEq, Eq)]
-enum MaskKey {
-    /// A single equality filter `attribute = value`.
-    Filter { attribute: String, value: String },
-    /// A subspace (conjunction), keyed by its canonical display form.
-    Subspace(String),
-    /// A predicate clause: disjunction of filters on one attribute, values
-    /// sorted.
-    Clause {
-        attribute: String,
-        values: Vec<String>,
-    },
+/// A canonical list of 64-bit words — a side's packed `(column, code)`
+/// filters or a clause's code bitmap — inline up to [`INLINE_WORDS`] words
+/// and boxed beyond.  Equal sets have equal lists: sides keep the
+/// subspace's sorted filter order, and bitmaps end at their highest set
+/// word.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Ids {
+    Inline { len: u8, words: [u64; INLINE_WORDS] },
+    Boxed(Box<[u64]>),
 }
 
-/// Key of one memoized per-segment partial aggregate.
+impl Ids {
+    const EMPTY: Ids = Ids::Inline {
+        len: 0,
+        words: [0; INLINE_WORDS],
+    };
+
+    /// `n` zeroed words.
+    fn zeroed(n: usize) -> Ids {
+        if n <= INLINE_WORDS {
+            Ids::Inline {
+                len: n as u8,
+                words: [0; INLINE_WORDS],
+            }
+        } else {
+            Ids::Boxed(vec![0; n].into_boxed_slice())
+        }
+    }
+
+    /// The clause of filter indices (= global codes) of one attribute, as a
+    /// bitmap.  Inline, and so allocation-free, while every index is below
+    /// 256.
+    pub(crate) fn clause(indices: &[usize]) -> Ids {
+        let mut ids = Ids::zeroed(indices.iter().max().map_or(0, |&i| i / 64 + 1));
+        let words = ids.words_mut();
+        for &i in indices {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        ids
+    }
+
+    /// A subspace's filters as `(column, global code)` pairs, in the
+    /// subspace's canonical (attribute-sorted) order.  Fails on an unknown
+    /// attribute or a measure, exactly like [`Subspace::mask`].
+    fn side(store: &SegmentedDataset, subspace: &Subspace) -> Result<Ids> {
+        let mut ids = Ids::zeroed(subspace.len());
+        for (word, filter) in ids.words_mut().iter_mut().zip(subspace.filters()) {
+            let code = store
+                .global_code(filter.attribute(), filter.value())?
+                .unwrap_or(ABSENT);
+            let column = store.schema().index_of(filter.attribute())? as u64;
+            *word = column << 32 | u64::from(code);
+        }
+        Ok(ids)
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match self {
+            Ids::Inline { len, words } => &mut words[..usize::from(*len)],
+            Ids::Boxed(words) => words,
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Ids::Inline { len, words } => &words[..usize::from(*len)],
+            Ids::Boxed(words) => words,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words().is_empty()
+    }
+
+    /// Whether a clause bitmap holds `code` (never `NULL_CODE`: it lies past
+    /// any bitmap).
+    fn contains(&self, code: u32) -> bool {
+        let code = code as usize;
+        self.words()
+            .get(code / 64)
+            .is_some_and(|word| word >> (code % 64) & 1 == 1)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Ids::Inline { .. } => 0,
+            Ids::Boxed(words) => words.len() * size_of::<u64>(),
+        }
+    }
+}
+
+/// Key of one memoized side mask (scoped to a segment).
 #[derive(Debug, Clone, Hash, PartialEq, Eq)]
-struct PartialKey {
+struct MaskKey {
+    segment: SegmentId,
+    side: Ids,
+}
+
+/// Key of one memoized per-segment partial aggregate.  Built once per `Δ`
+/// side by [`QueryIds::probe`]; only `segment` changes from one segment's
+/// lookup to the next.
+#[derive(Debug, Clone, Hash, PartialEq, Eq)]
+pub(crate) struct PartialKey {
     /// The segment the statistics were computed over.
     segment: SegmentId,
-    /// Canonical key of the sibling-subspace side the aggregate is scoped to.
-    side: String,
-    /// The aggregated measure.
-    measure: String,
-    /// Attribute the clause ranges over (empty for the empty clause, which
-    /// references no attribute and is shared across attributes).
-    attribute: String,
-    /// Sorted, deduplicated clause values.
-    values: Vec<String>,
+    /// The aggregated measure's column.
+    measure: u32,
+    /// The column the clause ranges over ([`NO_ATTRIBUTE`] for the empty
+    /// clause).
+    attribute: u32,
     /// `false` → aggregate over `side ∩ clause`; `true` → over
     /// `side − clause` (the paper's `D − D_P` selections).
     complement: bool,
+    /// The sibling-subspace side the aggregate is scoped to.
+    side: Ids,
+    /// The clause's global codes.
+    clause: Ids,
 }
 
-/// Shared, thread-safe memoization of per-segment filter/subspace/clause
+/// One of the two sibling subspaces of a Why Query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    S1,
+    S2,
+}
+
+/// A Why Query's measure and sibling sides resolved to the cache's ids
+/// against one store — once per request, then shared by every attribute's
+/// search context.
+#[derive(Debug, Clone)]
+pub(crate) struct QueryIds {
+    measure: u32,
+    s1: Ids,
+    s2: Ids,
+}
+
+impl QueryIds {
+    /// The same query with its sibling sides swapped.
+    pub(crate) fn flipped(self) -> QueryIds {
+        QueryIds {
+            measure: self.measure,
+            s1: self.s2,
+            s2: self.s1,
+        }
+    }
+
+    fn side(&self, side: Side) -> &Ids {
+        match side {
+            Side::S1 => &self.s1,
+            Side::S2 => &self.s2,
+        }
+    }
+
+    /// The key of one `Δ` side: `side ∩ clause` (or `side − clause`) on the
+    /// column `attribute`.  Allocation-free unless the side or the clause
+    /// is wide.
+    pub(crate) fn probe(
+        &self,
+        side: Side,
+        attribute: u32,
+        clause: Ids,
+        complement: bool,
+    ) -> PartialKey {
+        PartialKey {
+            segment: SegmentId { id: 0, epoch: 0 },
+            measure: self.measure,
+            attribute: if clause.is_empty() {
+                NO_ATTRIBUTE
+            } else {
+                attribute
+            },
+            complement,
+            side: self.side(side).clone(),
+            clause,
+        }
+    }
+}
+
+impl PartialKey {
+    /// Re-targets the key at the other sibling side of the same query.
+    pub(crate) fn set_side(&mut self, ids: &QueryIds, side: Side) {
+        self.side.clone_from(ids.side(side));
+    }
+}
+
+/// One resident entry: the value, its exact byte charge and the CLOCK
+/// referenced bit.
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    charge: usize,
+    referenced: AtomicBool,
+}
+
+impl<V> Slot<V> {
+    /// Marks the entry as recently used.  Called under the read lock; the
+    /// load-first keeps a hot entry's cache line shared between readers.
+    fn touch(&self) {
+        // relaxed: the bit is an eviction hint; a lost or late store only
+        // changes which entry a later sweep recomputes, never a value.
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed); // relaxed: eviction hint, see above
+        }
+    }
+}
+
+/// The byte charge of one entry: the map's key/slot pair, one control byte
+/// of the table, and the heap words the key and value own.
+fn charge<K, V>(heap_bytes: usize) -> usize {
+    size_of::<(K, Slot<V>)>() + 1 + heap_bytes
+}
+
+/// One memo table under a byte budget.
+#[derive(Debug)]
+struct Table<K, V> {
+    state: RwLock<TableState<K, V>>,
+    budget: usize,
+    evictions: AtomicU64,
+}
+
+#[derive(Debug)]
+struct TableState<K, V> {
+    map: FxHashMap<K, Slot<V>>,
+    bytes: usize,
+}
+
+impl<K: Hash + Eq, V: Clone> Table<K, V> {
+    fn new(budget: usize) -> Self {
+        Table {
+            state: RwLock::new(TableState {
+                map: FxHashMap::default(),
+                bytes: 0,
+            }),
+            budget,
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.state.read().map.len()
+    }
+
+    fn bytes(&self) -> usize {
+        self.state.read().bytes
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        let state = self.state.read();
+        let slot = state.map.get(key)?;
+        slot.touch();
+        Some(slot.value.clone())
+    }
+
+    /// Publishes a freshly computed `value` unless a racing writer got there
+    /// first.  Returns the resident value and whether this call computed it
+    /// (a miss): occupancy under the write lock decides, so each distinct
+    /// key is counted as a miss exactly once.  A value whose charge exceeds
+    /// the whole budget is returned without being kept.
+    fn insert(&self, key: K, value: V, charge: usize) -> (V, bool) {
+        let mut state = self.state.write();
+        if let Some(slot) = state.map.get(&key) {
+            slot.touch();
+            return (slot.value.clone(), false);
+        }
+        if charge <= self.budget {
+            if state.bytes.saturating_add(charge) > self.budget {
+                self.make_room(&mut state, charge);
+            }
+            state.bytes += charge;
+            let slot = Slot {
+                value: value.clone(),
+                charge,
+                referenced: AtomicBool::new(false),
+            };
+            state.map.insert(key, slot);
+        }
+        (value, true)
+    }
+
+    /// The CLOCK sweep: evicts unreferenced entries and clears the bit of
+    /// referenced ones until `charge` more bytes fit under seven eighths of
+    /// the budget.  The second pass only runs when every entry visited was
+    /// referenced, and finds all their bits cleared.
+    fn make_room(&self, state: &mut TableState<K, V>, charge: usize) {
+        let target = (self.budget - self.budget / 8).saturating_sub(charge);
+        let TableState { map, bytes } = state;
+        let mut evicted = 0u64;
+        for _ in 0..2 {
+            if *bytes <= target {
+                break;
+            }
+            map.retain(|_, slot| {
+                if *bytes <= target || std::mem::take(slot.referenced.get_mut()) {
+                    return true;
+                }
+                *bytes -= slot.charge;
+                evicted += 1;
+                false
+            });
+        }
+        self.evictions.fetch_add(evicted, Ordering::Relaxed); // relaxed: monotonic eviction counter
+    }
+}
+
+/// Shared, thread-safe, byte-budgeted memoization of per-segment side
 /// masks and partial aggregates (see the module docs for the design).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SelectionCache {
-    masks: RwLock<HashMap<(SegmentId, MaskKey), Arc<RowMask>>>,
-    /// Per-segment partial aggregates behind `Arc`, so a warm-cache replay
-    /// is a pointer copy rather than a clone of the exact-sum partials.
-    partials: RwLock<HashMap<PartialKey, Arc<MeasureStats>>>,
+    masks: Table<MaskKey, Arc<RowMask>>,
+    /// Per-segment partial aggregates.  A warm replay merges them under the
+    /// read lock, one guard per `Δ` side.
+    partials: Table<PartialKey, MeasureStats>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Lineage of the store this cache was first used with.  Entries are
@@ -152,14 +454,36 @@ pub struct SelectionCache {
     lineage: OnceLock<u64>,
 }
 
+impl Default for SelectionCache {
+    fn default() -> Self {
+        SelectionCache::new()
+    }
+}
+
 impl SelectionCache {
-    /// Creates an empty cache.
+    /// Creates an empty, unbounded cache, for a scope that ends on its own
+    /// (one query or one batch).
     pub fn new() -> Self {
-        SelectionCache::default()
+        SelectionCache::with_budget(usize::MAX)
     }
 
-    /// Number of cache lookups (masks + partial aggregates) answered from
-    /// memory.
+    /// Creates an empty cache holding at most `budget` bytes of entries: a
+    /// quarter for side masks, the rest for partial aggregates.  An insert
+    /// that would overflow its table evicts by CLOCK first (see the module
+    /// docs).
+    pub fn with_budget(budget: usize) -> Self {
+        let masks = budget / 4;
+        SelectionCache {
+            masks: Table::new(masks),
+            partials: Table::new(budget - masks),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            lineage: OnceLock::new(),
+        }
+    }
+
+    /// Number of cache lookups (side masks + partial aggregates) answered
+    /// from memory.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed) // relaxed: monotonic cache counter
     }
@@ -169,14 +493,33 @@ impl SelectionCache {
         self.misses.load(Ordering::Relaxed) // relaxed: monotonic cache counter
     }
 
-    /// Number of distinct masks currently memoized.
+    /// Number of distinct side masks currently memoized.
     pub fn mask_entries(&self) -> usize {
-        self.masks.read().len()
+        self.masks.len()
     }
 
     /// Number of distinct partial aggregates currently memoized.
     pub fn partial_entries(&self) -> usize {
-        self.partials.read().len()
+        self.partials.len()
+    }
+
+    /// Bytes currently charged to resident entries (masks + partials);
+    /// never above [`SelectionCache::budget`].
+    pub fn bytes(&self) -> usize {
+        self.masks.bytes() + self.partials.bytes()
+    }
+
+    /// The byte budget this cache was built with (`usize::MAX` when
+    /// unbounded).
+    pub fn budget(&self) -> usize {
+        self.masks.budget.saturating_add(self.partials.budget)
+    }
+
+    /// Number of entries evicted to stay within the budget.
+    pub fn evictions(&self) -> u64 {
+        // relaxed: monotonic eviction counters
+        self.masks.evictions.load(Ordering::Relaxed)
+            + self.partials.evictions.load(Ordering::Relaxed) // relaxed: see above
     }
 
     /// A snapshot of the hit/miss counters and the total entry count
@@ -191,15 +534,23 @@ impl SelectionCache {
         }
     }
 
+    fn count(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed); // relaxed: monotonic cache counter
+        }
+        if misses > 0 {
+            self.misses.fetch_add(misses, Ordering::Relaxed); // relaxed: monotonic cache counter
+        }
+    }
+
     /// Checks that `store` is (a snapshot of) the store this cache serves,
     /// latching its lineage on first use.  Every epoch of one store is
     /// accepted — sealed segments are immutable, so entries computed in an
     /// older epoch remain exact in every later one; a different store is
-    /// rejected.  Public entry points call this; crate-internal hot paths
-    /// call it once per search context (through
-    /// [`SelectionCache::sibling_stats`]) and then use the `_trusted`
-    /// variants.
-    pub(super) fn ensure_store(&self, store: &SegmentedDataset) -> Result<()> {
+    /// rejected.  Public entry points call this; the search path calls it
+    /// once per request (through [`SelectionCache::compile`]) and then
+    /// probes by ids.
+    fn ensure_store(&self, store: &SegmentedDataset) -> Result<()> {
         let lineage = store.lineage();
         let latched = *self.lineage.get_or_init(|| lineage);
         if latched == lineage {
@@ -212,60 +563,24 @@ impl SelectionCache {
         }
     }
 
-    fn mask_or_insert(
-        &self,
-        key: (SegmentId, MaskKey),
-        build: impl FnOnce() -> Result<RowMask>,
-    ) -> Result<Arc<RowMask>> {
-        if let Some(mask) = self.masks.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
-            return Ok(Arc::clone(mask));
-        }
-        let mask = Arc::new(build()?);
-        // A concurrent search may have raced us here; both compute the same
-        // mask.  As with partial aggregates, occupancy under the write lock
-        // decides who counts the miss, keeping counters deterministic.
-        match self.masks.write().entry(key) {
-            std::collections::hash_map::Entry::Occupied(existing) => {
-                self.hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
-                Ok(Arc::clone(existing.get()))
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
-                Ok(Arc::clone(slot.insert(mask)))
-            }
-        }
-    }
-
-    /// The row mask of one equality filter `attribute = value` within one
-    /// segment (segment-local row domain).
-    pub fn filter_mask(
+    /// Resolves a Why Query's measure and sibling subspaces to ids against
+    /// `store`, after checking the store against the lineage latch and
+    /// validating the measure: every later probe by these ids relies on
+    /// both.
+    pub(crate) fn compile(
         &self,
         store: &SegmentedDataset,
-        segment: &Segment,
-        attribute: &str,
-        value: &str,
-    ) -> Result<Arc<RowMask>> {
+        measure: &str,
+        s1: &Subspace,
+        s2: &Subspace,
+    ) -> Result<QueryIds> {
         self.ensure_store(store)?;
-        self.filter_mask_trusted(segment, attribute, value)
-    }
-
-    pub(super) fn filter_mask_trusted(
-        &self,
-        segment: &Segment,
-        attribute: &str,
-        value: &str,
-    ) -> Result<Arc<RowMask>> {
-        self.mask_or_insert(
-            (
-                SegmentId::of(segment),
-                MaskKey::Filter {
-                    attribute: attribute.to_owned(),
-                    value: value.to_owned(),
-                },
-            ),
-            || xinsight_data::Filter::equals(attribute, value).mask(segment.data()),
-        )
+        store.check_measure(measure)?;
+        Ok(QueryIds {
+            measure: store.schema().index_of(measure)? as u32,
+            s1: Ids::side(store, s1)?,
+            s2: Ids::side(store, s2)?,
+        })
     }
 
     /// The row mask of a subspace (conjunction of filters) within one
@@ -277,117 +592,41 @@ impl SelectionCache {
         subspace: &Subspace,
     ) -> Result<Arc<RowMask>> {
         self.ensure_store(store)?;
-        self.subspace_mask_trusted(segment, subspace)
+        self.side_mask(segment, &Ids::side(store, subspace)?)
     }
 
-    pub(super) fn subspace_mask_trusted(
-        &self,
-        segment: &Segment,
-        subspace: &Subspace,
-    ) -> Result<Arc<RowMask>> {
-        self.mask_or_insert(
-            (
-                SegmentId::of(segment),
-                MaskKey::Subspace(subspace_key(subspace)),
-            ),
-            || subspace.mask(segment.data()),
-        )
-    }
-
-    /// The row mask of a predicate clause — the union of the given filters
-    /// on one attribute — within one segment.  `values` must be sorted and
-    /// deduplicated (the caller's canonical clause form).  The empty clause
-    /// selects no rows.
-    ///
-    /// Clauses up to `MAX_CACHED_CLAUSE_VALUES` values are memoized; larger
-    /// unions are built transiently (see that constant's docs for why).
-    pub fn clause_mask(
-        &self,
-        store: &SegmentedDataset,
-        segment: &Segment,
-        attribute: &str,
-        values: &[String],
-    ) -> Result<Arc<RowMask>> {
-        self.ensure_store(store)?;
-        self.clause_mask_trusted(segment, attribute, values)
-    }
-
-    fn clause_mask_trusted(
-        &self,
-        segment: &Segment,
-        attribute: &str,
-        values: &[String],
-    ) -> Result<Arc<RowMask>> {
-        if let [value] = values {
-            // A single-filter clause *is* its filter mask; no second entry.
-            return self.filter_mask_trusted(segment, attribute, value);
-        }
-        let build_union = || {
-            let mut mask = RowMask::zeros(segment.n_rows());
-            for value in values {
-                let filter = self.filter_mask_trusted(segment, attribute, value)?;
-                mask = mask.or(&filter);
-            }
-            Ok(mask)
+    /// The memoized mask of one side within one segment.
+    fn side_mask(&self, segment: &Segment, side: &Ids) -> Result<Arc<RowMask>> {
+        let key = MaskKey {
+            segment: SegmentId::of(segment),
+            side: side.clone(),
         };
-        if values.len() > MAX_CACHED_CLAUSE_VALUES {
-            return Ok(Arc::new(build_union()?));
+        if let Some(mask) = self.masks.get(&key) {
+            self.count(1, 0);
+            return Ok(mask);
         }
-        self.mask_or_insert(
-            (
-                SegmentId::of(segment),
-                MaskKey::Clause {
-                    attribute: attribute.to_owned(),
-                    values: values.to_vec(),
-                },
-            ),
-            build_union,
-        )
-    }
-
-    /// The partial aggregate of `measure` over `side ∩ clause`
-    /// (or `side − clause` when `complement` is set) within one segment,
-    /// memoized.  Callers merge the per-segment statistics in segment order
-    /// — a bit-exact operation thanks to [`MeasureStats`]'s exact sum.
-    ///
-    /// Returns the (shared) statistics and whether they were freshly
-    /// computed (`true` on a cache miss) — the search context uses the flag
-    /// to count actual `Δ(·)` evaluations as opposed to cache replays.
-    #[allow(clippy::too_many_arguments)]
-    pub fn partial_agg(
-        &self,
-        store: &SegmentedDataset,
-        segment: &Segment,
-        measure: &str,
-        side_key: &str,
-        side: &RowMask,
-        attribute: &str,
-        values: &[String],
-        complement: bool,
-    ) -> Result<(Arc<MeasureStats>, bool)> {
-        self.ensure_store(store)?;
-        self.partial_agg_trusted(
-            segment,
-            measure,
-            side_key,
-            || Ok(side),
-            attribute,
-            values,
-            complement,
-        )
+        let mask = Arc::new(side_mask_of(segment, side)?);
+        let bytes = charge::<MaskKey, Arc<RowMask>>(
+            key.side.heap_bytes()
+                + size_of::<RowMask>()
+                + 2 * size_of::<usize>()
+                + mask.heap_bytes(),
+        );
+        let (mask, fresh) = self.masks.insert(key, mask, bytes);
+        self.count(u64::from(!fresh), u64::from(fresh));
+        Ok(mask)
     }
 
     /// The statistics of `measure` over the sibling subspaces `s1` and `s2`
     /// of the whole store, each merged across segments in segment order:
     /// the two sides of `Δ(D)`.
     ///
-    /// Per segment each side is the empty clause's complement partial under
-    /// the subspace's side key, which is exactly the entry every
-    /// [`super::SearchContext`] probes for its own `Δ(D)`.  So the pipeline
-    /// (which orients the query on `Δ(D)`) and every context built for the
-    /// query replay one set of entries instead of rescanning the store.  A
-    /// replay touches no mask; a miss fetches the side's memoized subspace
-    /// mask and computes the partial.
+    /// Per segment each side is the empty clause's complement partial, which
+    /// is exactly the entry every [`super::SearchContext`] probes for its own
+    /// `Δ(D)`.  So the pipeline (which orients the query on `Δ(D)`) and
+    /// every context built for the query replay one set of entries instead
+    /// of rescanning the store.  A replay touches no mask; a miss fetches
+    /// the side's memoized mask and computes the partial.
     pub fn sibling_stats(
         &self,
         store: &SegmentedDataset,
@@ -395,127 +634,134 @@ impl SelectionCache {
         s1: &Subspace,
         s2: &Subspace,
     ) -> Result<(MeasureStats, MeasureStats)> {
-        self.ensure_store(store)?;
-        store.check_measure(measure)?;
-        let full_side = |subspace: &Subspace| -> Result<MeasureStats> {
-            let side_key = subspace_key(subspace);
-            let mut merged = MeasureStats::new();
-            for segment in store.segments() {
-                let (stats, _) = self.partial_agg_trusted(
-                    segment,
-                    measure,
-                    &side_key,
-                    || self.subspace_mask_trusted(segment, subspace),
-                    "",
-                    &[],
-                    true,
-                )?;
-                merged.merge(&stats);
-            }
-            Ok(merged)
-        };
-        Ok((full_side(s1)?, full_side(s2)?))
+        let ids = self.compile(store, measure, s1, s2)?;
+        self.side_totals(store, &ids)
     }
 
-    /// [`SelectionCache::partial_agg`] without the per-call store check —
-    /// for hot-path callers (the search context) that validated the store
-    /// once at construction and hold it for their whole lifetime.  The side
-    /// mask is only asked for on a miss.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn partial_agg_trusted<M: std::ops::Deref<Target = RowMask>>(
+    /// [`SelectionCache::sibling_stats`] for a compiled query.
+    pub(crate) fn side_totals(
         &self,
-        segment: &Segment,
-        measure: &str,
-        side_key: &str,
-        side: impl FnOnce() -> Result<M>,
-        attribute: &str,
-        values: &[String],
-        complement: bool,
-    ) -> Result<(Arc<MeasureStats>, bool)> {
-        let key = PartialKey {
-            segment: SegmentId::of(segment),
-            side: side_key.to_owned(),
-            measure: measure.to_owned(),
-            // The empty clause selects nothing regardless of attribute; key it
-            // attribute-free so e.g. Δ(D) probes are shared across attributes.
-            attribute: if values.is_empty() {
-                String::new()
-            } else {
-                attribute.to_owned()
-            },
-            values: values.to_vec(),
-            complement,
-        };
-        if let Some(stats) = self.partials.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
-            return Ok((Arc::clone(stats), false));
-        }
-        let side = side()?;
-        let clause = self.clause_mask_trusted(segment, attribute, values)?;
-        let stats = Arc::new(compute_partial(
-            segment, measure, &side, &clause, complement,
-        )?);
-        // Freshness is decided by entry occupancy under the write lock: when
-        // two workers race on the same key, both compute (same inputs → same
-        // stats) but exactly one reports `fresh = true`, so each distinct key
-        // is counted as a miss exactly once.  (A caller aggregating over the
-        // per-side, per-segment keys of one Δ term can still attribute a racy
-        // term to two workers — see `SearchContext::evaluations`.)
-        match self.partials.write().entry(key) {
-            std::collections::hash_map::Entry::Occupied(existing) => {
-                self.hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
-                Ok((Arc::clone(existing.get()), false))
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
-                slot.insert(Arc::clone(&stats));
-                Ok((stats, true))
+        store: &SegmentedDataset,
+        ids: &QueryIds,
+    ) -> Result<(MeasureStats, MeasureStats)> {
+        let mut key = ids.probe(Side::S1, NO_ATTRIBUTE, Ids::EMPTY, true);
+        let (a, _) = self.merged_partials(store.segments(), &mut key)?;
+        key.set_side(ids, Side::S2);
+        let (b, _) = self.merged_partials(store.segments(), &mut key)?;
+        Ok((a, b))
+    }
+
+    /// The statistics of one `Δ` side — `key`'s selection in every segment,
+    /// merged in segment order — and whether any per-segment partial was
+    /// freshly computed.  The warm path walks the segments under one read
+    /// guard, merging each resident partial in place (no clone, no
+    /// allocation); from the first missing segment on, each segment is
+    /// looked up or computed on its own.  Counts one hit or miss per
+    /// segment.
+    pub(crate) fn merged_partials(
+        &self,
+        segments: &[Arc<Segment>],
+        key: &mut PartialKey,
+    ) -> Result<(MeasureStats, bool)> {
+        let mut merged = MeasureStats::new();
+        let mut replayed = 0;
+        {
+            let state = self.partials.state.read();
+            for segment in segments {
+                key.segment = SegmentId::of(segment);
+                let Some(slot) = state.map.get(key) else {
+                    break;
+                };
+                slot.touch();
+                merged.merge(&slot.value);
+                replayed += 1;
             }
         }
+        self.count(replayed as u64, 0);
+        let mut fresh = false;
+        for segment in &segments[replayed..] {
+            key.segment = SegmentId::of(segment);
+            let (stats, computed) = self.partial(segment, key)?;
+            merged.merge(&stats);
+            fresh |= computed;
+        }
+        Ok((merged, fresh))
+    }
+
+    /// One segment's partial under `key` (whose `segment` is set), computed
+    /// on a miss.
+    fn partial(&self, segment: &Segment, key: &PartialKey) -> Result<(MeasureStats, bool)> {
+        if let Some(stats) = self.partials.get(key) {
+            self.count(1, 0);
+            return Ok((stats, false));
+        }
+        let side = self.side_mask(segment, &key.side)?;
+        let stats = compute_partial(segment, key, &side)?;
+        let bytes = charge::<PartialKey, MeasureStats>(
+            key.side.heap_bytes() + key.clause.heap_bytes() + stats.heap_bytes(),
+        );
+        let (stats, fresh) = self.partials.insert(key.clone(), stats, bytes);
+        self.count(u64::from(!fresh), u64::from(fresh));
+        Ok((stats, fresh))
     }
 }
 
-/// Canonical cache key of a subspace: its sorted `attr = value` display form.
-fn subspace_key(subspace: &Subspace) -> String {
-    subspace.to_string()
+/// The per-row dictionary codes of a dimension column of one segment.
+fn dimension_codes(segment: &Segment, column: u32) -> Result<&[u32]> {
+    match segment.data().column(column as usize) {
+        Column::Dimension(c) => Ok(c.codes()),
+        Column::Measure(_) => Err(DataError::WrongKind {
+            attribute: segment
+                .data()
+                .schema()
+                .attribute(column as usize)
+                .name
+                .clone(),
+            expected: "dimension",
+        }),
+    }
 }
 
-/// Aggregates `measure` over `side ∩ clause` (or `side − clause`) within one
-/// segment using the word-parallel mask primitives; no intermediate mask is
-/// materialized.
-fn compute_partial(
-    segment: &Segment,
-    measure: &str,
-    side: &RowMask,
-    clause: &RowMask,
-    complement: bool,
-) -> Result<MeasureStats> {
-    let column = segment.data().measure(measure)?;
-    // Popcount-only emptiness probe: selections that wipe out a side (the
-    // common case deep in the greedy/brute loops) never touch the column.
-    let rows = if complement {
-        side.and_not_count(clause)
+/// Evaluates a side's filters into a row mask over one segment (the
+/// segment's codes are global codes, so a code compares directly).
+fn side_mask_of(segment: &Segment, side: &Ids) -> Result<RowMask> {
+    let mut mask = segment.all_rows();
+    for &word in side.words() {
+        let code = word as u32;
+        let codes = dimension_codes(segment, (word >> 32) as u32)?;
+        mask = mask.and(&RowMask::from_bools(codes.iter().map(|&c| c == code)));
+    }
+    Ok(mask)
+}
+
+/// Aggregates the measure over `side ∩ clause` (or `side − clause`) within
+/// one segment: one pass over the side's rows, testing each row's code
+/// against the clause bitmap; no clause mask is materialized.
+fn compute_partial(segment: &Segment, key: &PartialKey, side: &RowMask) -> Result<MeasureStats> {
+    let data = segment.data();
+    let Column::Measure(values) = data.column(key.measure as usize) else {
+        return Err(DataError::WrongKind {
+            attribute: data.schema().attribute(key.measure as usize).name.clone(),
+            expected: "measure",
+        });
+    };
+    let codes = if key.attribute == NO_ATTRIBUTE {
+        &[]
     } else {
-        side.intersect_count(clause)
+        dimension_codes(segment, key.attribute)?
     };
     let mut stats = MeasureStats::new();
-    if rows == 0 {
-        return Ok(stats);
-    }
-    stats.add_rows(rows);
-    let (mut kept, mut removed);
-    let selected: &mut dyn Iterator<Item = usize> = if complement {
-        removed = side.iter_and_not(clause);
-        &mut removed
-    } else {
-        kept = side.iter_and(clause);
-        &mut kept
-    };
-    for i in selected {
-        if let Some(v) = column.value(i) {
-            stats.observe(v);
+    let mut rows = 0;
+    for i in side.iter_selected() {
+        let in_clause = codes.get(i).is_some_and(|&code| key.clause.contains(code));
+        if in_clause != key.complement {
+            rows += 1;
+            if let Some(v) = values.value(i) {
+                stats.observe(v);
+            }
         }
     }
+    stats.add_rows(rows);
     Ok(stats)
 }
 
@@ -539,57 +785,72 @@ mod tests {
         &store.segments()[0]
     }
 
-    #[test]
-    fn filter_masks_are_shared() {
-        let store = data();
-        let cache = SelectionCache::new();
-        let m1 = cache.filter_mask(&store, seg(&store), "Y", "p").unwrap();
-        let m2 = cache.filter_mask(&store, seg(&store), "Y", "p").unwrap();
-        assert!(Arc::ptr_eq(&m1, &m2));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(m1.iter_selected().collect::<Vec<_>>(), vec![0, 3]);
+    /// The merged partial of `measure` over `side ∩ attribute ∈ values` (or
+    /// `side − …`) through the id path, as a search context probes it.
+    fn probe(
+        cache: &SelectionCache,
+        store: &SegmentedDataset,
+        measure: &str,
+        side: &Subspace,
+        attribute: &str,
+        values: &[&str],
+        complement: bool,
+    ) -> Result<(MeasureStats, bool)> {
+        let ids = cache.compile(store, measure, side, side)?;
+        let codes: Vec<usize> = values
+            .iter()
+            .map(|v| store.global_code(attribute, v).unwrap().unwrap() as usize)
+            .collect();
+        let column = store.schema().index_of(attribute)? as u32;
+        let mut key = ids.probe(Side::S1, column, Ids::clause(&codes), complement);
+        cache.merged_partials(store.segments(), &mut key)
+    }
+
+    fn a() -> Subspace {
+        Subspace::of("X", "a")
     }
 
     #[test]
-    fn clause_mask_is_union_of_filters() {
+    fn side_masks_are_shared() {
         let store = data();
         let cache = SelectionCache::new();
-        let values = vec!["p".to_owned(), "q".to_owned()];
-        let clause = cache
-            .clause_mask(&store, seg(&store), "Y", &values)
+        let m1 = cache.subspace_mask(&store, seg(&store), &a()).unwrap();
+        let m2 = cache.subspace_mask(&store, seg(&store), &a()).unwrap();
+        assert!(Arc::ptr_eq(&m1, &m2));
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(m1.iter_selected().collect::<Vec<_>>(), vec![0, 1, 2]);
+        let both = Subspace::new([Filter::equals("X", "b"), Filter::equals("Y", "q")]).unwrap();
+        let mask = cache.subspace_mask(&store, seg(&store), &both).unwrap();
+        assert_eq!(*mask, both.mask(seg(&store).data()).unwrap());
+    }
+
+    #[test]
+    fn values_missing_from_the_dictionary_share_one_empty_side() {
+        let store = data();
+        let cache = SelectionCache::new();
+        let ghost = cache
+            .subspace_mask(&store, seg(&store), &Subspace::of("X", "zz"))
             .unwrap();
-        let by_hand = Filter::equals("Y", "p")
-            .mask(seg(&store).data())
-            .unwrap()
-            .or(&Filter::equals("Y", "q").mask(seg(&store).data()).unwrap());
-        assert_eq!(*clause, by_hand);
-        // Single-value clauses alias the filter-mask entry.
-        let single = cache
-            .clause_mask(&store, seg(&store), "Y", &["r".to_owned()])
+        assert!(ghost.is_none_selected());
+        let other = cache
+            .subspace_mask(&store, seg(&store), &Subspace::of("X", "yy"))
             .unwrap();
-        let filter = cache.filter_mask(&store, seg(&store), "Y", "r").unwrap();
-        assert!(Arc::ptr_eq(&single, &filter));
+        assert!(Arc::ptr_eq(&ghost, &other), "absent values share one key");
+        // Unknown attributes and measures fail as `Subspace::mask` does.
+        for bad in [Subspace::of("Nope", "a"), Subspace::of("M", "a")] {
+            assert_eq!(
+                cache.subspace_mask(&store, seg(&store), &bad).unwrap_err(),
+                bad.mask(seg(&store).data()).unwrap_err()
+            );
+        }
     }
 
     #[test]
     fn partial_aggregates_match_direct_aggregation() {
         let store = data();
         let cache = SelectionCache::new();
-        let side = Filter::equals("X", "a").mask(seg(&store).data()).unwrap();
-        let values = vec!["p".to_owned(), "q".to_owned()];
-        let (stats, fresh) = cache
-            .partial_agg(
-                &store,
-                seg(&store),
-                "M",
-                "X = a",
-                &side,
-                "Y",
-                &values,
-                false,
-            )
-            .unwrap();
+        let (stats, fresh) = probe(&cache, &store, "M", &a(), "Y", &["p", "q"], false).unwrap();
         assert!(fresh);
         // X = a ∩ Y ∈ {p, q} selects rows 0 and 1: M = 10, 2.
         assert_eq!(stats.rows, 2);
@@ -600,46 +861,59 @@ mod tests {
         assert_eq!(stats.value(Aggregate::Max), Some(10.0));
         assert_eq!(stats.value(Aggregate::Count), Some(2.0));
         // Complement: X = a − Y ∈ {p, q} selects row 2 only.
-        let (rest, _) = cache
-            .partial_agg(&store, seg(&store), "M", "X = a", &side, "Y", &values, true)
-            .unwrap();
+        let (rest, _) = probe(&cache, &store, "M", &a(), "Y", &["p", "q"], true).unwrap();
         assert_eq!(rest.rows, 1);
         assert_eq!(rest.value(Aggregate::Sum), Some(3.0));
-        // Replay hits the cache.
-        let (again, fresh) = cache
-            .partial_agg(
-                &store,
-                seg(&store),
-                "M",
-                "X = a",
-                &side,
-                "Y",
-                &values,
-                false,
-            )
-            .unwrap();
+        // Replay hits the cache, and clause order does not matter.
+        let (again, fresh) = probe(&cache, &store, "M", &a(), "Y", &["q", "p"], false).unwrap();
         assert!(!fresh);
         assert_eq!(again, stats);
+    }
+
+    #[test]
+    fn clause_partial_is_the_union_of_its_filters() {
+        let store = data();
+        let cache = SelectionCache::new();
+        let (stats, _) = probe(&cache, &store, "M", &a(), "Y", &["p", "q"], false).unwrap();
+        let data = seg(&store).data();
+        let clause = Filter::equals("Y", "p")
+            .mask(data)
+            .unwrap()
+            .or(&Filter::equals("Y", "q").mask(data).unwrap());
+        let selected = a().mask(data).unwrap().and(&clause);
+        let mut by_hand = seg(&store).measure_stats("M", &selected).unwrap();
+        by_hand.add_rows(selected.count());
+        assert_eq!(stats, by_hand);
+    }
+
+    #[test]
+    fn clause_partials_build_no_masks() {
+        let store = data();
+        let cache = SelectionCache::new();
+        for clause in [&["p", "q", "r"][..], &["p", "q"], &["r"]] {
+            let (_, fresh) = probe(&cache, &store, "M", &a(), "Y", clause, false).unwrap();
+            assert!(fresh);
+            let (_, replay) = probe(&cache, &store, "M", &a(), "Y", clause, false).unwrap();
+            assert!(!replay, "partial aggregates of every clause are memoized");
+        }
+        // Only the side mask is stored: clauses are tested row by row.
+        assert_eq!(cache.mask_entries(), 1);
+        assert_eq!(cache.partial_entries(), 3);
     }
 
     #[test]
     fn empty_selection_semantics_mirror_aggregate_eval() {
         let store = data();
         let cache = SelectionCache::new();
-        let side = Filter::equals("X", "a").mask(seg(&store).data()).unwrap();
         // The empty clause intersected with anything is empty…
-        let (none, _) = cache
-            .partial_agg(&store, seg(&store), "M", "X = a", &side, "Y", &[], false)
-            .unwrap();
+        let (none, _) = probe(&cache, &store, "M", &a(), "Y", &[], false).unwrap();
         assert_eq!(none.rows, 0);
         assert_eq!(none.value(Aggregate::Sum), Some(0.0));
         assert_eq!(none.value(Aggregate::Count), Some(0.0));
         assert_eq!(none.value(Aggregate::Avg), None);
         assert_eq!(none.value(Aggregate::Min), None);
         // …and its complement is the side itself.
-        let (all, _) = cache
-            .partial_agg(&store, seg(&store), "M", "X = a", &side, "Y", &[], true)
-            .unwrap();
+        let (all, _) = probe(&cache, &store, "M", &a(), "Y", &[], true).unwrap();
         assert_eq!(all.rows, 3);
         assert_eq!(all.value(Aggregate::Sum), Some(15.0));
     }
@@ -648,15 +922,25 @@ mod tests {
     fn empty_clause_entry_is_shared_across_attributes() {
         let store = data();
         let cache = SelectionCache::new();
-        let side = Filter::equals("X", "b").mask(seg(&store).data()).unwrap();
-        let (_, fresh_y) = cache
-            .partial_agg(&store, seg(&store), "M", "X = b", &side, "Y", &[], true)
-            .unwrap();
-        let (_, fresh_x) = cache
-            .partial_agg(&store, seg(&store), "M", "X = b", &side, "X", &[], true)
-            .unwrap();
+        let b = Subspace::of("X", "b");
+        let (_, fresh_y) = probe(&cache, &store, "M", &b, "Y", &[], true).unwrap();
+        let (_, fresh_x) = probe(&cache, &store, "M", &b, "X", &[], true).unwrap();
         assert!(fresh_y);
         assert!(!fresh_x, "empty clause must be keyed attribute-free");
+    }
+
+    #[test]
+    fn wide_clauses_fall_back_to_a_boxed_bitmap() {
+        let narrow = Ids::clause(&[3, 255]);
+        assert!(matches!(narrow, Ids::Inline { len: 4, .. }));
+        assert_eq!(narrow.heap_bytes(), 0);
+        let wide = Ids::clause(&[3, 256]);
+        assert!(matches!(&wide, Ids::Boxed(words) if words.len() == 5));
+        assert_eq!(wide.heap_bytes(), 40);
+        assert!(wide.contains(3) && wide.contains(256) && !wide.contains(255));
+        assert!(!wide.contains(xinsight_data::NULL_CODE));
+        assert_eq!(Ids::clause(&[]), Ids::EMPTY);
+        assert_eq!(Ids::clause(&[1, 1, 0]), Ids::clause(&[0, 1]));
     }
 
     #[test]
@@ -676,19 +960,7 @@ mod tests {
                 .unwrap(),
         );
         let cache = SelectionCache::new();
-        let side = store.segments()[0].all_rows();
-        let (stats, _) = cache
-            .partial_agg(
-                &store,
-                &store.segments()[0],
-                "M",
-                "all",
-                &side,
-                "",
-                &[],
-                true,
-            )
-            .unwrap();
+        let (stats, _) = probe(&cache, &store, "M", &Subspace::all(), "X", &[], true).unwrap();
         assert_eq!(stats.rows, 3);
         assert_eq!(stats.count, 2);
         assert_eq!(stats.value(Aggregate::Avg), Some(5.0));
@@ -698,36 +970,25 @@ mod tests {
     fn unknown_measure_is_an_error() {
         let store = data();
         let cache = SelectionCache::new();
-        let side = seg(&store).all_rows();
-        assert!(cache
-            .partial_agg(&store, seg(&store), "nope", "all", &side, "Y", &[], false)
-            .is_err());
+        assert!(probe(&cache, &store, "nope", &a(), "Y", &[], false).is_err());
+        assert!(matches!(
+            probe(&cache, &store, "Y", &a(), "Y", &[], false),
+            Err(DataError::WrongKind { .. })
+        ));
     }
 
     #[test]
     fn sibling_stats_are_the_contexts_delta_d_entries() {
         let store = data();
         let cache = SelectionCache::new();
-        let (s1, s2) = (Subspace::of("X", "a"), Subspace::of("X", "b"));
+        let (s1, s2) = (a(), Subspace::of("X", "b"));
         let (a, b) = cache.sibling_stats(&store, "M", &s1, &s2).unwrap();
         assert_eq!((a.sum(), b.sum()), (15.0, 13.0));
         // A context's Δ(D) probe (empty clause, complement) replays them.
         let misses = cache.misses();
-        let side = cache.subspace_mask(&store, seg(&store), &s1).unwrap();
-        let (stats, fresh) = cache
-            .partial_agg(
-                &store,
-                seg(&store),
-                "M",
-                &s1.to_string(),
-                &side,
-                "Y",
-                &[],
-                true,
-            )
-            .unwrap();
+        let (stats, fresh) = probe(&cache, &store, "M", &s1, "Y", &[], true).unwrap();
         assert!(!fresh);
-        assert_eq!(*stats, a);
+        assert_eq!(stats, a);
         assert_eq!(cache.misses(), misses);
         assert!(matches!(
             cache.sibling_stats(&store, "X", &s1, &s2),
@@ -739,7 +1000,7 @@ mod tests {
     fn reuse_with_a_different_store_is_rejected_but_epochs_are_not() {
         let store = data();
         let cache = SelectionCache::new();
-        cache.filter_mask(&store, seg(&store), "Y", "p").unwrap();
+        cache.subspace_mask(&store, seg(&store), &a()).unwrap();
         // Another epoch of the *same* store is accepted, and the new segment
         // contributes fresh keys while old entries replay.
         let grown = store
@@ -747,50 +1008,104 @@ mod tests {
             .unwrap();
         let hits_before = cache.hits();
         assert!(cache
-            .filter_mask(&grown, &grown.segments()[0], "Y", "p")
+            .subspace_mask(&grown, &grown.segments()[0], &a())
             .is_ok());
         assert_eq!(cache.hits(), hits_before + 1, "old segment entries replay");
         assert!(cache
-            .filter_mask(&grown, &grown.segments()[1], "Y", "p")
+            .subspace_mask(&grown, &grown.segments()[1], &a())
             .is_ok());
         assert_eq!(cache.mask_entries(), 2, "new segment adds its own key");
         // A different store (even with identical contents) is rejected.
         let other = data();
         assert!(matches!(
-            cache.filter_mask(&other, &other.segments()[0], "Y", "p"),
+            cache.subspace_mask(&other, &other.segments()[0], &a()),
             Err(DataError::DatasetMismatch(_))
         ));
     }
 
     #[test]
-    fn long_clauses_are_not_retained_in_the_mask_layer() {
-        let store = data();
+    fn a_warm_side_replays_every_segment_under_one_probe() {
+        let store = data()
+            .append_rows(&[vec![Value::from("a"), Value::from("q"), Value::from(4.0)]])
+            .unwrap();
         let cache = SelectionCache::new();
-        let side = Filter::equals("X", "a").mask(seg(&store).data()).unwrap();
-        // A 3-value clause (> MAX_CACHED_CLAUSE_VALUES): its union mask must
-        // be transient, while its partial aggregate is still memoized.
-        let long: Vec<String> = ["p", "q", "r"].iter().map(|s| s.to_string()).collect();
-        let (_, fresh) = cache
-            .partial_agg(&store, seg(&store), "M", "X = a", &side, "Y", &long, false)
-            .unwrap();
+        let (cold, fresh) = probe(&cache, &store, "M", &a(), "Y", &["q"], false).unwrap();
         assert!(fresh);
-        let masks_after_long = cache.mask_entries();
-        let (_, replay) = cache
-            .partial_agg(&store, seg(&store), "M", "X = a", &side, "Y", &long, false)
+        assert_eq!((cold.rows, cold.sum()), (2, 6.0));
+        let hits = cache.hits();
+        let (warm, fresh) = probe(&cache, &store, "M", &a(), "Y", &["q"], false).unwrap();
+        assert!(!fresh);
+        assert_eq!(warm, cold);
+        assert_eq!(cache.hits(), hits + 2, "one hit per segment");
+        // A newly sealed segment is the only one computed.
+        let grown = store
+            .append_rows(&[vec![Value::from("a"), Value::from("q"), Value::from(1.0)]])
             .unwrap();
-        assert!(!replay, "partial aggregates of long clauses are memoized");
-        assert_eq!(
-            cache.mask_entries(),
-            masks_after_long,
-            "long clause unions must not accumulate in the mask layer"
-        );
-        // Only the three constituent filter masks were stored, no 3-value
-        // clause entry.
-        assert_eq!(masks_after_long, 3);
-        // A 2-value clause is still shared.
-        let short: Vec<String> = ["p", "q"].iter().map(|s| s.to_string()).collect();
-        let first = cache.clause_mask(&store, seg(&store), "Y", &short).unwrap();
-        let second = cache.clause_mask(&store, seg(&store), "Y", &short).unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
+        let misses = cache.misses();
+        let (suffix, fresh) = probe(&cache, &grown, "M", &a(), "Y", &["q"], false).unwrap();
+        assert!(fresh);
+        assert_eq!((suffix.rows, suffix.sum()), (3, 7.0));
+        // The new segment's side mask and partial.
+        assert_eq!(cache.misses(), misses + 2);
+    }
+
+    #[test]
+    fn the_budget_bounds_bytes_and_evictions_keep_answers() {
+        let store = data();
+        let reference = SelectionCache::new();
+        let one = {
+            probe(&reference, &store, "M", &a(), "Y", &["p"], false).unwrap();
+            reference.bytes()
+        };
+        assert!(one > 0);
+        assert_eq!(reference.budget(), usize::MAX);
+        // Room for a handful of partials: every probe still answers exactly.
+        let cache = SelectionCache::with_budget(4 * one);
+        let clauses: [&[&str]; 7] = [
+            &["p"],
+            &["q"],
+            &["r"],
+            &["p", "q"],
+            &["p", "r"],
+            &["q", "r"],
+            &[],
+        ];
+        for round in 0..3 {
+            for clause in clauses {
+                for complement in [false, true] {
+                    let got = probe(&cache, &store, "M", &a(), "Y", clause, complement).unwrap();
+                    let want =
+                        probe(&reference, &store, "M", &a(), "Y", clause, complement).unwrap();
+                    assert_eq!(got.0, want.0, "round {round} {clause:?}");
+                    assert!(cache.bytes() <= cache.budget());
+                }
+            }
+        }
+        assert!(cache.evictions() > 0);
+        assert_eq!(reference.evictions(), 0);
+        // A budget below one entry keeps nothing and still answers.
+        let tiny = SelectionCache::with_budget(1);
+        for _ in 0..2 {
+            let (stats, fresh) = probe(&tiny, &store, "M", &a(), "Y", &["p"], false).unwrap();
+            assert!(fresh);
+            assert_eq!(stats.sum(), 10.0);
+        }
+        assert_eq!((tiny.bytes(), tiny.stats().entries), (0, 0));
+    }
+
+    #[test]
+    fn referenced_entries_get_a_second_chance() {
+        let table: Table<u32, u32> = Table::new(4 * charge::<u32, u32>(0));
+        let bytes = charge::<u32, u32>(0);
+        for key in 0..4 {
+            assert_eq!(table.insert(key, key, bytes), (key, true));
+        }
+        assert_eq!(table.get(&0), Some(0));
+        // Full: the insert sweeps, sparing the referenced key 0.
+        table.insert(4, 4, bytes);
+        assert_eq!(table.get(&0), Some(0));
+        assert!(table.get(&4).is_some());
+        assert!(table.bytes() <= table.budget);
+        assert!(table.evictions.load(Ordering::Relaxed) >= 1);
     }
 }

@@ -8,46 +8,87 @@
 //! summation — so the chosen explanation is bit-identical for any
 //! segmentation of the same rows.
 
-use super::cache::SelectionCache;
+use super::cache::{Ids, PartialKey, QueryIds, SelectionCache, Side};
 use super::XPlainerOptions;
 use crate::why_query::WhyQuery;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use xinsight_data::{Filter, MeasureStats, Predicate, Result, RowMask, Segment, SegmentedDataset};
+use xinsight_data::{MeasureStats, Predicate, Result, SegmentedDataset};
 
-/// The per-segment slice of the context: the segment plus its two
-/// sibling-subspace masks (segment-local row domain).
-#[derive(Debug)]
-struct SegmentSides {
-    segment: Arc<Segment>,
-    s1: Arc<RowMask>,
-    s2: Arc<RowMask>,
+/// A Why Query compiled once against one store and cache: the measure and
+/// both sibling sides as cache ids, plus the two sides of `Δ(D)` read
+/// through the cache.  The pipeline compiles each request once and shares
+/// the result with every attribute's [`SearchContext`].
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledQuery {
+    ids: QueryIds,
+    x: f64,
+    y: f64,
+}
+
+impl CompiledQuery {
+    /// Compiles `query` and reads `Δ(D) = x − y` through `cache`.  This
+    /// checks the store against the cache's lineage latch and validates the
+    /// measure and both subspaces: every later `Δ` probe relies on all
+    /// three and `expect`s success, so a foreign store or a missing/typo'd
+    /// measure surfaces as an error here, not a panic deep in a worker.
+    pub(crate) fn new(
+        store: &SegmentedDataset,
+        query: &WhyQuery,
+        cache: &SelectionCache,
+    ) -> Result<CompiledQuery> {
+        let ids = cache.compile(store, query.measure(), query.s1(), query.s2())?;
+        let (a, b) = cache.side_totals(store, &ids)?;
+        let (x, y) = query.sibling_values(&a, &b)?;
+        Ok(CompiledQuery { ids, x, y })
+    }
+
+    /// The two sibling aggregates `(x, y)` of `Δ(D) = x − y`.
+    pub(crate) fn sibling_values(&self) -> (f64, f64) {
+        (self.x, self.y)
+    }
+
+    /// The compiled form of the query [`WhyQuery::oriented_on`] its own
+    /// `Δ(D)`: sides swapped exactly when the query is.
+    pub(crate) fn oriented(self) -> CompiledQuery {
+        if WhyQuery::flips_on(self.x, self.y) {
+            CompiledQuery {
+                ids: self.ids.flipped(),
+                x: self.y,
+                y: self.x,
+            }
+        } else {
+            self
+        }
+    }
 }
 
 /// Precomputed per-attribute state shared by every search strategy: the
-/// filters of the attribute (drawn from the store's *global* dictionary, so
-/// categories that only appear in later segments are searchable), the
-/// per-segment sibling-subspace masks, `Δ(D)`, `ε` and `σ`, plus a counter
-/// of `Δ(·)` evaluations.
+/// attribute's categories (borrowed from the store's *global* dictionary,
+/// so categories that only appear in later segments are searchable), the
+/// compiled query, `Δ(D)`, `ε` and `σ`, plus a counter of `Δ(·)`
+/// evaluations.
 ///
-/// All `Δ` terms are answered through a [`SelectionCache`]: per-segment
-/// masks and partial aggregates computed by one strategy (or one attribute,
-/// or one query of a batch) are replayed by the others instead of being
-/// recomputed.  `Δ(D)` comes from [`SelectionCache::sibling_stats`], the
-/// same entries the pipeline orients the query on, so it is computed once
-/// per query.  The context is `Sync`, so the strategies may fan their probe
+/// Filter `i` is `attribute = categories[i]`, and `i` is that category's
+/// global dictionary code, so a set of filter indices is directly the
+/// cache's clause bitmap.  All `Δ` terms are answered through a
+/// [`SelectionCache`]: per-segment partial aggregates computed by one
+/// strategy (or one attribute, or one query of a batch) are replayed by the
+/// others instead of being recomputed.  `Δ(D)` comes from the same cache
+/// entries the pipeline orients the query on, so it is computed once per
+/// query.  The context is `Sync`, so the strategies may fan their probe
 /// loops out over the shared rayon pool; one probe walks the segments in
-/// order on its own thread (on a warm cache each segment is a hash-map
-/// replay, cheaper than a task hand-off).
+/// order on its own thread (on a warm cache the whole walk is one read
+/// guard and a few hashed words per segment, cheaper than a task hand-off).
 #[derive(Debug)]
 pub struct SearchContext<'a> {
     store: &'a SegmentedDataset,
     query: &'a WhyQuery,
     attribute: String,
-    filters: Vec<Filter>,
-    s1_key: String,
-    s2_key: String,
-    sides: Vec<SegmentSides>,
+    /// The attribute's schema column.
+    column: u32,
+    categories: &'a [Arc<str>],
+    compiled: CompiledQuery,
     delta_d: f64,
     epsilon: f64,
     sigma: f64,
@@ -80,13 +121,13 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Builds the context for one attribute of interest on a shared cache, so
-    /// masks and partial aggregates are reused across attributes, strategies
-    /// and queries — and, because cache entries are keyed per immutable
+    /// partial aggregates are reused across attributes, strategies and
+    /// queries — and, because cache entries are keyed per immutable
     /// segment, across store *epochs* of one lineage: a context built after
-    /// an ingest replays every older segment's masks and partials from the
-    /// cache and only computes the newly sealed segments (the serving
-    /// layer's prefix-merge path hinges on exactly this warm-up behaviour).
-    /// Its `Δ(D)` is a replay of the pipeline's when both share the cache.
+    /// an ingest replays every older segment's partials from the cache and
+    /// only computes the newly sealed segments (the serving layer's
+    /// prefix-merge path hinges on exactly this behaviour).  Its `Δ(D)` is
+    /// a replay of the pipeline's when both share the cache.
     pub fn build_with_cache(
         store: &'a SegmentedDataset,
         query: &'a WhyQuery,
@@ -94,46 +135,32 @@ impl<'a> SearchContext<'a> {
         options: &XPlainerOptions,
         cache: Arc<SelectionCache>,
     ) -> Result<Self> {
-        // Filters come from the global dictionary: every category observed in
-        // *any* segment, in stable first-occurrence (= code) order.
+        let compiled = CompiledQuery::new(store, query, &cache)?;
+        Self::build_compiled(store, query, attribute, options, cache, compiled)
+    }
+
+    /// Builds the context from a query compiled against `store` and `cache`
+    /// — no cache probe, no mask: only the attribute is resolved.
+    pub(crate) fn build_compiled(
+        store: &'a SegmentedDataset,
+        query: &'a WhyQuery,
+        attribute: &str,
+        options: &XPlainerOptions,
+        cache: Arc<SelectionCache>,
+        compiled: CompiledQuery,
+    ) -> Result<Self> {
         let categories = store.categories(attribute)?;
-        let filters: Vec<Filter> = categories
-            .iter()
-            .map(|v| Filter::equals(attribute, v.as_ref()))
-            .collect();
-        // Δ(D) first: it checks the store against the cache's lineage latch
-        // and validates the measure.  Every later Δ probe relies on both and
-        // `expect`s success, so a foreign store or a missing/typo'd measure
-        // must surface as an error here, not a panic deep in a worker; the
-        // warm-up below and every later probe use the trusted variants.
-        let (x, y) = query.sibling_aggregates(store, &cache)?;
+        let column = store.schema().index_of(attribute)? as u32;
+        let (x, y) = compiled.sibling_values();
         let delta_d = x - y;
-        // Warm the mask layer per segment, in segment order:
-        // sibling-subspace and per-filter masks.
-        let mut sides = Vec::with_capacity(store.n_segments());
-        for segment in store.segments() {
-            let s1 = cache.subspace_mask_trusted(segment, query.s1())?;
-            let s2 = cache.subspace_mask_trusted(segment, query.s2())?;
-            for filter in &filters {
-                cache.filter_mask_trusted(segment, filter.attribute(), filter.value())?;
-            }
-            sides.push(SegmentSides {
-                segment: Arc::clone(segment),
-                s1,
-                s2,
-            });
-        }
-        let s1_key = query.s1().to_string();
-        let s2_key = query.s2().to_string();
-        let m = filters.len().max(1);
+        let m = categories.len().max(1);
         Ok(SearchContext {
             store,
             query,
             attribute: attribute.to_owned(),
-            filters,
-            s1_key,
-            s2_key,
-            sides,
+            column,
+            categories,
+            compiled,
             delta_d,
             epsilon: options
                 .epsilon
@@ -148,7 +175,7 @@ impl<'a> SearchContext<'a> {
 
     /// Number of filters `m` on the attribute.
     pub fn m(&self) -> usize {
-        self.filters.len()
+        self.categories.len()
     }
 
     /// The attribute of interest.
@@ -176,11 +203,6 @@ impl<'a> SearchContext<'a> {
         self.sigma
     }
 
-    /// The filters of the attribute, indexed by filter id.
-    pub fn filters(&self) -> &[Filter] {
-        &self.filters
-    }
-
     /// The selection/aggregation cache answering this context's `Δ` terms.
     pub fn cache(&self) -> &Arc<SelectionCache> {
         &self.cache
@@ -202,59 +224,28 @@ impl<'a> SearchContext<'a> {
     pub fn predicate_of(&self, indices: &[usize]) -> Predicate {
         Predicate::new(
             &self.attribute,
-            indices.iter().map(|&i| self.filters[i].value().to_owned()),
+            indices.iter().map(|&i| self.categories[i].to_string()),
         )
     }
 
-    /// The canonical (sorted, deduplicated) clause values of filter indices.
-    fn clause_values(&self, indices: &[usize]) -> Vec<String> {
-        let mut values: Vec<String> = indices
-            .iter()
-            .map(|&i| self.filters[i].value().to_owned())
-            .collect();
-        values.sort();
-        values.dedup();
-        values
-    }
-
-    /// The statistics of one side over the clause selection, merged across
-    /// segments in segment order (exact, so segmentation-independent).
-    /// Returns the merged statistics and whether any per-segment partial
-    /// was freshly computed.
-    fn side_stats(
-        &self,
-        side_key: &str,
-        pick: impl Fn(&SegmentSides) -> &Arc<RowMask>,
-        values: &[String],
-        complement: bool,
-    ) -> (MeasureStats, bool) {
-        let mut merged = MeasureStats::new();
-        let mut fresh = false;
-        for sides in &self.sides {
-            let (stats, was_fresh) = self
-                .cache
-                .partial_agg_trusted(
-                    &sides.segment,
-                    self.query.measure(),
-                    side_key,
-                    || Ok(&**pick(sides)),
-                    &self.attribute,
-                    values,
-                    complement,
-                )
-                .expect("context attributes validated at build time");
-            merged.merge(&stats);
-            fresh |= was_fresh;
-        }
-        (merged, fresh)
+    /// The statistics of the side `key` is aimed at over its clause
+    /// selection, merged across segments in segment order (exact, so
+    /// segmentation-independent).  Returns the merged statistics and
+    /// whether any per-segment partial was freshly computed.
+    fn side_stats(&self, key: &mut PartialKey) -> (MeasureStats, bool) {
+        self.cache
+            .merged_partials(self.store.segments(), key)
+            .expect("context attributes validated at build time")
     }
 
     /// `Δ` over `side ∩ clause` (or `side − clause`), both sides, via the
     /// cache.  `None` when one sibling side's aggregate is undefined.
     fn delta_clause(&self, indices: &[usize], complement: bool) -> Option<f64> {
-        let values = self.clause_values(indices);
-        let (a, fresh_a) = self.side_stats(&self.s1_key, |s| &s.s1, &values, complement);
-        let (b, fresh_b) = self.side_stats(&self.s2_key, |s| &s.s2, &values, complement);
+        let ids = &self.compiled.ids;
+        let mut key = ids.probe(Side::S1, self.column, Ids::clause(indices), complement);
+        let (a, fresh_a) = self.side_stats(&mut key);
+        key.set_side(ids, Side::S2);
+        let (b, fresh_b) = self.side_stats(&mut key);
         if fresh_a || fresh_b {
             self.evaluations.fetch_add(1, Ordering::Relaxed); // relaxed: advisory effort counter
         }
@@ -340,7 +331,8 @@ mod tests {
     fn delta_of_and_without_track_subsets() {
         let (store, query) = fixture();
         let ctx = SearchContext::build(&store, &query, "Y", &XPlainerOptions::default()).unwrap();
-        let p_index = ctx.filters().iter().position(|f| f.value() == "p").unwrap();
+        // A filter's index is its category's global dictionary code.
+        let p_index = store.global_code("Y", "p").unwrap().unwrap() as usize;
         // Restricting to Y = p: avg(a) = 10, avg(b) = 1.
         assert!((ctx.delta_of(&[p_index]).unwrap() - 9.0).abs() < 1e-12);
         // Removing Y = p rows: avg(a) = 2, avg(b) = 1.
@@ -396,7 +388,7 @@ mod tests {
             .unwrap();
         let ctx = SearchContext::build(&grown, &query, "Y", &XPlainerOptions::default()).unwrap();
         assert_eq!(ctx.m(), 3, "the new category `z` must be searchable");
-        let z = ctx.filters().iter().position(|f| f.value() == "z").unwrap();
+        let z = grown.global_code("Y", "z").unwrap().unwrap() as usize;
         // Y = z only selects the appended row (side a): avg(a) = 50, b empty.
         assert_eq!(ctx.delta_of(&[z]), None);
         // Removing it restores the original six rows.

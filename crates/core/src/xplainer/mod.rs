@@ -25,6 +25,7 @@ mod context;
 mod sum;
 
 pub use cache::SelectionCache;
+pub(crate) use context::CompiledQuery;
 pub use context::SearchContext;
 
 use crate::why_query::WhyQuery;
@@ -169,6 +170,37 @@ impl XPlainer {
         cache: Arc<SelectionCache>,
     ) -> Result<Option<ExplanationCandidate>> {
         let ctx = SearchContext::build_with_cache(store, query, attribute, &self.options, cache)?;
+        self.search(&ctx, query, strategy, homogeneous)
+    }
+
+    /// [`XPlainer::explain_attribute_cached`] for a query compiled against
+    /// `store` and `cache` once per request
+    /// ([`crate::pipeline::XInsight::execute_with_cache`] shares one
+    /// compilation across every attribute).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn explain_compiled(
+        &self,
+        store: &SegmentedDataset,
+        query: &WhyQuery,
+        attribute: &str,
+        strategy: SearchStrategy,
+        homogeneous: bool,
+        cache: Arc<SelectionCache>,
+        compiled: CompiledQuery,
+    ) -> Result<Option<ExplanationCandidate>> {
+        let ctx =
+            SearchContext::build_compiled(store, query, attribute, &self.options, cache, compiled)?;
+        self.search(&ctx, query, strategy, homogeneous)
+    }
+
+    /// Runs `strategy` over a built context.
+    fn search(
+        &self,
+        ctx: &SearchContext<'_>,
+        query: &WhyQuery,
+        strategy: SearchStrategy,
+        homogeneous: bool,
+    ) -> Result<Option<ExplanationCandidate>> {
         if ctx.m() == 0 || ctx.delta_d() <= ctx.epsilon() {
             // Either nothing to explain or the difference is already below ε.
             return Ok(None);
@@ -182,14 +214,14 @@ impl XPlainer {
                         self.options.max_brute_force_filters
                     )));
                 }
-                brute::search(&ctx)
+                brute::search(ctx)
             }
             SearchStrategy::Optimized => match query.aggregate() {
-                Aggregate::Sum | Aggregate::Count => sum::search(&ctx),
-                Aggregate::Avg => avg::search(&ctx, homogeneous),
+                Aggregate::Sum | Aggregate::Count => sum::search(ctx),
+                Aggregate::Avg => avg::search(ctx, homogeneous),
                 _ => {
                     if ctx.m() <= self.options.max_brute_force_filters {
-                        brute::search(&ctx)
+                        brute::search(ctx)
                     } else {
                         None
                     }

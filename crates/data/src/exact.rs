@@ -120,6 +120,12 @@ impl ExactSum {
         hi
     }
 
+    /// Heap bytes held by the partials (the accumulator's allocation; the
+    /// struct itself is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.partials.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Whether nothing (or only zeros) has been added.
     pub fn is_zero(&self) -> bool {
         self.partials.iter().all(|&p| p == 0.0)
@@ -223,6 +229,12 @@ impl MeasureStats {
         self.sum.merge(&other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Heap bytes held by the exact-sum partials (see
+    /// [`ExactSum::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.sum.heap_bytes()
     }
 
     /// The correctly-rounded sum of the observed values.

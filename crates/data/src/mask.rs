@@ -56,6 +56,12 @@ impl RowMask {
         RowMask { bits, len }
     }
 
+    /// Heap bytes held by the packed words (the mask's allocation; the
+    /// struct itself is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Number of rows covered by the mask (selected or not).
     pub fn len(&self) -> usize {
         self.len

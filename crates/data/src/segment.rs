@@ -306,9 +306,21 @@ impl SegmentedDataset {
     /// The global dictionary of a dimension: every category observed in any
     /// segment, ordered by first occurrence (= dictionary code).
     pub fn categories(&self, attribute: &str) -> Result<&[Arc<str>]> {
+        Ok(&self.dict(attribute)?.categories)
+    }
+
+    /// The global dictionary code of `value` in dimension `attribute`, or
+    /// `None` when no segment has ever seen the value (it selects no rows).
+    /// A code is stable for the life of the store lineage, so it can key
+    /// per-segment state in place of the category string.
+    pub fn global_code(&self, attribute: &str, value: &str) -> Result<Option<u32>> {
+        Ok(self.dict(attribute)?.lookup.get(value).copied())
+    }
+
+    fn dict(&self, attribute: &str) -> Result<&Dict> {
         let idx = self.schema.index_of(attribute)?;
         match &self.dict[idx] {
-            Some(dict) => Ok(&dict.categories),
+            Some(dict) => Ok(dict),
             None => Err(DataError::WrongKind {
                 attribute: attribute.to_owned(),
                 expected: "dimension",

@@ -79,6 +79,11 @@ const SHUTDOWN_DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// readable events to arrive.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// A readable event stops reading once the connection buffers more than
+/// this: the largest request the parser accepts, so a fast peer cannot
+/// make the loop buffer without limit before anything is framed.
+const READ_BOUND: usize = http::MAX_HEAD_BYTES + http::MAX_BODY_BYTES;
+
 fn key_of(slot: usize, gen: u32) -> usize {
     (((gen as u64) << 32) | slot as u64) as usize
 }
@@ -189,6 +194,41 @@ fn conn_ref(conns: &[Option<Conn>], slot: usize) -> Option<&Conn> {
 
 fn conn_mut(conns: &mut [Option<Conn>], slot: usize) -> Option<&mut Conn> {
     conns.get_mut(slot).and_then(Option::as_mut)
+}
+
+/// Reads what `stream` has ready into `parser`, one chunk at a time, until
+/// the socket would block, the peer closes (`Ok(true)`), or more than
+/// [`READ_BOUND`] bytes are buffered.  The bound keeps one readable event
+/// at one largest legal request plus a chunk: framing then consumes or
+/// rejects it, and the level-triggered re-arm delivers whatever the peer
+/// sent beyond it.  Every event reads at least once, so a request that
+/// straddles the bound still completes.  Stamps `first_byte` on the first
+/// byte read.
+fn read_ready(
+    stream: &mut impl Read,
+    parser: &mut RequestParser,
+    first_byte: &mut Option<Instant>,
+) -> std::io::Result<bool> {
+    let mut buf = [0u8; READ_CHUNK];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return Ok(true),
+            Ok(n) => {
+                first_byte.get_or_insert_with(Instant::now);
+                // `read` never returns more than the buffer holds, but the
+                // event loop does not index on an io contract.
+                if let Some(chunk) = buf.get(..n) {
+                    parser.feed(chunk);
+                }
+                if parser.buffered() > READ_BOUND {
+                    return Ok(false);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 impl EventLoop {
@@ -372,29 +412,11 @@ impl EventLoop {
         let Some(conn) = conn_mut(&mut self.conns, slot) else {
             return;
         };
-        let mut buf = [0u8; READ_CHUNK];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    if conn.first_byte.is_none() {
-                        conn.first_byte = Some(Instant::now());
-                    }
-                    // `read` never returns more than the buffer holds, but
-                    // the event loop does not index on an io contract.
-                    if let Some(chunk) = buf.get(..n) {
-                        conn.parser.feed(chunk);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot, false);
-                    return;
-                }
+        match read_ready(&mut conn.stream, &mut conn.parser, &mut conn.first_byte) {
+            Ok(closed) => conn.peer_closed |= closed,
+            Err(_) => {
+                self.close(slot, false);
+                return;
             }
         }
         self.advance(slot);
@@ -772,5 +794,77 @@ impl EventLoop {
             // relaxed: monotonic shed counter for /metrics.
             self.shared.stats.conn_shed.fetch_add(1, Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModelRegistry;
+    use crate::server::{start, ServerConfig};
+    use xinsight_core::pipeline::XInsightOptions;
+
+    /// A head announcing `length` body bytes, followed by `burst` bytes.
+    fn burst(length: usize, burst: usize) -> Vec<u8> {
+        let mut bytes =
+            format!("POST /v2/explain HTTP/1.1\r\nContent-Length: {length}\r\n\r\n").into_bytes();
+        bytes.resize(bytes.len() + burst, b'x');
+        bytes
+    }
+
+    #[test]
+    fn a_burst_past_the_body_bound_gets_413_with_bounded_buffering() {
+        let big = 4 * http::MAX_BODY_BYTES;
+        // One readable event over a peer that never blocks stops at the
+        // bound, and what it buffered frames as a 413.
+        let mut parser = RequestParser::new();
+        let mut first_byte = None;
+        let mut peer = std::io::Cursor::new(burst(big, big));
+        let closed = read_ready(&mut peer, &mut parser, &mut first_byte).unwrap();
+        assert!(!closed && first_byte.is_some());
+        let buffered = parser.buffered();
+        assert!(
+            buffered > READ_BOUND && buffered <= READ_BOUND + READ_CHUNK,
+            "{buffered}"
+        );
+        assert!(matches!(
+            parser.try_parse(),
+            Err(http::HttpError::TooLarge("request body"))
+        ));
+        // A largest legal request (head at its bound, body at its bound)
+        // straddles the read bound and still completes: the next event
+        // reads on.
+        let mut head = b"POST /v2/explain HTTP/1.1\r\nX-Pad: ".to_vec();
+        let length = format!("\r\nContent-Length: {}\r\n\r\n", http::MAX_BODY_BYTES);
+        head.resize(http::MAX_HEAD_BYTES + 2 - length.len(), b'a');
+        head.extend_from_slice(length.as_bytes());
+        head.resize(head.len() + http::MAX_BODY_BYTES, b'x');
+        let mut peer = head.as_slice();
+        let mut parser = RequestParser::new();
+        let mut events = 0;
+        while !read_ready(&mut peer, &mut parser, &mut None).unwrap() {
+            events += 1;
+        }
+        assert!(events >= 1, "the request straddles the bound");
+        assert!(matches!(parser.try_parse(), Ok(Some(r)) if r.body.len() == http::MAX_BODY_BYTES));
+
+        // End to end: the server answers the burst with a 413.
+        let dir = std::env::temp_dir().join(format!("xinsight_event_{}", std::process::id()));
+        let registry = ModelRegistry::open_empty(&dir, XInsightOptions::default());
+        let handle = start(Arc::new(registry), &ServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // The server answers and closes before reading it all, so the
+        // write may fail part-way.
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&burst(big, big));
+        });
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        sender.join().unwrap();
+        let response = String::from_utf8_lossy(&response);
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -60,6 +60,11 @@ pub struct ModelGauges {
     pub rows: u64,
     /// Store epoch.
     pub epoch: u64,
+    /// Bytes charged to the model's `SelectionCache` entries.
+    pub selection_bytes: u64,
+    /// Entries the model's `SelectionCache` evicted to stay in budget
+    /// (restarts from 0 when compaction or reload installs a fresh cache).
+    pub selection_evictions: u64,
 }
 
 /// Everything one `/metrics` scrape renders: the server's own counters
@@ -138,7 +143,7 @@ fn histogram_samples(out: &mut String, name: &str, prefix_labels: &str, hist: &L
         out,
         &format!("{name}_sum"),
         sum_label,
-        hist.sum_us() as f64 / 1e6,
+        hist.sum_ns() as f64 / 1e9,
     );
     sample(out, &format!("{name}_count"), sum_label, total as f64);
 }
@@ -609,62 +614,37 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
         snapshot.traces_recorded as f64,
     );
 
+    type ModelSeries = (
+        &'static str,
+        &'static str,
+        &'static str,
+        fn(&ModelGauges) -> u64,
+    );
+    let per_model: [ModelSeries; 6] = [
+        ("xinsight_model_generation", "gauge", "Store generation per loaded model.", |m| m.generation),
+        ("xinsight_model_segments", "gauge", "Live segment count per loaded model.", |m| m.segments),
+        ("xinsight_model_rows", "gauge", "Total rows per loaded model.", |m| m.rows),
+        ("xinsight_model_epoch", "gauge", "Store epoch per loaded model.", |m| m.epoch),
+        (
+            "xinsight_selection_cache_bytes",
+            "gauge",
+            "Engine SelectionCache resident bytes per loaded model (bounded by its byte budget).",
+            |m| m.selection_bytes,
+        ),
+        (
+            "xinsight_selection_cache_evictions_total",
+            "counter",
+            "Engine SelectionCache entries evicted to stay within the byte budget, per loaded model.",
+            |m| m.selection_evictions,
+        ),
+    ];
     if !snapshot.models.is_empty() {
-        header(
-            &mut out,
-            "xinsight_model_generation",
-            "gauge",
-            "Store generation per loaded model.",
-        );
-        for m in &snapshot.models {
-            sample(
-                &mut out,
-                "xinsight_model_generation",
-                &format!("model=\"{}\"", escape_label(&m.id)),
-                m.generation as f64,
-            );
-        }
-        header(
-            &mut out,
-            "xinsight_model_segments",
-            "gauge",
-            "Live segment count per loaded model.",
-        );
-        for m in &snapshot.models {
-            sample(
-                &mut out,
-                "xinsight_model_segments",
-                &format!("model=\"{}\"", escape_label(&m.id)),
-                m.segments as f64,
-            );
-        }
-        header(
-            &mut out,
-            "xinsight_model_rows",
-            "gauge",
-            "Total rows per loaded model.",
-        );
-        for m in &snapshot.models {
-            sample(
-                &mut out,
-                "xinsight_model_rows",
-                &format!("model=\"{}\"", escape_label(&m.id)),
-                m.rows as f64,
-            );
-        }
-        header(
-            &mut out,
-            "xinsight_model_epoch",
-            "gauge",
-            "Store epoch per loaded model.",
-        );
-        for m in &snapshot.models {
-            sample(
-                &mut out,
-                "xinsight_model_epoch",
-                &format!("model=\"{}\"", escape_label(&m.id)),
-                m.epoch as f64,
-            );
+        for (name, kind, help, value) in per_model {
+            header(&mut out, name, kind, help);
+            for m in &snapshot.models {
+                let label = format!("model=\"{}\"", escape_label(&m.id));
+                sample(&mut out, name, &label, value(m) as f64);
+            }
         }
     }
 
@@ -990,6 +970,8 @@ mod tests {
                 segments: 2,
                 rows: 4000,
                 epoch: 5,
+                selection_bytes: 2048,
+                selection_evictions: 0,
             }],
             queue_depth: 1,
             queue_capacity: 64,
@@ -1065,9 +1047,28 @@ mod tests {
             ("xinsight_compact_after", 6.0),
             ("xinsight_queue_capacity", 64.0),
             ("xinsight_workers", 4.0),
+            ("xinsight_selection_cache_bytes{model=\"syn_a\"}", 2048.0),
+            (
+                "xinsight_selection_cache_evictions_total{model=\"syn_a\"}",
+                0.0,
+            ),
         ] {
             assert_eq!(value(series), Some(expected), "{series}");
         }
+    }
+
+    #[test]
+    fn histogram_sums_keep_sub_microsecond_time() {
+        let stats = ServerStats::default();
+        let parse = &stats.stages[Stage::Parse.index()];
+        for _ in 0..1_000 {
+            parse.record(Duration::from_nanos(1_500));
+        }
+        // Whole microseconds would have summed to 1 ms.
+        assert_eq!(parse.sum_us(), 1_000);
+        let text = render(&snapshot_with(&stats));
+        let sum = series_value(&text, "xinsight_stage_latency_seconds_sum{stage=\"parse\"}");
+        assert_eq!(sum, Some(0.0015));
     }
 
     #[test]

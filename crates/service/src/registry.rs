@@ -43,6 +43,15 @@ use xinsight_stats::CacheStats;
 /// save time).
 pub const META_FORMAT_VERSION: u64 = 2;
 
+/// Byte budget of each model's persistent [`SelectionCache`].  The cache
+/// lives as long as the store lineage and grows with every distinct query
+/// it serves; the budget caps that growth, and past it the cache evicts by
+/// CLOCK (answers never change, only recomputation).  A partial costs
+/// about 220 bytes and partials get three quarters of the budget, so
+/// 64 MiB keeps some 230k per-segment partials resident; a warm
+/// `explain_miss` working set (48 queries over 8 segments) is under 3k.
+pub const SELECTION_CACHE_BUDGET_BYTES: usize = 64 << 20;
+
 /// One loaded model: the warm engine plus its serving metadata.
 #[derive(Debug)]
 pub struct LoadedModel {
@@ -66,12 +75,12 @@ pub struct LoadedModel {
     /// Fit-time CI-test cache counters, restored from the bundle metadata.
     pub ci_cache_stats: CacheStats,
     /// The model's persistent per-segment partial-aggregate cache, shared
-    /// across the snapshots of one store lineage: an ingest clones the
-    /// `Arc` (the new engine replays every pre-ingest segment's masks and
-    /// partials from it and computes only the new segment — the serving
-    /// prefix-merge path), while a reload or compaction installs a fresh
-    /// cache (the old segment identities are dead, so keeping the old map
-    /// would only pin garbage).
+    /// across the snapshots of one store lineage and bounded by
+    /// [`SELECTION_CACHE_BUDGET_BYTES`]: an ingest clones the `Arc` (the new
+    /// engine replays every pre-ingest segment's partials from it and
+    /// computes only the new segment — the serving prefix-merge path),
+    /// while a reload or compaction installs a fresh cache (the old segment
+    /// identities are dead, so keeping the old map would only pin garbage).
     pub selection: Arc<SelectionCache>,
     /// The ordered `(segment id, seal epoch)` fingerprint of this
     /// snapshot's store — the result-cache scope of every answer computed
@@ -262,7 +271,7 @@ impl ModelRegistry {
             example_queries: meta.example_queries,
             example_rows,
             ci_cache_stats: meta.ci_cache_stats,
-            selection: Arc::new(SelectionCache::new()),
+            selection: Arc::new(SelectionCache::with_budget(SELECTION_CACHE_BUDGET_BYTES)),
             fingerprint,
             dict_len,
         });
@@ -408,7 +417,7 @@ impl ModelRegistry {
             ci_cache_stats: current.ci_cache_stats,
             // A fresh cache: the compacted segment has a new identity, and
             // dropping the old map releases every pre-compaction partial.
-            selection: Arc::new(SelectionCache::new()),
+            selection: Arc::new(SelectionCache::with_budget(SELECTION_CACHE_BUDGET_BYTES)),
             fingerprint: report.new_fingerprint.clone(),
             dict_len,
         });

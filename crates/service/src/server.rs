@@ -588,7 +588,7 @@ fn inject_fault(request: &Request) {
 
 /// Maps a handler's [`DataError`] to an HTTP status: wire/validation
 /// failures are the client's (`400`), anything else is ours (`500`).
-fn status_for(error: &DataError) -> u16 {
+pub fn status_for(error: &DataError) -> u16 {
     match error {
         DataError::Serve(_)
         | DataError::Persist(_)
@@ -746,6 +746,8 @@ fn handle_metrics(shared: &Shared) -> Response {
                 segments: store.n_segments() as u64,
                 rows: store.n_rows() as u64,
                 epoch: store.epoch(),
+                selection_bytes: m.selection.bytes() as u64,
+                selection_evictions: m.selection.evictions(),
             }
         })
         .collect();

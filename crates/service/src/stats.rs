@@ -60,6 +60,9 @@ pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
     count: AtomicU64,
     sum_us: AtomicU64,
+    /// The exact sum in nanoseconds, which `/metrics` publishes as `_sum`:
+    /// whole microseconds would drop most of a 1–2 µs stage.
+    sum_ns: AtomicU64,
 }
 
 impl Default for LatencyHistogram {
@@ -68,6 +71,7 @@ impl Default for LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
         }
     }
 }
@@ -75,12 +79,14 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// Records one latency sample.
     pub fn record(&self, latency: Duration) {
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
+        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+        let us = ns / 1_000;
         // relaxed: each cell is an independent monotonic counter; readers
         // snapshot without a lock and tolerate torn cross-cell views.
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed); // relaxed: see above
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed); // relaxed: see above
     }
 
     /// Number of recorded samples.
@@ -91,6 +97,11 @@ impl LatencyHistogram {
     /// Sum of all recorded samples, in microseconds.
     pub fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed) // relaxed: monotonic stats counter
+    }
+
+    /// Sum of all recorded samples, in nanoseconds.
+    pub fn sum_ns(&self) -> u64 {
+        self.sum_ns.load(Ordering::Relaxed) // relaxed: monotonic stats counter
     }
 
     /// The cumulative count of samples `<= bound_us`, reported against the

@@ -111,6 +111,25 @@ fn no_string_pass_and_fail() {
     );
 }
 
+/// The engine's warm `Δ` probe path is a `no_string` scope too: a replay
+/// that keys partials by text is reported, its compile step is not.
+#[test]
+fn no_string_covers_the_probe_path() {
+    let text = assert_fail(
+        "no_string/probe",
+        "no-string-fit-path",
+        &[
+            "src/cache.rs:15:",
+            "`String` on the fit path",
+            "`.to_owned()` allocates text",
+        ],
+    );
+    assert!(
+        !text.contains("src/cache.rs:22:"),
+        "compile is out of scope:\n{text}"
+    );
+}
+
 #[test]
 fn no_panic_pass_and_fail() {
     // The pass fixture includes a pragma-suppressed indexing site — it

@@ -3,10 +3,14 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use xinsight::core::json::{Json, MAX_PARSE_DEPTH};
 use xinsight::core::{SearchStrategy, WhyQuery, XPlainer, XPlainerOptions};
 use xinsight::data::{Aggregate, DatasetBuilder, Filter, Predicate, RowMask, Subspace};
 use xinsight::graph::{separation, Dag, MixedGraph};
 use xinsight::service::http::{HttpError, Request, RequestParser, MAX_BODY_BYTES, MAX_HEAD_BYTES};
+use xinsight::service::server::status_for;
+use xinsight::service::wire::{ExplainV2, IngestV2};
+use xinsight::service::{explain_v2_body, ingest_v2_body};
 
 // ---------------------------------------------------------------------------
 // RowMask algebra
@@ -498,6 +502,131 @@ proptest! {
             .collect();
         prop_assert_eq!(framed, sent);
     }
+}
+
+// ---------------------------------------------------------------------------
+// JSON and wire decoders under hostile bytes
+// ---------------------------------------------------------------------------
+
+/// A valid `/v2/explain` body and a valid `/v2/ingest` body: the seeds the
+/// mutation strategy corrupts.
+fn valid_bodies() -> [String; 2] {
+    let query = WhyQuery::new(
+        "Delay",
+        Aggregate::Avg,
+        Subspace::of("Month", "May"),
+        Subspace::of("Month", "June"),
+    )
+    .unwrap();
+    let options = r#"{"top_k":3,"min_score":0.25,"types":["causal"],"deadline_ms":50}"#;
+    let rows = r#"[{"Month":"May","Rain":"Yes","Delay":42.5},{"Month":"Ju\u00f1e","Rain":null,"Delay":-1e3}]"#;
+    [
+        explain_v2_body("flight", &query.to_json(), Some(options)),
+        ingest_v2_body("flight", rows),
+    ]
+}
+
+/// JSON fragments a mutation may splice in: unbalanced containers, broken
+/// strings and escapes, lone surrogates, extreme numbers and literals.
+const JSON_SHARDS: [&str; 12] = [
+    "{", "[", "]", "}", "\"", "\\u", "\\ud800", "1e999", "-", "null", ",,", ":",
+];
+
+/// Applies byte edits to `body`.  Each edit packs an operation (low byte),
+/// a byte value (next byte) and a position (the rest, modulo the current
+/// length): overwrite, insert, delete, truncate, or splice in a
+/// [`JSON_SHARDS`] fragment.
+fn mutate(body: &[u8], edits: &[u64]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    for &edit in edits {
+        let (op, byte) = (edit as u8, (edit >> 8) as u8);
+        let at = (edit >> 16) as usize % (out.len() + 1);
+        match op % 5 {
+            0 if at < out.len() => out[at] = byte,
+            1 => out.insert(at, byte),
+            2 if at < out.len() => {
+                out.remove(at);
+            }
+            3 => out.truncate(at),
+            4 => {
+                let shard = JSON_SHARDS[usize::from(byte) % JSON_SHARDS.len()].as_bytes();
+                out.splice(at..at, shard.iter().copied());
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Runs the JSON parser and both v2 body decoders over `body`: none may
+/// panic, and every rejection must be an error the server answers `400`.
+fn decoders_fail_cleanly(body: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(text) = std::str::from_utf8(body) {
+        if let Err(e) = Json::parse(text) {
+            prop_assert_eq!(status_for(&e), 400, "json: {}", e);
+        }
+    }
+    for e in [ExplainV2::parse(body).err(), IngestV2::parse(body).err()]
+        .into_iter()
+        .flatten()
+    {
+        prop_assert_eq!(status_for(&e), 400, "wire: {}", e);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Arbitrary bytes and corrupted valid bodies never panic a decoder,
+    // and every failure is a `400`.
+    #[test]
+    fn json_and_wire_decoders_reject_hostile_bytes_as_400(
+        noise in prop::collection::vec(any::<u8>(), 0..512),
+        edits in prop::collection::vec(any::<u64>(), 1..12),
+    ) {
+        decoders_fail_cleanly(&noise)?;
+        for body in valid_bodies() {
+            decoders_fail_cleanly(&mutate(body.as_bytes(), &edits))?;
+        }
+    }
+
+    // Nesting up to `MAX_PARSE_DEPTH` parses; one level deeper is a `400`,
+    // also inside a wire body (where the document itself adds a level).
+    #[test]
+    fn nesting_past_the_depth_bound_is_rejected(
+        depth in 1usize..4 * MAX_PARSE_DEPTH,
+        objects in any::<bool>(),
+    ) {
+        let (open, close) = if objects { ("{\"a\":", "}") } else { ("[", "]") };
+        let nested = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+        match Json::parse(&nested) {
+            Ok(_) => prop_assert!(depth <= MAX_PARSE_DEPTH),
+            Err(e) => {
+                prop_assert!(depth > MAX_PARSE_DEPTH, "depth {}: {}", depth, e);
+                prop_assert_eq!(status_for(&e), 400);
+            }
+        }
+        let explain = format!("{{\"model\":\"m\",\"query\":{nested}}}");
+        let ingest = format!("{{\"model\":\"m\",\"rows\":[{{\"x\":{nested}}}]}}");
+        let errors = [
+            (ExplainV2::parse(explain.as_bytes()).err(), depth + 1),
+            (IngestV2::parse(ingest.as_bytes()).err(), depth + 3),
+        ];
+        for (error, total_depth) in errors {
+            let e = error.expect("a container is never a valid query or cell");
+            prop_assert_eq!(status_for(&e), 400);
+            let too_deep = e.to_string().contains("nesting deeper");
+            prop_assert_eq!(too_deep, total_depth > MAX_PARSE_DEPTH, "{}", e);
+        }
+    }
+}
+
+#[test]
+fn the_mutation_seeds_are_valid_bodies() {
+    let [explain, ingest] = valid_bodies();
+    assert!(ExplainV2::parse(explain.as_bytes()).is_ok());
+    assert_eq!(IngestV2::parse(ingest.as_bytes()).unwrap().rows.len(), 2);
 }
 
 // ---------------------------------------------------------------------------
