@@ -194,7 +194,6 @@ fn main() {
     let fci_opts = |parallel: bool| xinsight_discovery::FciOptions {
         max_cond_size: Some(3),
         parallel,
-        ..xinsight_discovery::FciOptions::default()
     };
 
     let mut results = Vec::new();

@@ -11,8 +11,8 @@
 //!
 //! * [`ExplainRequest`] — a [`WhyQuery`] plus **per-request controls**
 //!   (`top_k`, a minimum-score threshold, an [`ExplanationType`] allowlist,
-//!   a parallelism override, a soft wall-clock deadline, and a provenance
-//!   switch), built fluently via [`ExplainRequest::builder`];
+//!   a soft wall-clock deadline, and a provenance switch), built fluently
+//!   via [`ExplainRequest::builder`];
 //! * [`ExplainResponse`] — ranked [`ScoredExplanation`]s with explicit
 //!   rank/score, `truncated`/`deadline_hit` markers, elapsed time, and
 //!   optional [`Provenance`] explaining *how* the answer was produced
@@ -51,7 +51,6 @@ use xinsight_stats::CacheStats;
 ///     .top_k(3)
 ///     .min_score(0.2)
 ///     .allow_types([ExplanationType::Causal])
-///     .parallel(false)
 ///     .deadline(Duration::from_millis(250))
 ///     .include_provenance(true)
 ///     .build();
@@ -68,14 +67,13 @@ pub struct ExplainRequest {
     top_k: Option<usize>,
     min_score: Option<f64>,
     types: Option<Vec<ExplanationType>>,
-    parallel: Option<bool>,
     deadline: Option<Duration>,
     include_provenance: bool,
 }
 
 impl ExplainRequest {
     /// A request with default options: no ranking cut-offs, no type
-    /// filter, engine-level parallelism, no deadline, no provenance.
+    /// filter, no deadline, no provenance.
     /// Executing it is byte-identical to the legacy `explain` path.
     pub fn new(query: WhyQuery) -> Self {
         ExplainRequest {
@@ -83,7 +81,6 @@ impl ExplainRequest {
             top_k: None,
             min_score: None,
             types: None,
-            parallel: None,
             deadline: None,
             include_provenance: false,
         }
@@ -118,13 +115,6 @@ impl ExplainRequest {
         self.types.as_deref()
     }
 
-    /// Per-request override of the engine's parallelism switch (`None` =
-    /// inherit the fit-time option).  The answer is identical either way;
-    /// this only trades latency for CPU.
-    pub fn parallel(&self) -> Option<bool> {
-        self.parallel
-    }
-
     /// Soft wall-clock budget for the search.  Candidate attributes whose
     /// search has not *started* when the budget runs out are skipped; the
     /// response still ranks everything that finished and flags itself with
@@ -147,7 +137,6 @@ impl ExplainRequest {
         self.top_k.is_none()
             && self.min_score.is_none()
             && self.types.is_none()
-            && self.parallel.is_none()
             && self.deadline.is_none()
             && !self.include_provenance
     }
@@ -180,12 +169,6 @@ impl ExplainRequestBuilder {
         types.sort();
         types.dedup();
         self.request.types = Some(types);
-        self
-    }
-
-    /// Override the engine's parallelism for this request only.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.request.parallel = Some(parallel);
         self
     }
 
@@ -347,7 +330,6 @@ mod tests {
                 ExplanationType::Causal,
                 ExplanationType::Causal,
             ])
-            .parallel(true)
             .deadline(Duration::from_secs(1))
             .include_provenance(true)
             .build();
@@ -358,7 +340,6 @@ mod tests {
             request.types(),
             Some(&[ExplanationType::Causal, ExplanationType::NonCausal][..])
         );
-        assert_eq!(request.parallel(), Some(true));
         assert_eq!(request.deadline(), Some(Duration::from_secs(1)));
         assert!(request.include_provenance());
         assert!(!request.has_default_options());

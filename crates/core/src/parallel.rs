@@ -1,7 +1,7 @@
 //! Thread-pool configuration shared by the engine and the experiment
 //! binaries.
 //!
-//! All of XInsight's online-phase parallelism (per-query, per-attribute and
+//! All of XInsight's online-phase parallelism (per-attribute and
 //! per-filter fan-out) and the experiment harness's sweeps run on rayon's
 //! global pool.  This module is the single place that pool gets sized, so an
 //! engine embedded in a server and a benchmark binary behave identically:

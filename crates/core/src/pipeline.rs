@@ -68,9 +68,9 @@ pub struct XInsightOptions {
     /// Offline: the depth batches of the skeleton search and FCI's
     /// Possible-D-SEP stage fan out over the rayon pool (AND-ed with
     /// [`FciOptions::parallel`](xinsight_discovery::FciOptions) from the
-    /// XLearner options).  Online: per-attribute searches in
-    /// [`XInsight::execute`], per-query searches in
-    /// [`XInsight::execute_batch`], and the per-filter probe loops inside the
+    /// XLearner options).  Online: the per-attribute searches of each
+    /// request ([`XInsight::execute`]; [`XInsight::execute_batch`] runs its
+    /// requests in order) and the per-filter probe loops inside the
     /// strategies (the latter also honour
     /// [`XPlainerOptions::parallel`](crate::XPlainerOptions) — both must be
     /// `true` for the inner loops to fan out).  Results are identical either
@@ -391,9 +391,10 @@ impl XInsight {
         self.execute_with_cache(request, Arc::new(SelectionCache::new()))
     }
 
-    /// Executes a batch of requests, sharing one [`SelectionCache`] across
-    /// all of them (and, when [`XInsightOptions::parallel`] is set, fanning
-    /// the requests out over the thread pool).
+    /// Executes a batch of requests in order, sharing one
+    /// [`SelectionCache`] across all of them.  Each request still fans its
+    /// candidate attributes out over the thread pool when
+    /// [`XInsightOptions::parallel`] is set.
     ///
     /// Requests in a batch typically hit the same sibling subspaces and
     /// candidate attributes, so the cross-request cache turns most of the
@@ -420,18 +421,10 @@ impl XInsight {
         requests: &[ExplainRequest],
         cache: Arc<SelectionCache>,
     ) -> Result<Vec<ExplainResponse>> {
-        let results: Vec<Result<ExplainResponse>> = if self.options.parallel {
-            requests
-                .par_iter()
-                .map(|request| self.execute_with_cache(request, Arc::clone(&cache)))
-                .collect()
-        } else {
-            requests
-                .iter()
-                .map(|request| self.execute_with_cache(request, Arc::clone(&cache)))
-                .collect()
-        };
-        results.into_iter().collect()
+        requests
+            .iter()
+            .map(|request| self.execute_with_cache(request, Arc::clone(&cache)))
+            .collect()
     }
 
     /// The execution core behind every online entry point, parameterized by
@@ -458,11 +451,10 @@ impl XInsight {
         let compiled = compiled.oriented();
         let translation = self.translation(&query);
         // `XInsightOptions::parallel` is the master switch for the whole
-        // online phase (overridable per request); `xplainer.parallel` can
-        // *additionally* opt the inner probe loops out.  AND-ing the two
-        // means neither flag silently overrides an explicit `false` in the
-        // other.
-        let parallel = request.parallel().unwrap_or(self.options.parallel);
+        // online phase; `xplainer.parallel` can *additionally* opt the inner
+        // probe loops out.  AND-ing the two means neither flag silently
+        // overrides an explicit `false` in the other.
+        let parallel = self.options.parallel;
         let xplainer = XPlainer::new(XPlainerOptions {
             parallel: parallel && self.options.xplainer.parallel,
             ..self.options.xplainer.clone()
@@ -850,16 +842,6 @@ mod tests {
             .unwrap();
         assert!(none.is_empty());
         assert!(none.truncated);
-
-        // Per-request serial override returns identical explanations.
-        let serial = engine
-            .execute(
-                &ExplainRequest::builder(query.clone())
-                    .parallel(false)
-                    .build(),
-            )
-            .unwrap();
-        assert_eq!(serial.explanations, full.explanations);
 
         // Provenance reports the strategy, its spend and the cache state.
         let with_provenance = engine

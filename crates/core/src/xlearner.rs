@@ -24,27 +24,13 @@ use xinsight_graph::MixedGraph;
 use xinsight_stats::CiTest;
 
 /// Options controlling an XLearner run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct XLearnerOptions {
     /// Options forwarded to the FCI stage.
     pub fci: FciOptions,
     /// Options for FD detection (ignored when an FD graph is supplied
     /// explicitly).
     pub fd_detection: FdDetectionOptions,
-    /// Whether stage 3 orients FD edges as determinant → dependent
-    /// (the ANM hypothesis).  Disabling this is the ablation discussed in
-    /// DESIGN.md; the edges then stay `o-o`.
-    pub orient_fd_edges: bool,
-}
-
-impl Default for XLearnerOptions {
-    fn default() -> Self {
-        XLearnerOptions {
-            fci: FciOptions::default(),
-            fd_detection: FdDetectionOptions::default(),
-            orient_fd_edges: true,
-        }
-    }
 }
 
 /// Result of an XLearner run.
@@ -186,15 +172,13 @@ impl XLearner {
             let t = graph.expect_id(determinant);
             graph.add_nondirected(t, d);
         }
-        if self.options.orient_fd_edges {
-            // For every FD X --FD--> Y whose endpoints are adjacent in S2,
-            // orient X → Y (determinant causes dependent).
-            for (dependent, determinant) in &s2_edges {
-                if fd_graph.has_fd(determinant, dependent) {
-                    let t = graph.expect_id(determinant);
-                    let d = graph.expect_id(dependent);
-                    graph.orient(t, d);
-                }
+        // For every FD X --FD--> Y whose endpoints are adjacent in S2,
+        // orient X → Y (determinant causes dependent: the ANM hypothesis).
+        for (dependent, determinant) in &s2_edges {
+            if fd_graph.has_fd(determinant, dependent) {
+                let t = graph.expect_id(determinant);
+                let d = graph.expect_id(dependent);
+                graph.orient(t, d);
             }
         }
 
@@ -299,27 +283,6 @@ mod tests {
         assert!(result.fci_variables.contains(&"City".to_string()));
         assert!(!result.fci_variables.contains(&"State".to_string()));
         assert!(result.n_ci_tests > 0);
-    }
-
-    #[test]
-    fn ablation_disabling_fd_orientation_keeps_circles() {
-        let data = city_weather(2000);
-        let learner = XLearner::new(XLearnerOptions {
-            orient_fd_edges: false,
-            ..XLearnerOptions::default()
-        });
-        let test = ChiSquareTest::new(0.05);
-        let result = learner
-            .learn(&data, &["City", "State", "Weather"], &test)
-            .unwrap();
-        let g = &result.graph;
-        let city = g.expect_id("City");
-        let state = g.expect_id("State");
-        assert!(g.adjacent(city, state));
-        assert!(
-            !g.is_parent(city, state),
-            "without ANM the FD edge stays undetermined"
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub fn search(ctx: &SearchContext<'_>) -> Option<ExplanationCandidate> {
     // O(#blocks) candidates instead of materializing all 2^m.  (The shared
     // cache still accumulates one partial-aggregate entry per distinct
     // clause probed — O(2^m) for this strategy — which is what deduplicates
-    // the Δ work; `max_brute_force_filters` bounds both costs.)
+    // the Δ work; `MAX_BRUTE_FORCE_FILTERS` bounds both costs.)
     const BLOCK: u64 = 1024;
     let n_blocks = total.div_ceil(BLOCK);
     let scored: Vec<Option<(f64, ExplanationCandidate)>> =

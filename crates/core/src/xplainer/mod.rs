@@ -37,13 +37,17 @@ use xinsight_data::{Aggregate, Predicate, Result, SegmentedDataset};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
     /// Exhaustive search over all predicates and contingencies (exact but
-    /// exponential; refuses to run above
-    /// [`XPlainerOptions::max_brute_force_filters`]).
+    /// exponential; refuses to run above [`MAX_BRUTE_FORCE_FILTERS`]).
     BruteForce,
     /// The paper's aggregate-specific optimizations (SUM: canonical
     /// predicates; AVG: greedy Alg. 2).
     Optimized,
 }
+
+/// Upper bound on the number of filters brute force will accept: its cost
+/// is `O(3^m)` `Δ(·)` evaluations, and the shared cache holds one entry per
+/// distinct clause probed.
+pub const MAX_BRUTE_FORCE_FILTERS: usize = 14;
 
 /// Options controlling XPlainer.
 #[derive(Debug, Clone)]
@@ -56,8 +60,6 @@ pub struct XPlainerOptions {
     /// Conciseness regulariser `σ`.  When `None`, `σ = 1/m` (the paper's
     /// recommendation, so that selecting every filter scores zero).
     pub sigma: Option<f64>,
-    /// Upper bound on the number of filters brute force will accept.
-    pub max_brute_force_filters: usize,
     /// Whether the strategies' independent `Δ(·)` probe loops (per-filter
     /// contributions, greedy trials, brute-force predicates) fan out over the
     /// rayon thread pool.  The chosen explanation is identical either way.
@@ -70,10 +72,20 @@ impl Default for XPlainerOptions {
             epsilon: None,
             epsilon_fraction: 0.1,
             sigma: None,
-            max_brute_force_filters: 14,
             parallel: true,
         }
     }
+}
+
+/// Admits a brute-force search over `m` filters, or names the cap it
+/// exceeds.
+fn brute_force_admits(m: usize) -> Result<()> {
+    if m > MAX_BRUTE_FORCE_FILTERS {
+        return Err(xinsight_data::DataError::InvalidBinning(format!(
+            "brute-force search over {m} filters exceeds the cap of {MAX_BRUTE_FORCE_FILTERS}"
+        )));
+    }
+    Ok(())
 }
 
 /// Maps `f` over `items` — in parallel over the thread pool when `parallel`
@@ -207,25 +219,15 @@ impl XPlainer {
         }
         let candidate = match strategy {
             SearchStrategy::BruteForce => {
-                if ctx.m() > self.options.max_brute_force_filters {
-                    return Err(xinsight_data::DataError::InvalidBinning(format!(
-                        "brute-force search over {} filters exceeds the configured cap of {}",
-                        ctx.m(),
-                        self.options.max_brute_force_filters
-                    )));
-                }
+                brute_force_admits(ctx.m())?;
                 brute::search(ctx)
             }
             SearchStrategy::Optimized => match query.aggregate() {
                 Aggregate::Sum | Aggregate::Count => sum::search(ctx),
                 Aggregate::Avg => avg::search(ctx, homogeneous),
-                _ => {
-                    if ctx.m() <= self.options.max_brute_force_filters {
-                        brute::search(ctx)
-                    } else {
-                        None
-                    }
-                }
+                _ => brute_force_admits(ctx.m())
+                    .ok()
+                    .and_then(|()| brute::search(ctx)),
             },
         };
         Ok(candidate)
@@ -353,6 +355,72 @@ mod tests {
             .explain_attribute(&data, &query, "Y", SearchStrategy::Optimized, true)
             .unwrap()
             .is_none());
+    }
+
+    /// `Y` has one category past the brute-force cap, each on one `X = a`
+    /// and one `X = b` row; `a`'s rows are all higher, `Y = v0` most.
+    fn over_the_cap(aggregate: Aggregate) -> (SegmentedDataset, WhyQuery) {
+        let n = MAX_BRUTE_FORCE_FILTERS + 1;
+        let x: Vec<&str> = (0..2 * n).map(|i| if i < n { "a" } else { "b" }).collect();
+        let y: Vec<String> = (0..2 * n).map(|i| format!("v{}", i % n)).collect();
+        let z: Vec<f64> = (0..2 * n)
+            .map(|i| match i {
+                0 => 100.0,
+                i if i < n => 2.0,
+                _ => 1.0,
+            })
+            .collect();
+        let data = DatasetBuilder::new()
+            .dimension("X", x)
+            .dimension("Y", y.iter().map(String::as_str))
+            .measure("Z", z)
+            .build()
+            .unwrap();
+        let query = WhyQuery::new(
+            "Z",
+            aggregate,
+            Subspace::of("X", "a"),
+            Subspace::of("X", "b"),
+        )
+        .unwrap();
+        (SegmentedDataset::from_dataset(data), query)
+    }
+
+    #[test]
+    fn brute_force_cap_is_inclusive_and_named_in_the_error() {
+        // A full search at the cap costs 3^14 Δ evaluations (tens of
+        // seconds unoptimized), so the inclusive bound is checked on the
+        // admission guard and the refusal end to end.
+        assert!(brute_force_admits(MAX_BRUTE_FORCE_FILTERS).is_ok());
+        let (data, query) = over_the_cap(Aggregate::Sum);
+        let err = XPlainer::default()
+            .explain_attribute(&data, &query, "Y", SearchStrategy::BruteForce, true)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("over 15 filters exceeds the cap of 14"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn optimized_min_above_the_cap_finds_nothing() {
+        let (data, query) = over_the_cap(Aggregate::Min);
+        let xplainer = XPlainer::default();
+        // Δ(D) = 2 − 1 is above ε, so only the cap stops the search.
+        assert_eq!(
+            xplainer
+                .explain_attribute(&data, &query, "Y", SearchStrategy::BruteForce, true)
+                .unwrap_err()
+                .to_string(),
+            "invalid binning: brute-force search over 15 filters exceeds the cap of 14"
+        );
+        assert_eq!(
+            xplainer
+                .explain_attribute(&data, &query, "Y", SearchStrategy::Optimized, true)
+                .unwrap(),
+            None
+        );
     }
 
     #[test]

@@ -22,14 +22,6 @@ pub struct FciOptions {
     /// Maximum conditioning-set size during the adjacency search
     /// (`None` = unbounded, the classical algorithm).
     pub max_cond_size: Option<usize>,
-    /// Whether to run the Possible-D-SEP pruning stage (the part of FCI that
-    /// distinguishes it from PC's adjacency search).  Disabling it yields the
-    /// RFCI-like approximation; the default is `true`.
-    pub use_possible_dsep: bool,
-    /// Maximum size of conditioning subsets drawn from the Possible-D-SEP
-    /// sets.  The full algorithm enumerates all subsets, which is exponential;
-    /// the default cap of 3 matches common implementations.
-    pub max_pdsep_size: Option<usize>,
     /// Whether the adjacency search's depth batches and the Possible-D-SEP
     /// pair batch are evaluated on the rayon pool.  Results are identical
     /// either way (the batches are frozen and merged deterministically).
@@ -40,12 +32,15 @@ impl Default for FciOptions {
     fn default() -> Self {
         FciOptions {
             max_cond_size: None,
-            use_possible_dsep: true,
-            max_pdsep_size: Some(3),
             parallel: true,
         }
     }
 }
+
+/// Maximum size of conditioning subsets drawn from the Possible-D-SEP sets.
+/// The full algorithm enumerates all subsets, which is exponential; a cap of
+/// 3 matches common implementations.
+const MAX_PDSEP_SIZE: usize = 3;
 
 /// Result of a full FCI run.
 #[derive(Debug, Clone)]
@@ -82,9 +77,6 @@ pub fn fci_skeleton(
             parallel: options.parallel,
         },
     )?;
-    if !options.use_possible_dsep {
-        return Ok(result);
-    }
 
     // Orient colliders on a scratch copy — Possible-D-SEP is defined on the
     // partially oriented graph, frozen here for the whole batch.
@@ -110,11 +102,7 @@ pub fn fci_skeleton(
 
     let evaluate = |entry: &(NodeId, NodeId, Vec<NodeId>)| {
         let (x, y, candidates) = entry;
-        let cap = options
-            .max_pdsep_size
-            .unwrap_or(candidates.len())
-            .min(candidates.len());
-        (0..=cap).find_map(|size| {
+        (0..=MAX_PDSEP_SIZE.min(candidates.len())).find_map(|size| {
             find_separating_subset(compiled.as_ref(), *x, *y, candidates, size, &n_extra)
         })
     };
@@ -340,40 +328,6 @@ mod tests {
         assert!(pd.contains(&2));
         // W is reachable from Z only through a non-collider, non-triangle node.
         assert!(!pd.contains(&3));
-    }
-
-    #[test]
-    fn disabling_pdsep_phase_keeps_more_edges_on_hard_cases() {
-        // A structure where the initial adjacency search keeps a spurious edge
-        // that only the Possible-D-SEP stage can remove:
-        // the classic "discriminating" example with two latent confounders.
-        let mut dag = Dag::new(["L1", "L2", "A", "B", "C", "D"]);
-        // L1 confounds A and C; L2 confounds B and C; A -> B, B -> D, C -> D.
-        let (l1, l2, a, b, c, d) = (0, 1, 2, 3, 4, 5);
-        dag.add_edge(l1, a);
-        dag.add_edge(l1, c);
-        dag.add_edge(l2, b);
-        dag.add_edge(l2, c);
-        dag.add_edge(a, b);
-        dag.add_edge(b, d);
-        dag.add_edge(c, d);
-        let observed = ["A", "B", "C", "D"];
-        let oracle = OracleCiTest::from_dag(&dag);
-        let with = fci(&dummy_data(), &observed, &oracle, &FciOptions::default()).unwrap();
-        let without = fci(
-            &dummy_data(),
-            &observed,
-            &oracle,
-            &FciOptions {
-                use_possible_dsep: false,
-                ..FciOptions::default()
-            },
-        )
-        .unwrap();
-        // The pdsep-enabled run can only remove edges relative to the
-        // pdsep-disabled run, never add any.
-        assert!(with.pag.n_edges() <= without.pag.n_edges());
-        assert!(with.n_ci_tests >= without.n_ci_tests);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! Loads model bundles from a directory (optionally fitting and saving
 //! demo bundles first), binds the HTTP server and runs until a graceful
 //! shutdown (`POST /admin/shutdown`).  Exits 0 on a clean shutdown, which
-//! the serving smoke test (`tests/serve_binary.rs`) asserts.
+//! the serving smoke test (`tests/serve_binary.rs`) asserts, and 2 with
+//! usage on a bad command line (an unknown flag or an unparsable value).
 //!
 //! ```text
 //! xinsight-serve --models DIR [--addr 127.0.0.1:7878] [--workers N]
 //!                [--queue N] [--cache-mb N] [--compact-after N]
-//!                [--demo syn_a,flight] [--demo-rows N] [--serial]
+//!                [--demo syn_a,flight] [--demo-rows N]
 //!                [--debug-endpoints] [--trace-slow-ms N]
 //! ```
 //!
@@ -25,8 +26,7 @@
 //! Thread pinning follows the engine convention: `XINSIGHT_THREADS` sizes
 //! both the rayon pool and (by default) the worker pool.  Served engines
 //! always answer each request serially (the worker pool is the one level
-//! of serving parallelism), so `--serial` only makes the `--demo` fits
-//! serial.
+//! of serving parallelism); the `--demo` fits run on the rayon pool.
 //!
 //! The server speaks both wire generations: the stable v1 endpoints
 //! (`/explain`, `/explain_batch`) and the versioned `/v2` surface with
@@ -47,7 +47,6 @@ struct Args {
     compact_after: usize,
     demo: Vec<DemoModel>,
     demo_rows: usize,
-    serial: bool,
     debug_endpoints: bool,
     trace_slow_ms: Option<u64>,
 }
@@ -56,7 +55,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: xinsight-serve --models DIR [--addr HOST:PORT] [--workers N] \
          [--queue N] [--cache-mb N] [--compact-after N] [--demo syn_a,flight] \
-         [--demo-rows N] [--serial] [--debug-endpoints] [--trace-slow-ms N]"
+         [--demo-rows N] [--debug-endpoints] [--trace-slow-ms N]"
     );
     std::process::exit(2);
 }
@@ -71,7 +70,6 @@ fn parse_args() -> Args {
         compact_after: 0,
         demo: Vec::new(),
         demo_rows: 0,
-        serial: false,
         debug_endpoints: false,
         trace_slow_ms: None,
     };
@@ -86,8 +84,10 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--models" => args.models_dir = value("--models"),
             "--addr" => args.addr = value("--addr"),
-            "--workers" => args.workers = value("--workers").parse().ok(),
-            "--queue" => args.queue = value("--queue").parse().ok(),
+            "--workers" => {
+                args.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()))
+            }
+            "--queue" => args.queue = Some(value("--queue").parse().unwrap_or_else(|_| usage())),
             "--cache-mb" => args.cache_mb = value("--cache-mb").parse().unwrap_or_else(|_| usage()),
             "--compact-after" => {
                 args.compact_after = value("--compact-after").parse().unwrap_or_else(|_| usage())
@@ -106,7 +106,6 @@ fn parse_args() -> Args {
             "--demo-rows" => {
                 args.demo_rows = value("--demo-rows").parse().unwrap_or_else(|_| usage())
             }
-            "--serial" => args.serial = true,
             "--debug-endpoints" => args.debug_endpoints = true,
             "--trace-slow-ms" => {
                 args.trace_slow_ms =
@@ -127,10 +126,7 @@ fn main() -> ExitCode {
     let args = parse_args();
     eprintln!("# worker threads (rayon): {threads}");
 
-    let options = XInsightOptions {
-        parallel: !args.serial,
-        ..XInsightOptions::default()
-    };
+    let options = XInsightOptions::default();
 
     if !args.demo.is_empty() {
         let registry = ModelRegistry::open_empty(&args.models_dir, options.clone());

@@ -149,7 +149,7 @@ impl HttpClient {
     /// backpressure tests use this to put several requests in flight
     /// (against distinct connections) before collecting any responses.
     pub fn send(&mut self, method: &str, path: &str, body: &str) -> Result<()> {
-        // One buffer, one write — see `http::write_response` on Nagle.
+        // One buffer, one write — see `http::encode_response` on Nagle.
         let mut message = format!(
             "{method} {path} HTTP/1.1\r\nHost: xinsight\r\nContent-Length: {}\r\n\r\n",
             body.len()

@@ -476,7 +476,6 @@ impl EventLoop {
                         http::HttpError::TooLarge(_) => {
                             Response::error(431, "request head too large")
                         }
-                        _ => Response::error(400, "bad request"),
                     };
                     self.stage_close(slot, &response);
                     return;

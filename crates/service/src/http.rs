@@ -10,20 +10,12 @@
 //!
 //! Parsing is defensive: header and body sizes are bounded
 //! ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) so a hostile peer cannot balloon
-//! memory, and a read timeout on an *idle* keep-alive connection surfaces as
-//! [`HttpError::Idle`] so workers can poll their shutdown flag instead of
-//! blocking forever.
+//! memory.
 //!
-//! Two entry points share one parsing core:
-//!
-//! * [`RequestParser`] — a *push* parser for the event-driven server: feed
-//!   it whatever bytes a non-blocking read produced, ask whether a complete
-//!   request has been framed.  It never blocks and never touches a socket.
-//! * [`read_request`] — the blocking *pull* wrapper over the same parser for
-//!   synchronous callers (tests, simple clients).
-
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+//! [`RequestParser`] is a *push* parser for the event-driven server: feed it
+//! whatever bytes a non-blocking read produced, ask whether a complete
+//! request has been framed.  It never blocks and never touches a socket.
+//! [`encode_response`] produces the bytes the server stages for writing.
 
 /// Upper bound on the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -118,47 +110,24 @@ impl Response {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be framed.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The peer closed the connection before sending any request bytes —
-    /// the clean end of a keep-alive session.
-    Closed,
-    /// A read timed out before any request bytes arrived; the connection is
-    /// idle and still usable.  Workers use this to poll their shutdown flag.
-    Idle,
     /// The peer sent bytes that are not a valid request (the message is for
     /// the `400` response body).
     Malformed(String),
     /// The head or body exceeded its size bound (maps to `431`/`413`).
     TooLarge(&'static str),
-    /// The underlying socket failed mid-request.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Closed => write!(f, "connection closed"),
-            HttpError::Idle => write!(f, "connection idle"),
             HttpError::Malformed(msg) => write!(f, "malformed request: {msg}"),
             HttpError::TooLarge(what) => write!(f, "{what} too large"),
-            HttpError::Io(e) => write!(f, "io error: {e}"),
         }
     }
 }
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Once a request's first byte has arrived, the rest of it must arrive
-/// within this budget; transient socket-timeout ticks inside that window
-/// are retried rather than dropping the connection.
-pub const REQUEST_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// An incremental (push) HTTP/1.1 request parser.
 ///
@@ -307,54 +276,6 @@ fn body_length(request: &Request) -> Result<usize, HttpError> {
     Ok(length)
 }
 
-/// Reads one request from a buffered connection (blocking wrapper over
-/// [`RequestParser`]).
-///
-/// Distinguishes the clean cases a keep-alive server must handle: EOF
-/// before any bytes ([`HttpError::Closed`]), a read timeout before any
-/// bytes ([`HttpError::Idle`]), and everything else as malformed/IO
-/// errors.  After the first byte, short read timeouts (the caller's idle
-/// poll tick) are retried until [`REQUEST_DEADLINE`], so a slow or lossy
-/// peer mid-request is not mistaken for an idle one.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    let mut deadline: Option<std::time::Instant> = None;
-    loop {
-        if let Some(request) = parser.try_parse()? {
-            return Ok(request);
-        }
-        let chunk_len = match reader.fill_buf() {
-            Ok([]) => {
-                return Err(if parser.is_empty() {
-                    HttpError::Closed
-                } else {
-                    HttpError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "eof mid-request",
-                    ))
-                })
-            }
-            Ok(chunk) => {
-                parser.feed(chunk);
-                chunk.len()
-            }
-            Err(e) if is_timeout(&e) => {
-                if parser.is_empty() {
-                    return Err(HttpError::Idle);
-                }
-                match deadline {
-                    // Mid-request stall: keep waiting until the deadline.
-                    Some(d) if std::time::Instant::now() >= d => return Err(HttpError::Io(e)),
-                    _ => continue,
-                }
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        };
-        reader.consume(chunk_len);
-        deadline.get_or_insert_with(|| std::time::Instant::now() + REQUEST_DEADLINE);
-    }
-}
-
 /// The reason phrase for the status codes this service emits.
 pub fn status_text(status: u16) -> &'static str {
     match status {
@@ -392,39 +313,25 @@ pub fn encode_response(response: &Response, close: bool) -> Vec<u8> {
     message.into_bytes()
 }
 
-/// Writes a response in one blocking write (see [`encode_response`]).
-pub fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    close: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&encode_response(response, close))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
 
-    /// Runs `parse` against raw bytes by pushing them through a real socket
-    /// pair (the parser is typed against `BufReader<TcpStream>`).
-    fn parse_raw(raw: &[u8]) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        client.write_all(raw).unwrap();
-        drop(client); // EOF so body reads terminate deterministically
-        let mut reader = BufReader::new(server);
-        read_request(&mut reader)
+    /// Frames raw bytes delivered in one read: `Ok(None)` when they hold
+    /// no complete request.
+    fn parse_raw(raw: &[u8]) -> Result<Option<Request>, HttpError> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        parser.try_parse()
     }
 
     #[test]
     fn parses_a_post_with_body() {
         let req = parse_raw(b"POST /explain HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody")
-            .unwrap();
+            .unwrap()
+            .expect("complete");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/explain");
         assert_eq!(req.header("host"), Some("x"));
@@ -435,7 +342,9 @@ mod tests {
 
     #[test]
     fn parses_a_get_without_body_and_connection_close() {
-        let req = parse_raw(b"GET /models HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse_raw(b"GET /models HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap()
+            .expect("complete");
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
         assert!(req.wants_close());
@@ -443,7 +352,12 @@ mod tests {
 
     #[test]
     fn clean_eof_is_closed_not_an_error() {
-        assert!(matches!(parse_raw(b""), Err(HttpError::Closed)));
+        // A peer that closes before sending a byte leaves nothing buffered
+        // and no error: the event loop closes such a connection quietly.
+        let mut parser = RequestParser::new();
+        parser.feed(b"");
+        assert!(parser.try_parse().unwrap().is_none());
+        assert!(parser.is_empty());
     }
 
     #[test]
@@ -494,10 +408,14 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (mut server, _) = listener.accept().unwrap();
-        write_response(&mut server, &Response::json(200, "{\"ok\":true}"), true).unwrap();
+        let encoded = encode_response(&Response::json(200, "{\"ok\":true}"), true);
+        server.write_all(&encoded).unwrap();
         drop(server);
         let mut text = String::new();
-        BufReader::new(client).read_to_string(&mut text).unwrap();
+        std::io::BufReader::new(client)
+            .read_to_string(&mut text)
+            .unwrap();
+        assert_eq!(text.as_bytes(), encoded);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: close"));
@@ -553,7 +471,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_rejects_bad_streams_like_the_blocking_path() {
+    fn incremental_parser_rejects_bad_streams_fed_byte_by_byte() {
+        // Each stream waits for more bytes until its head is complete, then
+        // fails exactly as when it arrives in one read.
         let cases: &[&[u8]] = &[
             b"NOT-HTTP\r\n\r\n",
             b"GET / HTTP/9.9\r\n\r\n",
@@ -563,7 +483,12 @@ mod tests {
         ];
         for raw in cases {
             let mut parser = RequestParser::new();
-            parser.feed(raw);
+            let (last, prefix) = raw.split_last().unwrap();
+            for byte in prefix {
+                parser.feed(&[*byte]);
+                assert!(parser.try_parse().unwrap().is_none());
+            }
+            parser.feed(&[*last]);
             assert!(
                 matches!(parser.try_parse(), Err(HttpError::Malformed(_))),
                 "{:?}",
@@ -581,16 +506,18 @@ mod tests {
     }
 
     #[test]
-    fn encode_response_matches_write_response_bytes() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
+    fn encode_response_emits_the_exact_wire_bytes() {
         let resp = Response::json(200, "{\"n\":1}");
-        write_response(&mut server, &resp, false).unwrap();
-        drop(server);
-        let mut streamed = Vec::new();
-        BufReader::new(client).read_to_end(&mut streamed).unwrap();
-        assert_eq!(streamed, encode_response(&resp, false));
+        assert_eq!(
+            encode_response(&resp, false),
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\
+              Connection: keep-alive\r\n\r\n{\"n\":1}"
+        );
+        assert_eq!(
+            encode_response(&Response::text(503, "x"), true),
+            b"HTTP/1.1 503 Service Unavailable\r\n\
+              Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+              Content-Length: 1\r\nConnection: close\r\n\r\nx"
+        );
     }
 }

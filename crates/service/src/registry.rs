@@ -245,8 +245,7 @@ impl ModelRegistry {
         // Served engines answer each request serially: the worker pool
         // already runs requests side by side, and a second level of
         // fan-out inside a request only adds thread spawns.  Ingested and
-        // compacted successors inherit the setting; the wire's per-request
-        // `"parallel"` option still overrides it, and `fit_and_save` keeps
+        // compacted successors inherit the setting, and `fit_and_save` keeps
         // fitting in parallel.
         let serving = XInsightOptions {
             parallel: false,

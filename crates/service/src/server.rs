@@ -37,9 +37,8 @@
 //!
 //! A fixed pool of **workers** pops requests and executes them, each one
 //! serially: the registry builds served engines with `parallel: false`,
-//! so the worker count alone sets CPU parallelism across requests (only a
-//! per-request `"parallel": true` option fans one request out over the
-//! rayon pool, which otherwise serves the offline fit).  Each finished
+//! so the worker count alone sets CPU parallelism across requests (the
+//! rayon pool serves the offline fit).  Each finished
 //! response is handed back as a `Completion` and the event loop is woken
 //! ([`polling::Poller::notify`]) to write it to the socket.  A panicking
 //! handler costs only its request: it is answered `500`, its trace names
@@ -1985,6 +1984,21 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("bogus"));
+        // `parallel` is rejected like any unknown option, and the message
+        // lists the supported ones.
+        let resp = client
+            .explain_v2("tiny", &query_json, Some("{\"parallel\":true}"))
+            .unwrap();
+        assert_eq!(resp.status, 400, "body: {}", resp.body);
+        let doc = Json::parse(&resp.body).unwrap();
+        let message = doc.get("error").unwrap().as_str().unwrap();
+        assert!(
+            message.contains(
+                "unknown option `parallel` (supported: top_k, min_score, types, \
+                 deadline_ms, include_provenance)"
+            ),
+            "{message}"
+        );
 
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -117,7 +117,7 @@ impl ExplainBatchV1 {
 ///
 /// ```json
 /// {"top_k": 3, "min_score": 0.1, "types": ["causal"],
-///  "parallel": false, "deadline_ms": 250, "include_provenance": true}
+///  "deadline_ms": 250, "include_provenance": true}
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RequestOptions {
@@ -128,8 +128,6 @@ pub struct RequestOptions {
     /// Restrict the search to these explanation types (normalized: sorted,
     /// deduplicated).
     pub types: Option<Vec<ExplanationType>>,
-    /// Per-request parallelism override.
-    pub parallel: Option<bool>,
     /// Soft wall-clock deadline in milliseconds.
     pub deadline_ms: Option<u64>,
     /// Whether the response should carry a provenance section.
@@ -179,13 +177,12 @@ impl RequestOptions {
                     types.dedup();
                     options.types = Some(types);
                 }
-                "parallel" => options.parallel = Some(value.as_bool()?),
                 "deadline_ms" => options.deadline_ms = Some(value.as_u64()?),
                 "include_provenance" => options.include_provenance = value.as_bool()?,
                 other => {
                     return Err(DataError::Serve(format!(
                         "unknown option `{other}` (supported: top_k, min_score, types, \
-                         parallel, deadline_ms, include_provenance)"
+                         deadline_ms, include_provenance)"
                     )));
                 }
             }
@@ -205,9 +202,6 @@ impl RequestOptions {
         if let Some(types) = &self.types {
             builder = builder.allow_types(types.iter().copied());
         }
-        if let Some(parallel) = self.parallel {
-            builder = builder.parallel(parallel);
-        }
         if let Some(deadline_ms) = self.deadline_ms {
             builder = builder.deadline(Duration::from_millis(deadline_ms));
         }
@@ -219,8 +213,7 @@ impl RequestOptions {
     /// Covers every **result-shaping** control (`top_k`, `min_score`,
     /// `types`, `deadline_ms`), so two v2 requests that differ in any of
     /// them can never alias in the LRU.  Deliberately excluded:
-    /// `parallel` (results are identical by construction on either path)
-    /// and `include_provenance` (provenance lives in the envelope, not the
+    /// `include_provenance` (provenance lives in the envelope, not the
     /// cached payload).  The leading `v2` tag also keeps v2 entries — which
     /// store the scored result object — disjoint from v1 entries, which
     /// store a bare explanation array under an empty suffix.
@@ -721,7 +714,7 @@ mod tests {
         let body = format!(
             "{{\"model\":\"m\",\"query\":{},\"options\":{{\
              \"top_k\":3,\"min_score\":0.25,\"types\":[\"non-causal\",\"causal\",\"causal\"],\
-             \"parallel\":false,\"deadline_ms\":250,\"include_provenance\":true}}}}",
+             \"deadline_ms\":250,\"include_provenance\":true}}}}",
             query().to_json()
         );
         let parsed = ExplainV2::parse(body.as_bytes()).unwrap();
@@ -732,7 +725,6 @@ mod tests {
             parsed.options.types,
             Some(vec![ExplanationType::Causal, ExplanationType::NonCausal])
         );
-        assert_eq!(parsed.options.parallel, Some(false));
         assert_eq!(parsed.options.deadline_ms, Some(250));
         assert!(parsed.options.include_provenance);
 
@@ -763,6 +755,15 @@ mod tests {
         assert!(bad("{\"types\":[]}").contains("types"));
         assert!(bad("{\"types\":[\"bogus\"]}").contains("bogus"));
         assert!(bad("{\"topk\":1}").contains("unknown option"));
+        // Parallelism is the engine's, not the request's: `parallel` is an
+        // unknown option, and the error lists the supported ones.
+        let parallel = bad("{\"parallel\":true}");
+        assert!(parallel.contains("unknown option `parallel`"), "{parallel}");
+        assert!(
+            parallel
+                .contains("supported: top_k, min_score, types, deadline_ms, include_provenance"),
+            "{parallel}"
+        );
         assert!(bad("[1]").contains("must be an object"));
     }
 
@@ -796,10 +797,9 @@ mod tests {
         .collect();
         let distinct: std::collections::HashSet<&String> = keys.iter().collect();
         assert_eq!(distinct.len(), keys.len(), "keys must not alias: {keys:?}");
-        // `parallel` and `include_provenance` do not shape the cached
-        // payload and share the default key.
+        // `include_provenance` does not shape the cached payload and shares
+        // the default key.
         let envelope_only = RequestOptions {
-            parallel: Some(false),
             include_provenance: true,
             ..RequestOptions::default()
         };

@@ -4,7 +4,8 @@
 //! behaviour; this one checks what only a separate server process shows:
 //! the command-line flags reaching the server (`--compact-after`,
 //! `--debug-endpoints`, `--trace-slow-ms`), the `listening on` banner with
-//! the bound port, and a clean exit 0 after `POST /admin/shutdown`.
+//! the bound port, a clean exit 0 after `POST /admin/shutdown`, and exit 2
+//! with usage, before any banner, on a bad command line.
 
 // thread::sleep allowed: the compaction and exit polls sleep between
 // checks by design (see clippy.toml).
@@ -227,4 +228,46 @@ fn real_binary_serves_compacts_traces_and_shuts_down_cleanly() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "xinsight-serve exited with {status}");
+}
+
+#[test]
+fn bad_command_lines_exit_2_with_usage_and_no_banner() {
+    let dir = std::env::temp_dir().join(format!("xinsight_serve_badargs_{}", std::process::id()));
+    let models = dir.join("models");
+    let models = models.to_str().unwrap();
+    let cases: [&[&str]; 4] = [
+        &["--workers", "nope"],
+        &["--queue", "nope"],
+        &["--workers", "-1"],
+        // No such flag: served engines always answer serially.
+        &["--serial"],
+    ];
+    for extra in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_xinsight-serve"))
+            .args(["--models", models, "--addr", "127.0.0.1:0"])
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn xinsight-serve");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("xinsight-serve {extra:?} kept running");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let output = child.wait_with_output().unwrap();
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(!stdout.contains("listening on"), "{extra:?}: {stdout}");
+        assert!(
+            stderr.contains("usage: xinsight-serve"),
+            "{extra:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + tests, rustfmt + clippy (both
-# toolchain-guarded), xlint --deny (workspace invariants), rustdoc build
-# and doc-tests.  The serving smoke against the real `xinsight-serve`
-# binary runs inside `cargo test` (crates/service/tests/serve_binary.rs).
+# toolchain-guarded), xlint --deny (workspace invariants), rustdoc build,
+# doc-tests, and a `cargo check` of the frozen benchmark (`xbench/`)
+# against the workspace crates.  The serving smoke against the real
+# `xinsight-serve` binary runs inside `cargo test`
+# (crates/service/tests/serve_binary.rs).
 #
 #   ./scripts/verify.sh          # everything
 #   ./scripts/verify.sh --quick  # tier-1 only (build + tests)
@@ -49,5 +51,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> cargo test --doc"
 cargo test -q --doc --workspace
+
+echo "==> cargo check xbench (the frozen benchmark compiles against these crates)"
+# The target dir lives outside the tree so the checkout stays clean, and
+# the frozen lock file is restored afterwards: an offline build appends
+# dependencies the lock predates (fxhash) to it.
+xbench_lock="$(mktemp)"
+cp xbench/Cargo.lock "$xbench_lock"
+restore_xbench_lock() { cp "$xbench_lock" xbench/Cargo.lock && rm -f "$xbench_lock"; }
+trap restore_xbench_lock EXIT
+CARGO_TARGET_DIR="${XBENCH_TARGET_DIR:-${TMPDIR:-/tmp}/xinsight-xbench-target}" \
+    cargo check -q --offline --manifest-path xbench/Cargo.toml
 
 echo "==> OK"

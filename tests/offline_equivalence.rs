@@ -42,7 +42,6 @@ fn fci_options(parallel: bool) -> FciOptions {
     FciOptions {
         max_cond_size: Some(3),
         parallel,
-        ..FciOptions::default()
     }
 }
 
