@@ -46,15 +46,9 @@ fn run_all(options: &SynBOptions, aggregate: Aggregate) -> Vec<EngineRun> {
 
 fn print_block(title: &str, configs: &[(String, SynBOptions)], aggregate: Aggregate) {
     println!("\n## {title} ({aggregate:?})");
-    print_header(&[
-        "Engine",
-        "Metric",
-        &configs
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect::<Vec<_>>()
-            .join(" | "),
-    ]);
+    let mut header = vec!["Engine", "Metric"];
+    header.extend(configs.iter().map(|(n, _)| n.as_str()));
+    print_header(&header);
     let all: Vec<Vec<EngineRun>> = configs.iter().map(|(_, o)| run_all(o, aggregate)).collect();
     for engine_idx in 0..4 {
         let name = all[0][engine_idx].engine;

@@ -22,8 +22,10 @@ fn main() {
 
     for aggregate in [Aggregate::Sum, Aggregate::Avg] {
         println!("\n## {aggregate:?}");
-        let header: Vec<String> = gaps.iter().map(|g| format!("{g}")).collect();
-        print_header(&["Engine", &header.join(" | ")]);
+        let gap_cells: Vec<String> = gaps.iter().map(|g| format!("{g}")).collect();
+        let mut header = vec!["Engine"];
+        header.extend(gap_cells.iter().map(String::as_str));
+        print_header(&header);
         let mut rows: Vec<(String, Vec<String>)> = vec![
             ("XPlainer".into(), Vec::new()),
             ("Scorpion".into(), Vec::new()),

@@ -28,10 +28,10 @@
 //! always answer each request serially (the worker pool is the one level
 //! of serving parallelism); the `--demo` fits run on the rayon pool.
 //!
-//! The server speaks both wire generations: the stable v1 endpoints
-//! (`/explain`, `/explain_batch`) and the versioned `/v2` surface with
-//! per-request options and the full response envelope, plus `GET /healthz`
-//! for cheap liveness probing (see `xinsight_service::server`).
+//! The server speaks the `/v2` wire (`/v2/explain`, `/v2/explain_batch`:
+//! per-request options in, the full response envelope out), plus
+//! `GET /healthz` for cheap liveness probing (see
+//! `xinsight_service::server`).
 
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -329,11 +329,12 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse_raw(b"POST /explain HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody")
-            .unwrap()
-            .expect("complete");
+        let req =
+            parse_raw(b"POST /v2/explain HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody")
+                .unwrap()
+                .expect("complete");
         assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/explain");
+        assert_eq!(req.path, "/v2/explain");
         assert_eq!(req.header("host"), Some("x"));
         assert_eq!(req.header("HOST"), Some("x"));
         assert_eq!(req.body, b"body");
@@ -428,7 +429,7 @@ mod tests {
         assert_eq!(resp.body, "{\"error\":\"bad \\\"thing\\\"\\n\"}");
     }
 
-    const WIRE: &[u8] = b"POST /explain HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody";
+    const WIRE: &[u8] = b"POST /v2/explain HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody";
 
     #[test]
     fn incremental_parser_frames_across_arbitrary_splits() {
@@ -447,7 +448,7 @@ mod tests {
                 None => parser.try_parse().unwrap().expect("complete"),
             };
             assert_eq!(req.method, "POST");
-            assert_eq!(req.path, "/explain");
+            assert_eq!(req.path, "/v2/explain");
             assert_eq!(req.header("host"), Some("x"));
             assert_eq!(req.body, b"body");
             assert!(parser.is_empty());
@@ -461,7 +462,7 @@ mod tests {
         wire.extend_from_slice(b"GET /models HTTP/1.1\r\nConnection: close\r\n\r\n");
         parser.feed(&wire);
         let first = parser.try_parse().unwrap().expect("first framed");
-        assert_eq!(first.path, "/explain");
+        assert_eq!(first.path, "/v2/explain");
         assert!(!parser.is_empty(), "second request stays buffered");
         let second = parser.try_parse().unwrap().expect("second framed");
         assert_eq!(second.path, "/models");

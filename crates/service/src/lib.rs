@@ -32,9 +32,8 @@
 //!   answer, merged through the engine's partial cache otherwise) and are
 //!   remapped across background compaction, proven answer-identical to
 //!   the uncached path;
-//! * [`wire`] — the **versioned** JSON wire format (stable v1 plus the
-//!   `/v2` surface carrying per-request options and the full response
-//!   envelope), sharing the engine's hand-rolled
+//! * [`wire`] — the `/v2` JSON wire format (per-request options in, the
+//!   full response envelope out), sharing the engine's hand-rolled
 //!   [`json`](xinsight_core::json) codepath and `WhyQuery`'s canonical
 //!   serialization;
 //! * [`stats`] — the lock-free request counters and latency histograms the
@@ -59,10 +58,8 @@
 //! | Endpoint | Body | Answer |
 //! |---|---|---|
 //! | `GET /healthz` | — | `{"ok":true}` liveness, no model touch |
-//! | `POST /explain` | `{"model", "query"}` | v1: bare ranked explanations (LRU-cached) |
-//! | `POST /explain_batch` | `{"model", "queries"}` | v1: per-query results, shared `SelectionCache` |
-//! | `POST /v2/explain` | `{"model", "query", "options"?}` | full envelope: ranked+scored, markers, provenance |
-//! | `POST /v2/explain_batch` | `{"model", "queries", "options"?}` | per-query v2 envelopes |
+//! | `POST /v2/explain` | `{"model", "query", "options"?}` | full envelope: ranked+scored, markers, provenance (LRU-cached) |
+//! | `POST /v2/explain_batch` | `{"model", "queries", "options"?}` | per-query envelopes, shared `SelectionCache` |
 //! | `GET /v2/graph` | `?model=<id>&format=json\|dot\|mermaid` | the fitted PAG + FD graph + sepsets, as JSON or rendered DOT/Mermaid |
 //! | `POST /v2/ingest` | `{"model", "rows"}` | appends a sealed segment, bumps the generation — no reload |
 //! | `GET /models` | — | loaded models + example queries + ingest templates |
@@ -73,9 +70,10 @@
 //! | `GET /debug/traces` | — | recent + slow request traces with per-stage spans — gated on `--debug-endpoints`, `404` otherwise |
 //! <!-- xlint-endpoints: end(docs) -->
 //!
-//! The v1 endpoints are thin adapters that build a *default*
-//! [`ExplainRequest`](xinsight_core::ExplainRequest); their wire bytes are
-//! unchanged (property-tested in `tests/api_v2.rs`).
+//! With default options `/v2/explain` answers the bytes of a direct
+//! [`execute`](xinsight_core::pipeline::XInsight::execute) of a default
+//! [`ExplainRequest`](xinsight_core::ExplainRequest) (tested in
+//! `tests/api_v2.rs`).
 
 #![warn(missing_docs)]
 

@@ -93,9 +93,8 @@ pub struct CacheKey {
     /// Canonical serialization of the request's result-shaping options
     /// ([`RequestOptions::cache_key`](crate::wire::RequestOptions::cache_key)),
     /// so two requests that differ only in `top_k`, `min_score`, `types`
-    /// or `deadline_ms` never alias.  v1 requests — whose cached value is
-    /// a bare explanation array rather than a v2 result object — use the
-    /// empty string.
+    /// or `deadline_ms` never alias.  The cache compares the suffix as an
+    /// opaque string.
     pub options: String,
 }
 
@@ -640,19 +639,19 @@ mod tests {
     #[test]
     fn distinct_request_options_do_not_collide() {
         // Same model, same query — only the options suffix differs; the
-        // entries must stay independent (v1 vs v2 default vs v2 with a
-        // top_k all store different payload shapes).
+        // entries must stay independent.  The cache knows nothing of the
+        // wire, so any string (the empty one too) is a distinct suffix.
         let cache = ResultCache::new(1 << 20);
-        let v1 = key("m", "a");
+        let plain = key("m", "a");
         let v2_default = CacheKey {
             options: "v2{}".to_owned(),
-            ..v1.clone()
+            ..plain.clone()
         };
         let v2_top1 = CacheKey {
             options: "v2{\"top_k\":1.0}".to_owned(),
-            ..v1.clone()
+            ..plain.clone()
         };
-        cache.insert(v1.clone(), fp(1), 4, Arc::from("plain array"));
+        cache.insert(plain.clone(), fp(1), 4, Arc::from("plain array"));
         cache.insert(v2_default.clone(), fp(1), 4, Arc::from("scored object"));
         cache.insert(
             v2_top1.clone(),
@@ -660,7 +659,7 @@ mod tests {
             4,
             Arc::from("scored object, one entry"),
         );
-        assert_eq!(get(&cache, &v1, &fp(1)).as_deref(), Some("plain array"));
+        assert_eq!(get(&cache, &plain, &fp(1)).as_deref(), Some("plain array"));
         assert_eq!(
             get(&cache, &v2_default, &fp(1)).as_deref(),
             Some("scored object")

@@ -174,8 +174,6 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
     // paths share a slug (see [endpoints.slugs] in xlint.toml) and /healthz
     // is deliberately uncounted.
     for (endpoint, counter) in [
-        ("explain", &s.explain),
-        ("explain_batch", &s.explain_batch),
         ("explain_v2", &s.explain_v2),
         ("explain_batch_v2", &s.explain_batch_v2),
         ("ingest_v2", &s.ingest_v2),
@@ -653,7 +651,7 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
 
 /// The value of one exposition sample, parsed straight off the text —
 /// `series` is the full sample name including its label block, exactly as
-/// rendered (e.g. `xinsight_requests_total{endpoint="explain"}`).
+/// rendered (e.g. `xinsight_requests_total{endpoint="explain_v2"}`).
 pub fn series_value(text: &str, series: &str) -> Option<f64> {
     text.lines().find_map(|line| {
         let (name, value) = line.rsplit_once(' ')?;

@@ -21,8 +21,7 @@
 //! accepts, reads and frames requests over non-blocking I/O, so idle
 //! keep-alive connections cost a poller registration instead of a thread
 //! — a million parked clients is a kernel problem, not a thread-count
-//! problem.  A single-query explain (`POST /explain`, `POST /v2/explain`)
-//! is decoded, keyed and looked up in the result cache **on the loop**
+//! problem.  A single-query explain (`POST /v2/explain`) is decoded, keyed and looked up in the result cache **on the loop**
 //! (`serve_on_loop`): an exact hit — the common case while an analyst
 //! re-asks the same Why Queries — is rendered and written without leaving
 //! the loop thread, and so is a body that fails to decode or names an
@@ -45,15 +44,13 @@
 //! the panic, and `xinsight_worker_panics_total` counts it — the worker
 //! (or the event loop, for the loop-side path) keeps serving.
 //!
-//! The four explain routes (`/explain`, `/explain_batch`, `/v2/explain`,
-//! `/v2/explain_batch`) are thin wire adapters over **one explain core**:
-//! each parses its body into a model id, a list of queries and the request
-//! options, one function (`look_up`) keys and looks up every query once —
-//! on the event loop for the single-query routes — and the core runs every
-//! verdict through the same promotion, single-flight, engine batch,
-//! accounting and trace spans, returning one slot per query for the
-//! adapter's envelope.  v1 and v2 differ only in the cache-key suffix, the
-//! cached payload encoder and the error shape.
+//! The two explain routes (`/v2/explain`, `/v2/explain_batch`) are thin
+//! wire adapters over **one explain core**: each parses its body into a
+//! model id, a list of queries and the request options, one function
+//! (`look_up`) keys and looks up every query once — on the event loop for
+//! the single-query route — and the core runs every verdict through the
+//! same promotion, single-flight, engine batch, accounting and trace spans,
+//! returning one slot per query for the adapter's envelope.
 //!
 //! **Graceful shutdown** (`POST /admin/shutdown` or
 //! [`ServerHandle::trigger_shutdown`]): the flag flips, the event loop
@@ -72,10 +69,10 @@ use crate::wire;
 use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use xinsight_core::{ExplainRequest, ExplainResponse, WhyQuery};
+use xinsight_core::{ExplainRequest, WhyQuery};
 use xinsight_data::{DataError, Result};
 use xinsight_stats::CacheStats;
 
@@ -617,7 +614,7 @@ fn error_response_v2(error: &DataError) -> Response {
 }
 
 /// A v2 `404` for an unknown model id — same body shape as
-/// [`error_response_v2`], but with the not-found status v1 uses too.
+/// [`error_response_v2`], with the not-found status.
 fn model_not_found_v2(model: &str) -> Response {
     let mut response =
         error_response_v2(&DataError::Serve(format!("model `{model}` is not loaded")));
@@ -672,22 +669,8 @@ fn route(
         // model, cache or registry is touched, so it stays cheap and honest
         // even while every engine is busy.
         ("GET", "/healthz") => (Response::json(200, "{\"ok\":true}"), false),
-        ("POST", "/explain") => {
-            let single = explain_single(shared, WireVersion::V1, &request.body, explain, trace);
-            (single, false)
-        }
-        ("POST", "/explain_batch") => {
-            let batch = explain_batch(shared, WireVersion::V1, &request.body, trace);
-            (batch, false)
-        }
-        ("POST", "/v2/explain") => {
-            let single = explain_single(shared, WireVersion::V2, &request.body, explain, trace);
-            (single, false)
-        }
-        ("POST", "/v2/explain_batch") => {
-            let batch = explain_batch(shared, WireVersion::V2, &request.body, trace);
-            (batch, false)
-        }
+        ("POST", "/v2/explain") => (explain_single(shared, &request.body, explain, trace), false),
+        ("POST", "/v2/explain_batch") => (explain_batch(shared, &request.body, trace), false),
         ("POST", "/v2/ingest") => (handle_ingest_v2(shared, &request.body, trace), false),
         ("GET", "/v2/graph") => (handle_graph_v2(shared, query, trace), false),
         ("GET", "/models") => (handle_models(shared), false),
@@ -704,9 +687,8 @@ fn route(
         ("GET", "/debug/traces") if shared.debug_endpoints => (handle_traces(shared), false),
         (
             "GET" | "POST",
-            "/healthz" | "/explain" | "/explain_batch" | "/v2/explain" | "/v2/explain_batch"
-            | "/v2/ingest" | "/v2/graph" | "/models" | "/metrics" | "/admin/reload"
-            | "/admin/shutdown",
+            "/healthz" | "/v2/explain" | "/v2/explain_batch" | "/v2/ingest" | "/v2/graph"
+            | "/models" | "/metrics" | "/admin/reload" | "/admin/shutdown",
         ) => (Response::error(405, "method not allowed"), false),
         _ => (
             Response::error(404, &format!("no such endpoint `{}`", request.path)),
@@ -887,58 +869,14 @@ fn suffix_cannot_change_answer(model: &LoadedModel, query: &WhyQuery, covered: u
     })
 }
 
-/// The two explain wire generations.  They differ in the cache-key suffix
-/// (v1 entries live under the empty suffix, v2 entries under
-/// [`wire::RequestOptions::cache_key`], so the two never alias), in the
-/// encoder of the cached payload, and in the error shape.
-#[derive(Clone, Copy)]
-enum WireVersion {
-    V1,
-    V2,
-}
-
-impl WireVersion {
-    fn cache_suffix(self, options: &wire::RequestOptions) -> String {
-        match self {
-            WireVersion::V1 => String::new(),
-            WireVersion::V2 => options.cache_key(),
-        }
-    }
-
-    /// The cacheable payload: a bare explanation array (v1) or the scored
-    /// v2 result object.
-    fn encode(self, response: ExplainResponse) -> Arc<str> {
-        let text = match self {
-            WireVersion::V1 => wire::explanations_to_string(&response.into_explanations()),
-            WireVersion::V2 => wire::v2_result_to_string(&response),
-        };
-        Arc::from(text.as_str())
-    }
-
-    fn error(self, error: &DataError) -> Response {
-        match self {
-            WireVersion::V1 => error_response(error),
-            WireVersion::V2 => error_response_v2(error),
-        }
-    }
-
-    fn model_not_found(self, model: &str) -> Response {
-        match self {
-            WireVersion::V1 => Response::error(404, &format!("model `{model}` is not loaded")),
-            WireVersion::V2 => model_not_found_v2(model),
-        }
-    }
-}
-
-/// One explain request, decoded once: the wire generation, the model
-/// snapshot it is answered against, the request options, and each query's
+/// One explain request, decoded once: the model snapshot it is answered
+/// against, the request options, and each query's
 /// cache key with its [`ResultCache::lookup`] verdict.  Built by
 /// [`look_up`]; a single-query call that is not an exact hit rides its
 /// [`Job`] to a worker, so no request is decoded twice and no lookup is
 /// counted twice in the result-cache tiers.
 pub(crate) struct ExplainCall {
-    version: WireVersion,
-    /// The handler clock's origin (v2 `elapsed_us`): when decoding began,
+    /// The handler clock's origin (`elapsed_us`): when decoding began,
     /// moved past any admission-queue wait by [`worker_loop`].
     started: Instant,
     model: Arc<LoadedModel>,
@@ -947,7 +885,7 @@ pub(crate) struct ExplainCall {
 }
 
 impl ExplainCall {
-    /// Moves the handler clock past the admission-queue wait, so v2's
+    /// Moves the handler clock past the admission-queue wait, so
     /// `elapsed_us` reports decode, lookup and engine time alike whether
     /// the call was decoded on the loop or on a worker.
     fn skip_queue_wait(&mut self, admitted: Instant, picked: Instant) {
@@ -960,19 +898,10 @@ impl ExplainCall {
 /// applied to each.
 type Decoded = Result<(String, Vec<WhyQuery>, wire::RequestOptions)>;
 
-/// Decodes a single-query explain body (`POST /explain` or
-/// `POST /v2/explain`).
-fn decode_single(version: WireVersion, body: &[u8]) -> Decoded {
-    match version {
-        WireVersion::V1 => {
-            // xlint: allow(no-alloc-hot-path, query decode: the parsed query moves into its one-slot list)
-            wire::ExplainV1::parse(body).map(|r| (r.model, vec![r.query], Default::default()))
-        }
-        WireVersion::V2 => {
-            // xlint: allow(no-alloc-hot-path, query decode: the parsed query moves into its one-slot list)
-            wire::ExplainV2::parse(body).map(|r| (r.model, vec![r.query], r.options))
-        }
-    }
+/// Decodes a single-query explain body (`POST /v2/explain`).
+fn decode_single(body: &[u8]) -> Decoded {
+    // xlint: allow(no-alloc-hot-path, query decode: the parsed query moves into its one-slot list)
+    wire::ExplainV2::parse(body).map(|r| (r.model, vec![r.query], r.options))
 }
 
 /// Decode → key → lookup, the front half of every explain: resolves the
@@ -982,15 +911,14 @@ fn decode_single(version: WireVersion, body: &[u8]) -> Decoded {
 /// unknown model comes back as the route's error response.
 fn look_up(
     shared: &Shared,
-    version: WireVersion,
     started: Instant,
     decoded: Decoded,
 ) -> std::result::Result<ExplainCall, Response> {
-    let (model_id, queries, options) = decoded.map_err(|e| version.error(&e))?;
+    let (model_id, queries, options) = decoded.map_err(|e| error_response_v2(&e))?;
     let Some(model) = shared.registry.get(&model_id) else {
-        return Err(version.model_not_found(&model_id));
+        return Err(model_not_found_v2(&model_id));
     };
-    let suffix = version.cache_suffix(&options);
+    let suffix = options.cache_key();
     let lookups = queries
         .into_iter()
         .map(|query| {
@@ -1008,7 +936,6 @@ fn look_up(
         })
         .collect();
     Ok(ExplainCall {
-        version,
         started,
         model,
         options,
@@ -1016,39 +943,28 @@ fn look_up(
     })
 }
 
-/// The single-query envelope (`/explain` or `/v2/explain`) around one
-/// answered slot, counted on its route counter.  The event loop renders
-/// exact hits with it and [`explain_core`] everything else, so both paths
-/// serve the same bytes.  v2's `elapsed_us` is the handler wall-clock
-/// from `started` (decode, lookup, engine), so cached and uncached
-/// answers are comparable.
+/// The single-query envelope (`/v2/explain`) around one answered slot,
+/// counted on its route counter.  The event loop renders exact hits with
+/// it and [`explain_core`] everything else, so both paths serve the same
+/// bytes.  `elapsed_us` is the handler wall-clock from `started` (decode,
+/// lookup, engine), so cached and uncached answers are comparable.
 fn render_single(
     shared: &Shared,
-    version: WireVersion,
     model: &str,
     slot: &wire::BatchSlotV2,
     started: Instant,
 ) -> Response {
-    match version {
-        WireVersion::V1 => {
-            shared.stats.explain.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-            let body = wire::explain_response(model, slot.cached, &slot.result);
-            Response::json(200, body)
-        }
-        WireVersion::V2 => {
-            shared.stats.explain_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-            let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let body = wire::explain_v2_response(
-                model,
-                slot.cached,
-                slot.deadline_hit,
-                elapsed_us,
-                slot.provenance.as_ref(),
-                &slot.result,
-            );
-            Response::json(200, body)
-        }
-    }
+    shared.stats.explain_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+    let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let body = wire::explain_v2_response(
+        model,
+        slot.cached,
+        slot.deadline_hit,
+        elapsed_us,
+        slot.provenance.as_ref(),
+        &slot.result,
+    );
+    Response::json(200, body)
 }
 
 /// The largest explain body the event loop decodes itself.  A single Why
@@ -1066,7 +982,7 @@ pub(crate) enum OnLoop {
 }
 
 /// The event loop's first look at a framed request.  A single-query
-/// explain (`POST /explain`, `POST /v2/explain`) with a body of at most
+/// explain (`POST /v2/explain`) with a body of at most
 /// [`LOOP_BODY_LIMIT`] bytes is decoded, keyed and looked up right here:
 /// an exact hit is rendered by [`render_single`] and answered without
 /// leaving the loop thread, as is a body that fails to decode or names an
@@ -1088,23 +1004,15 @@ pub(crate) fn serve_on_loop(
     framed: Instant,
     trace: &mut TraceBuilder,
 ) -> OnLoop {
-    let version = match (request.method.as_str(), split_target(&request.path).0) {
-        ("POST", "/explain") => WireVersion::V1,
-        ("POST", "/v2/explain") => WireVersion::V2,
-        _ => return OnLoop::Queue(None),
-    };
-    if request.body.len() > LOOP_BODY_LIMIT {
+    let explain =
+        (request.method.as_str(), split_target(&request.path).0) == ("POST", "/v2/explain");
+    if !explain || request.body.len() > LOOP_BODY_LIMIT {
         return OnLoop::Queue(None);
     }
     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         inject_fault(request);
-        let call = match look_up(
-            shared,
-            version,
-            framed,
-            decode_single(version, &request.body),
-        ) {
+        let call = match look_up(shared, framed, decode_single(&request.body)) {
             Ok(call) => call,
             Err(response) => {
                 trace.span(Stage::QueueWait, framed, framed, "");
@@ -1133,7 +1041,7 @@ pub(crate) fn serve_on_loop(
             provenance: None,
             result: hit,
         };
-        let response = render_single(shared, version, &call.model.id, &slot, call.started);
+        let response = render_single(shared, &call.model.id, &slot, call.started);
         trace.span(Stage::Serialize, looked_up, Instant::now(), "");
         shared.stats.loop_hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
         OnLoop::Answered(response)
@@ -1149,7 +1057,7 @@ pub(crate) fn serve_on_loop(
     OnLoop::Answered(response)
 }
 
-/// The one explain path behind all four explain routes.  `call` is the
+/// The one explain path behind both explain routes.  `call` is the
 /// decoded request with every query's lookup verdict (see [`look_up`]).
 /// Each verdict is resolved (exact hit, prefix promotion, merge or miss);
 /// the rest run as one engine batch through the model's persistent
@@ -1173,7 +1081,6 @@ fn explain_core(
     render: impl FnOnce(&str, &[wire::BatchSlotV2]) -> Response,
 ) -> Response {
     let ExplainCall {
-        version,
         model,
         options,
         lookups,
@@ -1224,7 +1131,7 @@ fn explain_core(
             Ok(answers) => answers,
             Err(e) => {
                 trace.span(Stage::Execute, execute_started, Instant::now(), "error");
-                return version.error(&e);
+                return error_response_v2(&e);
             }
         };
         // A single query's execute span carries the engine's own
@@ -1268,7 +1175,7 @@ fn explain_core(
             // counters; the registry persisted them, so re-attach.
             provenance.ci_cache_fit_time = model.ci_cache_stats;
         }
-        slot.result = version.encode(response);
+        slot.result = Arc::from(wire::v2_result_to_string(&response).as_str());
         // A deadline-hit answer is partial; caching it would replay the
         // partiality to later (possibly unhurried) requests.
         if !slot.deadline_hit {
@@ -1285,15 +1192,13 @@ fn explain_core(
 /// with other than one slot.
 const NOT_ONE_SLOT: &str = "explain answered other than one slot for one query";
 
-/// `POST /explain` (v1: default options, the bare explanation array) and
-/// `POST /v2/explain` (per-request options, the self-describing
-/// envelope).  The event loop answers exact hits itself (see
+/// `POST /v2/explain`: one query, its options, the self-describing
+/// envelope.  The event loop answers exact hits itself (see
 /// [`serve_on_loop`]) and hands everything else over already decoded and
 /// looked up as `carried`; a body too large for the loop to decode
 /// arrives without one and is decoded here.
 fn explain_single(
     shared: &Shared,
-    version: WireVersion,
     body: &[u8],
     carried: Option<Box<ExplainCall>>,
     trace: &mut TraceBuilder,
@@ -1301,12 +1206,7 @@ fn explain_single(
     let lookup_started = Instant::now();
     let call = match carried {
         Some(call) => *call,
-        None => match look_up(
-            shared,
-            version,
-            lookup_started,
-            decode_single(version, body),
-        ) {
+        None => match look_up(shared, lookup_started, decode_single(body)) {
             Ok(call) => call,
             Err(response) => return response,
         },
@@ -1318,51 +1218,29 @@ fn explain_single(
         lookup_started,
         trace,
         |model, slots| match slots {
-            [slot] => render_single(shared, version, model, slot, started),
+            [slot] => render_single(shared, model, slot, started),
             _ => Response::error(500, NOT_ONE_SLOT),
         },
     )
 }
 
-/// `POST /explain_batch` (v1: default options) and `POST
-/// /v2/explain_batch` (one options object applied to every query).
-fn explain_batch(
-    shared: &Shared,
-    version: WireVersion,
-    body: &[u8],
-    trace: &mut TraceBuilder,
-) -> Response {
+/// `POST /v2/explain_batch`: one options object applied to every query.
+fn explain_batch(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> Response {
     let started = Instant::now();
-    let decoded = match version {
-        WireVersion::V1 => {
-            wire::ExplainBatchV1::parse(body).map(|r| (r.model, r.queries, Default::default()))
-        }
-        WireVersion::V2 => {
-            wire::ExplainBatchV2::parse(body).map(|r| (r.model, r.queries, r.options))
-        }
-    };
-    let call = match look_up(shared, version, started, decoded) {
+    let decoded = wire::ExplainBatchV2::parse(body).map(|r| (r.model, r.queries, r.options));
+    let call = match look_up(shared, started, decoded) {
         Ok(call) => call,
         Err(response) => return response,
     };
-    explain_core(shared, call, started, trace, |model, slots| match version {
-        WireVersion::V1 => {
-            count_batch(shared, &shared.stats.explain_batch, slots.len());
-            Response::json(200, wire::explain_batch_response(model, slots))
-        }
-        WireVersion::V2 => {
-            count_batch(shared, &shared.stats.explain_batch_v2, slots.len());
-            Response::json(200, wire::explain_batch_v2_response(model, slots))
-        }
+    // The counters rise only on success: `render` runs only then.
+    explain_core(shared, call, started, trace, |model, slots| {
+        let stats = &shared.stats;
+        stats.explain_batch_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
+        stats
+            .batch_queries
+            .fetch_add(slots.len() as u64, Ordering::Relaxed); // relaxed: monotonic stats counter
+        Response::json(200, wire::explain_batch_v2_response(model, slots))
     })
-}
-
-/// Counts one successful batch request on its route counter and its
-/// queries on the shared `batch_queries` counter.
-fn count_batch(shared: &Shared, route: &AtomicU64, queries: usize) {
-    let batch_queries = &shared.stats.batch_queries;
-    route.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
-    batch_queries.fetch_add(queries as u64, Ordering::Relaxed); // relaxed: monotonic stats counter
 }
 
 /// `POST /v2/ingest`: validates the wire rows against the model's raw
@@ -1745,13 +1623,8 @@ mod tests {
         (handle, dir)
     }
 
-    fn direct_explanations(engine: &xinsight_core::pipeline::XInsight, query: &WhyQuery) -> String {
-        wire::explanations_to_string(
-            &engine
-                .execute(&ExplainRequest::new(query.clone()))
-                .unwrap()
-                .into_explanations(),
-        )
+    fn direct_result(engine: &xinsight_core::pipeline::XInsight, query: &WhyQuery) -> String {
+        wire::v2_result_to_string(&engine.execute(&ExplainRequest::new(query.clone())).unwrap())
     }
 
     #[test]
@@ -1760,25 +1633,25 @@ mod tests {
         let engine =
             xinsight_core::pipeline::XInsight::fit(&tiny_data(), &XInsightOptions::default())
                 .unwrap();
-        let direct = direct_explanations(&engine, &tiny_query());
+        let direct = direct_result(&engine, &tiny_query());
 
         let mut client = HttpClient::connect(handle.addr()).unwrap();
         let body = format!(
             "{{\"model\":\"tiny\",\"query\":{}}}",
             tiny_query().to_json()
         );
-        let first = client.post("/explain", &body).unwrap();
+        let first = client.post("/v2/explain", &body).unwrap();
         assert_eq!(first.status, 200, "body: {}", first.body);
         let doc = Json::parse(&first.body).unwrap();
         assert!(!doc.get("cached").unwrap().as_bool().unwrap());
-        assert_eq!(doc.get("explanations").unwrap().to_string(), direct);
+        assert_eq!(doc.get("result").unwrap().to_string(), direct);
 
         // Second request over the same keep-alive connection hits the LRU
-        // and returns identical explanation bytes.
-        let second = client.post("/explain", &body).unwrap();
+        // and returns identical result bytes.
+        let second = client.post("/v2/explain", &body).unwrap();
         let doc2 = Json::parse(&second.body).unwrap();
         assert!(doc2.get("cached").unwrap().as_bool().unwrap());
-        assert_eq!(doc2.get("explanations").unwrap().to_string(), direct);
+        assert_eq!(doc2.get("result").unwrap().to_string(), direct);
 
         // Batch endpoint: one cached, one fresh, order preserved.
         let other = WhyQuery::new(
@@ -1793,19 +1666,16 @@ mod tests {
             tiny_query().to_json(),
             other.to_json()
         );
-        let resp = client.post("/explain_batch", &batch).unwrap();
+        let resp = client.post("/v2/explain_batch", &batch).unwrap();
         assert_eq!(resp.status, 200, "body: {}", resp.body);
         let doc = Json::parse(&resp.body).unwrap();
         let results = doc.get("results").unwrap().as_arr().unwrap();
         assert_eq!(results.len(), 2);
         assert!(results[0].get("cached").unwrap().as_bool().unwrap());
         assert!(!results[1].get("cached").unwrap().as_bool().unwrap());
-        assert_eq!(results[0].get("explanations").unwrap().to_string(), direct);
-        let direct_other = direct_explanations(&engine, &other);
-        assert_eq!(
-            results[1].get("explanations").unwrap().to_string(),
-            direct_other
-        );
+        assert_eq!(results[0].get("result").unwrap().to_string(), direct);
+        let direct_other = direct_result(&engine, &other);
+        assert_eq!(results[1].get("result").unwrap().to_string(), direct_other);
 
         // /models and /metrics report the serving state.
         let models = client.get("/models").unwrap();
@@ -1820,7 +1690,7 @@ mod tests {
             .is_empty());
         let text = scrape(&mut client);
         assert_eq!(
-            metric(&text, "xinsight_requests_total{endpoint=\"explain\"}"),
+            metric(&text, "xinsight_requests_total{endpoint=\"explain_v2\"}"),
             2.0
         );
         assert_eq!(
@@ -2013,8 +1883,8 @@ mod tests {
             tiny_query().to_json()
         );
         // Warm the LRU, confirm the hit.
-        assert_eq!(client.post("/explain", &query_body).unwrap().status, 200);
-        let doc = Json::parse(&client.post("/explain", &query_body).unwrap().body).unwrap();
+        assert_eq!(client.post("/v2/explain", &query_body).unwrap().status, 200);
+        let doc = Json::parse(&client.post("/v2/explain", &query_body).unwrap().body).unwrap();
         assert!(doc.get("cached").unwrap().as_bool().unwrap());
         // /models advertises the store shape and ingest templates.
         let models = client.get("/models").unwrap();
@@ -2047,7 +1917,7 @@ mod tests {
         // A re-issued explain answers against the grown store: the old
         // cached entry is unreachable (generation rolled), so this is a
         // fresh computation over two segments.
-        let doc = Json::parse(&client.post("/explain", &query_body).unwrap().body).unwrap();
+        let doc = Json::parse(&client.post("/v2/explain", &query_body).unwrap().body).unwrap();
         assert!(
             !doc.get("cached").unwrap().as_bool().unwrap(),
             "post-ingest explains must not replay pre-ingest answers"
@@ -2100,10 +1970,10 @@ mod tests {
         (handle, dir)
     }
 
-    fn explanations_of(body: &str) -> String {
+    fn result_of(body: &str) -> String {
         Json::parse(body)
             .unwrap()
-            .get("explanations")
+            .get("result")
             .unwrap()
             .to_string()
     }
@@ -2117,13 +1987,8 @@ mod tests {
             .unwrap()
     }
 
-    /// The four explain routes, v1 then v2, single then batch.
-    const EXPLAIN_ROUTES: [&str; 4] = [
-        "/explain",
-        "/explain_batch",
-        "/v2/explain",
-        "/v2/explain_batch",
-    ];
+    /// The two explain routes, single then batch.
+    const EXPLAIN_ROUTES: [&str; 2] = ["/v2/explain", "/v2/explain_batch"];
 
     /// A one-query body for `route` against the `tri` model.
     fn explain_body(route: &str, query_json: &str) -> String {
@@ -2134,20 +1999,16 @@ mod tests {
         }
     }
 
-    /// The `cached` flag and the answer bytes of a one-query response from
-    /// any explain route: the explanation array (v1) or the result object
-    /// (v2), unwrapped from the batch envelope when there is one.
-    fn cached_answer(route: &str, body: &str) -> (bool, String) {
+    /// The `cached` flag and the result bytes of a one-query response from
+    /// either explain route, unwrapped from the batch envelope when there
+    /// is one.
+    fn cached_answer(body: &str) -> (bool, String) {
         let doc = Json::parse(body).unwrap();
         let slot = match doc.get("results") {
             Ok(results) => results.as_arr().unwrap()[0].clone(),
             Err(_) => doc,
         };
-        let answer = if route.starts_with("/v2/") {
-            slot.get("result").unwrap().to_string()
-        } else {
-            slot.get("explanations").unwrap().to_string()
-        };
+        let answer = slot.get("result").unwrap().to_string();
         (slot.get("cached").unwrap().as_bool().unwrap(), answer)
     }
 
@@ -2155,7 +2016,7 @@ mod tests {
     fn non_intersecting_ingest_promotes_instead_of_invalidating() {
         let mut baselines = Vec::new();
         for (i, route) in EXPLAIN_ROUTES.into_iter().enumerate() {
-            // A fresh server per route: v1 single and batch requests share
+            // A fresh server per route: single and batch requests share
             // cache keys, so one route's entries would warm the next.
             let (handle, dir) = start_tri(&format!("promote{i}"), ServerConfig::default());
             let mut client = HttpClient::connect(handle.addr()).unwrap();
@@ -2163,7 +2024,7 @@ mod tests {
             let mut explain = || {
                 let resp = client.post(route, &body).unwrap();
                 assert_eq!(resp.status, 200, "{route}: {}", resp.body);
-                cached_answer(route, &resp.body)
+                cached_answer(&resp.body)
             };
             let (cached, baseline) = explain();
             assert!(!cached, "{route}");
@@ -2215,9 +2076,8 @@ mod tests {
             handle.shutdown();
             let _ = std::fs::remove_dir_all(&dir);
         }
-        // Single and batch routes of one generation answer the same bytes.
+        // Single and batch routes answer the same bytes.
         assert_eq!(baselines[0], baselines[1]);
-        assert_eq!(baselines[2], baselines[3]);
     }
 
     #[test]
@@ -2279,7 +2139,7 @@ mod tests {
         );
         let mut client = HttpClient::connect(handle.addr()).unwrap();
         let body = format!("{{\"model\":\"tri\",\"query\":{}}}", tiny_query().to_json());
-        let baseline = explanations_of(&client.post("/explain", &body).unwrap().body);
+        let baseline = result_of(&client.post("/v2/explain", &body).unwrap().body);
         // Two single-row ingests leave 3 segments — at the threshold.
         let c_row = "{\"Location\":\"C\",\"Smoking\":\"No\",\"Severity\":1.5}";
         for _ in 0..2 {
@@ -2316,11 +2176,11 @@ mod tests {
         // The compacted store answers byte-identically (the ingested `C`
         // rows never intersected the query's subspaces), and repeats hit
         // the cache again under the merged segment's fingerprint.
-        let after = client.post("/explain", &body).unwrap();
-        assert_eq!(explanations_of(&after.body), baseline);
-        let repeat = client.post("/explain", &body).unwrap();
+        let after = client.post("/v2/explain", &body).unwrap();
+        assert_eq!(result_of(&after.body), baseline);
+        let repeat = client.post("/v2/explain", &body).unwrap();
         assert!(cached_flag(&repeat.body));
-        assert_eq!(explanations_of(&repeat.body), baseline);
+        assert_eq!(result_of(&repeat.body), baseline);
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2329,19 +2189,15 @@ mod tests {
     fn wire_errors_are_4xx_and_unknown_models_404() {
         let (handle, dir) = start_tiny("errors", ServerConfig::default());
         let mut client = HttpClient::connect(handle.addr()).unwrap();
-        let resp = client
-            .post(
-                "/explain",
-                &format!(
-                    "{{\"model\":\"nope\",\"query\":{}}}",
-                    tiny_query().to_json()
-                ),
-            )
-            .unwrap();
+        let query_body = format!(
+            "{{\"model\":\"nope\",\"query\":{}}}",
+            tiny_query().to_json()
+        );
+        let resp = client.post("/v2/explain", &query_body).unwrap();
         assert_eq!(resp.status, 404);
         // Malformed JSON body → 400 with a structured error.
         let mut client = HttpClient::connect(handle.addr()).unwrap();
-        let resp = client.post("/explain", "{not json").unwrap();
+        let resp = client.post("/v2/explain", "{not json").unwrap();
         assert_eq!(resp.status, 400);
         assert!(Json::parse(&resp.body).unwrap().get("error").is_ok());
         // Unknown endpoint → 404, `/stats` included (every counter lives
@@ -2350,8 +2206,23 @@ mod tests {
             let resp = client.get(path).unwrap();
             assert_eq!(resp.status, 404, "{path}");
         }
-        let resp = client.get("/explain").unwrap();
+        let resp = client.get("/v2/explain").unwrap();
         assert_eq!(resp.status, 405);
+        // The retired unversioned explain routes are unknown endpoints.
+        let retired = [
+            client.post("/explain", &query_body).unwrap(),
+            client.post("/explain_batch", &query_body).unwrap(),
+            client.get("/explain").unwrap(),
+        ];
+        for (resp, path) in retired
+            .iter()
+            .zip(["/explain", "/explain_batch", "/explain"])
+        {
+            assert_eq!(resp.status, 404, "{path}: {}", resp.body);
+            let doc = Json::parse(&resp.body).unwrap();
+            let message = doc.get("error").unwrap().as_str().unwrap();
+            assert_eq!(message, format!("no such endpoint `{path}`"));
+        }
         // A query over a column the model does not have → 400, not 500.
         let bad = WhyQuery::new(
             "Severity",
@@ -2362,7 +2233,7 @@ mod tests {
         .unwrap();
         let resp = client
             .post(
-                "/explain",
+                "/v2/explain",
                 &format!("{{\"model\":\"tiny\",\"query\":{}}}", bad.to_json()),
             )
             .unwrap();
@@ -2413,27 +2284,21 @@ mod tests {
         let (handle, dir) = start_tiny("loop_bytes", ServerConfig::default());
         let mut client = HttpClient::connect(handle.addr()).unwrap();
         let query_json = tiny_query().to_json();
-        for (route, body) in [
-            (
-                "/explain",
-                format!("{{\"model\":\"tiny\",\"query\":{query_json}}}"),
-            ),
-            (
-                "/v2/explain",
-                explain_v2_body("tiny", &query_json, Some("{\"top_k\":2}")),
-            ),
+        for body in [
+            format!("{{\"model\":\"tiny\",\"query\":{query_json}}}"),
+            explain_v2_body("tiny", &query_json, Some("{\"top_k\":2}")),
         ] {
-            let cold = client.post(route, &body).unwrap();
-            assert_eq!(cold.status, 200, "{route}: {}", cold.body);
-            let (cached, cold_bytes) = cached_answer(route, &cold.body);
-            assert!(!cached, "{route}: the first request is a miss");
-            let warm = client.post(route, &body).unwrap();
-            assert_eq!(warm.status, 200, "{route}: {}", warm.body);
-            let (cached, warm_bytes) = cached_answer(route, &warm.body);
-            assert!(cached, "{route}: the repeat is a hit");
+            let cold = client.post("/v2/explain", &body).unwrap();
+            assert_eq!(cold.status, 200, "{body}: {}", cold.body);
+            let (cached, cold_bytes) = cached_answer(&cold.body);
+            assert!(!cached, "{body}: the first request is a miss");
+            let warm = client.post("/v2/explain", &body).unwrap();
+            assert_eq!(warm.status, 200, "{body}: {}", warm.body);
+            let (cached, warm_bytes) = cached_answer(&warm.body);
+            assert!(cached, "{body}: the repeat is a hit");
             assert_eq!(
                 warm_bytes, cold_bytes,
-                "{route}: a loop hit replays the miss's bytes"
+                "{body}: a loop hit replays the miss's bytes"
             );
         }
         // A body past the loop's decode limit is the same hit, served by a
@@ -2442,7 +2307,7 @@ mod tests {
             "{{\"model\":\"tiny\",{}\"query\":{query_json}}}",
             " ".repeat(LOOP_BODY_LIMIT)
         );
-        let resp = client.post("/explain", &padded).unwrap();
+        let resp = client.post("/v2/explain", &padded).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(cached_flag(&resp.body));
         let text = scrape(&mut client);
@@ -2457,10 +2322,10 @@ mod tests {
             2.0
         );
         assert_eq!(metric(&text, "xinsight_result_cache_lookups_total"), 5.0);
-        for (endpoint, answered) in [("explain", 3.0), ("explain_v2", 2.0)] {
-            let series = format!("xinsight_requests_total{{endpoint=\"{endpoint}\"}}");
-            assert_eq!(metric(&text, &series), answered, "{endpoint}");
-        }
+        assert_eq!(
+            metric(&text, "xinsight_requests_total{endpoint=\"explain_v2\"}"),
+            5.0
+        );
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2470,33 +2335,35 @@ mod tests {
         let (handle, dir) = start_tri("loop_tiers", ServerConfig::default());
         let mut client = HttpClient::connect(handle.addr()).unwrap();
         let query_json = tiny_query().to_json();
-        let v1 = explain_body("/explain", &query_json);
-        let batch = explain_body("/explain_batch", &query_json);
-        let v2 = explain_v2_body("tri", &query_json, None);
+        let single = explain_body("/v2/explain", &query_json);
+        let batch = explain_body("/v2/explain_batch", &query_json);
+        let top1 = explain_v2_body("tri", &query_json, Some("{\"top_k\":1}"));
         let mut ask = |route: &str, body: &str| {
             let resp = client.post(route, body).unwrap();
             assert_eq!(resp.status, 200, "{route}: {}", resp.body);
-            cached_answer(route, &resp.body).0
+            cached_answer(&resp.body).0
         };
         let ingest = |rows: &str| {
             let mut client = HttpClient::connect(handle.addr()).unwrap();
             let resp = client.ingest_v2("tri", rows).unwrap();
             assert_eq!(resp.status, 200, "body: {}", resp.body);
         };
-        assert!(!ask("/explain", &v1)); // miss
-        assert!(ask("/explain", &v1)); // exact hit, on the loop
-        assert!(ask("/explain_batch", &batch)); // exact hit, on a worker
-        assert!(!ask("/v2/explain", &v2)); // miss (v2 key)
-        assert!(ask("/v2/explain", &v2)); // exact hit, on the loop
-                                          // Rows the query never selects: the v1 entry is promoted on a
-                                          // worker, then replayed on the loop.
+        assert!(!ask("/v2/explain", &single)); // miss
+        assert!(ask("/v2/explain", &single)); // exact hit, on the loop
+        assert!(ask("/v2/explain_batch", &batch)); // exact hit, on a worker
+        assert!(!ask("/v2/explain", &top1)); // miss (its own key)
+        assert!(ask("/v2/explain", &top1)); // exact hit, on the loop
+
+        // Rows the query never selects: the default-options entry is
+        // promoted on a worker, then replayed on the loop.
         ingest("[{\"Location\":\"C\",\"Smoking\":\"No\",\"Severity\":1.5}]");
-        assert!(ask("/explain", &v1)); // prefix promotion
-        assert!(ask("/explain", &v1)); // exact hit, on the loop
-                                       // Rows inside S1: the merge path recomputes, then the loop replays.
+        assert!(ask("/v2/explain", &single)); // prefix promotion
+        assert!(ask("/v2/explain", &single)); // exact hit, on the loop
+
+        // Rows inside S1: the merge path recomputes, then the loop replays.
         ingest("[{\"Location\":\"A\",\"Smoking\":\"Yes\",\"Severity\":3.0}]");
-        assert!(!ask("/explain", &v1)); // merge
-        assert!(ask("/explain", &v1)); // exact hit, on the loop
+        assert!(!ask("/v2/explain", &single)); // merge
+        assert!(ask("/v2/explain", &single)); // exact hit, on the loop
 
         let text = scrape(&mut client);
         let tier = |name: &str| {
@@ -2534,11 +2401,17 @@ mod tests {
         );
         let addr = handle.addr();
         let query_json = tiny_query().to_json();
-        let v1 = format!("{{\"model\":\"tiny\",\"query\":{query_json}}}");
-        let v2 = explain_v2_body("tiny", &query_json, None);
+        let bodies = [
+            format!("{{\"model\":\"tiny\",\"query\":{query_json}}}"),
+            explain_v2_body("tiny", &query_json, Some("{\"top_k\":1}")),
+        ];
         let mut client = HttpClient::connect(addr).unwrap();
-        for (route, body) in [("/explain", &v1), ("/v2/explain", &v2)] {
-            assert_eq!(client.post(route, body).unwrap().status, 200, "{route}");
+        for body in &bodies {
+            assert_eq!(
+                client.post("/v2/explain", body).unwrap().status,
+                200,
+                "{body}"
+            );
         }
         // Occupy the one worker, then fill the one-deep queue (see
         // `admission_queue_backpressure_returns_503`).
@@ -2554,10 +2427,10 @@ mod tests {
         let mut third = HttpClient::connect(addr).unwrap();
         assert_eq!(third.get("/models").unwrap().status, 503);
         // …while cached explains never leave the loop.
-        for (route, body) in [("/explain", &v1), ("/v2/explain", &v2)] {
-            let resp = client.post(route, body).unwrap();
-            assert_eq!(resp.status, 200, "{route}: {}", resp.body);
-            assert!(cached_answer(route, &resp.body).0, "{route}");
+        for body in &bodies {
+            let resp = client.post("/v2/explain", body).unwrap();
+            assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+            assert!(cached_answer(&resp.body).0, "{body}");
         }
         assert_eq!(busy.recv().unwrap().status, 200);
         assert_eq!(queued.recv().unwrap().status, 200);
@@ -2574,13 +2447,13 @@ mod tests {
             tiny_query().to_json()
         );
         let mut client = HttpClient::connect(handle.addr()).unwrap();
-        let cold = client.post("/explain", &body).unwrap();
-        let expected = explanations_of(&cold.body);
+        let cold = client.post("/v2/explain", &body).unwrap();
+        let expected = result_of(&cold.body);
         // Thousands of hits in one burst, then a close: the loop serves
         // them back to back from the parser buffer.
         const N: usize = 3000;
         let one = format!(
-            "POST /explain HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            "POST /v2/explain HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
         let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
@@ -2595,8 +2468,9 @@ mod tests {
         sender.join().unwrap();
         let text = String::from_utf8(raw).unwrap();
         assert_eq!(text.matches("HTTP/1.1 200").count(), N + 1);
-        let explanations = format!("\"cached\":true,\"explanations\":{expected}}}");
-        assert_eq!(text.matches(&explanations).count(), N);
+        assert_eq!(text.matches("\"cached\":true").count(), N);
+        let result = format!("\"result\":{expected}}}");
+        assert_eq!(text.matches(&result).count(), N);
         assert!(
             text.ends_with("{\"ok\":true}"),
             "the close request is answered last"
@@ -2640,18 +2514,18 @@ mod tests {
             tiny_query().to_json()
         );
         let mut client = HttpClient::connect(addr).unwrap();
-        assert_eq!(client.post("/explain", &body).unwrap().status, 200);
+        assert_eq!(client.post("/v2/explain", &body).unwrap().status, 200);
         // More worker panics than there are workers: each is contained.
         for _ in 0..3 {
             let raw = send_faulty(addr, "GET", "/models", "", "worker");
             assert!(raw.starts_with("HTTP/1.1 500"), "{raw}");
         }
         // A panic on the loop-side explain path costs the loop nothing.
-        let raw = send_faulty(addr, "POST", "/explain", &body, "loop");
+        let raw = send_faulty(addr, "POST", "/v2/explain", &body, "loop");
         assert!(raw.starts_with("HTTP/1.1 500"), "{raw}");
         // The one worker and the loop both still serve.
         assert_eq!(client.get("/models").unwrap().status, 200);
-        let hit = client.post("/explain", &body).unwrap();
+        let hit = client.post("/v2/explain", &body).unwrap();
         assert_eq!(hit.status, 200, "{}", hit.body);
         assert!(cached_flag(&hit.body));
         let text = scrape(&mut client);
@@ -2699,9 +2573,9 @@ mod tests {
             "{{\"model\":\"tiny\",\"query\":{}}}",
             tiny_query().to_json()
         );
-        assert_eq!(client.post("/explain", &body).unwrap().status, 200);
+        assert_eq!(client.post("/v2/explain", &body).unwrap().status, 200);
         // Cached now.
-        let doc = Json::parse(&client.post("/explain", &body).unwrap().body).unwrap();
+        let doc = Json::parse(&client.post("/v2/explain", &body).unwrap().body).unwrap();
         assert!(doc.get("cached").unwrap().as_bool().unwrap());
         // Reload: generation bumps, cache entries for the model are dropped.
         let resp = client
@@ -2710,7 +2584,7 @@ mod tests {
         assert_eq!(resp.status, 200, "body: {}", resp.body);
         let doc = Json::parse(&resp.body).unwrap();
         assert_eq!(doc.get("generation").unwrap().as_u64().unwrap(), 2);
-        let doc = Json::parse(&client.post("/explain", &body).unwrap().body).unwrap();
+        let doc = Json::parse(&client.post("/v2/explain", &body).unwrap().body).unwrap();
         assert!(
             !doc.get("cached").unwrap().as_bool().unwrap(),
             "reload must invalidate the model's cached results"

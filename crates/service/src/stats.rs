@@ -126,10 +126,6 @@ impl LatencyHistogram {
 #[derive(Debug)]
 pub struct ServerStats {
     started: Instant,
-    /// Requests answered, by endpoint.
-    pub explain: AtomicU64,
-    /// `POST /explain_batch` requests answered.
-    pub explain_batch: AtomicU64,
     /// `POST /v2/explain` requests answered.
     pub explain_v2: AtomicU64,
     /// `POST /v2/explain_batch` requests answered.
@@ -138,7 +134,7 @@ pub struct ServerStats {
     pub ingest_v2: AtomicU64,
     /// `GET /v2/graph` requests answered (fitted-graph renderings).
     pub graph_v2: AtomicU64,
-    /// Individual queries inside batch requests (v1 and v2).
+    /// Individual queries inside `POST /v2/explain_batch` requests.
     pub batch_queries: AtomicU64,
     /// `GET /models` requests answered.
     pub models: AtomicU64,
@@ -205,8 +201,6 @@ impl Default for ServerStats {
     fn default() -> Self {
         ServerStats {
             started: Instant::now(),
-            explain: AtomicU64::new(0),
-            explain_batch: AtomicU64::new(0),
             explain_v2: AtomicU64::new(0),
             explain_batch_v2: AtomicU64::new(0),
             ingest_v2: AtomicU64::new(0),
@@ -347,7 +341,7 @@ mod tests {
         use crate::trace::{Stage, TraceBuilder};
         let stats = ServerStats::default();
         let epoch = Instant::now();
-        let mut tb = TraceBuilder::begin(1, epoch, "POST /explain".to_owned());
+        let mut tb = TraceBuilder::begin(1, epoch, "POST /v2/explain".to_owned());
         tb.span(Stage::Parse, epoch, epoch + Duration::from_micros(10), "");
         tb.span(
             Stage::QueueWait,
@@ -375,7 +369,7 @@ mod tests {
         let stats = ServerStats::default();
         let epoch = Instant::now();
         let at = |us: u64| epoch + Duration::from_micros(us);
-        let mut tb = TraceBuilder::begin(1, epoch, "POST /explain".to_owned());
+        let mut tb = TraceBuilder::begin(1, epoch, "POST /v2/explain".to_owned());
         // A miss: looked up on the loop, queued, resolved on a worker.
         tb.span(Stage::Parse, epoch, at(5), "");
         tb.span(Stage::CacheLookup, at(5), at(9), "miss");

@@ -276,8 +276,6 @@ pub fn endpoint_label(method: &str, path: &str) -> Cow<'static, str> {
     // xlint-endpoints: begin(trace-labels)
     Cow::Borrowed(match (method, path) {
         ("GET", "/healthz") => "GET /healthz",
-        ("POST", "/explain") => "POST /explain",
-        ("POST", "/explain_batch") => "POST /explain_batch",
         ("POST", "/v2/explain") => "POST /v2/explain",
         ("POST", "/v2/explain_batch") => "POST /v2/explain_batch",
         ("POST", "/v2/ingest") => "POST /v2/ingest",

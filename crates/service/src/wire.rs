@@ -1,4 +1,4 @@
-//! The JSON wire format of the serving endpoints — both generations.
+//! The JSON wire format of the serving endpoints.
 //!
 //! Requests and responses reuse the engine's hand-rolled
 //! [`Json`] codepath and [`WhyQuery`]'s
@@ -6,25 +6,20 @@
 //! artifacts all share one serialization convention (and one set of
 //! defensive parsers).
 //!
-//! Two wire generations coexist:
-//!
-//! * **v1** (`/explain`, `/explain_batch`) — `{"model", "query"}` in, a
-//!   bare explanation array out.  Kept byte-for-byte stable; the server
-//!   answers it by building a *default* [`ExplainRequest`].
-//! * **v2** (`/v2/explain`, `/v2/explain_batch`) — adds an `"options"`
-//!   object carrying the per-request controls of
-//!   [`ExplainRequest`] and returns the full
-//!   [`ExplainResponse`] envelope: ranked/scored
-//!   explanations, `truncated`/`deadline_hit` markers, elapsed time and
-//!   optional provenance.  Errors carry the [`DataError::code`] vocabulary
-//!   next to the human-readable message.
+//! The explain endpoints (`/v2/explain`, `/v2/explain_batch`) take
+//! `{"model", "query" | "queries"}` plus an optional `"options"` object
+//! carrying the per-request controls of [`ExplainRequest`], and return the
+//! full [`ExplainResponse`] envelope: ranked/scored explanations,
+//! `truncated`/`deadline_hit` markers, elapsed time and optional
+//! provenance.  Errors carry the [`DataError::code`] vocabulary next to the
+//! human-readable message.
 //!
 //! The explanation payloads serialize **deterministically** — field order
 //! is fixed, numbers use the canonical `f64` writer — which is what lets
 //! the result cache store the serialized string itself and still be
 //! provably answer-identical to the uncached path.  [`RequestOptions`]
 //! also derives the canonical [cache-key suffix](RequestOptions::cache_key)
-//! that keeps differently-parameterized v2 requests from ever aliasing in
+//! that keeps differently-parameterized requests from ever aliasing in
 //! the LRU.
 
 use std::time::Duration;
@@ -33,25 +28,6 @@ use xinsight_core::{
     ExplainRequest, ExplainResponse, Explanation, ExplanationType, Provenance, WhyQuery,
 };
 use xinsight_data::{DataError, Dataset, Predicate, Result, Schema, Value};
-
-/// A parsed `POST /explain` body: `{"model": "...", "query": {...}}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplainV1 {
-    /// The registry id of the model to answer against.
-    pub model: String,
-    /// The query, validated (sibling subspaces, known aggregate).
-    pub query: WhyQuery,
-}
-
-/// A parsed `POST /explain_batch` body:
-/// `{"model": "...", "queries": [{...}, ...]}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplainBatchV1 {
-    /// The registry id of the model to answer against.
-    pub model: String,
-    /// The queries, in request order.
-    pub queries: Vec<WhyQuery>,
-}
 
 fn parse_body(body: &[u8]) -> Result<Json> {
     let text = std::str::from_utf8(body)
@@ -86,31 +62,9 @@ fn queries_of(doc: &Json) -> Result<Vec<WhyQuery>> {
     Ok(queries)
 }
 
-impl ExplainV1 {
-    /// Parses and validates a `POST /explain` body.
-    pub fn parse(body: &[u8]) -> Result<Self> {
-        let doc = parse_body(body)?;
-        Ok(ExplainV1 {
-            model: model_of(&doc)?,
-            query: WhyQuery::from_json_value(doc.get("query")?)?,
-        })
-    }
-}
-
 /// Upper bound on the number of queries one batch request may carry —
 /// keeps a single request from monopolizing a worker unboundedly.
 pub const MAX_BATCH_QUERIES: usize = 256;
-
-impl ExplainBatchV1 {
-    /// Parses and validates a `POST /explain_batch` body.
-    pub fn parse(body: &[u8]) -> Result<Self> {
-        let doc = parse_body(body)?;
-        Ok(ExplainBatchV1 {
-            model: model_of(&doc)?,
-            queries: queries_of(&doc)?,
-        })
-    }
-}
 
 /// The `"options"` object of a v2 request: every per-request control of
 /// [`ExplainRequest`], all optional on the wire.
@@ -211,12 +165,10 @@ impl RequestOptions {
     /// The canonical cache-key suffix for these options.
     ///
     /// Covers every **result-shaping** control (`top_k`, `min_score`,
-    /// `types`, `deadline_ms`), so two v2 requests that differ in any of
+    /// `types`, `deadline_ms`), so two requests that differ in any of
     /// them can never alias in the LRU.  Deliberately excluded:
     /// `include_provenance` (provenance lives in the envelope, not the
-    /// cached payload).  The leading `v2` tag also keeps v2 entries — which
-    /// store the scored result object — disjoint from v1 entries, which
-    /// store a bare explanation array under an empty suffix.
+    /// cached payload).  Every suffix starts with a `v2` tag.
     pub fn cache_key(&self) -> String {
         let mut fields = Vec::new();
         if let Some(top_k) = self.top_k {
@@ -463,12 +415,6 @@ pub fn explanation_to_json(explanation: &Explanation) -> Json {
     ])
 }
 
-/// Serializes a ranked explanation list to the canonical string the result
-/// cache stores and `/explain` (v1) responses embed.
-pub fn explanations_to_string(explanations: &[Explanation]) -> String {
-    Json::Arr(explanations.iter().map(explanation_to_json).collect()).to_string()
-}
-
 /// Serializes a v2 result payload — the cacheable portion of an
 /// [`ExplainResponse`]: the scored ranking plus its `truncated` marker.
 /// (`deadline_hit` responses are never cached, so the marker lives in the
@@ -536,40 +482,6 @@ pub fn provenance_to_json(provenance: &Provenance) -> Json {
     ])
 }
 
-/// Assembles the `/explain` (v1) response envelope around an (often
-/// cached) pre-serialized explanation list.
-pub fn explain_response(model: &str, cached: bool, explanations_json: &str) -> String {
-    let mut out = String::from("{\"model\":");
-    Json::Str(model.to_owned()).write(&mut out);
-    out.push_str(",\"cached\":");
-    out.push_str(if cached { "true" } else { "false" });
-    out.push_str(",\"explanations\":");
-    out.push_str(explanations_json);
-    out.push('}');
-    out
-}
-
-/// Assembles the `/explain_batch` (v1) response envelope; `results[i]`
-/// answers `queries[i]` and carries its serialized explanation array.  The
-/// v1 shape reports only each slot's `cached` flag.
-pub fn explain_batch_response(model: &str, results: &[BatchSlotV2]) -> String {
-    let mut out = String::from("{\"model\":");
-    Json::Str(model.to_owned()).write(&mut out);
-    out.push_str(",\"results\":[");
-    for (i, slot) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"cached\":");
-        out.push_str(if slot.cached { "true" } else { "false" });
-        out.push_str(",\"explanations\":");
-        out.push_str(&slot.result);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Assembles the `/v2/explain` response envelope around a (possibly
 /// cached) pre-serialized result payload:
 ///
@@ -610,7 +522,7 @@ pub fn explain_v2_response(
 }
 
 /// One answered query: the unit the server's explain core returns for
-/// every route, whichever envelope then renders it.
+/// both explain routes, whichever envelope then renders it.
 #[derive(Debug, Clone)]
 pub struct BatchSlotV2 {
     /// Whether the slot was answered from the result cache.
@@ -619,8 +531,7 @@ pub struct BatchSlotV2 {
     pub deadline_hit: bool,
     /// The slot's provenance, when requested and freshly computed.
     pub provenance: Option<Provenance>,
-    /// The serialized payload: [`v2_result_to_string`] for v2,
-    /// [`explanations_to_string`] for v1.
+    /// The serialized payload, as [`v2_result_to_string`] writes it.
     pub result: std::sync::Arc<str>,
 }
 
@@ -683,7 +594,7 @@ mod tests {
     #[test]
     fn explain_request_round_trips_through_query_json() {
         let body = format!("{{\"model\":\"flight\",\"query\":{}}}", query().to_json());
-        let parsed = ExplainV1::parse(body.as_bytes()).unwrap();
+        let parsed = ExplainV2::parse(body.as_bytes()).unwrap();
         assert_eq!(parsed.model, "flight");
         assert_eq!(parsed.query, query());
     }
@@ -692,12 +603,12 @@ mod tests {
     fn batch_request_preserves_order_and_validates() {
         let q = query().to_json();
         let body = format!("{{\"model\":\"m\",\"queries\":[{q},{q}]}}");
-        let parsed = ExplainBatchV1::parse(body.as_bytes()).unwrap();
+        let parsed = ExplainBatchV2::parse(body.as_bytes()).unwrap();
         assert_eq!(parsed.queries.len(), 2);
-        assert!(ExplainBatchV1::parse(b"{\"model\":\"m\",\"queries\":[]}").is_err());
-        assert!(ExplainBatchV1::parse(b"{\"model\":\"\",\"queries\":[]}").is_err());
-        assert!(ExplainV1::parse(b"not json").is_err());
-        assert!(ExplainV1::parse(&[0xff, 0xfe]).is_err());
+        assert!(ExplainBatchV2::parse(b"{\"model\":\"m\",\"queries\":[]}").is_err());
+        assert!(ExplainBatchV2::parse(b"{\"model\":\"\",\"queries\":[]}").is_err());
+        assert!(ExplainV2::parse(b"not json").is_err());
+        assert!(ExplainV2::parse(&[0xff, 0xfe]).is_err());
     }
 
     #[test]
@@ -705,7 +616,7 @@ mod tests {
         let q = query().to_json();
         let queries = vec![q; MAX_BATCH_QUERIES + 1].join(",");
         let body = format!("{{\"model\":\"m\",\"queries\":[{queries}]}}");
-        let err = ExplainBatchV1::parse(body.as_bytes()).unwrap_err();
+        let err = ExplainBatchV2::parse(body.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("exceeds"));
     }
 
@@ -807,7 +718,7 @@ mod tests {
             envelope_only.cache_key(),
             RequestOptions::default().cache_key()
         );
-        // v1 keys use the empty suffix; every v2 key is tagged.
+        // Every key is tagged.
         assert!(keys.iter().all(|k| k.starts_with("v2")));
     }
 
@@ -871,35 +782,14 @@ mod tests {
 
     #[test]
     fn explanations_serialize_deterministically() {
-        let json = explanations_to_string(&[explanation()]);
+        let json = explanation_to_json(&explanation()).to_string();
         assert_eq!(
             json,
-            "[{\"type\":\"causal\",\"causal_role\":\"parent\",\
+            "{\"type\":\"causal\",\"causal_role\":\"parent\",\
              \"predicate\":{\"attribute\":\"Smoking\",\"values\":[\"Yes\"]},\
              \"responsibility\":0.75,\"contingency\":null,\
-             \"original_delta\":1.5,\"remaining_delta\":0.25}]"
+             \"original_delta\":1.5,\"remaining_delta\":0.25}"
         );
-        // Envelope embeds the list verbatim.
-        let envelope = explain_response("m", true, &json);
-        assert!(envelope.starts_with("{\"model\":\"m\",\"cached\":true,\"explanations\":["));
-        assert!(Json::parse(&envelope).is_ok());
-    }
-
-    #[test]
-    fn batch_envelope_embeds_each_result() {
-        let json: Arc<str> = Arc::from(explanations_to_string(&[explanation()]).as_str());
-        let slot = |cached: bool, result: Arc<str>| BatchSlotV2 {
-            cached,
-            deadline_hit: false,
-            provenance: None,
-            result,
-        };
-        let body = explain_batch_response("m", &[slot(true, Arc::clone(&json)), slot(false, json)]);
-        let doc = Json::parse(&body).unwrap();
-        let results = doc.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(results[0].get("cached").unwrap().as_bool().unwrap());
-        assert!(!results[1].get("cached").unwrap().as_bool().unwrap());
     }
 
     #[test]

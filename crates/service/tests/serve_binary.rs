@@ -140,10 +140,15 @@ fn real_binary_serves_compacts_traces_and_shuts_down_cleanly() {
     let template = entry.get("ingest_template").unwrap().as_arr().unwrap()[0].to_string();
 
     let body = format!("{{\"model\":\"{model}\",\"query\":{query}}}");
-    let resp = client.post("/explain", &body).unwrap();
-    assert_eq!(resp.status, 200, "POST /explain: {}", resp.body);
+    let resp = client.post("/v2/explain", &body).unwrap();
+    assert_eq!(resp.status, 200, "POST /v2/explain: {}", resp.body);
     let doc = Json::parse(&resp.body).unwrap();
-    doc.get("explanations").unwrap().as_arr().unwrap();
+    doc.get("result")
+        .unwrap()
+        .get("explanations")
+        .unwrap()
+        .as_arr()
+        .unwrap();
 
     let resp = client
         .explain_v2(&model, &query, Some("{\"top_k\":1}"))
@@ -157,7 +162,7 @@ fn real_binary_serves_compacts_traces_and_shuts_down_cleanly() {
     );
 
     let text = scrape(&mut client);
-    assert!(metric(&text, "xinsight_requests_total{endpoint=\"explain\"}") >= 1.0);
+    assert!(metric(&text, "xinsight_requests_total{endpoint=\"explain_v2\"}") >= 2.0);
     assert_eq!(
         metric(&text, "xinsight_compact_after"),
         COMPACT_AFTER as f64

@@ -6,8 +6,8 @@
 //! conditional-independence (CI) queries `X ⫫ Y | Z` answered from data.
 //! This crate provides
 //!
-//! * [`special`] — log-gamma, regularized incomplete gamma, chi-square and
-//!   normal survival functions (no third-party math dependency),
+//! * [`special`] — log-gamma, regularized incomplete gamma and the
+//!   chi-square survival function (no third-party math dependency),
 //! * [`DiscoveryView`] — a per-fit compilation of the discovery variable set:
 //!   names resolved to dense ids once, borrowed `&[u32]` code slices and
 //!   cardinalities held for zero-cost repeated access,

@@ -106,33 +106,6 @@ pub fn chi_square_sf(x: f64, dof: f64) -> f64 {
     gamma_q(dof / 2.0, x / 2.0)
 }
 
-/// Cumulative distribution function of the chi-square distribution.
-pub fn chi_square_cdf(x: f64, dof: f64) -> f64 {
-    1.0 - chi_square_sf(x, dof)
-}
-
-/// Error function `erf(x)` (Abramowitz & Stegun 7.1.26-style rational
-/// approximation refined via the incomplete gamma relation).
-pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        return -erf(-x);
-    }
-    if x == 0.0 {
-        return 0.0;
-    }
-    gamma_p(0.5, x * x)
-}
-
-/// Standard normal cumulative distribution function.
-pub fn standard_normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Two-sided p-value for a standard normal statistic.
-pub fn standard_normal_two_sided_p(z: f64) -> f64 {
-    2.0 * (1.0 - standard_normal_cdf(z.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,12 +143,6 @@ mod tests {
         assert!(close(chi_square_sf(5.991, 2.0), 0.05, 2e-3));
         assert!(close(chi_square_sf(0.0, 3.0), 1.0, 1e-12));
         assert!(close(chi_square_sf(18.307, 10.0), 0.05, 2e-3));
-        // CDF + SF = 1.
-        assert!(close(
-            chi_square_cdf(4.2, 3.0) + chi_square_sf(4.2, 3.0),
-            1.0,
-            1e-12
-        ));
     }
 
     #[test]
@@ -187,16 +154,6 @@ mod tests {
             assert!(sf <= last + 1e-12);
             last = sf;
         }
-    }
-
-    #[test]
-    fn erf_and_normal_cdf() {
-        assert!(close(erf(0.0), 0.0, 1e-12));
-        assert!(close(erf(1.0), 0.842_700_79, 1e-6));
-        assert!(close(erf(-1.0), -0.842_700_79, 1e-6));
-        assert!(close(standard_normal_cdf(0.0), 0.5, 1e-12));
-        assert!(close(standard_normal_cdf(1.959_964), 0.975, 1e-5));
-        assert!(close(standard_normal_two_sided_p(1.959_964), 0.05, 1e-4));
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //!
 //! The redesign's correctness bar has two halves:
 //!
-//! * **engine level** — `execute` with a default [`ExplainRequest`] is
-//!   byte-identical to its bare ranked list (`into_explanations`), the
-//!   legacy payload, including when served through the bounded LRU
-//!   (property test);
-//! * **wire level** — on a served SYN-A bundle, the v1 endpoints and
-//!   `/v2` with default options answer with the same explanation bytes,
-//!   and the v2 per-request controls (`top_k`, type allowlist, deadline)
-//!   behave end-to-end, with differently-parameterized requests never
-//!   aliasing in the result cache.
+//! * **engine level** — `execute` with a default [`ExplainRequest`]
+//!   serializes to the same result payload on every call, including when
+//!   replayed through the bounded LRU (property test);
+//! * **wire level** — on a served SYN-A bundle, `/v2/explain` with
+//!   default options answers with the bytes of a direct `execute`, and the
+//!   per-request controls (`top_k`, type allowlist, deadline) behave
+//!   end-to-end, with differently-parameterized requests never aliasing in
+//!   the result cache.
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -20,18 +19,17 @@ use xinsight::core::pipeline::{XInsight, XInsightOptions};
 use xinsight::core::{ExplainRequest, WhyQuery};
 use xinsight::service::{
     demo::syn_a_serving_data, demo_queries, demo_v2_options, lru::CacheKey, lru::ResultCache, wire,
-    HttpClient, ModelRegistry, ServerConfig,
+    wire::RequestOptions, HttpClient, ModelRegistry, ServerConfig,
 };
 
-/// One fitted SYN-A serving engine + query pool + per-query *legacy-path*
-/// wire answers, shared across property cases (the fit is the expensive
-/// part).
+/// One fitted SYN-A serving engine + query pool + per-query reference
+/// answers, shared across property cases (the fit is the expensive part).
 struct Fixture {
     engine: XInsight,
     queries: Vec<WhyQuery>,
-    /// Serialized bare explanation lists of default requests — the legacy
-    /// payload the LRU-served path must reproduce.
-    legacy: Vec<String>,
+    /// Serialized result payloads of default requests — the bytes the
+    /// LRU-served path must reproduce.
+    reference: Vec<String>,
 }
 
 fn fixture() -> &'static Fixture {
@@ -40,17 +38,16 @@ fn fixture() -> &'static Fixture {
         let data = syn_a_serving_data(500, 7).unwrap();
         let engine = XInsight::fit(&data, &XInsightOptions::default()).unwrap();
         let queries = demo_queries(&data, 6).unwrap();
-        let legacy = queries
+        let reference = queries
             .iter()
             .map(|q| {
-                let response = engine.execute(&ExplainRequest::new(q.clone())).unwrap();
-                wire::explanations_to_string(&response.into_explanations())
+                wire::v2_result_to_string(&engine.execute(&ExplainRequest::new(q.clone())).unwrap())
             })
             .collect();
         Fixture {
             engine,
             queries,
-            legacy,
+            reference,
         }
     })
 }
@@ -59,7 +56,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // `execute` with default options — directly and served through a
-    // tiny, eviction-heavy LRU — reproduces the legacy payload's bytes
+    // tiny, eviction-heavy LRU — reproduces the reference payload's bytes
     // exactly.
     #[test]
     fn default_execute_is_byte_identical_to_legacy_explain(
@@ -68,7 +65,7 @@ proptest! {
     ) {
         let fx = fixture();
         let per_entry = fx.queries[0].to_json().len()
-            + fx.legacy.iter().map(String::len).max().unwrap()
+            + fx.reference.iter().map(String::len).max().unwrap()
             + xinsight::service::lru::ENTRY_OVERHEAD_BYTES
             + 16 // one-segment fingerprint
             + 8;
@@ -93,14 +90,14 @@ proptest! {
                     scored.explanation.responsibility.to_bits()
                 );
             }
-            let direct = wire::explanations_to_string(&response.into_explanations());
-            prop_assert_eq!(&direct, &fx.legacy[i], "query {} diverged from legacy path", i);
+            let direct = wire::v2_result_to_string(&response);
+            prop_assert_eq!(&direct, &fx.reference[i], "query {} diverged from the reference", i);
 
-            // Through the LRU, exactly as the v1 serving adapter caches it.
+            // Through the LRU, exactly as the serving adapter caches it.
             let key = CacheKey {
                 model: "syn_a".to_owned(),
                 query: query.clone(),
-                options: String::new(),
+                options: RequestOptions::default().cache_key(),
             };
             let served: Arc<str> = match cache.lookup(&key, &fingerprint, dict_len) {
                 xinsight::service::lru::Lookup::Hit(hit) => hit,
@@ -110,7 +107,7 @@ proptest! {
                     json
                 }
             };
-            prop_assert_eq!(&*served, fx.legacy[i].as_str(),
+            prop_assert_eq!(&*served, fx.reference[i].as_str(),
                             "query {} diverged through the LRU", i);
         }
     }
@@ -131,45 +128,34 @@ fn serve_fixture(tag: &str) -> (xinsight::service::ServerHandle, std::path::Path
     (handle, dir)
 }
 
-/// v1 and v2-with-default-options answer every served SYN-A query with the
-/// same explanation content, and the v2 envelope is well-formed.
+/// `/v2/explain` with default options answers every served SYN-A query
+/// with the bytes of `v2_result_to_string` over a direct `execute`, and
+/// the envelope is well-formed.
 #[test]
-fn v1_wire_equals_v2_wire_with_defaults_on_served_syn_a() {
+fn v2_wire_with_defaults_equals_direct_execute_on_served_syn_a() {
     let fx = fixture();
     let (handle, dir) = serve_fixture("equiv");
     let mut client = HttpClient::connect(handle.addr()).unwrap();
 
     for (i, query) in fx.queries.iter().enumerate() {
-        let v1_body = format!("{{\"model\":\"syn_a\",\"query\":{}}}", query.to_json());
-        let v1 = client.post("/explain", &v1_body).unwrap();
-        assert_eq!(v1.status, 200, "v1 query {i}: {}", v1.body);
-        let v1_doc = Json::parse(&v1.body).unwrap();
-        let v1_explanations = v1_doc.get("explanations").unwrap();
+        let resp = client.explain_v2("syn_a", &query.to_json(), None).unwrap();
+        assert_eq!(resp.status, 200, "query {i}: {}", resp.body);
+        let doc = Json::parse(&resp.body).unwrap();
+        assert_eq!(doc.get("model").unwrap().as_str().unwrap(), "syn_a");
+        assert!(!doc.get("deadline_hit").unwrap().as_bool().unwrap());
+        assert!(matches!(doc.get("provenance").unwrap(), Json::Null));
+        let result = doc.get("result").unwrap();
         assert_eq!(
-            v1_explanations.to_string(),
-            fx.legacy[i],
-            "v1 wire diverged from the pre-redesign bytes on query {i}"
+            result.to_string(),
+            fx.reference[i],
+            "the wire diverged from a direct execute on query {i}"
         );
-
-        let v2 = client.explain_v2("syn_a", &query.to_json(), None).unwrap();
-        assert_eq!(v2.status, 200, "v2 query {i}: {}", v2.body);
-        let v2_doc = Json::parse(&v2.body).unwrap();
-        assert!(!v2_doc.get("deadline_hit").unwrap().as_bool().unwrap());
-        let result = v2_doc.get("result").unwrap();
         assert!(!result.get("truncated").unwrap().as_bool().unwrap());
         let slots = result.get("explanations").unwrap().as_arr().unwrap();
-        let v1_list = v1_explanations.as_arr().unwrap();
-        assert_eq!(slots.len(), v1_list.len(), "query {i} cardinality");
-        for (rank0, (slot, v1_entry)) in slots.iter().zip(v1_list).enumerate() {
+        for (rank0, slot) in slots.iter().enumerate() {
             assert_eq!(
                 slot.get("rank").unwrap().as_u64().unwrap(),
                 (rank0 + 1) as u64
-            );
-            assert_eq!(
-                slot.get("explanation").unwrap().to_string(),
-                v1_entry.to_string(),
-                "query {i} rank {} diverged between v1 and v2",
-                rank0 + 1
             );
         }
     }
@@ -190,10 +176,10 @@ fn v2_controls_work_end_to_end_on_served_syn_a() {
     let (query, full_len) = fx
         .queries
         .iter()
-        .zip(&fx.legacy)
-        .map(|(q, legacy)| {
-            let n = Json::parse(legacy).unwrap().as_arr().unwrap().len();
-            (q, n)
+        .zip(&fx.reference)
+        .map(|(q, reference)| {
+            let doc = Json::parse(reference).unwrap();
+            (q, doc.get("explanations").unwrap().as_arr().unwrap().len())
         })
         .max_by_key(|&(_, n)| n)
         .unwrap();

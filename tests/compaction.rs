@@ -36,12 +36,7 @@ use xinsight::service::{
 use xinsight::synth::flight;
 
 fn explain_wire(engine: &XInsight, query: &WhyQuery) -> String {
-    wire::explanations_to_string(
-        &engine
-            .execute(&ExplainRequest::new(query.clone()))
-            .unwrap()
-            .into_explanations(),
-    )
+    wire::v2_result_to_string(&engine.execute(&ExplainRequest::new(query.clone())).unwrap())
 }
 
 /// Rows `lo..hi` of a dataset as a standalone dataset.
@@ -283,12 +278,12 @@ fn prefix_scoped_cache_answers_equal_cold_recompute_across_ingest() {
     let mut client = HttpClient::connect(handle.addr()).unwrap();
     let body = format!("{{\"model\":\"pm\",\"query\":{}}}", query.to_json());
     let explain = |client: &mut HttpClient| -> (bool, String) {
-        let resp = client.post("/explain", &body).unwrap();
+        let resp = client.post("/v2/explain", &body).unwrap();
         assert_eq!(resp.status, 200, "body: {}", resp.body);
         let doc = Json::parse(&resp.body).unwrap();
         (
             doc.get("cached").unwrap().as_bool().unwrap(),
-            doc.get("explanations").unwrap().to_string(),
+            doc.get("result").unwrap().to_string(),
         )
     };
 
@@ -379,11 +374,11 @@ fn concurrent_compaction_never_serves_a_torn_snapshot() {
         std::thread::spawn(move || {
             let mut client = HttpClient::connect(addr).unwrap();
             for i in 0..150 {
-                let resp = client.post("/explain", &body).unwrap();
+                let resp = client.post("/v2/explain", &body).unwrap();
                 assert_eq!(resp.status, 200, "read {i}: {}", resp.body);
                 let doc = Json::parse(&resp.body).unwrap();
                 assert_eq!(
-                    doc.get("explanations").unwrap().to_string(),
+                    doc.get("result").unwrap().to_string(),
                     expected,
                     "read {i} served a divergent answer during compaction"
                 );
@@ -447,10 +442,10 @@ fn concurrent_compaction_never_serves_a_torn_snapshot() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    let resp = client.post("/explain", &body).unwrap();
+    let resp = client.post("/v2/explain", &body).unwrap();
     assert_eq!(resp.status, 200);
     let doc = Json::parse(&resp.body).unwrap();
-    assert_eq!(doc.get("explanations").unwrap().to_string(), expected);
+    assert_eq!(doc.get("result").unwrap().to_string(), expected);
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

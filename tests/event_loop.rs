@@ -5,7 +5,7 @@
 //! per-connection state machines) feeding the same bounded worker pool.
 //! The loop's correctness bar:
 //!
-//! * **invisible in the answers** — v1, v2 and ingest wire bytes served
+//! * **invisible in the answers** — explain and ingest wire bytes served
 //!   through the event loop (and the segment-scoped LRU, across ingest
 //!   epoch bumps) are byte-identical to direct `execute_batch` on an
 //!   engine holding the same store (property test);
@@ -116,7 +116,7 @@ fn direct_wire(engine: &XInsight, query: &WhyQuery) -> String {
         .into_iter()
         .next()
         .unwrap();
-    wire::explanations_to_string(&response.into_explanations())
+    wire::v2_result_to_string(&response)
 }
 
 /// One fitted tri-location engine + query pool, shared across tests and
@@ -171,7 +171,7 @@ fn serve_fixture(tag: &str, config: &ServerConfig) -> (ServerHandle, std::path::
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // A random interleaving of v1 explains, v2 explains (varying top_k)
+    // A random interleaving of default explains, top_k explains
     // and ingest epoch bumps, served through the event loop and the
     // segment-scoped LRU, answers byte-identically to direct
     // `execute_batch` on an engine grown by the same ingests.  Repeats in
@@ -204,11 +204,11 @@ proptest! {
                     prop_assert_eq!(resp.status, 200, "step {}: {}", step, resp.body);
                     grown = Some(engine.with_ingested(&chunk).unwrap());
                 }
-                // v2 wire with a per-request top_k.
+                // A per-request top_k.
                 2 | 3 => {
                     let expected = direct_wire(engine, query);
                     let direct_doc = Json::parse(&expected).unwrap();
-                    let direct_arr = direct_doc.as_arr().unwrap();
+                    let direct_arr = direct_doc.get("explanations").unwrap().as_arr().unwrap();
                     let top_k = 1 + pick % 4;
                     let options = format!("{{\"top_k\":{top_k}}}");
                     let resp = client
@@ -232,21 +232,21 @@ proptest! {
                         );
                         prop_assert_eq!(
                             slot.get("explanation").unwrap().to_string(),
-                            direct.to_string(),
+                            direct.get("explanation").unwrap().to_string(),
                             "step {} rank {} diverged from direct execute_batch",
                             step, rank0 + 1
                         );
                     }
                 }
-                // v1 wire.
+                // Default options.
                 _ => {
                     let expected = direct_wire(engine, query);
                     let body = format!("{{\"model\":\"ev\",\"query\":{}}}", query.to_json());
-                    let resp = client.post("/explain", &body).unwrap();
+                    let resp = client.post("/v2/explain", &body).unwrap();
                     prop_assert_eq!(resp.status, 200, "step {}: {}", step, resp.body);
                     let doc = Json::parse(&resp.body).unwrap();
                     prop_assert_eq!(
-                        doc.get("explanations").unwrap().to_string(),
+                        doc.get("result").unwrap().to_string(),
                         expected,
                         "step {} diverged from direct execute_batch", step
                     );
@@ -282,12 +282,12 @@ fn a_thousand_idle_keep_alives_park_and_all_answer() {
     let mut clients = Vec::with_capacity(CLIENTS);
     for i in 0..CLIENTS {
         let mut client = HttpClient::connect(addr).unwrap();
-        let resp = client.post("/explain", &body).unwrap();
+        let resp = client.post("/v2/explain", &body).unwrap();
         assert_eq!(resp.status, 200, "client {i}: {}", resp.body);
         assert!(!resp.closing, "client {i} was not kept alive");
         let doc = Json::parse(&resp.body).unwrap();
         assert_eq!(
-            doc.get("explanations").unwrap().to_string(),
+            doc.get("result").unwrap().to_string(),
             expected,
             "client {i} answer diverged"
         );
@@ -322,11 +322,11 @@ fn a_thousand_idle_keep_alives_park_and_all_answer() {
             scope.spawn(move || {
                 for (j, client) in group.iter_mut().enumerate() {
                     let i = t * per_thread + j;
-                    let resp = client.post("/explain", body).unwrap();
+                    let resp = client.post("/v2/explain", body).unwrap();
                     assert_eq!(resp.status, 200, "parked client {i}: {}", resp.body);
                     let doc = Json::parse(&resp.body).unwrap();
                     assert_eq!(
-                        &doc.get("explanations").unwrap().to_string(),
+                        &doc.get("result").unwrap().to_string(),
                         expected,
                         "parked client {i} answer diverged"
                     );
@@ -437,7 +437,7 @@ fn slow_loris_partial_request_times_out_without_stalling_others() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     loris
-        .write_all(b"POST /explain HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"mod")
+        .write_all(b"POST /v2/explain HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"mod")
         .unwrap();
     let stalled_at = Instant::now();
 

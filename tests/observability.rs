@@ -210,7 +210,10 @@ fn metrics_exposition_is_valid_and_counters_reconcile_exactly() {
     let q = fx.queries[0].to_json();
     for _ in 0..3 {
         let resp = client
-            .post("/explain", &format!("{{\"model\":\"obs\",\"query\":{q}}}"))
+            .post(
+                "/v2/explain",
+                &format!("{{\"model\":\"obs\",\"query\":{q}}}"),
+            )
             .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
@@ -220,7 +223,7 @@ fn metrics_exposition_is_valid_and_counters_reconcile_exactly() {
     }
     let resp = client
         .post(
-            "/explain_batch",
+            "/v2/explain_batch",
             &format!("{{\"model\":\"obs\",\"queries\":[{q},{q}]}}"),
         )
         .unwrap();
@@ -238,15 +241,11 @@ fn metrics_exposition_is_valid_and_counters_reconcile_exactly() {
 
     let counter = |series: &str| -> f64 { series_value(&scrape.body, series).unwrap_or(-1.0) };
     assert_eq!(
-        counter("xinsight_requests_total{endpoint=\"explain\"}"),
-        3.0
-    );
-    assert_eq!(
         counter("xinsight_requests_total{endpoint=\"explain_v2\"}"),
-        2.0
+        5.0
     );
     assert_eq!(
-        counter("xinsight_requests_total{endpoint=\"explain_batch\"}"),
+        counter("xinsight_requests_total{endpoint=\"explain_batch_v2\"}"),
         1.0
     );
     assert_eq!(
@@ -302,7 +301,10 @@ fn trace_spans_are_monotonic_and_account_for_the_request() {
 
     let q = fx.queries[0].to_json();
     let resp = client
-        .post("/explain", &format!("{{\"model\":\"obs\",\"query\":{q}}}"))
+        .post(
+            "/v2/explain",
+            &format!("{{\"model\":\"obs\",\"query\":{q}}}"),
+        )
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
     // A known-duration request well past the slow threshold: its span sum
@@ -489,7 +491,10 @@ fn metrics_result_cache_tiers_always_sum_to_lookups() {
         for q in &fx.queries {
             let q = q.to_json();
             let resp = client
-                .post("/explain", &format!("{{\"model\":\"obs\",\"query\":{q}}}"))
+                .post(
+                    "/v2/explain",
+                    &format!("{{\"model\":\"obs\",\"query\":{q}}}"),
+                )
                 .unwrap();
             assert_eq!(resp.status, 200, "{}", resp.body);
         }

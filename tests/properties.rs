@@ -9,7 +9,7 @@ use xinsight::data::{Aggregate, DatasetBuilder, Filter, Predicate, RowMask, Subs
 use xinsight::graph::{separation, Dag, MixedGraph};
 use xinsight::service::http::{HttpError, Request, RequestParser, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use xinsight::service::server::status_for;
-use xinsight::service::wire::{ExplainV2, IngestV2};
+use xinsight::service::wire::{ExplainBatchV2, ExplainV2, IngestV2};
 use xinsight::service::{explain_v2_body, ingest_v2_body};
 
 // ---------------------------------------------------------------------------
@@ -421,7 +421,7 @@ fn frame_in_chunks(
 fn hostile_fragment(pick: u8, noise: &[u8]) -> Vec<u8> {
     match pick {
         0 => b"GET /healthz HTTP/1.1\r\n".to_vec(),
-        1 => b"POST /explain HTTP/1.0\n".to_vec(),
+        1 => b"POST /v2/explain HTTP/1.0\n".to_vec(),
         2 => b"Content-Length: 5\r\n".to_vec(),
         3 => format!("Content-Length: {MAX_BODY_BYTES}\r\n").into_bytes(),
         4 => format!("content-length: {}\r\n", MAX_BODY_BYTES + 1).into_bytes(),
@@ -508,9 +508,9 @@ proptest! {
 // JSON and wire decoders under hostile bytes
 // ---------------------------------------------------------------------------
 
-/// A valid `/v2/explain` body and a valid `/v2/ingest` body: the seeds the
-/// mutation strategy corrupts.
-fn valid_bodies() -> [String; 2] {
+/// A valid `/v2/explain`, `/v2/ingest` and `/v2/explain_batch` body: the
+/// seeds the mutation strategy corrupts.
+fn valid_bodies() -> [String; 3] {
     let query = WhyQuery::new(
         "Delay",
         Aggregate::Avg,
@@ -520,9 +520,11 @@ fn valid_bodies() -> [String; 2] {
     .unwrap();
     let options = r#"{"top_k":3,"min_score":0.25,"types":["causal"],"deadline_ms":50}"#;
     let rows = r#"[{"Month":"May","Rain":"Yes","Delay":42.5},{"Month":"Ju\u00f1e","Rain":null,"Delay":-1e3}]"#;
+    let q = query.to_json();
     [
-        explain_v2_body("flight", &query.to_json(), Some(options)),
+        explain_v2_body("flight", &q, Some(options)),
         ingest_v2_body("flight", rows),
+        format!("{{\"model\":\"flight\",\"queries\":[{q},{q}],\"options\":{options}}}"),
     ]
 }
 
@@ -558,18 +560,21 @@ fn mutate(body: &[u8], edits: &[u64]) -> Vec<u8> {
     out
 }
 
-/// Runs the JSON parser and both v2 body decoders over `body`: none may
-/// panic, and every rejection must be an error the server answers `400`.
+/// Runs the JSON parser and the three v2 body decoders over `body`: none
+/// may panic, and every rejection must be an error the server answers
+/// `400`.
 fn decoders_fail_cleanly(body: &[u8]) -> Result<(), TestCaseError> {
     if let Ok(text) = std::str::from_utf8(body) {
         if let Err(e) = Json::parse(text) {
             prop_assert_eq!(status_for(&e), 400, "json: {}", e);
         }
     }
-    for e in [ExplainV2::parse(body).err(), IngestV2::parse(body).err()]
-        .into_iter()
-        .flatten()
-    {
+    let errors = [
+        ExplainV2::parse(body).err(),
+        ExplainBatchV2::parse(body).err(),
+        IngestV2::parse(body).err(),
+    ];
+    for e in errors.into_iter().flatten() {
         prop_assert_eq!(status_for(&e), 400, "wire: {}", e);
     }
     Ok(())
@@ -608,9 +613,11 @@ proptest! {
             }
         }
         let explain = format!("{{\"model\":\"m\",\"query\":{nested}}}");
+        let batch = format!("{{\"model\":\"m\",\"queries\":[{nested}]}}");
         let ingest = format!("{{\"model\":\"m\",\"rows\":[{{\"x\":{nested}}}]}}");
         let errors = [
             (ExplainV2::parse(explain.as_bytes()).err(), depth + 1),
+            (ExplainBatchV2::parse(batch.as_bytes()).err(), depth + 2),
             (IngestV2::parse(ingest.as_bytes()).err(), depth + 3),
         ];
         for (error, total_depth) in errors {
@@ -624,9 +631,16 @@ proptest! {
 
 #[test]
 fn the_mutation_seeds_are_valid_bodies() {
-    let [explain, ingest] = valid_bodies();
+    let [explain, ingest, batch] = valid_bodies();
     assert!(ExplainV2::parse(explain.as_bytes()).is_ok());
     assert_eq!(IngestV2::parse(ingest.as_bytes()).unwrap().rows.len(), 2);
+    assert_eq!(
+        ExplainBatchV2::parse(batch.as_bytes())
+            .unwrap()
+            .queries
+            .len(),
+        2
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -27,12 +27,7 @@ use xinsight::service::{
 use xinsight::synth::flight;
 
 fn explain_wire(engine: &XInsight, query: &WhyQuery) -> String {
-    wire::explanations_to_string(
-        &engine
-            .execute(&ExplainRequest::new(query.clone()))
-            .unwrap()
-            .into_explanations(),
-    )
+    wire::v2_result_to_string(&engine.execute(&ExplainRequest::new(query.clone())).unwrap())
 }
 
 /// Rows `lo..hi` of a dataset as a standalone dataset.
@@ -201,7 +196,7 @@ fn http_ingest_round_trip_matches_direct_segmented_engine() {
     // Warm the LRU pre-ingest.
     for query in &queries {
         let body = format!("{{\"model\":\"seg\",\"query\":{}}}", query.to_json());
-        assert_eq!(client.post("/explain", &body).unwrap().status, 200);
+        assert_eq!(client.post("/v2/explain", &body).unwrap().status, 200);
     }
 
     // Ingest the remaining rows over the wire: one sealed segment, no
@@ -219,7 +214,7 @@ fn http_ingest_round_trip_matches_direct_segmented_engine() {
     for (query, expected) in queries.iter().zip(&expected) {
         let body = format!("{{\"model\":\"seg\",\"query\":{}}}", query.to_json());
         for (round, want_cached) in [(1, false), (2, true)] {
-            let resp = client.post("/explain", &body).unwrap();
+            let resp = client.post("/v2/explain", &body).unwrap();
             assert_eq!(resp.status, 200, "body: {}", resp.body);
             let doc = Json::parse(&resp.body).unwrap();
             assert_eq!(
@@ -228,7 +223,7 @@ fn http_ingest_round_trip_matches_direct_segmented_engine() {
                 "round {round} of {query}"
             );
             assert_eq!(
-                doc.get("explanations").unwrap().to_string(),
+                doc.get("result").unwrap().to_string(),
                 *expected,
                 "round {round} of {query}"
             );

@@ -84,7 +84,7 @@ fn fixture() -> &'static Fixture {
             .iter()
             .map(|q| {
                 let response = engine.execute(&ExplainRequest::new(q.clone())).unwrap();
-                wire::explanations_to_string(&response.into_explanations())
+                wire::v2_result_to_string(&response)
             })
             .collect();
         Fixture {
@@ -126,7 +126,7 @@ proptest! {
             let key = CacheKey {
                 model: "m".to_owned(),
                 query: query.clone(),
-                options: String::new(),
+                options: wire::RequestOptions::default().cache_key(),
             };
             // The serving path: LRU hit, or engine + insert on miss.
             let served: Arc<str> = match cache.lookup(&key, &fingerprint, dict_len) {
@@ -135,9 +135,8 @@ proptest! {
                     let answers = fx.engine
                         .execute_batch(&[ExplainRequest::new(query.clone())])
                         .unwrap();
-                    let explanations = answers.into_iter().next().unwrap().into_explanations();
-                    let json: Arc<str> =
-                        Arc::from(wire::explanations_to_string(&explanations).as_str());
+                    let response = answers.into_iter().next().unwrap();
+                    let json: Arc<str> = Arc::from(wire::v2_result_to_string(&response).as_str());
                     cache.insert(key, fingerprint.clone(), dict_len, Arc::clone(&json));
                     json
                 }
@@ -218,11 +217,11 @@ fn concurrent_http_serving_matches_serial_direct_answers() {
                     "{{\"model\":\"served\",\"query\":{}}}",
                     fx.queries[i].to_json()
                 );
-                let resp = http.post("/explain", &body).unwrap();
+                let resp = http.post("/v2/explain", &body).unwrap();
                 assert_eq!(resp.status, 200, "client {offset}: {}", resp.body);
                 let doc = xinsight::core::json::Json::parse(&resp.body).unwrap();
                 assert_eq!(
-                    doc.get("explanations").unwrap().to_string(),
+                    doc.get("result").unwrap().to_string(),
                     fx.direct[i],
                     "client {offset} query {i} diverged over HTTP"
                 );
@@ -230,14 +229,14 @@ fn concurrent_http_serving_matches_serial_direct_answers() {
             // One batch covering the whole pool, order preserved.
             let batch: Vec<String> = fx.queries.iter().map(WhyQuery::to_json).collect();
             let body = format!("{{\"model\":\"served\",\"queries\":[{}]}}", batch.join(","));
-            let resp = http.post("/explain_batch", &body).unwrap();
+            let resp = http.post("/v2/explain_batch", &body).unwrap();
             assert_eq!(resp.status, 200, "client {offset}: {}", resp.body);
             let doc = xinsight::core::json::Json::parse(&resp.body).unwrap();
             let results = doc.get("results").unwrap().as_arr().unwrap().to_vec();
             assert_eq!(results.len(), fx.queries.len());
             for (i, result) in results.iter().enumerate() {
                 assert_eq!(
-                    result.get("explanations").unwrap().to_string(),
+                    result.get("result").unwrap().to_string(),
                     fx.direct[i],
                     "client {offset} batch slot {i} diverged"
                 );
