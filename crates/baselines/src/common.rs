@@ -69,7 +69,7 @@ impl<'a> AttributeContext<'a> {
         self.filters.len()
     }
 
-    pub fn union_mask(&self, indices: &[usize]) -> RowMask {
+    fn union_mask(&self, indices: &[usize]) -> RowMask {
         let mut mask = RowMask::zeros(self.data.n_rows());
         for &i in indices {
             mask = mask.or(&self.masks[i]);

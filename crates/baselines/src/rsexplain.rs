@@ -15,33 +15,28 @@ use crate::common::{AttributeContext, BaselineExplanation, ExplanationEngine};
 use xinsight_core::WhyQuery;
 use xinsight_data::{DataError, Dataset, Result};
 
+/// Cap on the attribute cardinality (pair enumeration is quadratic, and
+/// the numeric-provenance evaluation the original system performs makes
+/// each step expensive; the harness records N/A above the cap).
+const MAX_FILTERS: usize = 24;
+
 /// The RSExplain-style engine.
 #[derive(Debug, Clone)]
 pub struct RsExplain {
     /// Minimum intervention score for a filter to be reported.
     pub threshold: f64,
-    /// Cap on the attribute cardinality (pair enumeration is quadratic, and
-    /// the numeric-provenance evaluation the original system performs makes
-    /// each step expensive; the harness records N/A above the cap).
-    pub max_filters: usize,
 }
 
 impl Default for RsExplain {
     fn default() -> Self {
-        RsExplain {
-            threshold: 0.1,
-            max_filters: 24,
-        }
+        RsExplain { threshold: 0.1 }
     }
 }
 
 impl RsExplain {
     /// Creates an engine with an explicit reporting threshold.
     pub fn new(threshold: f64) -> Self {
-        RsExplain {
-            threshold,
-            ..RsExplain::default()
-        }
+        RsExplain { threshold }
     }
 }
 
@@ -61,10 +56,9 @@ impl ExplanationEngine for RsExplain {
         if m == 0 || ctx.delta_d <= 0.0 {
             return Ok(None);
         }
-        if m > self.max_filters {
+        if m > MAX_FILTERS {
             return Err(DataError::InvalidBinning(format!(
-                "rsexplain: candidate enumeration over {m} filters exceeds the cap of {}",
-                self.max_filters
+                "rsexplain: candidate enumeration over {m} filters exceeds the cap of {MAX_FILTERS}"
             )));
         }
         // Score singletons.

@@ -10,13 +10,18 @@
 //! inf(P) = (Δ(D) − Δ(D − D_P)) / |D_P|^λ
 //! ```
 //!
-//! The search enumerates filter subsets exhaustively (bounded by
-//! `max_filters`), which reproduces the cardinality blow-up visible in
-//! Table 8 of the paper.
+//! The search enumerates filter subsets exhaustively (up to 16 filters),
+//! which reproduces the cardinality blow-up visible in Table 8 of the paper.
 
 use crate::common::{AttributeContext, BaselineExplanation, ExplanationEngine};
 use xinsight_core::WhyQuery;
 use xinsight_data::{DataError, Dataset, Result};
+
+/// Attributes with more filters than this are refused (the original system
+/// would simply take a very long time; the harness records N/A).  Each of
+/// the `2^m` subsets rescans the rows, so at 20k rows a search at 14 filters
+/// already takes seconds and one at 20 would take minutes.
+const MAX_FILTERS: usize = 16;
 
 /// The Scorpion-style engine.
 #[derive(Debug, Clone)]
@@ -24,27 +29,18 @@ pub struct Scorpion {
     /// Support-normalisation exponent `λ`.  `λ = 0` disables normalisation,
     /// `λ = 1` divides by the predicate's support.
     pub lambda: f64,
-    /// Refuse to search attributes with more filters than this (the original
-    /// system would simply take a very long time; the harness records N/A).
-    pub max_filters: usize,
 }
 
 impl Default for Scorpion {
     fn default() -> Self {
-        Scorpion {
-            lambda: 0.25,
-            max_filters: 24,
-        }
+        Scorpion { lambda: 0.25 }
     }
 }
 
 impl Scorpion {
     /// Creates an engine with an explicit normalisation exponent.
     pub fn new(lambda: f64) -> Self {
-        Scorpion {
-            lambda,
-            ..Scorpion::default()
-        }
+        Scorpion { lambda }
     }
 }
 
@@ -64,10 +60,9 @@ impl ExplanationEngine for Scorpion {
         if m == 0 || ctx.delta_d <= 0.0 {
             return Ok(None);
         }
-        if m > self.max_filters {
+        if m > MAX_FILTERS {
             return Err(DataError::InvalidBinning(format!(
-                "scorpion: exhaustive search over {m} filters exceeds the cap of {}",
-                self.max_filters
+                "scorpion: exhaustive search over {m} filters exceeds the cap of {MAX_FILTERS}"
             )));
         }
         let mut best: Option<(f64, Vec<usize>)> = None;
@@ -141,6 +136,26 @@ mod tests {
         let (data, query, _) = planted(30, Aggregate::Avg);
         let err = Scorpion::default().explain(&data, &query, "Y");
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn cardinality_cap_is_inclusive_and_named_in_the_error() {
+        // `planted(n)` plants two trigger categories next to `n` others.
+        let (data, query, _) = planted(MAX_FILTERS - 2, Aggregate::Avg);
+        let at_cap = Scorpion::default()
+            .explain(&data, &query, "Y")
+            .unwrap()
+            .expect("a search at the cap must run");
+        assert_eq!(at_cap.n_delta_evaluations, (1 << MAX_FILTERS) - 1);
+        let (data, query, _) = planted(MAX_FILTERS - 1, Aggregate::Avg);
+        let err = Scorpion::default()
+            .explain(&data, &query, "Y")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("search over 17 filters exceeds the cap of 16"),
+            "{err}"
+        );
     }
 
     #[test]

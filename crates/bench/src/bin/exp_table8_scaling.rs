@@ -5,6 +5,12 @@
 //! of magnitude faster; Scorpion and RSExplain become infeasible (N/A) once
 //! the cardinality exceeds ~30; BOExplain's accuracy collapses with
 //! cardinality while its runtime stays roughly flat.
+//!
+//! Divergence: Scorpion's exhaustive search is capped at 16 filters, so it
+//! prints N/A from cardinality 20, not beyond ~30.  Each of its `2^m`
+//! subsets rescans the rows, and at 20k rows a search at cardinality 20
+//! would take minutes per aggregate.  RSExplain is capped at 24 filters and
+//! prints N/A from cardinality 30.
 
 use xinsight_baselines::{BoExplain, RsExplain, Scorpion};
 use xinsight_bench::{print_header, print_row, run_baseline, run_xplainer, EngineRun};
@@ -143,4 +149,6 @@ fn main() {
     println!("# paper shape: XPlainer F1 = 1.0 throughout and the lowest runtime;");
     println!("# Scorpion/RSExplain go N/A beyond cardinality 30 (search-space blow-up);");
     println!("# BOExplain stays cheap but its F1 collapses as cardinality grows.");
+    println!("# divergence: Scorpion is capped at 16 filters and prints N/A from cardinality 20,");
+    println!("# RSExplain at 24 filters and prints N/A from cardinality 30.");
 }

@@ -79,7 +79,8 @@ impl WhyQuery {
     }
 
     /// The two values the foreground dimension takes in `s1` and `s2`.
-    pub fn foreground_values(&self) -> (&str, &str) {
+    #[cfg(test)]
+    fn foreground_values(&self) -> (&str, &str) {
         (&self.foreground_values.0, &self.foreground_values.1)
     }
 
@@ -184,7 +185,7 @@ impl WhyQuery {
     /// Evaluates `Δ(D)` over a segmented store, merging the per-segment
     /// partial aggregates exactly (bit-identical for any segmentation of
     /// the same rows).  Errors when either sibling side is empty and the
-    /// aggregate undefined there; see [`WhyQuery::delta_store_opt`].
+    /// aggregate undefined there.
     pub fn delta_store(&self, store: &SegmentedDataset) -> Result<f64> {
         self.delta_store_opt(store)?
             .ok_or_else(|| DataError::EmptyAggregate {
@@ -195,7 +196,7 @@ impl WhyQuery {
 
     /// Like [`WhyQuery::delta_store`] but returns `None` when one side is
     /// empty and the aggregate is undefined there.
-    pub fn delta_store_opt(&self, store: &SegmentedDataset) -> Result<Option<f64>> {
+    fn delta_store_opt(&self, store: &SegmentedDataset) -> Result<Option<f64>> {
         let a1 = store.aggregate_subspace(&self.measure, self.aggregate, &self.s1)?;
         let a2 = store.aggregate_subspace(&self.measure, self.aggregate, &self.s2)?;
         Ok(match (a1, a2) {
@@ -216,7 +217,7 @@ impl WhyQuery {
 
     /// The aggregates `(x, y)` of `Δ(D) = x − y` from the sibling
     /// statistics `(a1, a2)` over the whole store
-    /// ([`crate::xplainer::SelectionCache::sibling_stats`]); values and errors match
+    /// (`SelectionCache::side_totals`); values and errors match
     /// [`WhyQuery::delta_store`].
     pub(crate) fn sibling_values(
         &self,

@@ -56,7 +56,7 @@
 //! [`crate::pipeline::XInsight::execute`]) or a whole batch (cross-query
 //! reuse in [`crate::pipeline::XInsight::execute_batch`]).  Besides the
 //! contexts, the pipeline itself reads `Δ(D)` through the cache
-//! ([`SelectionCache::sibling_stats`]) to orient each query, so `Δ(D)` is
+//! (`SelectionCache::side_totals`) to orient each query, so `Δ(D)` is
 //! computed once per store segment and replayed by every later request and
 //! every attribute's context.
 //!
@@ -494,12 +494,12 @@ impl SelectionCache {
     }
 
     /// Number of distinct side masks currently memoized.
-    pub fn mask_entries(&self) -> usize {
+    fn mask_entries(&self) -> usize {
         self.masks.len()
     }
 
     /// Number of distinct partial aggregates currently memoized.
-    pub fn partial_entries(&self) -> usize {
+    fn partial_entries(&self) -> usize {
         self.partials.len()
     }
 
@@ -620,14 +620,8 @@ impl SelectionCache {
     /// The statistics of `measure` over the sibling subspaces `s1` and `s2`
     /// of the whole store, each merged across segments in segment order:
     /// the two sides of `Δ(D)`.
-    ///
-    /// Per segment each side is the empty clause's complement partial, which
-    /// is exactly the entry every [`super::SearchContext`] probes for its own
-    /// `Δ(D)`.  So the pipeline (which orients the query on `Δ(D)`) and
-    /// every context built for the query replay one set of entries instead
-    /// of rescanning the store.  A replay touches no mask; a miss fetches
-    /// the side's memoized mask and computes the partial.
-    pub fn sibling_stats(
+    #[cfg(test)]
+    fn sibling_stats(
         &self,
         store: &SegmentedDataset,
         measure: &str,
@@ -638,7 +632,15 @@ impl SelectionCache {
         self.side_totals(store, &ids)
     }
 
-    /// [`SelectionCache::sibling_stats`] for a compiled query.
+    /// The two sides of `Δ(D)` for a compiled query, each merged across
+    /// segments in segment order.
+    ///
+    /// Per segment each side is the empty clause's complement partial, which
+    /// is exactly the entry every [`super::SearchContext`] probes for its own
+    /// `Δ(D)`.  So the pipeline (which orients the query on `Δ(D)`) and
+    /// every context built for the query replay one set of entries instead
+    /// of rescanning the store.  A replay touches no mask; a miss fetches
+    /// the side's memoized mask and computes the partial.
     pub(crate) fn side_totals(
         &self,
         store: &SegmentedDataset,

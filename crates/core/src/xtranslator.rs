@@ -30,7 +30,8 @@ pub struct Translation {
 
 impl Translation {
     /// The semantics of one variable, if it was classified.
-    pub fn semantics_of(&self, variable: &str) -> Option<XdaSemantics> {
+    #[cfg(test)]
+    fn semantics_of(&self, variable: &str) -> Option<XdaSemantics> {
         self.semantics.get(variable).copied()
     }
 
@@ -41,30 +42,6 @@ impl Translation {
             .semantics
             .iter()
             .filter(|(_, s)| s.has_explainability())
-            .map(|(v, _)| v.as_str())
-            .collect();
-        vars.sort();
-        vars
-    }
-
-    /// All variables classified as potential causal explainers.
-    pub fn causal_variables(&self) -> Vec<&str> {
-        let mut vars: Vec<&str> = self
-            .semantics
-            .iter()
-            .filter(|(_, s)| matches!(s, XdaSemantics::CausalExplanation(_)))
-            .map(|(v, _)| v.as_str())
-            .collect();
-        vars.sort();
-        vars
-    }
-
-    /// All variables classified as non-causal explainers.
-    pub fn non_causal_variables(&self) -> Vec<&str> {
-        let mut vars: Vec<&str> = self
-            .semantics
-            .iter()
-            .filter(|(_, s)| matches!(s, XdaSemantics::NonCausalExplanation))
             .map(|(v, _)| v.as_str())
             .collect();
         vars.sort();
@@ -247,8 +224,6 @@ mod tests {
         );
         // The foreground variable itself is not classified.
         assert_eq!(t.semantics_of("Location"), None);
-        assert_eq!(t.causal_variables(), vec!["Smoking", "Stress"]);
-        assert_eq!(t.non_causal_variables(), vec!["Surgery", "Survival"]);
         assert_eq!(
             t.explainable_variables(),
             vec!["Smoking", "Stress", "Surgery", "Survival"]

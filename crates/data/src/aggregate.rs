@@ -61,12 +61,6 @@ impl Aggregate {
         }
     }
 
-    /// Returns `true` for aggregates that are additive over disjoint row sets
-    /// (the property exploited by XPlainer's SUM optimization, Prop. 3.2).
-    pub fn is_additive(&self) -> bool {
-        matches!(self, Aggregate::Sum | Aggregate::Count)
-    }
-
     /// The SQL-style name (what `Display` writes and `FromStr` parses).
     pub fn name(&self) -> &'static str {
         match self {
@@ -174,13 +168,6 @@ mod tests {
             Aggregate::Sum.eval(&d, "M", &bad),
             Err(DataError::MaskLengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn additivity_flags() {
-        assert!(Aggregate::Sum.is_additive());
-        assert!(Aggregate::Count.is_additive());
-        assert!(!Aggregate::Avg.is_additive());
     }
 
     #[test]

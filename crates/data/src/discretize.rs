@@ -47,7 +47,8 @@ impl BinSpec {
     }
 
     /// Number of bins.
-    pub fn n_bins(&self) -> usize {
+    #[cfg(test)]
+    fn n_bins(&self) -> usize {
         self.cuts.len() + 1
     }
 
@@ -62,7 +63,7 @@ impl BinSpec {
     }
 
     /// Index of the bin containing `value`.
-    pub fn bin_of(&self, value: f64) -> usize {
+    fn bin_of(&self, value: f64) -> usize {
         match self.cuts.iter().position(|&c| value <= c) {
             Some(i) => i,
             None => self.cuts.len(),

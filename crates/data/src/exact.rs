@@ -125,11 +125,6 @@ impl ExactSum {
     pub fn heap_bytes(&self) -> usize {
         self.partials.capacity() * std::mem::size_of::<f64>()
     }
-
-    /// Whether nothing (or only zeros) has been added.
-    pub fn is_zero(&self) -> bool {
-        self.partials.iter().all(|&p| p == 0.0)
-    }
 }
 
 /// Mergeable sufficient statistics of a measure over one selection: the
@@ -279,8 +274,6 @@ mod tests {
             sum.add(i as f64);
         }
         assert_eq!(sum.value(), 499500.0);
-        assert!(!sum.is_zero());
-        assert!(ExactSum::new().is_zero());
         assert_eq!(ExactSum::new().value(), 0.0);
     }
 

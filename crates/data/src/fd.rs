@@ -193,15 +193,6 @@ impl FdGraph {
         }
     }
 
-    /// Names of attributes that appear as a dependent of at least one FD
-    /// ("non-root" nodes in Alg. 1's terminology).
-    pub fn dependent_attributes(&self) -> Vec<&str> {
-        let mut deps: Vec<usize> = self.edges.iter().map(|&(_, b)| b).collect();
-        deps.sort_unstable();
-        deps.dedup();
-        deps.into_iter().map(|i| self.nodes[i].as_str()).collect()
-    }
-
     /// Parents (determinants) of `node` in `G_FD`.
     pub fn parents(&self, node: &str) -> Vec<&str> {
         match self.index.get(node) {
@@ -471,9 +462,6 @@ mod tests {
         parents.sort();
         assert_eq!(parents, vec!["City", "State"]);
         assert_eq!(graph.children("City").len(), 2);
-        let mut deps = graph.dependent_attributes();
-        deps.sort();
-        assert_eq!(deps, vec!["Country", "State"]);
     }
 
     #[test]

@@ -129,67 +129,6 @@ impl RowMask {
         }
     }
 
-    /// Number of rows selected in both masks (`|D ∩ D'|`) without
-    /// materializing the intersection: one word-parallel AND + popcount pass.
-    ///
-    /// XPlainer's aggregation cache leans on this (and
-    /// [`RowMask::and_not_count`]) so its inner loops never allocate masks.
-    pub fn intersect_count(&self, other: &RowMask) -> usize {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Number of rows selected in `self` but not in `other` (`|D − D'|`)
-    /// without materializing the difference.
-    pub fn and_not_count(&self, other: &RowMask) -> usize {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| (a & !b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Iterator over the indices of rows selected in **both** masks, in
-    /// ascending order, without materializing the intersection mask.
-    pub fn iter_and<'a>(&'a self, other: &'a RowMask) -> impl Iterator<Item = usize> + 'a {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        Self::iter_combined(&self.bits, &other.bits, |a, b| a & b)
-    }
-
-    /// Iterator over the indices of rows selected in `self` but **not** in
-    /// `other`, in ascending order, without materializing the difference mask.
-    pub fn iter_and_not<'a>(&'a self, other: &'a RowMask) -> impl Iterator<Item = usize> + 'a {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        Self::iter_combined(&self.bits, &other.bits, |a, b| a & !b)
-    }
-
-    fn iter_combined<'a>(
-        lhs: &'a [u64],
-        rhs: &'a [u64],
-        combine: impl Fn(u64, u64) -> u64 + 'a,
-    ) -> impl Iterator<Item = usize> + 'a {
-        lhs.iter()
-            .zip(rhs)
-            .enumerate()
-            .flat_map(move |(wi, (a, b))| {
-                let mut w = combine(*a, *b);
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        None
-                    } else {
-                        let bit = w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        Some(wi * 64 + bit)
-                    }
-                })
-            })
-    }
-
     /// Rows selected in `self` but not in `other` (`D − D'` in the paper).
     pub fn minus(&self, other: &RowMask) -> RowMask {
         assert_eq!(self.len, other.len, "mask length mismatch");
@@ -311,36 +250,5 @@ mod tests {
         let a = RowMask::zeros(4);
         let b = RowMask::zeros(5);
         let _ = a.and(&b);
-    }
-
-    #[test]
-    fn counting_primitives_match_materialized_masks() {
-        let a = RowMask::from_bools((0..300).map(|i| i % 3 == 0));
-        let b = RowMask::from_bools((0..300).map(|i| i % 5 == 0));
-        assert_eq!(a.intersect_count(&b), a.and(&b).count());
-        assert_eq!(a.and_not_count(&b), a.minus(&b).count());
-        assert_eq!(b.and_not_count(&a), b.minus(&a).count());
-        let disjoint = RowMask::from_bools((0..300).map(|i| i % 3 == 1));
-        assert_eq!(a.intersect_count(&disjoint), 0);
-    }
-
-    #[test]
-    fn lazy_iterators_match_materialized_masks() {
-        let a = RowMask::from_bools((0..200).map(|i| i % 7 < 3));
-        let b = RowMask::from_bools((0..200).map(|i| i % 4 == 0));
-        assert_eq!(
-            a.iter_and(&b).collect::<Vec<_>>(),
-            a.and(&b).iter_selected().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            a.iter_and_not(&b).collect::<Vec<_>>(),
-            a.minus(&b).iter_selected().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn intersect_count_checks_lengths() {
-        let _ = RowMask::zeros(4).intersect_count(&RowMask::zeros(5));
     }
 }

@@ -38,11 +38,6 @@ impl Predicate {
         p
     }
 
-    /// Predicate containing a single filter.
-    pub fn from_filter(filter: &Filter) -> Self {
-        Predicate::new(filter.attribute(), [filter.value()])
-    }
-
     /// The dimension this predicate constrains.
     pub fn attribute(&self) -> &str {
         &self.attribute
@@ -101,28 +96,6 @@ impl Predicate {
             out.insert(v.clone());
         }
         out
-    }
-
-    /// Set difference `self − other` on the same attribute.
-    pub fn difference(&self, other: &Predicate) -> Predicate {
-        assert_eq!(
-            self.attribute, other.attribute,
-            "predicates must target the same dimension"
-        );
-        Predicate {
-            attribute: self.attribute.clone(),
-            values: self
-                .values
-                .iter()
-                .filter(|v| !other.contains(v))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Returns `true` when the two predicates assert disjoint value sets.
-    pub fn is_disjoint(&self, other: &Predicate) -> bool {
-        self.values.iter().all(|v| !other.contains(v))
     }
 
     /// Evaluates the predicate into a row mask (`D_P` in the paper).
@@ -189,9 +162,6 @@ mod tests {
         let a = Predicate::new("X", ["1", "2"]);
         let b = Predicate::new("X", ["2", "3"]);
         assert_eq!(a.union(&b).values(), ["1", "2", "3"]);
-        assert_eq!(a.difference(&b).values(), ["1"]);
-        assert!(!a.is_disjoint(&b));
-        assert!(a.difference(&b).is_disjoint(&b));
     }
 
     #[test]
@@ -208,7 +178,7 @@ mod tests {
         let fs = p.filters();
         assert_eq!(fs.len(), 2);
         assert_eq!(fs[0], Filter::equals("X", "a"));
-        assert_eq!(Predicate::from_filter(&fs[1]).values(), ["b"]);
+        assert_eq!(fs[1], Filter::equals("X", "b"));
     }
 
     #[test]

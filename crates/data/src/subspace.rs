@@ -76,11 +76,6 @@ impl Subspace {
         self.filters.iter().map(|f| f.attribute()).collect()
     }
 
-    /// The filter on `attribute`, if present.
-    pub fn filter_on(&self, attribute: &str) -> Option<&Filter> {
-        self.filters.iter().find(|f| f.attribute() == attribute)
-    }
-
     /// Evaluates the subspace into a row mask (`D_s`).
     pub fn mask(&self, data: &Dataset) -> Result<RowMask> {
         let mut mask = data.all_rows();
@@ -115,16 +110,6 @@ impl Subspace {
             }
         }
         diff
-    }
-
-    /// Background filters shared with a sibling subspace (everything except
-    /// the foreground dimension).
-    pub fn background_filters(&self, foreground: &str) -> Vec<Filter> {
-        self.filters
-            .iter()
-            .filter(|f| f.attribute() != foreground)
-            .cloned()
-            .collect()
     }
 }
 
@@ -194,10 +179,7 @@ mod tests {
         let (fg, v1, v2) = s1.sibling_difference(&s2).unwrap();
         assert_eq!(fg, "Location");
         assert_eq!((v1, v2), ("A", "B"));
-        assert_eq!(
-            s1.background_filters("Location"),
-            vec![Filter::equals("Severity", "Severe")]
-        );
+        assert_eq!(s1.attributes(), vec!["Location", "Severity"]);
     }
 
     #[test]
@@ -220,16 +202,5 @@ mod tests {
         assert_eq!(Subspace::all().to_string(), "⊤");
         let s = Subspace::new([Filter::equals("B", "2"), Filter::equals("A", "1")]).unwrap();
         assert_eq!(s.to_string(), "A = 1 ∧ B = 2");
-    }
-
-    #[test]
-    fn filter_on_lookup() {
-        let s = Subspace::of("Location", "A");
-        assert_eq!(
-            s.filter_on("Location"),
-            Some(&Filter::equals("Location", "A"))
-        );
-        assert_eq!(s.filter_on("Other"), None);
-        assert_eq!(s.attributes(), vec!["Location"]);
     }
 }

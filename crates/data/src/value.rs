@@ -23,22 +23,6 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
-
-    /// Returns the categorical payload, if any.
-    pub fn as_category(&self) -> Option<&str> {
-        match self {
-            Value::Category(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the numerical payload, if any.
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Value::Number(x) => Some(*x),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -89,9 +73,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert!(Value::Null.is_null());
-        assert_eq!(Value::from("x").as_category(), Some("x"));
-        assert_eq!(Value::from("x").as_number(), None);
-        assert_eq!(Value::from(1.0).as_number(), Some(1.0));
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl OracleCiTest {
         }
     }
 
-    /// Builds an oracle from a ground-truth mixed graph (e.g. a MAG).
-    pub fn from_mixed_graph(graph: MixedGraph) -> Self {
-        OracleCiTest { graph }
-    }
-
     /// The underlying ground-truth graph.
     pub fn graph(&self) -> &MixedGraph {
         &self.graph
@@ -94,17 +89,5 @@ mod tests {
         let oracle = OracleCiTest::from_dag(&dag);
         assert!(oracle.test(&dummy_data(), "A", "Nope", &[]).is_err());
         assert!(oracle.test(&dummy_data(), "A", "B", &["Nope"]).is_err());
-    }
-
-    #[test]
-    fn works_with_bidirected_ground_truth() {
-        let mut g = MixedGraph::new(["X", "Y", "Z"]);
-        g.add_bidirected(0, 1);
-        g.add_directed(1, 2);
-        let oracle = OracleCiTest::from_mixed_graph(g);
-        let d = dummy_data();
-        assert!(!oracle.independent(&d, "X", "Y", &[]).unwrap());
-        assert!(!oracle.independent(&d, "X", "Z", &[]).unwrap());
-        assert!(oracle.independent(&d, "X", "Z", &["Y"]).unwrap());
     }
 }

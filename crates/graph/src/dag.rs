@@ -92,7 +92,7 @@ impl Dag {
     }
 
     /// Returns `true` if the edge `a → b` exists.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
+    fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         self.children[a].contains(&b)
     }
 
@@ -123,7 +123,7 @@ impl Dag {
     }
 
     /// Returns `true` when a directed path `a → ... → b` exists (or `a == b`).
-    pub fn has_path(&self, a: NodeId, b: NodeId) -> bool {
+    fn has_path(&self, a: NodeId, b: NodeId) -> bool {
         if a == b {
             return true;
         }
@@ -140,34 +140,6 @@ impl Dag {
             }
         }
         false
-    }
-
-    /// Ancestors of `x`, not including `x`.
-    pub fn ancestors(&self, x: NodeId) -> HashSet<NodeId> {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from(vec![x]);
-        while let Some(v) = queue.pop_front() {
-            for &p in &self.parents[v] {
-                if seen.insert(p) {
-                    queue.push_back(p);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Descendants of `x`, not including `x`.
-    pub fn descendants(&self, x: NodeId) -> HashSet<NodeId> {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from(vec![x]);
-        while let Some(v) = queue.pop_front() {
-            for &c in &self.children[v] {
-                if seen.insert(c) {
-                    queue.push_back(c);
-                }
-            }
-        }
-        seen
     }
 
     /// A topological order of the node ids.
@@ -202,62 +174,6 @@ impl Dag {
             g.add_directed(a, b);
         }
         g
-    }
-
-    /// The *latent projection* of this DAG onto the observed nodes:
-    /// the MAG over `observed` implied by marginalizing out all other nodes.
-    ///
-    /// Two observed nodes are adjacent in the projection iff no subset of the
-    /// remaining observed nodes d-separates them; the edge is `A → B` when
-    /// `A` is an ancestor of `B` in the DAG, `B → A` in the converse case, and
-    /// `A ↔ B` when neither is an ancestor of the other.
-    ///
-    /// The adjacency test enumerates separating subsets and is exponential in
-    /// the number of observed nodes; it is intended for the small graphs used
-    /// in unit tests.  The synthetic-experiment ground truth is produced by
-    /// running FCI with a d-separation oracle instead.
-    pub fn latent_projection(&self, observed: &[NodeId]) -> MixedGraph {
-        let names: Vec<String> = observed.iter().map(|&v| self.names[v].clone()).collect();
-        let mut mag = MixedGraph::new(names);
-        for (i, &a) in observed.iter().enumerate() {
-            for (j, &b) in observed.iter().enumerate().skip(i + 1) {
-                let others: Vec<NodeId> = observed
-                    .iter()
-                    .copied()
-                    .filter(|&v| v != a && v != b)
-                    .collect();
-                if !self.separable_by_subset(a, b, &others) {
-                    let a_anc_b = self.has_path(a, b);
-                    let b_anc_a = self.has_path(b, a);
-                    match (a_anc_b, b_anc_a) {
-                        (true, _) => mag.add_directed(i, j),
-                        (_, true) => mag.add_directed(j, i),
-                        _ => mag.add_bidirected(i, j),
-                    }
-                }
-            }
-        }
-        mag
-    }
-
-    fn separable_by_subset(&self, a: NodeId, b: NodeId, candidates: &[NodeId]) -> bool {
-        let k = candidates.len();
-        assert!(
-            k <= 20,
-            "latent_projection is only intended for small graphs (got {k} candidate separators)"
-        );
-        for bits in 0..(1usize << k) {
-            let z: Vec<NodeId> = candidates
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| bits >> i & 1 == 1)
-                .map(|(_, &v)| v)
-                .collect();
-            if self.d_separated(a, b, &z) {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -310,9 +226,6 @@ mod tests {
         d.add_edge(1, 2);
         assert!(d.has_path(0, 2));
         assert!(!d.has_path(2, 0));
-        assert!(d.ancestors(2).contains(&0));
-        assert!(d.descendants(0).contains(&2));
-        assert!(!d.descendants(0).contains(&3));
     }
 
     #[test]
@@ -337,42 +250,6 @@ mod tests {
         coll.add_edge(2, 1);
         assert!(coll.d_separated(0, 2, &[]));
         assert!(!coll.d_separated(0, 2, &[1]));
-    }
-
-    #[test]
-    fn latent_projection_confounder_becomes_bidirected() {
-        // Fig. 2 of the paper: Z causes X and Y; Z is latent.
-        let mut d = Dag::new(["Z", "X", "Y"]);
-        d.add_edge(0, 1);
-        d.add_edge(0, 2);
-        let x = d.expect_id("X");
-        let y = d.expect_id("Y");
-        let mag = d.latent_projection(&[x, y]);
-        assert_eq!(mag.n_edges(), 1);
-        let e = mag.edges()[0];
-        assert!(e.is_bidirected());
-    }
-
-    #[test]
-    fn latent_projection_keeps_direct_causes() {
-        // X -> Y with latent L -> Y only: projection over {X, Y} keeps X -> Y.
-        let mut d = Dag::new(["X", "Y", "L"]);
-        d.add_edge(0, 1);
-        d.add_edge(2, 1);
-        let mag = d.latent_projection(&[0, 1]);
-        assert_eq!(mag.n_edges(), 1);
-        assert!(mag.is_parent(0, 1));
-    }
-
-    #[test]
-    fn latent_projection_mediator_marginalized() {
-        // X -> M -> Y, M latent: projection over {X, Y} has X -> Y.
-        let mut d = Dag::new(["X", "M", "Y"]);
-        d.add_edge(0, 1);
-        d.add_edge(1, 2);
-        let mag = d.latent_projection(&[0, 2]);
-        assert_eq!(mag.n_edges(), 1);
-        assert!(mag.is_parent(0, 1)); // ids renumbered: X=0, Y=1 in the projection
     }
 
     #[test]

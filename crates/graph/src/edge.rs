@@ -31,21 +31,6 @@ impl Edge {
         }
     }
 
-    /// The directed edge `a → b`.
-    pub fn directed(a: NodeId, b: NodeId) -> Self {
-        Edge::new(a, b, Mark::Tail, Mark::Arrow)
-    }
-
-    /// The bidirected edge `a ↔ b`.
-    pub fn bidirected(a: NodeId, b: NodeId) -> Self {
-        Edge::new(a, b, Mark::Arrow, Mark::Arrow)
-    }
-
-    /// The fully undetermined edge `a o-o b`.
-    pub fn nondirected(a: NodeId, b: NodeId) -> Self {
-        Edge::new(a, b, Mark::Circle, Mark::Circle)
-    }
-
     /// The mark at `node`'s end, if `node` is an endpoint of this edge.
     pub fn mark_at(&self, node: NodeId) -> Option<Mark> {
         if node == self.a {
@@ -68,11 +53,6 @@ impl Edge {
         }
     }
 
-    /// Returns `true` if this edge joins the two given nodes (in either order).
-    pub fn joins(&self, x: NodeId, y: NodeId) -> bool {
-        (self.a == x && self.b == y) || (self.a == y && self.b == x)
-    }
-
     /// Returns the same edge seen from the other side (`a`/`b` swapped).
     pub fn reversed(&self) -> Edge {
         Edge {
@@ -81,12 +61,6 @@ impl Edge {
             near_a: self.near_b,
             near_b: self.near_a,
         }
-    }
-
-    /// Returns `true` for `a → b` or `b → a`.
-    pub fn is_directed(&self) -> bool {
-        (self.near_a.is_tail() && self.near_b.is_arrow())
-            || (self.near_a.is_arrow() && self.near_b.is_tail())
     }
 
     /// Returns `true` for `a ↔ b`.
@@ -122,24 +96,21 @@ mod tests {
 
     #[test]
     fn constructors() {
-        let e = Edge::directed(0, 1);
-        assert!(e.is_directed());
+        let e = Edge::new(0, 1, Mark::Tail, Mark::Arrow);
         assert!(!e.is_bidirected());
-        assert!(Edge::bidirected(0, 1).is_bidirected());
-        assert!(Edge::nondirected(0, 1).has_circle());
+        assert!(Edge::new(0, 1, Mark::Arrow, Mark::Arrow).is_bidirected());
+        assert!(Edge::new(0, 1, Mark::Circle, Mark::Circle).has_circle());
     }
 
     #[test]
     fn mark_at_and_other() {
-        let e = Edge::directed(3, 7);
+        let e = Edge::new(3, 7, Mark::Tail, Mark::Arrow);
         assert_eq!(e.mark_at(3), Some(Mark::Tail));
         assert_eq!(e.mark_at(7), Some(Mark::Arrow));
         assert_eq!(e.mark_at(9), None);
         assert_eq!(e.other(3), Some(7));
         assert_eq!(e.other(7), Some(3));
         assert_eq!(e.other(9), None);
-        assert!(e.joins(7, 3));
-        assert!(!e.joins(3, 9));
     }
 
     #[test]
@@ -153,8 +124,12 @@ mod tests {
 
     #[test]
     fn display() {
-        assert_eq!(Edge::directed(0, 1).to_string(), "0 --> 1");
-        assert_eq!(Edge::bidirected(0, 1).to_string(), "0 <-> 1");
-        assert_eq!(Edge::nondirected(0, 1).to_string(), "0 o-o 1");
+        for (near_a, near_b, text) in [
+            (Mark::Tail, Mark::Arrow, "0 --> 1"),
+            (Mark::Arrow, Mark::Arrow, "0 <-> 1"),
+            (Mark::Circle, Mark::Circle, "0 o-o 1"),
+        ] {
+            assert_eq!(Edge::new(0, 1, near_a, near_b).to_string(), text);
+        }
     }
 }

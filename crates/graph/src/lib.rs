@@ -14,7 +14,7 @@
 //! * [`separation`] — m-separation over mixed graphs and d-separation over
 //!   DAGs (Def. 2.3), the engine behind both the CI oracle used in testing
 //!   and XTranslator's explainability rule.
-//! * [`metrics`] — skeleton/orientation precision, recall and F1 used to
+//! * [`metrics`] — skeleton precision, recall and F1 used to
 //!   reproduce Table 6 and Figure 7.
 //! * [`render`] — deterministic text/DOT/Mermaid emitters shared by the CLI
 //!   text path and the serving stack's `/v2/graph` endpoint.

@@ -3,10 +3,8 @@
 //! Table 6 and Figure 7 of the paper compare XLearner against FCI by the
 //! precision, recall and F1 of the learned causal graph against the ground
 //! truth.  We report the standard *skeleton* metrics (adjacencies treated as
-//! unordered pairs) plus an orientation accuracy over the shared adjacencies,
-//! matching the usual evaluation protocol for PAG-learning algorithms.
+//! unordered pairs).
 
-use crate::endpoint::Mark;
 use crate::mixed_graph::MixedGraph;
 
 /// Precision / recall / F1 triple.
@@ -23,7 +21,7 @@ pub struct PrecisionRecall {
 impl PrecisionRecall {
     /// Builds the triple from true-positive, predicted-positive and
     /// actual-positive counts.
-    pub fn from_counts(true_positive: usize, predicted: usize, actual: usize) -> Self {
+    fn from_counts(true_positive: usize, predicted: usize, actual: usize) -> Self {
         let precision = if predicted == 0 {
             if actual == 0 {
                 1.0
@@ -62,53 +60,6 @@ pub fn skeleton_metrics(estimated: &MixedGraph, truth: &MixedGraph) -> Precision
     PrecisionRecall::from_counts(tp, est_pairs.len(), true_pairs.len())
 }
 
-/// Orientation metrics: among adjacencies present in both graphs, the
-/// precision/recall of *definite arrowhead* endpoint marks.
-///
-/// An endpoint is counted as predicted when the estimated mark is an
-/// arrowhead, and as actual when the true mark is an arrowhead; circles in
-/// the estimate are neither correct nor incorrect arrowheads (they lower
-/// recall only).
-pub fn orientation_metrics(estimated: &MixedGraph, truth: &MixedGraph) -> PrecisionRecall {
-    let mut tp = 0usize;
-    let mut predicted = 0usize;
-    let mut actual = 0usize;
-    for e in truth.edges() {
-        let a_name = truth.name(e.a);
-        let b_name = truth.name(e.b);
-        let (ea, eb) = match (estimated.id(a_name), estimated.id(b_name)) {
-            (Some(x), Some(y)) => (x, y),
-            _ => continue,
-        };
-        if !estimated.adjacent(ea, eb) {
-            continue;
-        }
-        for (true_mark, est_mark) in [
-            (e.near_a, estimated.mark_at(ea, eb).expect("adjacent")),
-            (e.near_b, estimated.mark_at(eb, ea).expect("adjacent")),
-        ] {
-            if est_mark == Mark::Arrow {
-                predicted += 1;
-            }
-            if true_mark == Mark::Arrow {
-                actual += 1;
-                if est_mark == Mark::Arrow {
-                    tp += 1;
-                }
-            }
-        }
-    }
-    PrecisionRecall::from_counts(tp, predicted, actual)
-}
-
-/// Structural Hamming distance between skeletons: number of adjacencies
-/// present in exactly one of the two graphs.
-pub fn skeleton_hamming_distance(a: &MixedGraph, b: &MixedGraph) -> usize {
-    let pa = adjacency_pairs(a);
-    let pb = adjacency_pairs(b);
-    pa.iter().filter(|p| !pb.contains(*p)).count() + pb.iter().filter(|p| !pa.contains(*p)).count()
-}
-
 fn adjacency_pairs(g: &MixedGraph) -> Vec<(String, String)> {
     g.edges()
         .iter()
@@ -142,9 +93,6 @@ mod tests {
         assert_eq!(m.precision, 1.0);
         assert_eq!(m.recall, 1.0);
         assert_eq!(m.f1, 1.0);
-        let o = orientation_metrics(&t, &t);
-        assert_eq!(o.f1, 1.0);
-        assert_eq!(skeleton_hamming_distance(&t, &t), 0);
     }
 
     #[test]
@@ -155,7 +103,6 @@ mod tests {
         let m = skeleton_metrics(&est, &t);
         assert_eq!(m.precision, 1.0);
         assert!((m.recall - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(skeleton_hamming_distance(&est, &t), 2);
     }
 
     #[test]
@@ -166,30 +113,6 @@ mod tests {
         let m = skeleton_metrics(&est, &t);
         assert!(m.precision < 1.0);
         assert_eq!(m.recall, 1.0);
-    }
-
-    #[test]
-    fn orientation_circles_reduce_recall_not_precision() {
-        let t = truth();
-        let mut est = MixedGraph::new(["A", "B", "C", "D"]);
-        est.add_nondirected(0, 1); // true A -> B has one arrowhead
-        est.add_directed(1, 2); // correct
-        est.add_bidirected(2, 3); // correct (two arrowheads)
-        let o = orientation_metrics(&est, &t);
-        assert_eq!(o.precision, 1.0);
-        assert!((o.recall - 3.0 / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wrong_direction_hurts_precision_and_recall() {
-        let t = truth();
-        let mut est = MixedGraph::new(["A", "B", "C", "D"]);
-        est.add_directed(1, 0); // reversed
-        est.add_directed(1, 2);
-        est.add_bidirected(2, 3);
-        let o = orientation_metrics(&est, &t);
-        assert!(o.precision < 1.0);
-        assert!(o.recall < 1.0);
     }
 
     #[test]

@@ -310,7 +310,7 @@ impl MixedGraph {
 
     /// Iterates `(neighbor, mark at a, mark at neighbor)` for every edge at
     /// `a`, ascending by neighbor id, without allocating.
-    pub fn edges_at_iter(&self, a: NodeId) -> impl Iterator<Item = (NodeId, Mark, Mark)> + '_ {
+    fn edges_at_iter(&self, a: NodeId) -> impl Iterator<Item = (NodeId, Mark, Mark)> + '_ {
         self.block(a)
             .iter()
             .map(|&e| (entry_neighbor(e), entry_near(e), entry_far(e)))
@@ -395,7 +395,7 @@ impl MixedGraph {
     }
 
     /// Iterates the children of `a` ascending by id, without allocating.
-    pub fn children_iter(&self, a: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    fn children_iter(&self, a: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.edges_at_iter(a)
             .filter(|&(_, ma, mb)| ma == Mark::Tail && mb == Mark::Arrow)
             .map(|(b, _, _)| b)
@@ -407,12 +407,6 @@ impl MixedGraph {
     pub fn is_collider(&self, prev: NodeId, mid: NodeId, next: NodeId) -> bool {
         matches!(self.mark_at(mid, prev), Some(Mark::Arrow))
             && matches!(self.mark_at(mid, next), Some(Mark::Arrow))
-    }
-
-    /// Returns `true` when `(a, mid, c)` is an unshielded triple:
-    /// `a` and `mid` adjacent, `mid` and `c` adjacent, `a` and `c` not.
-    pub fn is_unshielded_triple(&self, a: NodeId, mid: NodeId, c: NodeId) -> bool {
-        self.adjacent(a, mid) && self.adjacent(mid, c) && !self.adjacent(a, c) && a != c
     }
 
     /// Marks every ancestor of `x` (via directed edges only, `x` excluded)
@@ -437,7 +431,7 @@ impl MixedGraph {
     }
 
     /// Ancestors of `x` (via directed edges only), not including `x` itself.
-    pub fn ancestors(&self, x: NodeId) -> HashSet<NodeId> {
+    fn ancestors(&self, x: NodeId) -> HashSet<NodeId> {
         let mut seen = vec![false; self.n_nodes()];
         let mut queue = VecDeque::new();
         self.mark_ancestors(x, &mut seen, &mut queue);
@@ -452,7 +446,7 @@ impl MixedGraph {
     }
 
     /// Descendants of `x` (via directed edges only), not including `x` itself.
-    pub fn descendants(&self, x: NodeId) -> HashSet<NodeId> {
+    fn descendants(&self, x: NodeId) -> HashSet<NodeId> {
         let mut seen = HashSet::new();
         let mut queue = VecDeque::from(vec![x]);
         while let Some(v) = queue.pop_front() {
@@ -477,7 +471,7 @@ impl MixedGraph {
 
     /// Returns `true` when the graph contains an almost-directed cycle
     /// (`X → ... → Z ↔ X`, Def. 2.4).
-    pub fn has_almost_directed_cycle(&self) -> bool {
+    fn has_almost_directed_cycle(&self) -> bool {
         for e in self.edges() {
             if e.is_bidirected()
                 && (self.descendants(e.a).contains(&e.b) || self.descendants(e.b).contains(&e.a))
@@ -665,8 +659,6 @@ mod tests {
         let surgery = g.expect_id("Surgery");
         assert!(g.is_collider(loc, smoking, stress));
         assert!(!g.is_collider(smoking, cancer, surgery)); // chain node is not a collider
-        assert!(g.is_unshielded_triple(loc, smoking, stress));
-        assert!(!g.is_unshielded_triple(smoking, cancer, smoking));
     }
 
     #[test]

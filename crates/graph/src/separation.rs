@@ -29,7 +29,7 @@ pub fn m_separated(graph: &MixedGraph, x: NodeId, y: NodeId, z: &[NodeId]) -> bo
 /// an `n × n` visited matrix for the `(from, to)` edge-traversal states) —
 /// no hashing anywhere on the sweep, which sits on XTranslator's online
 /// explainability path as well as the test oracle.
-pub fn m_connected(graph: &MixedGraph, x: NodeId, y: NodeId, z: &[NodeId]) -> bool {
+fn m_connected(graph: &MixedGraph, x: NodeId, y: NodeId, z: &[NodeId]) -> bool {
     if x == y {
         return true;
     }
@@ -90,71 +90,18 @@ pub fn m_connected(graph: &MixedGraph, x: NodeId, y: NodeId, z: &[NodeId]) -> bo
     false
 }
 
-/// Name-based wrapper around [`m_separated`].
-///
-/// # Panics
-/// Panics when a name is not part of the graph.
-pub fn m_separated_by_names(graph: &MixedGraph, x: &str, y: &str, z: &[&str]) -> bool {
-    let xi = graph.expect_id(x);
-    let yi = graph.expect_id(y);
-    let zi: Vec<NodeId> = z.iter().map(|n| graph.expect_id(n)).collect();
-    m_separated(graph, xi, yi, &zi)
-}
-
-/// Finds a minimal-by-inclusion subset of `candidate` that m-separates `x`
-/// and `y`, if any subset does.  Used by tests and by the oracle sepset
-/// machinery; enumeration is over subsets of increasing size.
-pub fn find_separating_set(
-    graph: &MixedGraph,
-    x: NodeId,
-    y: NodeId,
-    candidate: &[NodeId],
-) -> Option<Vec<NodeId>> {
-    let cands: Vec<NodeId> = candidate
-        .iter()
-        .copied()
-        .filter(|&v| v != x && v != y)
-        .collect();
-    for size in 0..=cands.len() {
-        let mut found = None;
-        for_each_subset_of_size(&cands, size, &mut |subset| {
-            if found.is_none() && m_separated(graph, x, y, subset) {
-                found = Some(subset.to_vec());
-            }
-        });
-        if found.is_some() {
-            return found;
-        }
-    }
-    None
-}
-
-fn for_each_subset_of_size(items: &[NodeId], size: usize, f: &mut impl FnMut(&[NodeId])) {
-    fn rec(
-        items: &[NodeId],
-        size: usize,
-        start: usize,
-        current: &mut Vec<NodeId>,
-        f: &mut impl FnMut(&[NodeId]),
-    ) {
-        if current.len() == size {
-            f(current);
-            return;
-        }
-        for i in start..items.len() {
-            current.push(items[i]);
-            rec(items, size, i + 1, current, f);
-            current.pop();
-        }
-    }
-    let mut current = Vec::with_capacity(size);
-    rec(items, size, 0, &mut current, f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mixed_graph::MixedGraph;
+
+    /// Name-based wrapper around [`m_separated`].
+    fn m_separated_by_names(graph: &MixedGraph, x: &str, y: &str, z: &[&str]) -> bool {
+        let xi = graph.expect_id(x);
+        let yi = graph.expect_id(y);
+        let zi: Vec<NodeId> = z.iter().map(|n| graph.expect_id(n)).collect();
+        m_separated(graph, xi, yi, &zi)
+    }
 
     /// The paper's Fig. 1(c) as a fully oriented graph.
     fn lung_cancer() -> MixedGraph {
@@ -264,23 +211,6 @@ mod tests {
         g.add_nondirected(1, 2);
         assert!(!m_separated(&g, 0, 2, &[]));
         assert!(m_separated(&g, 0, 2, &[1]));
-    }
-
-    #[test]
-    fn find_separating_set_returns_minimal_set() {
-        let g = lung_cancer();
-        let x = g.expect_id("Location");
-        let y = g.expect_id("Survival");
-        let all: Vec<NodeId> = (0..g.n_nodes()).collect();
-        let sep = find_separating_set(&g, x, y, &all).unwrap();
-        assert_eq!(sep.len(), 1);
-        let name = g.name(sep[0]);
-        assert!(name == "Smoking" || name == "LungCancer");
-
-        // Adjacent nodes have no separating set.
-        let s = g.expect_id("Smoking");
-        let c = g.expect_id("LungCancer");
-        assert!(find_separating_set(&g, s, c, &all).is_none());
     }
 
     #[test]

@@ -277,7 +277,7 @@ fn body_length(request: &Request) -> Result<usize, HttpError> {
 }
 
 /// The reason phrase for the status codes this service emits.
-pub fn status_text(status: u16) -> &'static str {
+fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -152,7 +152,7 @@ pub struct ModelRegistry {
 
 /// Bundle ids double as file stems and appear in wire requests, so they are
 /// restricted to a filesystem- and URL-safe alphabet.
-pub fn validate_model_id(id: &str) -> Result<()> {
+fn validate_model_id(id: &str) -> Result<()> {
     let ok = !id.is_empty()
         && id.len() <= 128
         && id

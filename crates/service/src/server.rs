@@ -53,7 +53,7 @@
 //! returning one slot per query for the adapter's envelope.
 //!
 //! **Graceful shutdown** (`POST /admin/shutdown` or
-//! [`ServerHandle::trigger_shutdown`]): the flag flips, the event loop
+//! [`ServerHandle::shutdown`]): the flag flips, the event loop
 //! closes the listener and idle connections, workers drain the
 //! already-admitted queue, every in-flight response is flushed with
 //! `Connection: close`, and all threads exit.  [`ServerHandle::wait`]
@@ -305,19 +305,19 @@ impl ServerHandle {
     }
 
     /// Initiates graceful shutdown without waiting for it to finish.
-    pub fn trigger_shutdown(&self) {
+    fn trigger_shutdown(&self) {
         self.shared.begin_shutdown();
     }
 
     /// Blocks until the server has shut down (via `POST /admin/shutdown`
-    /// or [`ServerHandle::trigger_shutdown`]) and every thread has exited.
+    /// or [`ServerHandle::shutdown`]) and every thread has exited.
     pub fn wait(self) {
         for thread in self.threads {
             let _ = thread.join();
         }
     }
 
-    /// [`ServerHandle::trigger_shutdown`] + [`ServerHandle::wait`].
+    /// Initiates graceful shutdown, then [`ServerHandle::wait`]s for it.
     pub fn shutdown(self) {
         self.trigger_shutdown();
         self.wait();
@@ -595,10 +595,6 @@ pub fn status_for(error: &DataError) -> u16 {
         | DataError::EmptyAggregate { .. } => 400,
         _ => 500,
     }
-}
-
-fn error_response(error: &DataError) -> Response {
-    Response::error(status_for(error), &error.to_string())
 }
 
 /// The v2 error body: the human-readable message plus the stable
@@ -1535,7 +1531,7 @@ fn handle_models(shared: &Shared) -> Response {
 fn handle_reload(shared: &Shared, body: &[u8]) -> Response {
     let id = match wire::parse_reload_request(body) {
         Ok(id) => id,
-        Err(e) => return error_response(&e),
+        Err(e) => return error_response_v2(&e),
     };
     match shared.registry.load(&id) {
         Ok(loaded) => {
@@ -1550,7 +1546,7 @@ fn handle_reload(shared: &Shared, body: &[u8]) -> Response {
                 ),
             )
         }
-        Err(e) => error_response(&e),
+        Err(e) => error_response_v2(&e),
     }
 }
 
@@ -2594,6 +2590,14 @@ mod tests {
             .post("/admin/reload", "{\"model\":\"ghost\"}")
             .unwrap();
         assert_eq!(resp.status, 400);
+        let doc = Json::parse(&resp.body).unwrap();
+        assert_eq!(doc.get("code").unwrap().as_str().unwrap(), "serve");
+        assert!(doc
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("ghost"));
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -329,11 +329,6 @@ impl TraceStore {
         }
     }
 
-    /// The configured slow-trace threshold.
-    pub fn slow_threshold(&self) -> Duration {
-        self.slow_threshold
-    }
-
     /// Total traces ever published (ring evictions included).
     pub fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed) // relaxed: monotonic stats counter

@@ -451,7 +451,7 @@ fn cache_stats_to_json(stats: &xinsight_stats::CacheStats) -> Json {
 }
 
 /// Serializes a [`Provenance`] section.
-pub fn provenance_to_json(provenance: &Provenance) -> Json {
+fn provenance_to_json(provenance: &Provenance) -> Json {
     Json::Obj(vec![
         (
             "strategy_evaluations".to_owned(),

@@ -29,8 +29,6 @@ pub struct ContingencyTable {
     /// per table — the fit path builds a table per CI test, and the old
     /// `Vec<Vec<u64>>` layout paid one heap allocation per stratum.
     counts: Vec<u64>,
-    /// Number of strata (joint categories of the conditioning set).
-    n_strata: usize,
     /// Total number of counted observations.
     pub total: u64,
 }
@@ -178,7 +176,6 @@ impl ContingencyTable {
             x_cardinality: x_card,
             y_cardinality: y_card,
             counts,
-            n_strata,
             total,
         })
     }
@@ -226,14 +223,14 @@ impl ContingencyTable {
             x_cardinality: x_card,
             y_cardinality: y_card,
             counts,
-            n_strata,
             total,
         })
     }
 
     /// Number of strata (joint categories of the conditioning set).
-    pub fn n_strata(&self) -> usize {
-        self.n_strata
+    #[cfg(test)]
+    fn n_strata(&self) -> usize {
+        self.counts.len() / (self.x_cardinality * self.y_cardinality).max(1)
     }
 
     /// Count in stratum `s` at cell (`xi`, `yi`).
@@ -430,7 +427,7 @@ mod tests {
         let view = crate::DiscoveryView::compile(&d, &["Z", "X", "Y"]).unwrap();
         let by_view = ContingencyTable::from_view(&view, 1, 2, &[0]).unwrap();
         assert_eq!(by_name.counts, by_view.counts);
-        assert_eq!(by_name.n_strata, by_view.n_strata);
+        assert_eq!(by_name.n_strata(), by_view.n_strata());
         assert_eq!(by_name.total, by_view.total);
         assert_eq!(
             by_name.chi_square_statistic(),

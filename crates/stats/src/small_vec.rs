@@ -107,7 +107,7 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
     }
 
     /// The live elements, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    fn as_mut_slice(&mut self) -> &mut [T] {
         match &mut self.repr {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
             Repr::Heap(v) => v,
@@ -125,6 +125,7 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
     }
 
     /// Returns `true` when the contents live on the heap.
+    // xlint: allow(unreferenced-pub, the type-level doc example asserts it)
     pub fn spilled(&self) -> bool {
         matches!(self.repr, Repr::Heap(_))
     }

@@ -7,7 +7,7 @@
 //! decision needs.
 
 /// Natural logarithm of the gamma function, `ln Γ(x)` for `x > 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     // Lanczos approximation (g = 7, n = 9 coefficients).
     const COEFFS: [f64; 9] = [
@@ -36,7 +36,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Regularized lower incomplete gamma function `P(a, x)`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_p requires a > 0");
     assert!(x >= 0.0, "gamma_p requires x >= 0");
     if x == 0.0 {
@@ -50,7 +50,7 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+fn gamma_q(a: f64, x: f64) -> f64 {
     1.0 - gamma_p(a, x)
 }
 

@@ -83,11 +83,6 @@ impl<'a> DiscoveryView<'a> {
         &self.names
     }
 
-    /// Dense id of a variable name, if compiled.
-    pub fn id_of(&self, name: &str) -> Option<u32> {
-        self.names.iter().position(|n| n == name).map(|i| i as u32)
-    }
-
     /// Observed cardinality of variable `id`.
     pub fn cardinality(&self, id: u32) -> usize {
         self.cards[id as usize]
@@ -133,8 +128,6 @@ mod tests {
         assert_eq!(view.n_vars(), 2);
         assert_eq!(view.n_rows(), 4);
         assert_eq!(view.name(0), "B");
-        assert_eq!(view.id_of("A"), Some(1));
-        assert_eq!(view.id_of("Nope"), None);
         assert_eq!(view.cardinality(1), 3);
         assert_eq!(view.codes(0), &[0, 0, 1, 1]);
     }

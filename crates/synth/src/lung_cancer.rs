@@ -10,7 +10,6 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use xinsight_core::WhyQuery;
 use xinsight_data::{Aggregate, Dataset, DatasetBuilder, Subspace};
-use xinsight_graph::Dag;
 
 /// Generates the lung-cancer dataset with `n_rows` patients.
 pub fn generate(n_rows: usize, seed: u64) -> Dataset {
@@ -74,30 +73,6 @@ pub fn generate(n_rows: usize, seed: u64) -> Dataset {
         .expect("generator builds a consistent dataset")
 }
 
-/// The ground-truth data-generating DAG of the example.
-pub fn ground_truth_dag() -> Dag {
-    let mut dag = Dag::new([
-        "Location",
-        "Stress",
-        "Smoking",
-        "LungCancer",
-        "Surgery",
-        "Survival",
-    ]);
-    let loc = dag.expect_id("Location");
-    let stress = dag.expect_id("Stress");
-    let smoking = dag.expect_id("Smoking");
-    let cancer = dag.expect_id("LungCancer");
-    let surgery = dag.expect_id("Surgery");
-    let survival = dag.expect_id("Survival");
-    dag.add_edge(loc, smoking);
-    dag.add_edge(stress, smoking);
-    dag.add_edge(smoking, cancer);
-    dag.add_edge(cancer, surgery);
-    dag.add_edge(cancer, survival);
-    dag
-}
-
 /// The Why Query of Fig. 1(b): AVG(LungCancer) in Location A vs Location B.
 pub fn why_query() -> WhyQuery {
     WhyQuery::new(
@@ -143,13 +118,5 @@ mod tests {
             .unwrap();
         let delta_yes = q.delta_over(&data, &yes).unwrap();
         assert!(delta_yes.abs() < delta * 0.5);
-    }
-
-    #[test]
-    fn ground_truth_dag_matches_figure_1c() {
-        let dag = ground_truth_dag();
-        assert_eq!(dag.n_edges(), 5);
-        assert!(dag.has_edge(dag.expect_id("Smoking"), dag.expect_id("LungCancer")));
-        assert!(!dag.has_edge(dag.expect_id("Surgery"), dag.expect_id("LungCancer")));
     }
 }

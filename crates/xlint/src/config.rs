@@ -6,7 +6,7 @@ use crate::toml::{self, TableExt};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// The seven rule names, in the order they run.
+/// The eight rule names, in the order they run.
 pub const ALL_RULES: &[&str] = &[
     "lock-order",
     "no-alloc-hot-path",
@@ -15,6 +15,7 @@ pub const ALL_RULES: &[&str] = &[
     "relaxed-ordering-justified",
     "unsafe-safety-comment",
     "endpoint-inventory",
+    "unreferenced-pub",
 ];
 
 /// One declared lock class: a hierarchy level plus the receiver patterns
@@ -119,7 +120,7 @@ pub struct Config {
     pub exclude_dirs: Vec<String>,
     /// Whether rules also run inside `#[cfg(test)]` items.
     pub check_tests: bool,
-    /// Enabled rule names (defaults to all seven).
+    /// Enabled rule names (defaults to all eight).
     pub rules: Vec<String>,
     /// `lock-order` configuration.
     pub lock_order: LockOrderConfig,

@@ -3,7 +3,7 @@
 //! `proc-macro2`).
 //!
 //! The lexer keeps **comments as tokens** — that is the point: three of
-//! the seven xlint rules ([`crate::rules`]) are about the relationship
+//! the eight xlint rules ([`crate::rules`]) are about the relationship
 //! between code tokens and adjacent comments (`// SAFETY:`,
 //! `// relaxed:`, `// xlint: allow(...)` pragmas).  It understands the
 //! parts of the grammar that would otherwise produce false tokens:
@@ -101,7 +101,7 @@ impl Lexer<'_> {
                 b' ' | b'\t' | b'\r' => self.pos += 1,
                 b'/' if self.peek(1) == Some(b'/') => self.line_comment(start_line),
                 b'/' if self.peek(1) == Some(b'*') => self.block_comment(start_line),
-                b'"' => self.string(start_line, 0),
+                b'"' => self.string(start_line),
                 b'r' | b'b' => {
                     if !self.raw_or_byte_literal(start_line) {
                         self.ident(start_line);
@@ -165,16 +165,14 @@ impl Lexer<'_> {
         self.pos = i;
     }
 
-    /// `"..."` with escapes; `fences` is the number of `#` in a raw
-    /// string's closing fence (0 = normal string with escapes).
-    fn string(&mut self, line: u32, fences: usize) {
-        let raw = fences > 0 || self.prev_byte_is_raw_marker();
+    /// `"..."` with escapes (raw strings go through `raw_string`).
+    fn string(&mut self, line: u32) {
         let start = self.pos + 1;
         let mut i = start;
         let mut text = String::new();
         while i < self.bytes.len() {
             let b = self.bytes[i];
-            if b == b'\\' && !raw {
+            if b == b'\\' {
                 if let Some(&escaped) = self.bytes.get(i + 1) {
                     text.push(escaped as char);
                 }
@@ -182,24 +180,14 @@ impl Lexer<'_> {
                 continue;
             }
             if b == b'"' {
-                if fences == 0 {
-                    break;
-                }
-                let closes = (1..=fences).all(|k| self.bytes.get(i + k) == Some(&b'#'));
-                if closes {
-                    break;
-                }
+                break;
             }
             text.push(b as char);
             i += 1;
         }
         self.bump_line_counter(&self.bytes[self.pos..i.min(self.bytes.len())]);
         self.push(TokenKind::Str, text, line);
-        self.pos = (i + 1 + fences).min(self.bytes.len());
-    }
-
-    fn prev_byte_is_raw_marker(&self) -> bool {
-        false // only used for documentation symmetry; raw handled below
+        self.pos = (i + 1).min(self.bytes.len());
     }
 
     /// Handles `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'…'`.  Returns false
@@ -227,7 +215,7 @@ impl Lexer<'_> {
                 if saw_r {
                     self.raw_string(line, fences);
                 } else {
-                    self.string(line, 0);
+                    self.string(line);
                 }
                 true
             }

@@ -14,10 +14,11 @@
 //! | `relaxed-ordering-justified` | every `Ordering::Relaxed` carries an adjacent `// relaxed:` justification |
 //! | `unsafe-safety-comment` | every `unsafe` site (including the raw epoll FFI in `vendor/polling`) carries a `// SAFETY:` comment |
 //! | `endpoint-inventory` | the route table, trace labels, metrics counter labels, `lib.rs` endpoint table, and README docs all name the same endpoint set |
+//! | `unreferenced-pub` | every `pub fn` outside `#[cfg(test)]` is named in some other `.rs` file (tests, examples and the benchmark harness count as callers; vendored shims are skipped) |
 //!
 //! Everything is dependency-free and hand-rolled in the same offline
 //! spirit as `vendor/`: a Rust [`lexer`], a lightweight item scanner
-//! ([`scan`]), a TOML-subset config parser ([`toml`]), and seven rules
+//! ([`scan`]), a TOML-subset config parser ([`toml`]), and eight rules
 //! ([`rules`]) driven by `xlint.toml` at the workspace root.
 //!
 //! Rules are **deny-by-default**; intentional exceptions are written in
@@ -205,6 +206,9 @@ pub fn run(config: &Config, workspace: &Workspace) -> Vec<Finding> {
     if config.rule_enabled("endpoint-inventory") {
         findings.extend(rules::endpoints::check(config, workspace));
     }
+    if config.rule_enabled("unreferenced-pub") {
+        findings.extend(rules::unreferenced::check(config, workspace));
+    }
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     findings
 }
@@ -212,6 +216,7 @@ pub fn run(config: &Config, workspace: &Workspace) -> Vec<Finding> {
 /// Runs the enabled rules over a single in-memory file — the unit-test
 /// entry point (the endpoint rule, which needs real files, is skipped
 /// unless the workspace on disk backs it).
+// xlint: allow(unreferenced-pub, the crate-level doc example is its caller)
 pub fn run_str(config: &Config, path: &str, source: &str) -> Vec<Finding> {
     let workspace = Workspace {
         root: PathBuf::from("."),

@@ -1,4 +1,4 @@
-//! The seven rules, plus pragma validation.
+//! The eight rules, plus pragma validation.
 //!
 //! Each rule is a free function `check(config, workspace) -> Vec<Finding>`
 //! over the scanned token streams.  Rules share two conventions: sites
@@ -11,6 +11,7 @@ pub mod endpoints;
 pub mod lock_order;
 pub mod pragmas;
 pub mod scoped;
+pub mod unreferenced;
 
 use crate::lexer::Token;
 

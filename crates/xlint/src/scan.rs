@@ -84,7 +84,7 @@ impl SourceFile {
     /// 1-indexed line on which the statement containing token `idx`
     /// starts: the first non-comment token after the previous `;`, `{`,
     /// or `}`.
-    pub fn stmt_start_line(&self, idx: usize) -> u32 {
+    fn stmt_start_line(&self, idx: usize) -> u32 {
         let mut boundary = None;
         for (i, token) in self.tokens[..idx].iter().enumerate().rev() {
             if token.kind == TokenKind::Punct && matches!(token.text.as_str(), ";" | "{" | "}") {

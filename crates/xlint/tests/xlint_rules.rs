@@ -180,6 +180,24 @@ fn endpoint_inventory_pass_and_fail() {
     );
 }
 
+/// The pass fixture's callers sit in a sibling module, an integration test
+/// and (pragma-justified) a doc-test, and its vendored shim is skipped.
+#[test]
+fn unreferenced_pub_pass_and_fail() {
+    assert_pass("unreferenced_pub/pass");
+    let text = assert_fail(
+        "unreferenced_pub/fail",
+        "unreferenced-pub",
+        &[
+            "src/lib.rs:8:",
+            "`pub fn helper_only_here` is named in no other file",
+            "src/lib.rs:12:",
+            "`pub fn orphan` is named in no other file",
+        ],
+    );
+    assert_eq!(text.lines().count(), 2, "`live` has a caller:\n{text}");
+}
+
 #[test]
 fn malformed_pragmas_are_findings_and_do_not_suppress() {
     let text = assert_fail(

@@ -43,7 +43,8 @@ fi
 
 echo "==> xlint --deny (workspace invariants: see xlint.toml)"
 # Lock-order, hot-path allocation, panic-path, Relaxed-justification,
-# SAFETY-comment and endpoint-inventory checks; any finding fails the run.
+# SAFETY-comment, endpoint-inventory and unreferenced-pub checks; any
+# finding fails the run.
 cargo run -q -p xlint --release -- --deny
 
 echo "==> cargo doc --no-deps (warnings are errors)"
