@@ -10,6 +10,8 @@
 //! predicate, so it cannot show that they pick different ones.  The
 //! disagreement column counts the seeds where the two predicates differ,
 //! including seeds where only one strategy finds anything.
+//! Each aggregate is run at several mean gaps μ* − μ between the trigger
+//! and the normal categories of `Y`.
 
 use xinsight_bench::{mean_std, print_header, print_row, timed};
 use xinsight_core::{SearchStrategy, XPlainer, XPlainerOptions};
@@ -26,24 +28,31 @@ fn main() {
     // Brute force is exponential in the cardinality, so the comparison uses
     // the paper's default cardinality of 10.
     let seeds = [1u64, 2, 3];
+    let gaps = [5.0, 10.0, 15.0, 30.0, 50.0];
     println!("# Approximation tightness (Sec. 4.4): optimized vs brute-force search");
     print_header(&[
         "Aggregate",
+        "μ* − μ",
         "mean |ρ̂ − ρ|/ρ",
         "mean speedup (×)",
         "predicate disagreements",
     ]);
 
-    for aggregate in [Aggregate::Sum, Aggregate::Avg] {
+    for (aggregate, gap) in [Aggregate::Sum, Aggregate::Avg]
+        .into_iter()
+        .flat_map(|aggregate| gaps.map(|gap| (aggregate, gap)))
+    {
         let mut errors = Vec::new();
         let mut speedups = Vec::new();
         let mut disagreements = 0usize;
         for &seed in &seeds {
+            let defaults = SynBOptions::default();
             let instance = generate(&SynBOptions {
                 n_rows,
                 cardinality: 10,
                 seed,
-                ..SynBOptions::default()
+                mu_abnormal: defaults.mu_normal + gap,
+                ..defaults
             });
             let query = instance.query(aggregate);
             let store = instance.data.clone().into_segmented();
@@ -74,6 +83,7 @@ fn main() {
         let (speed, _) = mean_std(&speedups);
         print_row(&[
             format!("{aggregate:?}"),
+            format!("{gap}"),
             format!("{err:.3}"),
             format!("{speed:.1}"),
             format!("{disagreements}/{}", seeds.len()),

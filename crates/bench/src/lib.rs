@@ -129,7 +129,7 @@ pub fn run_baseline(
 }
 
 /// F1 between a set of predicted filter values and the ground-truth values.
-pub fn f1_of(values: &[String], truth: &[String]) -> f64 {
+fn f1_of(values: &[String], truth: &[String]) -> f64 {
     let tp = values.iter().filter(|v| truth.contains(v)).count() as f64;
     if values.is_empty() || truth.is_empty() {
         return 0.0;

@@ -41,6 +41,14 @@ fn strategy_name(strategy: SearchStrategy, aggregate: Aggregate) -> &'static str
     }
 }
 
+/// Appends one `<measure>_bin` column per discretizer to the null-free
+/// `clean` rows: the augmentation of a fit, a restore and an ingest.
+fn augment(clean: Dataset, discretizers: &[Discretizer]) -> Result<Dataset> {
+    discretizers
+        .iter()
+        .try_fold(clean, |augmented, disc| disc.apply(&augmented, None))
+}
+
 /// What happened to one candidate attribute during request execution.
 enum SearchOutcome {
     /// The search ran; it may or may not have found an explanation.
@@ -103,9 +111,8 @@ pub struct XInsight {
     augmented: SegmentedDataset,
     /// The raw (pre-augmentation) schema — what ingested rows must match.
     raw_schema: Schema,
-    /// Measures that were successfully discretized.
-    binned_measures: Vec<String>,
-    /// The discretizers behind `binned_measures`, kept for persistence.
+    /// One discretizer per measure that was successfully binned (the
+    /// source of its `<measure>_bin` column), kept for persistence.
     discretizers: Vec<Discretizer>,
     /// Result of the offline XLearner phase.
     learner_result: XLearnerResult,
@@ -121,41 +128,28 @@ impl XInsight {
     /// identical to a serial fit.
     pub fn fit(data: &Dataset, options: &XInsightOptions) -> Result<Self> {
         let clean = data.drop_null_rows();
-        let dims: Vec<String> = clean
-            .schema()
-            .dimension_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let measures: Vec<String> = clean
-            .schema()
-            .measure_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-
+        let raw_schema = clean.schema().clone();
         // Discretize each measure (falling back from equal-frequency to
         // equal-width; skipping degenerate measures entirely).
-        let mut augmented = clean.clone();
+        let discretizers: Vec<Discretizer> = raw_schema
+            .measure_names()
+            .into_iter()
+            .filter_map(|name| {
+                discretize_equal_frequency(&clean, name, options.measure_bins)
+                    .or_else(|_| discretize_equal_width(&clean, name, options.measure_bins))
+                    .ok()
+            })
+            .collect();
+        let augmented = augment(clean, &discretizers)?;
         let mut discovery = DatasetBuilder::new();
-        for name in &dims {
-            discovery = discovery.dimension_column(name, clean.dimension(name)?.clone());
+        for name in raw_schema.dimension_names() {
+            discovery = discovery.dimension_column(name, augmented.dimension(name)?.clone());
         }
-        let mut binned_measures = Vec::new();
-        let mut discretizers = Vec::new();
-        for name in &measures {
-            let discretizer = discretize_equal_frequency(&clean, name, options.measure_bins)
-                .or_else(|_| discretize_equal_width(&clean, name, options.measure_bins));
-            if let Ok(disc) = discretizer {
-                let bin_name = format!("{name}_bin");
-                augmented = disc.apply(&augmented, Some(&bin_name))?;
-                // In the discovery view the binned column carries the measure's
-                // own name so that graph nodes and attributes coincide.
-                let tmp = disc.apply(&clean, Some("__tmp_bin"))?;
-                discovery = discovery.dimension_column(name, tmp.dimension("__tmp_bin")?.clone());
-                binned_measures.push(name.clone());
-                discretizers.push(disc);
-            }
+        // In the discovery view the binned column carries the measure's own
+        // name so that graph nodes and attributes coincide.
+        for disc in &discretizers {
+            let bins = augmented.dimension(&format!("{}_bin", disc.measure()))?;
+            discovery = discovery.dimension_column(disc.measure(), bins.clone());
         }
         let discovery_view = discovery.build()?;
 
@@ -175,9 +169,8 @@ impl XInsight {
 
         Ok(XInsight {
             options: options.clone(),
-            raw_schema: clean.schema().clone(),
+            raw_schema,
             augmented: SegmentedDataset::from_dataset(augmented),
-            binned_measures,
             discretizers,
             learner_result,
         })
@@ -217,18 +210,11 @@ impl XInsight {
     ) -> Result<Self> {
         let clean = data.drop_null_rows();
         let raw_schema = clean.schema().clone();
-        let mut augmented = clean;
-        let mut binned_measures = Vec::new();
-        for disc in &model.discretizers {
-            let bin_name = format!("{}_bin", disc.measure());
-            augmented = disc.apply(&augmented, Some(&bin_name))?;
-            binned_measures.push(disc.measure().to_owned());
-        }
+        let augmented = augment(clean, &model.discretizers)?;
         Ok(XInsight {
             options: options.clone(),
             raw_schema,
             augmented: SegmentedDataset::from_dataset(augmented),
-            binned_measures,
             discretizers: model.discretizers,
             learner_result: XLearnerResult {
                 graph: model.graph,
@@ -298,19 +284,8 @@ impl XInsight {
                 "ingest batch has no complete rows after dropping missing values".into(),
             ));
         }
-        let mut augmented = clean;
-        for disc in &self.discretizers {
-            let bin_name = format!("{}_bin", disc.measure());
-            augmented = disc.apply(&augmented, Some(&bin_name))?;
-        }
-        Ok(XInsight {
-            options: self.options.clone(),
-            raw_schema: self.raw_schema.clone(),
-            augmented: self.augmented.seal(&augmented)?,
-            binned_measures: self.binned_measures.clone(),
-            discretizers: self.discretizers.clone(),
-            learner_result: self.learner_result.clone(),
-        })
+        let augmented = augment(clean, &self.discretizers)?;
+        Ok(self.with_store(self.augmented.seal(&augmented)?))
     }
 
     /// Returns a new engine whose store has every sealed segment rewritten
@@ -327,14 +302,18 @@ impl XInsight {
     /// single segment comes back with its snapshot untouched (no epoch
     /// bump), so callers can invoke this idempotently.
     pub fn with_compacted(&self) -> Result<XInsight> {
-        Ok(XInsight {
+        Ok(self.with_store(self.augmented.compact()?))
+    }
+
+    /// A successor engine over `augmented` sharing every fitted artifact.
+    fn with_store(&self, augmented: SegmentedDataset) -> XInsight {
+        XInsight {
             options: self.options.clone(),
             raw_schema: self.raw_schema.clone(),
-            augmented: self.augmented.compact()?,
-            binned_measures: self.binned_measures.clone(),
+            augmented,
             discretizers: self.discretizers.clone(),
             learner_result: self.learner_result.clone(),
-        })
+        }
     }
 
     /// Runs XTranslator for a query: the per-variable XDA semantics.
@@ -488,7 +467,7 @@ impl XInsight {
             .filter_map(|(variable, semantics)| {
                 // Measures are explained through their binned companion
                 // column.
-                let attribute = if self.binned_measures.iter().any(|m| m == variable) {
+                let attribute = if self.discretizers.iter().any(|d| d.measure() == variable) {
                     format!("{variable}_bin")
                 } else {
                     variable.to_owned()

@@ -138,7 +138,7 @@ impl DimensionColumn {
     }
 
     /// The category string for a dictionary code.
-    pub fn category(&self, code: u32) -> Option<&str> {
+    fn category(&self, code: u32) -> Option<&str> {
         self.categories.get(code as usize).map(|s| s.as_ref())
     }
 

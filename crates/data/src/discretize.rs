@@ -58,7 +58,7 @@ impl BinSpec {
     }
 
     /// Human-readable label of bin `idx`.
-    pub fn label(&self, idx: usize) -> &str {
+    fn label(&self, idx: usize) -> &str {
         &self.labels[idx]
     }
 

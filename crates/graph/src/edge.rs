@@ -42,27 +42,6 @@ impl Edge {
         }
     }
 
-    /// The other endpoint, if `node` is an endpoint of this edge.
-    pub fn other(&self, node: NodeId) -> Option<NodeId> {
-        if node == self.a {
-            Some(self.b)
-        } else if node == self.b {
-            Some(self.a)
-        } else {
-            None
-        }
-    }
-
-    /// Returns the same edge seen from the other side (`a`/`b` swapped).
-    pub fn reversed(&self) -> Edge {
-        Edge {
-            a: self.b,
-            b: self.a,
-            near_a: self.near_b,
-            near_b: self.near_a,
-        }
-    }
-
     /// Returns `true` for `a ↔ b`.
     pub fn is_bidirected(&self) -> bool {
         self.near_a.is_arrow() && self.near_b.is_arrow()
@@ -108,18 +87,6 @@ mod tests {
         assert_eq!(e.mark_at(3), Some(Mark::Tail));
         assert_eq!(e.mark_at(7), Some(Mark::Arrow));
         assert_eq!(e.mark_at(9), None);
-        assert_eq!(e.other(3), Some(7));
-        assert_eq!(e.other(7), Some(3));
-        assert_eq!(e.other(9), None);
-    }
-
-    #[test]
-    fn reversal_swaps_marks() {
-        let e = Edge::new(0, 1, Mark::Circle, Mark::Arrow);
-        let r = e.reversed();
-        assert_eq!(r.a, 1);
-        assert_eq!(r.near_a, Mark::Arrow);
-        assert_eq!(r.near_b, Mark::Circle);
     }
 
     #[test]

@@ -267,12 +267,6 @@ impl MixedGraph {
         self.find(a, b).is_some()
     }
 
-    /// The edge between `a` and `b`, if any.
-    pub fn edge(&self, a: NodeId, b: NodeId) -> Option<Edge> {
-        self.find(a, b)
-            .map(|i| Edge::new(a, b, entry_near(self.pool[i]), entry_far(self.pool[i])))
-    }
-
     /// The mark at `at`'s end of the edge between `at` and `other`.
     pub fn mark_at(&self, at: NodeId, other: NodeId) -> Option<Mark> {
         self.find(at, other).map(|i| entry_near(self.pool[i]))

@@ -1063,7 +1063,7 @@ mod tests {
             parse.record(Duration::from_nanos(1_500));
         }
         // Whole microseconds would have summed to 1 ms.
-        assert_eq!(parse.sum_us(), 1_000);
+        assert_eq!(parse.sum_ns(), 1_500_000);
         let text = render(&snapshot_with(&stats));
         let sum = series_value(&text, "xinsight_stage_latency_seconds_sum{stage=\"parse\"}");
         assert_eq!(sum, Some(0.0015));

@@ -49,8 +49,9 @@
 //! model id, a list of queries and the request options, one function
 //! (`look_up`) keys and looks up every query once — on the event loop for
 //! the single-query route — and the core runs every verdict through the
-//! same promotion, single-flight, engine batch, accounting and trace spans,
-//! returning one slot per query for the adapter's envelope.
+//! same promotion, engine batch, accounting and trace spans, returning one
+//! slot per query for the adapter's envelope.  Concurrent misses on one key
+//! each compute it (at most one per worker) and insert the same bytes.
 //!
 //! **Graceful shutdown** (`POST /admin/shutdown` or
 //! [`ServerHandle::shutdown`]): the flag flips, the event loop
@@ -67,7 +68,7 @@ use crate::stats::ServerStats;
 use crate::trace::{Stage, TraceBuilder, TraceStore};
 use crate::wire;
 use std::borrow::Cow;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -189,86 +190,7 @@ pub(crate) struct Shared {
     pub(crate) debug_endpoints: bool,
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
-    pub(crate) flights: Flights,
     pub(crate) traces: TraceStore,
-}
-
-/// An in-flight recompute never waits longer than this for its key's
-/// current owner before giving up on deduplication and computing anyway —
-/// a stalled owner (pathological query, deadline-free slow path) must not
-/// stall its followers indefinitely.
-const FLIGHT_WAIT_LIMIT: Duration = Duration::from_secs(10);
-
-/// Single-flight deduplication for cacheable recomputes: under a mixed
-/// read/ingest workload, several clients asking the same hot query race
-/// into the same prefix merge the instant an ingest changes the store's
-/// fingerprint, and each would redo the identical engine work.  The first
-/// requester claims the key; followers block until the owner's insert
-/// lands, then replay it from the result cache.
-#[derive(Default)]
-pub(crate) struct Flights {
-    busy: Mutex<HashSet<CacheKey>>,
-    done: Condvar,
-}
-
-/// Ownership token for a claimed key; releasing on drop keeps the claim
-/// balanced on every exit path, including engine-error returns and
-/// unwinds.
-struct FlightGuard<'a> {
-    flights: &'a Flights,
-    key: CacheKey,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        // Recover from poison: the claim must be released even if another
-        // holder panicked, or every later request on this key hangs.
-        let mut busy = self
-            .flights
-            .busy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        busy.remove(&self.key);
-        drop(busy);
-        self.flights.done.notify_all();
-    }
-}
-
-impl Flights {
-    /// Claims `key` for this requester, or waits for the current owner.
-    ///
-    /// `Some(guard)` means the caller owns the recompute (nobody else was
-    /// flying it).  `None` means another request was already computing the
-    /// key and has since finished (or [`FLIGHT_WAIT_LIMIT`] elapsed): the
-    /// caller should re-check the result cache before falling back to its
-    /// own compute.
-    fn claim(&self, key: &CacheKey) -> Option<FlightGuard<'_>> {
-        // Poison recovery: the busy set stays coherent because FlightGuard
-        // releases claims on unwind; keep admitting singleflights.
-        let mut busy = self
-            .busy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if busy.insert(key.clone()) {
-            return Some(FlightGuard {
-                flights: self,
-                key: key.clone(),
-            });
-        }
-        let deadline = Instant::now() + FLIGHT_WAIT_LIMIT;
-        while busy.contains(key) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            busy = self
-                .done
-                .wait_timeout(busy, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
-        None
-    }
 }
 
 impl Shared {
@@ -355,7 +277,6 @@ pub fn start(registry: Arc<ModelRegistry>, config: &ServerConfig) -> Result<Serv
         debug_endpoints: config.debug_endpoints,
         shutdown: AtomicBool::new(false),
         addr,
-        flights: Flights::default(),
         traces: TraceStore::new(Duration::from_millis(config.trace_slow_ms)),
     });
 
@@ -547,9 +468,8 @@ fn worker_loop(shared: &Shared) {
 /// Turns a caught handler panic into its request's answer: a `500`, an
 /// execute span from `since` naming the panic on the request's trace, and
 /// one more `xinsight_worker_panics_total`.  Locks the handler held were
-/// released by the unwind, and the result cache, registry and single-
-/// flight table all stay coherent across it, so the thread that caught the
-/// panic keeps serving.
+/// released by the unwind, and the result cache and registry stay coherent
+/// across it, so the thread that caught the panic keeps serving.
 fn contain_panic(
     shared: &Shared,
     payload: &(dyn std::any::Any + Send),
@@ -1063,12 +983,6 @@ pub(crate) fn serve_on_loop(
 /// `render` turns the model id and the slots into the route's envelope; it
 /// runs only on success, so the counters it bumps rise only then.  The
 /// `cache_lookup` span runs from `lookup_started`.
-///
-/// Single-flight ([`Flights`]) applies when exactly one slot needs the
-/// engine, which covers every single-query request.  A batch with two or
-/// more uncached slots skips it: two overlapping batches, each holding one
-/// claim while waiting on the other's, would stall for
-/// [`FLIGHT_WAIT_LIMIT`].
 fn explain_core(
     shared: &Shared,
     call: ExplainCall,
@@ -1083,27 +997,13 @@ fn explain_core(
         ..
     } = call;
     let single = lookups.len() == 1;
-    let mut lookups: Vec<(CacheKey, CacheOutcome)> = lookups
+    let lookups: Vec<(CacheKey, CacheOutcome)> = lookups
         .into_iter()
         .map(|(key, lookup)| {
             let outcome = resolve(shared, &model, &key, lookup);
             (key, outcome)
         })
         .collect();
-    let mut pending = lookups.iter_mut().filter(|(_, outcome)| !outcome.is_hit());
-    // The guard (when owned) releases the claim on every return path; a
-    // follower whose owner just inserted replays the cached bytes.
-    let (_flight, role) = match (pending.next(), pending.next()) {
-        (Some((key, outcome)), None) => match shared.flights.claim(key) {
-            Some(flight) => (Some(flight), "owner"),
-            None => {
-                let lookup = shared.cache.lookup(key, &model.fingerprint, model.dict_len);
-                *outcome = resolve(shared, &model, key, lookup);
-                (None, "follower")
-            }
-        },
-        _ => (None, ""),
-    };
     let requests: Vec<ExplainRequest> = lookups
         .iter()
         .filter(|(_, outcome)| !outcome.is_hit())
@@ -1111,8 +1011,7 @@ fn explain_core(
         .collect();
     let (hits, uncached) = (lookups.len() - requests.len(), requests.len());
     let detail: Cow<'static, str> = match lookups.first() {
-        Some((_, outcome)) if single && role.is_empty() => outcome.tier().into(),
-        Some((_, outcome)) if single => format!("{},flight={role}", outcome.tier()).into(),
+        Some((_, outcome)) if single => outcome.tier().into(),
         _ => format!("hits={hits},uncached={uncached}").into(),
     };
     trace.span(Stage::CacheLookup, lookup_started, Instant::now(), detail);
@@ -1603,20 +1502,26 @@ mod tests {
         .unwrap()
     }
 
-    /// Fits + saves a bundle in a temp dir and serves it.
-    fn start_tiny(tag: &str, config: ServerConfig) -> (ServerHandle, std::path::PathBuf) {
+    /// Fits + saves model `id` over `data` in a temp dir and serves it.
+    fn start_model(
+        tag: &str,
+        id: &str,
+        data: &Dataset,
+        config: ServerConfig,
+    ) -> (ServerHandle, std::path::PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("xinsight_server_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let options = XInsightOptions::default();
-        let registry = ModelRegistry::open_empty(&dir, options.clone());
-        registry
-            .fit_and_save("tiny", &tiny_data(), vec![tiny_query()])
-            .unwrap();
-        registry.load("tiny").unwrap();
+        let registry = ModelRegistry::open_empty(&dir, XInsightOptions::default());
+        registry.fit_and_save(id, data, vec![tiny_query()]).unwrap();
+        registry.load(id).unwrap();
         let handle = start(Arc::new(registry), &config).unwrap();
         (handle, dir)
+    }
+
+    fn start_tiny(tag: &str, config: ServerConfig) -> (ServerHandle, std::path::PathBuf) {
+        start_model(tag, "tiny", &tiny_data(), config)
     }
 
     fn direct_result(engine: &xinsight_core::pipeline::XInsight, query: &WhyQuery) -> String {
@@ -1696,6 +1601,43 @@ mod tests {
         assert!(metric(&text, "xinsight_selection_cache_total{outcome=\"miss\"}") > 0.0);
         assert!(metric(&text, "xinsight_ci_cache_fit_time_total{outcome=\"miss\"}") > 0.0);
 
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Identical requests racing into a cold cache may each compute the
+    /// key; every one serves the direct engine's bytes.
+    #[test]
+    fn concurrent_identical_misses_serve_the_direct_result() {
+        let config = ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        };
+        let (handle, dir) = start_tiny("concurrent_misses", config);
+        let engine = xinsight_core::pipeline::XInsight::fit(&tiny_data(), &Default::default());
+        let direct = direct_result(&engine.unwrap(), &tiny_query());
+        let body = explain_v2_body("tiny", &tiny_query().to_json(), None);
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let mut client = HttpClient::connect(handle.addr()).unwrap();
+                    barrier.wait();
+                    let resp = client.post("/v2/explain", &body).unwrap();
+                    assert_eq!(result_of(&resp.body), direct, "body: {}", resp.body);
+                });
+            }
+        });
+        let text = scrape(&mut HttpClient::connect(handle.addr()).unwrap());
+        let tier = |name| {
+            metric(
+                &text,
+                &format!("xinsight_result_cache_total{{tier=\"{name}\"}}"),
+            )
+        };
+        assert!(tier("miss") >= 1.0, "the cold cache missed at least once");
+        let tiers = tier("hit") + tier("prefix_hit") + tier("merged") + tier("miss");
+        assert_eq!(tiers, metric(&text, "xinsight_result_cache_lookups_total"));
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1953,34 +1895,15 @@ mod tests {
     }
 
     fn start_tri(tag: &str, config: ServerConfig) -> (ServerHandle, std::path::PathBuf) {
-        let dir =
-            std::env::temp_dir().join(format!("xinsight_server_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let registry = ModelRegistry::open_empty(&dir, XInsightOptions::default());
-        registry
-            .fit_and_save("tri", &tri_data(), vec![tiny_query()])
-            .unwrap();
-        registry.load("tri").unwrap();
-        let handle = start(Arc::new(registry), &config).unwrap();
-        (handle, dir)
+        start_model(tag, "tri", &tri_data(), config)
     }
 
     fn result_of(body: &str) -> String {
-        Json::parse(body)
-            .unwrap()
-            .get("result")
-            .unwrap()
-            .to_string()
+        cached_answer(body).1
     }
 
     fn cached_flag(body: &str) -> bool {
-        Json::parse(body)
-            .unwrap()
-            .get("cached")
-            .unwrap()
-            .as_bool()
-            .unwrap()
+        cached_answer(body).0
     }
 
     /// The two explain routes, single then batch.

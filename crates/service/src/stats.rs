@@ -59,7 +59,6 @@ fn bucket_upper_us(index: usize) -> u64 {
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
     count: AtomicU64,
-    sum_us: AtomicU64,
     /// The exact sum in nanoseconds, which `/metrics` publishes as `_sum`:
     /// whole microseconds would drop most of a 1–2 µs stage.
     sum_ns: AtomicU64,
@@ -70,7 +69,6 @@ impl Default for LatencyHistogram {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
         }
     }
@@ -80,23 +78,16 @@ impl LatencyHistogram {
     /// Records one latency sample.
     pub fn record(&self, latency: Duration) {
         let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-        let us = ns / 1_000;
         // relaxed: each cell is an independent monotonic counter; readers
         // snapshot without a lock and tolerate torn cross-cell views.
-        self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(ns / 1_000)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed); // relaxed: see above
         self.sum_ns.fetch_add(ns, Ordering::Relaxed); // relaxed: see above
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed) // relaxed: monotonic stats counter
-    }
-
-    /// Sum of all recorded samples, in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed) // relaxed: monotonic stats counter
     }
 
     /// Sum of all recorded samples, in nanoseconds.
@@ -317,7 +308,7 @@ mod tests {
         for us in [5u64, 10, 100, 150, 5_000, 100_000] {
             h.record(Duration::from_micros(us));
         }
-        assert_eq!(h.sum_us(), 105_265);
+        assert_eq!(h.sum_ns(), 105_265_000);
         // The snapped bound is always >= the requested one, and the count
         // at the snapped edge is exact.
         let (upper, count) = h.cumulative_le(10);
@@ -360,7 +351,7 @@ mod tests {
         assert_eq!(stats.stages[Stage::QueueWait.index()].count(), 1);
         assert_eq!(stats.stages[Stage::Execute.index()].count(), 1);
         assert_eq!(stats.stages[Stage::Serialize.index()].count(), 0);
-        assert_eq!(stats.stages[Stage::Parse.index()].sum_us(), 10);
+        assert_eq!(stats.stages[Stage::Parse.index()].sum_ns(), 10_000);
     }
 
     #[test]
@@ -374,14 +365,14 @@ mod tests {
         tb.span(Stage::Parse, epoch, at(5), "");
         tb.span(Stage::CacheLookup, at(5), at(9), "miss");
         tb.span(Stage::QueueWait, at(9), at(30), "");
-        tb.span(Stage::CacheLookup, at(30), at(32), "miss,flight=owner");
+        tb.span(Stage::CacheLookup, at(30), at(32), "miss");
         tb.span(Stage::Execute, at(32), at(500), "");
         stats.record_trace(&tb.finish(at(520)));
         let lookup = &stats.stages[Stage::CacheLookup.index()];
         assert_eq!(lookup.count(), 1, "one request, one cache_lookup sample");
         assert_eq!(
-            lookup.sum_us(),
-            6,
+            lookup.sum_ns(),
+            6_000,
             "the sample is the request's whole lookup time"
         );
         assert_eq!(stats.stages[Stage::Serialize.index()].count(), 0);

@@ -11,7 +11,7 @@
 //! ```text
 //!  first byte ──parse──▶ admitted ──queue_wait──▶ worker pop
 //!      │                                             │
-//!      │            cache_lookup (tier + single-flight role)
+//!      │            cache_lookup (tier: hit, prefix, merge or miss)
 //!      │            execute      (engine, provenance attribution)
 //!      │            serialize    (wire bytes)
 //!      │                                             │
@@ -63,16 +63,15 @@ const SPANS_PER_TRACE: usize = Stage::ALL.len() + 2;
 /// One stage of the request lifecycle.  The set is closed on purpose: each
 /// stage has a per-stage latency histogram in `/metrics`, and a bounded
 /// vocabulary is what makes cross-request aggregation meaningful.  Stage-
-/// specific context (cache tier, single-flight role, provenance counts)
-/// goes in the span's free-form detail instead.
+/// specific context (cache tier, provenance counts) goes in the span's
+/// free-form detail instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// First byte of the request seen to request fully framed.
     Parse,
     /// Admitted onto the bounded queue to popped by a worker.
     QueueWait,
-    /// Result-cache resolution: lookup, promotion attempt, and any
-    /// single-flight wait for another request computing the same key.
+    /// Result-cache resolution: lookup and promotion attempt.
     CacheLookup,
     /// Handler execution — for explains, the engine search; for other
     /// endpoints, the whole handler body.
@@ -127,7 +126,7 @@ impl Stage {
 /// clock and sequential spans are non-overlapping by construction.
 ///
 /// `detail` is a `Cow` so the hot request path can tag spans with static
-/// strings (`"hit"`, `"hit,flight=follower"`) without allocating; only
+/// strings (`"hit"`, `"miss"`) without allocating; only
 /// details that genuinely carry per-request numbers pay for a `String`.
 #[derive(Debug, Clone)]
 pub struct Span {
@@ -137,8 +136,8 @@ pub struct Span {
     pub start_us: u64,
     /// Span length in microseconds.
     pub duration_us: u64,
-    /// Stage-specific context: the cache tier and single-flight role for
-    /// `cache_lookup`, provenance counts for `execute`, and so on.  Empty
+    /// Stage-specific context: the cache tier for `cache_lookup`,
+    /// provenance counts for `execute`, and so on.  Empty
     /// when the stage has nothing to add.
     pub detail: Cow<'static, str>,
 }

@@ -64,6 +64,7 @@ impl<'a> DiscoveryView<'a> {
     }
 
     /// Number of compiled variables.
+    // xlint: allow(unreferenced-pub, its only caller is the type's doc-test)
     pub fn n_vars(&self) -> usize {
         self.names.len()
     }

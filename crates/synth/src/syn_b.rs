@@ -74,24 +74,6 @@ impl SynBInstance {
         )
         .expect("sibling subspaces by construction")
     }
-
-    /// F1 score of a predicate's values against the planted ground truth.
-    pub fn f1_of(&self, values: &[String]) -> f64 {
-        let tp = values
-            .iter()
-            .filter(|v| self.ground_truth.contains(v))
-            .count() as f64;
-        if values.is_empty() || self.ground_truth.is_empty() {
-            return 0.0;
-        }
-        let precision = tp / values.len() as f64;
-        let recall = tp / self.ground_truth.len() as f64;
-        if precision + recall == 0.0 {
-            0.0
-        } else {
-            2.0 * precision * recall / (precision + recall)
-        }
-    }
 }
 
 /// Generates one SYN-B instance.
@@ -177,14 +159,6 @@ mod tests {
         let kept = inst.data.all_rows().minus(&pred.mask(&inst.data).unwrap());
         let remaining = query.delta_over(&inst.data, &kept).unwrap();
         assert!(remaining.abs() < delta * 0.2);
-    }
-
-    #[test]
-    fn f1_scoring_against_ground_truth() {
-        let inst = generate(&SynBOptions::default());
-        assert_eq!(inst.f1_of(&inst.ground_truth.clone()), 1.0);
-        assert!(inst.f1_of(&[inst.ground_truth[0].clone()]) < 1.0);
-        assert_eq!(inst.f1_of(&["nope".to_string()]), 0.0);
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! `pub fn load` counts as referenced when any other file — linted, or
 //! under one of the `REFERENCE_DIRS` (integration tests, examples,
 //! benches, the benchmark harness) — has an identifier `load` outside a
-//! comment.  Same-named definitions (`fn load`) do not count.  There is
+//! comment.  Same-named definitions (`fn load`) do not count.  A method
+//! (first parameter `self`) counts only where its name follows `.` or
+//! `::`, so a same-named free function or local cannot hide it.  There is
 //! no call graph: callers live in test and benchmark crates that an
-//! intra-crate graph cannot see, and a name collision can only hide a
-//! dead function, never flag a live one.  `pub(crate)` functions and the
+//! intra-crate graph cannot see, and a name collision can only hide a dead
+//! function, never flag a live one.  `pub(crate)` functions and the
 //! vendored shims under `vendor/` (which mirror upstream APIs) are out of
 //! scope.  A function whose only caller is a doc-test carries an
 //! `// xlint: allow(unreferenced-pub, <why>)` pragma.
@@ -19,7 +21,7 @@ use crate::lexer::{Token, TokenKind};
 use crate::rules::next_code;
 use crate::scan::SourceFile;
 use crate::{Finding, Workspace};
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 const RULE: &str = "unreferenced-pub";
 
@@ -35,7 +37,7 @@ pub fn check(config: &Config, workspace: &Workspace) -> Vec<Finding> {
     // A file both linted and under a reference directory appears twice,
     // which is harmless: its own copies are both skipped below.
     let extra = reference_files(workspace);
-    let references: Vec<(String, HashSet<&str>)> = workspace
+    let references: Vec<(String, BTreeMap<&str, bool>)> = workspace
         .files
         .iter()
         .chain(&extra)
@@ -53,9 +55,13 @@ pub fn check(config: &Config, workspace: &Workspace) -> Vec<Finding> {
                 continue;
             }
             let name = file.tokens[name_idx].text.as_str();
-            let named_elsewhere = references
-                .iter()
-                .any(|(p, idents)| *p != path && idents.contains(name));
+            let method = takes_self(&file.tokens, name_idx);
+            let named_elsewhere = references.iter().any(|(p, idents)| {
+                *p != path
+                    && idents
+                        .get(name)
+                        .is_some_and(|&qualified| qualified || !method)
+            });
             if named_elsewhere || file.suppressed(RULE, name_idx) {
                 continue;
             }
@@ -90,17 +96,40 @@ fn reference_files(workspace: &Workspace) -> Vec<SourceFile> {
     files
 }
 
-/// Every identifier in `tokens` except the name a `fn` keyword defines.
-fn referenced_idents(tokens: &[Token]) -> HashSet<&str> {
-    let mut idents = HashSet::new();
-    let mut after_fn = false;
-    for token in tokens.iter().filter(|t| !t.is_comment()) {
-        if token.kind == TokenKind::Ident && !after_fn {
-            idents.insert(token.text.as_str());
+/// Every identifier in `tokens` outside comments, except the name a `fn`
+/// keyword defines, mapped to whether it ever follows `.` or `::` (the
+/// only places a method is named; `..` is a range).
+fn referenced_idents(tokens: &[Token]) -> BTreeMap<&str, bool> {
+    let mut idents = BTreeMap::new();
+    let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    for (i, token) in code.iter().enumerate() {
+        let before = |k: usize, c: char| i >= k && code[i - k].is_punct(c);
+        if token.kind == TokenKind::Ident && !(i > 0 && code[i - 1].is_ident("fn")) {
+            let qualified =
+                (before(1, '.') && !before(2, '.')) || (before(1, ':') && before(2, ':'));
+            *idents.entry(token.text.as_str()).or_insert(false) |= qualified;
         }
-        after_fn = token.is_ident("fn");
     }
     idents
+}
+
+/// Whether the function named at `name_idx` takes `self` first (`&self`,
+/// `&'a mut self`, `self: Arc<Self>`, …): the first `(` outside the
+/// generics opens the parameters.
+fn takes_self(tokens: &[Token], name_idx: usize) -> bool {
+    let mut code = (name_idx + 1..tokens.len()).filter(|&i| !tokens[i].is_comment());
+    let mut depth = 0i32;
+    let opened = code.any(|i| {
+        let closes = tokens[i].is_punct('>') && !tokens[i - 1].is_punct('-');
+        depth += i32::from(tokens[i].is_punct('<')) - i32::from(closes);
+        depth == 0 && tokens[i].is_punct('(')
+    });
+    let receiver =
+        |t: &Token| t.is_punct('&') || t.kind == TokenKind::Lifetime || t.is_ident("mut");
+    opened
+        && code
+            .find(|&i| !receiver(&tokens[i]))
+            .is_some_and(|i| tokens[i].is_ident("self"))
 }
 
 /// `(name token, inside #[cfg(test)])` for every `pub fn` item: `pub`

@@ -1,4 +1,5 @@
 #[test]
 fn builds() {
-    fixture::store::build();
+    let store = fixture::store::build();
+    assert_eq!(fixture::store::Store::size(&store), 0);
 }

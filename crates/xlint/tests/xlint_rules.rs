@@ -181,7 +181,9 @@ fn endpoint_inventory_pass_and_fail() {
 }
 
 /// The pass fixture's callers sit in a sibling module, an integration test
-/// and (pragma-justified) a doc-test, and its vendored shim is skipped.
+/// (a method called through `::`) and (pragma-justified) a doc-test,
+/// and its vendored shim is skipped.  The fail fixtures hold dead functions
+/// and methods masked by same-named identifiers.
 #[test]
 fn unreferenced_pub_pass_and_fail() {
     assert_pass("unreferenced_pub/pass");
@@ -196,6 +198,15 @@ fn unreferenced_pub_pass_and_fail() {
         ],
     );
     assert_eq!(text.lines().count(), 2, "`live` has a caller:\n{text}");
+    // A method counts only after `.` or `::`: a same-named free function
+    // (`fail_method_fn`) or local (`fail_method_var`) does not hide it.
+    for (name, dead) in [("fn", &["reading"][..]), ("var", &["level", "apply"])] {
+        let fixture = format!("unreferenced_pub/fail_method_{name}");
+        let text = assert_fail(&fixture, "unreferenced-pub", &[]);
+        let flagged = |d: &&str| text.contains(&format!("`pub fn {d}` is named in no other"));
+        assert!(dead.iter().all(flagged), "{fixture}:\n{text}");
+        assert_eq!(text.lines().count(), dead.len(), "{fixture}:\n{text}");
+    }
 }
 
 #[test]
@@ -250,7 +261,7 @@ fn shipped_lock_hierarchy_matches_real_lock_sites() {
         config.lock_order.classes.len() >= 5,
         "the shipped hierarchy should declare the serving-stack lock classes"
     );
-    for expected in ["flights-busy", "jobs", "completions"] {
+    for expected in ["lru-state", "jobs", "completions"] {
         assert!(
             config.lock_order.classes.iter().any(|c| c.name == expected),
             "expected lock class `{expected}` in xlint.toml"
