@@ -38,6 +38,8 @@ pub(crate) struct AttributeContext<'a> {
     pub query: &'a WhyQuery,
     pub filters: Vec<Filter>,
     pub masks: Vec<RowMask>,
+    /// The row masks of the two sibling subspaces, built once.
+    sides: [RowMask; 2],
     pub delta_d: f64,
     pub evaluations: std::cell::Cell<usize>,
 }
@@ -54,12 +56,14 @@ impl<'a> AttributeContext<'a> {
             .iter()
             .map(|f| f.mask(data))
             .collect::<Result<Vec<_>>>()?;
+        let sides = [query.s1().mask(data)?, query.s2().mask(data)?];
         let delta_d = query.delta(data)?;
         Ok(AttributeContext {
             data,
             query,
             filters,
             masks,
+            sides,
             delta_d,
             evaluations: std::cell::Cell::new(0),
         })
@@ -69,27 +73,28 @@ impl<'a> AttributeContext<'a> {
         self.filters.len()
     }
 
-    fn union_mask(&self, indices: &[usize]) -> RowMask {
-        let mut mask = RowMask::zeros(self.data.n_rows());
-        for &i in indices {
-            mask = mask.or(&self.masks[i]);
-        }
-        mask
-    }
-
-    /// `Δ(D − D_P)`; `None` when one sibling subspace becomes empty.
+    /// `Δ(D − D_P)`; `None` when one sibling subspace becomes empty.  Each
+    /// call scans the rows of both sides anew.
     pub fn delta_without(&self, indices: &[usize]) -> Option<f64> {
         self.evaluations.set(self.evaluations.get() + 1);
-        let removed = self.union_mask(indices);
-        let kept = self.data.all_rows().minus(&removed);
-        self.query
-            .delta_over_opt(self.data, &kept)
-            .expect("attribute validated at build time")
+        let removed = indices
+            .iter()
+            .fold(RowMask::zeros(self.data.n_rows()), |mask, &i| {
+                mask.or(&self.masks[i])
+            });
+        let [a1, a2] = self.sides.each_ref().map(|side| {
+            self.query
+                .aggregate()
+                .eval_opt(self.data, self.query.measure(), &side.minus(&removed))
+                .expect("measure validated at build time")
+        });
+        Some(a1? - a2?)
     }
 
-    /// Number of rows matched by the given filters.
+    /// Number of rows matched by the given filters: the filters of one
+    /// attribute are disjoint, so their counts add up.
     pub fn support(&self, indices: &[usize]) -> usize {
-        self.union_mask(indices).count()
+        indices.iter().map(|&i| self.masks[i].count()).sum()
     }
 
     pub fn predicate_of(&self, indices: &[usize], attribute: &str) -> Predicate {

@@ -103,9 +103,8 @@ impl WhyQuery {
     /// (the paper's `Δ(D − D_P)` etc. are expressed this way).
     ///
     /// When either sibling subspace becomes empty under a non-additive
-    /// aggregate the difference is undefined; this returns `Ok(None)` in that
-    /// case via [`WhyQuery::delta_over_opt`] — this method maps it to an
-    /// error for callers that require a value.
+    /// aggregate the difference is undefined, and this returns a
+    /// [`DataError::EmptyAggregate`] error.
     pub fn delta_over(&self, data: &Dataset, restriction: &RowMask) -> Result<f64> {
         self.delta_over_opt(data, restriction)?
             .ok_or_else(|| DataError::EmptyAggregate {
@@ -116,7 +115,7 @@ impl WhyQuery {
 
     /// Like [`WhyQuery::delta_over`] but returns `None` when one side is
     /// empty and the aggregate is undefined there.
-    pub fn delta_over_opt(&self, data: &Dataset, restriction: &RowMask) -> Result<Option<f64>> {
+    fn delta_over_opt(&self, data: &Dataset, restriction: &RowMask) -> Result<Option<f64>> {
         let m1 = self.s1.mask(data)?.and(restriction);
         let m2 = self.s2.mask(data)?.and(restriction);
         let a1 = self.aggregate.eval_opt(data, &self.measure, &m1)?;

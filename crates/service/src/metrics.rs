@@ -11,13 +11,10 @@
 //! (version `0.0.4`).  Derived figures — rates, hit ratios, totals across
 //! endpoints — are arithmetic over these series and left to the scraper.
 //!
-//! Histograms deserve a note: the internal [`LatencyHistogram`] keeps 592
-//! log-linear buckets, far more than a scrape should carry.  The renderer
-//! publishes a coarse `le` ladder instead, from 1 µs to 10 s, but **snaps
-//! every published bound to an exact internal bucket edge** via
-//! [`LatencyHistogram::cumulative_le`], so the cumulative count at each
-//! published bound is exact rather than re-quantized — the ladder is a
-//! lossless down-sampling of the internal histogram.
+//! Histograms publish exactly the buckets a [`LatencyHistogram`] stores:
+//! one `le` per bound of [`LE_LADDER_NS`](crate::stats::LE_LADDER_NS)
+//! (1 µs to 10 s) plus `+Inf`, each count taken as recorded.  Bounds and
+//! `_sum` are printed in seconds from whole nanoseconds.
 //!
 //! [`validate_exposition`] is a small independent checker for the format
 //! (comment/type/sample grammar, histogram bucket monotonicity, `_count`
@@ -36,16 +33,6 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use xinsight_stats::CacheStats;
-
-/// The published histogram bucket ladder, in microseconds.  Each bound is
-/// snapped up to the exact internal bucket edge at render time, so the
-/// effective ladder is slightly coarser than written here but the counts
-/// are exact.  Bounds below 16 µs are exact edges; 25 and 50 snap to 25
-/// and 51.
-const LE_LADDER_US: [u64; 22] = [
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
-    250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
-];
 
 /// Per-model shape gauges (one label set per loaded model).
 #[derive(Debug)]
@@ -122,16 +109,10 @@ fn sample(out: &mut String, name: &str, labels: &str, value: f64) {
 /// Renders one histogram family member under `prefix_labels` (either empty
 /// or `label="value",` — trailing comma included so `le` appends cleanly).
 fn histogram_samples(out: &mut String, name: &str, prefix_labels: &str, hist: &LatencyHistogram) {
-    let mut last_upper = None;
     let mut last_count = 0u64;
-    for bound in LE_LADDER_US {
-        let (upper_us, count) = hist.cumulative_le(bound);
-        if last_upper == Some(upper_us) {
-            continue;
-        }
-        last_upper = Some(upper_us);
+    for (bound_ns, count) in hist.cumulative() {
         last_count = count;
-        let le = upper_us as f64 / 1e6;
+        let le = bound_ns as f64 / 1e9;
         let _ = writeln!(out, "{name}_bucket{{{prefix_labels}le=\"{le}\"}} {count}");
     }
     // Reads race recording (relaxed atomics), so clamp the total to keep
@@ -1017,8 +998,8 @@ mod tests {
         // sample is <= 10 s, so the final ladder bucket holds all 5.
         assert!(text.contains("xinsight_request_latency_seconds_count 5"));
         let value = |series: &str| series_value(&text, series);
-        // The ladder resolves below 100 µs: exact edges under 16 µs, and
-        // 50 µs snapped up to the 51 µs bucket edge.
+        // The published bounds are the ladder itself: the 3 µs sample is
+        // counted from le = 5 µs on.
         let parse_le = |le: &str| {
             value(&format!(
                 "xinsight_stage_latency_seconds_bucket{{stage=\"parse\",le=\"{le}\"}}"
@@ -1026,7 +1007,7 @@ mod tests {
         };
         assert_eq!(parse_le("0.000002"), Some(0.0));
         assert_eq!(parse_le("0.000005"), Some(1.0));
-        assert_eq!(parse_le("0.000051"), Some(1.0));
+        assert_eq!(parse_le("0.00005"), Some(1.0));
         // Shed, connection and compaction counters: the run count, the
         // *last* before/after shape, and the *cumulative* bytes reclaimed.
         for (series, expected) in [
@@ -1057,16 +1038,25 @@ mod tests {
 
     #[test]
     fn histogram_sums_keep_sub_microsecond_time() {
+        use crate::trace::TraceBuilder;
         let stats = ServerStats::default();
-        let parse = &stats.stages[Stage::Parse.index()];
-        for _ in 0..1_000 {
-            parse.record(Duration::from_nanos(1_500));
+        let epoch = std::time::Instant::now();
+        let parsed = epoch + Duration::from_nanos(1_500);
+        for id in 0..1_000 {
+            let mut tb = TraceBuilder::begin(id, epoch, "POST /v2/explain");
+            tb.span(Stage::Parse, epoch, parsed, "");
+            stats.record_trace(&tb.finish(parsed));
         }
-        // Whole microseconds would have summed to 1 ms.
-        assert_eq!(parse.sum_ns(), 1_500_000);
+        // Whole microseconds would have summed to 1 ms, all under 1 µs.
         let text = render(&snapshot_with(&stats));
-        let sum = series_value(&text, "xinsight_stage_latency_seconds_sum{stage=\"parse\"}");
-        assert_eq!(sum, Some(0.0015));
+        for (series, expected) in [
+            ("sum{stage=\"parse\"}", 0.0015),
+            ("bucket{stage=\"parse\",le=\"0.000001\"}", 0.0),
+            ("bucket{stage=\"parse\",le=\"0.000002\"}", 1_000.0),
+        ] {
+            let series = format!("xinsight_stage_latency_seconds_{series}");
+            assert_eq!(series_value(&text, &series), Some(expected), "{series}");
+        }
     }
 
     #[test]

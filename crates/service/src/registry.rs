@@ -119,11 +119,11 @@ pub struct CompactionReport {
     /// Estimated heap bytes released by merging the per-segment columns
     /// and dictionary snapshots (saturating; an estimate, not an audit).
     pub bytes_reclaimed: usize,
-    /// Microseconds spent in the off-lock segment rewrite.
-    pub rewrite_us: u64,
-    /// Microseconds spent validating and performing the pointer swap
-    /// (swap-lock held).
-    pub swap_us: u64,
+    /// Time spent in the off-lock segment rewrite.
+    pub rewrite: std::time::Duration,
+    /// Time spent validating and performing the pointer swap (swap-lock
+    /// held).
+    pub swap: std::time::Duration,
 }
 
 /// What one completed ingest did, for the compactor/`/debug/traces` span
@@ -131,11 +131,11 @@ pub struct CompactionReport {
 /// and swapping it in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
-    /// Microseconds spent materializing the new segment (swap-lock held —
+    /// Time spent materializing the new segment (swap-lock held —
     /// ingests are serialized by design).
-    pub build_us: u64,
-    /// Microseconds spent performing the pointer swap.
-    pub swap_us: u64,
+    pub build: std::time::Duration,
+    /// Time spent performing the pointer swap.
+    pub swap: std::time::Duration,
 }
 
 /// Thread-safe registry of loaded models, keyed by bundle id.
@@ -329,12 +329,12 @@ impl ModelRegistry {
             dict_len,
         });
         let swap_started = std::time::Instant::now();
-        let build_us = swap_started.duration_since(build_started).as_micros() as u64;
+        let build = swap_started.duration_since(build_started);
         self.models
             .write()
             .insert(id.to_owned(), Arc::clone(&loaded));
-        let swap_us = swap_started.elapsed().as_micros() as u64;
-        Ok((loaded, IngestReport { build_us, swap_us }))
+        let swap = swap_started.elapsed();
+        Ok((loaded, IngestReport { build, swap }))
     }
 
     /// Compacts one model's segmented store: rewrites its sealed segments
@@ -382,7 +382,7 @@ impl ModelRegistry {
         let bytes_before = bytes(&current.engine);
         let rewrite_started = std::time::Instant::now();
         let engine = current.engine.with_compacted()?;
-        let rewrite_us = rewrite_started.elapsed().as_micros() as u64;
+        let rewrite = rewrite_started.elapsed();
         let bytes_after = bytes(&engine);
         fault();
         let mut report = CompactionReport {
@@ -392,8 +392,8 @@ impl ModelRegistry {
             segments_before: current.engine.data().n_segments(),
             segments_after: engine.data().n_segments(),
             bytes_reclaimed: bytes_before.saturating_sub(bytes_after),
-            rewrite_us,
-            swap_us: 0,
+            rewrite,
+            swap: std::time::Duration::ZERO,
         };
         let dict_len = engine.data().dictionary_len();
         let swap_started = std::time::Instant::now();
@@ -423,7 +423,7 @@ impl ModelRegistry {
         self.models
             .write()
             .insert(id.to_owned(), Arc::clone(&loaded));
-        report.swap_us = swap_started.elapsed().as_micros() as u64;
+        report.swap = swap_started.elapsed();
         Ok(Some(report))
     }
 

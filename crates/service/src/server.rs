@@ -370,7 +370,7 @@ fn compactor_loop(shared: &Shared) {
                     format!("compact {id}"),
                 );
                 tb.set_status(200);
-                let rewrite_end = compact_started + Duration::from_micros(report.rewrite_us);
+                let rewrite_end = compact_started + report.rewrite;
                 tb.span(
                     Stage::Execute,
                     compact_started,
@@ -383,7 +383,7 @@ fn compactor_loop(shared: &Shared) {
                 tb.span(
                     Stage::Execute,
                     rewrite_end,
-                    rewrite_end + Duration::from_micros(report.swap_us),
+                    rewrite_end + report.swap,
                     format!("swap: {} bytes reclaimed", report.bytes_reclaimed),
                 );
                 shared.traces.publish(tb.finish(Instant::now()));
@@ -1161,7 +1161,7 @@ fn handle_ingest_v2(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> R
             // Replay the registry's own timing as two sequential Execute
             // spans: segment build (CSR construction, stats) then the
             // atomic swap under the registry's write lock.
-            let build_end = ingest_started + Duration::from_micros(report.build_us);
+            let build_end = ingest_started + report.build;
             trace.span(
                 Stage::Execute,
                 ingest_started,
@@ -1171,7 +1171,7 @@ fn handle_ingest_v2(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> R
             trace.span(
                 Stage::Execute,
                 build_end,
-                build_end + Duration::from_micros(report.swap_us),
+                build_end + report.swap,
                 "ingest: swap",
             );
             // Nothing is invalidated: cached results stay keyed by the

@@ -1,66 +1,35 @@
-//! Server-side observability: request counters and a latency histogram.
+//! Server-side observability: request counters and latency histograms.
 //!
 //! Everything is lock-free (relaxed atomics): the serving hot path only
 //! ever increments counters, and `/metrics` reads a point-in-time snapshot
-//! without contending with workers (see [`crate::metrics`]).  Latencies go
-//! into a log-linear (HDR-style) microsecond histogram — exact below 16 µs,
-//! 16 sub-buckets per power of two above, so any bucket edge is within
-//! 6.25 % of the true value.  `/metrics` publishes a coarse `le` ladder
-//! snapped to those edges, so its cumulative counts stay exact.  The
-//! xbench benchmark reports *exact* percentiles from its own recorded
-//! samples; the histogram is for the live endpoint.
+//! without contending with workers (see [`crate::metrics`]).  Latencies
+//! stay [`Duration`]s until printed.  A [`LatencyHistogram`] stores
+//! exactly the buckets `/metrics` publishes, [`LE_LADDER_NS`] plus `+Inf`,
+//! and its `_sum` in nanoseconds.  The xbench benchmark reports *exact*
+//! percentiles from its own recorded samples; the histogram is for the
+//! live endpoint.
 
 use crate::trace::{Stage, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Values below this many microseconds get one exact bucket each.
-const LINEAR_LIMIT: u64 = 16;
+/// The histogram bucket bounds `/metrics` publishes as `le`, in
+/// nanoseconds: 1 µs to 10 s.  Samples above the last bound count only
+/// towards `+Inf`.
+#[rustfmt::skip]
+pub const LE_LADDER_NS: [u64; 22] = [
+    1_000, 2_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+    1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000, 100_000_000,
+    250_000_000, 500_000_000, 1_000_000_000, 2_500_000_000, 5_000_000_000, 10_000_000_000,
+];
 
-/// Sub-buckets per power of two above [`LINEAR_LIMIT`]: quantization error
-/// is bounded by `1/SUB_BUCKETS` (6.25 %).
-const SUB_BUCKETS: usize = 16;
-
-/// Powers of two covered above the linear range: `2^4 ..= 2^39` µs
-/// (≈ 9 days); anything larger lands in the final (open) bucket.
-const OCTAVES: usize = 36;
-
-/// Total histogram bucket count.
-pub const LATENCY_BUCKETS: usize = LINEAR_LIMIT as usize + OCTAVES * SUB_BUCKETS;
-
-/// The bucket a microsecond value lands in.
-fn bucket_index(us: u64) -> usize {
-    if us < LINEAR_LIMIT {
-        return us as usize;
-    }
-    if us >= 1u64 << (4 + OCTAVES) {
-        return LATENCY_BUCKETS - 1;
-    }
-    let octave = 63 - us.leading_zeros() as usize; // >= 4 here
-    let shift = octave - 4;
-    let sub = ((us >> shift) & (SUB_BUCKETS as u64 - 1)) as usize;
-    LINEAR_LIMIT as usize + (octave - 4) * SUB_BUCKETS + sub
-}
-
-/// The (inclusive) upper bound of a bucket, in microseconds.
-fn bucket_upper_us(index: usize) -> u64 {
-    if index < LINEAR_LIMIT as usize {
-        return index as u64;
-    }
-    let i = index - LINEAR_LIMIT as usize;
-    let shift = (i / SUB_BUCKETS) as u64;
-    let sub = (i % SUB_BUCKETS) as u64;
-    ((LINEAR_LIMIT + sub) << shift) + (1u64 << shift) - 1
-}
-
-/// A fixed-bucket, lock-free, log-linear latency histogram over
-/// microseconds (exact below 16 µs, ≤ 6.25 % quantization above).
+/// A fixed-bucket, lock-free latency histogram over [`LE_LADDER_NS`].
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
-    /// The exact sum in nanoseconds, which `/metrics` publishes as `_sum`:
-    /// whole microseconds would drop most of a 1–2 µs stage.
+    /// Samples per ladder bucket (`bound[i - 1] < ns <= bound[i]`); the
+    /// last cell holds the samples above 10 s.
+    buckets: [AtomicU64; LE_LADDER_NS.len() + 1],
+    /// The exact sum in nanoseconds, which `/metrics` publishes as `_sum`.
     sum_ns: AtomicU64,
 }
 
@@ -68,7 +37,6 @@ impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
         }
     }
@@ -78,16 +46,17 @@ impl LatencyHistogram {
     /// Records one latency sample.
     pub fn record(&self, latency: Duration) {
         let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+        let bucket = LE_LADDER_NS.partition_point(|&bound| bound < ns);
         // relaxed: each cell is an independent monotonic counter; readers
         // snapshot without a lock and tolerate torn cross-cell views.
-        self.buckets[bucket_index(ns / 1_000)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed); // relaxed: see above
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed) // relaxed: monotonic stats counter
+        // relaxed: advisory histogram read; cells may skew slightly
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all recorded samples, in nanoseconds.
@@ -95,21 +64,18 @@ impl LatencyHistogram {
         self.sum_ns.load(Ordering::Relaxed) // relaxed: monotonic stats counter
     }
 
-    /// The cumulative count of samples `<= bound_us`, reported against the
-    /// exact internal bucket boundary: returns `(snapped_upper_us, count)`
-    /// where `snapped_upper_us >= bound_us` is the upper bound of the
-    /// bucket `bound_us` falls in.  Because the count is taken at a real
-    /// bucket edge, it is exact for the snapped bound — this is what lets
-    /// `/metrics` publish a coarse `le` ladder without re-introducing
-    /// quantization error on the published bounds.
-    pub fn cumulative_le(&self, bound_us: u64) -> (u64, u64) {
-        let index = bucket_index(bound_us);
+    /// `(bound_ns, samples <= bound_ns)` for every bound of
+    /// [`LE_LADDER_NS`], in ladder order.
+    pub fn cumulative(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let mut seen = 0u64;
-        for bucket in self.buckets.iter().take(index + 1) {
-            // relaxed: advisory histogram read; cells may skew slightly
-            seen += bucket.load(Ordering::Relaxed);
-        }
-        (bucket_upper_us(index), seen)
+        LE_LADDER_NS
+            .iter()
+            .zip(&self.buckets)
+            .map(move |(&bound, bucket)| {
+                // relaxed: advisory histogram read; cells may skew slightly
+                seen += bucket.load(Ordering::Relaxed);
+                (bound, seen)
+            })
     }
 }
 
@@ -259,15 +225,15 @@ impl ServerStats {
     /// write completion; background traces (compaction) are published to
     /// the trace store only and never pass through here.
     pub fn record_trace(&self, trace: &Trace) {
-        let mut per_stage: [Option<u64>; Stage::ALL.len()] = [None; Stage::ALL.len()];
+        let mut per_stage: [Option<Duration>; Stage::ALL.len()] = [None; Stage::ALL.len()];
         for span in &trace.spans {
             if let Some(total) = per_stage.get_mut(span.stage.index()) {
-                *total = Some(total.unwrap_or(0).saturating_add(span.duration_us));
+                *total = Some(total.unwrap_or_default().saturating_add(span.duration));
             }
         }
         for (histogram, total) in self.stages.iter().zip(per_stage) {
-            if let Some(us) = total {
-                histogram.record(Duration::from_micros(us));
+            if let Some(duration) = total {
+                histogram.record(duration);
             }
         }
     }
@@ -278,53 +244,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn log_linear_buckets_bound_quantization_error() {
-        // Round-tripping any value through its bucket's upper bound may
-        // only inflate it, and by at most 1/SUB_BUCKETS.
-        for us in (0..5_000_000u64).step_by(997) {
-            let upper = bucket_upper_us(bucket_index(us));
-            assert!(upper >= us, "upper {upper} < sample {us}");
-            assert!(
-                (upper - us) as f64 <= (us as f64 / SUB_BUCKETS as f64) + 1.0,
-                "bucket for {us} µs too coarse: upper {upper}"
-            );
+    fn samples_land_in_the_first_bucket_whose_bound_covers_them() {
+        // (sample ns, the first bound that counts it; `None`: `+Inf` only)
+        let mut cases = vec![
+            (900, Some(1_000)),
+            (1_000, Some(1_000)),
+            (1_900, Some(2_000)),
+            (25_000, Some(25_000)),
+            (25_900, Some(50_000)),
+            (20_000_000_000, None),
+        ];
+        // Every bound admits a sample equal to it, and not one nanosecond more.
+        for (i, &bound) in LE_LADDER_NS.iter().enumerate() {
+            let next = LE_LADDER_NS.get(i + 1).copied();
+            cases.extend([(bound, Some(bound)), (bound + 1, next)]);
         }
-        // Bucket uppers are strictly monotone over the whole range.
-        let mut last = None;
-        for i in 0..LATENCY_BUCKETS {
-            let upper = bucket_upper_us(i);
-            if let Some(prev) = last {
-                assert!(upper > prev, "bucket {i} not monotone");
+        for (ns, first) in cases {
+            let h = LatencyHistogram::default();
+            h.record(Duration::from_nanos(ns));
+            for (bound, count) in h.cumulative() {
+                let covered = first.is_some_and(|first| bound >= first);
+                assert_eq!(count, u64::from(covered), "{ns} ns at le {bound} ns");
             }
-            last = Some(upper);
         }
-        // The overflow clamp lands in the final bucket.
-        assert_eq!(bucket_index(u64::MAX), LATENCY_BUCKETS - 1);
     }
 
     #[test]
-    fn cumulative_le_snaps_bounds_and_counts_exactly() {
+    fn cumulative_counts_are_exact_at_every_ladder_bound() {
         let h = LatencyHistogram::default();
-        for us in [5u64, 10, 100, 150, 5_000, 100_000] {
+        for us in [5u64, 10, 100, 150, 5_000, 100_000, 11_000_000] {
             h.record(Duration::from_micros(us));
         }
-        assert_eq!(h.sum_ns(), 105_265_000);
-        // The snapped bound is always >= the requested one, and the count
-        // at the snapped edge is exact.
-        let (upper, count) = h.cumulative_le(10);
-        assert_eq!((upper, count), (10, 2)); // linear range: exact bucket
-        let (upper, count) = h.cumulative_le(200);
-        assert!(upper >= 200);
-        assert_eq!(count, 4);
-        let (_, all) = h.cumulative_le(u64::MAX / 2);
-        assert_eq!(all, 6);
-        // Counts are monotone as the bound grows.
-        let mut last = 0;
-        for bound in [1u64, 16, 64, 1_000, 10_000, 1_000_000] {
-            let (_, c) = h.cumulative_le(bound);
-            assert!(c >= last);
-            last = c;
-        }
+        assert_eq!((h.count(), h.sum_ns()), (7, 11_105_265_000));
+        // The 11 s sample is above the ladder: it counts only at `+Inf`.
+        let counts: Vec<u64> = h.cumulative().map(|(_, count)| count).collect();
+        let expected = [
+            0, 0, 1, 2, 2, 2, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6,
+        ];
+        assert_eq!(counts, expected);
     }
 
     #[test]

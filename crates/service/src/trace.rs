@@ -121,7 +121,7 @@ impl Stage {
     }
 }
 
-/// One timed stage of a trace.  `start_us` is the offset from the trace
+/// One timed stage of a trace.  `start` is the offset from the trace
 /// epoch (the request's first byte), so spans within a trace share one
 /// clock and sequential spans are non-overlapping by construction.
 ///
@@ -132,10 +132,10 @@ impl Stage {
 pub struct Span {
     /// Which lifecycle stage this span timed.
     pub stage: Stage,
-    /// Microseconds from the trace epoch to the span start.
-    pub start_us: u64,
-    /// Span length in microseconds.
-    pub duration_us: u64,
+    /// From the trace epoch to the span start.
+    pub start: Duration,
+    /// Span length.
+    pub duration: Duration,
     /// Stage-specific context: the cache tier for `cache_lookup`,
     /// provenance counts for `execute`, and so on.  Empty
     /// when the stage has nothing to add.
@@ -154,24 +154,26 @@ pub struct Trace {
     pub endpoint: Cow<'static, str>,
     /// The response status (`0` while unset; background work uses `200`).
     pub status: u16,
-    /// End-to-end microseconds from the trace epoch to completion.
-    pub total_us: u64,
+    /// End to end, from the trace epoch to completion.
+    pub total: Duration,
     /// The recorded spans, in the order they were recorded (which is
     /// lifecycle order — each stage records once, when it finishes).
     pub spans: Vec<Span>,
 }
 
 impl Trace {
-    /// The `/debug/traces` JSON rendering of one trace.
+    /// The `/debug/traces` JSON rendering of one trace, with every time
+    /// in whole microseconds.
     pub fn to_json(&self) -> Json {
+        let micros = |time: Duration| Json::Num(time.as_micros() as f64);
         let spans = self
             .spans
             .iter()
             .map(|span| {
                 Json::Obj(vec![
                     ("stage".to_owned(), Json::Str(span.stage.name().to_owned())),
-                    ("start_us".to_owned(), Json::Num(span.start_us as f64)),
-                    ("duration_us".to_owned(), Json::Num(span.duration_us as f64)),
+                    ("start_us".to_owned(), micros(span.start)),
+                    ("duration_us".to_owned(), micros(span.duration)),
                     ("detail".to_owned(), Json::Str(span.detail.to_string())),
                 ])
             })
@@ -180,7 +182,7 @@ impl Trace {
             ("id".to_owned(), Json::Num(self.id as f64)),
             ("endpoint".to_owned(), Json::Str(self.endpoint.to_string())),
             ("status".to_owned(), Json::Num(self.status as f64)),
-            ("total_us".to_owned(), Json::Num(self.total_us as f64)),
+            ("total_us".to_owned(), micros(self.total)),
             ("spans".to_owned(), Json::Arr(spans)),
         ])
     }
@@ -225,12 +227,10 @@ impl TraceBuilder {
         detail: impl Into<Cow<'static, str>>,
     ) {
         let start = start.max(self.epoch);
-        let start_us = us(start.saturating_duration_since(self.epoch));
-        let duration_us = us(end.saturating_duration_since(start));
         self.spans.push(Span {
             stage,
-            start_us,
-            duration_us,
+            start: start.saturating_duration_since(self.epoch),
+            duration: end.saturating_duration_since(start),
             detail: detail.into(),
         });
     }
@@ -253,14 +253,10 @@ impl TraceBuilder {
             id: self.id,
             endpoint: self.endpoint,
             status: self.status,
-            total_us: us(end.saturating_duration_since(self.epoch)),
+            total: end.saturating_duration_since(self.epoch),
             spans: self.spans,
         }
     }
-}
-
-fn us(duration: Duration) -> u64 {
-    duration.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// The trace endpoint label for a framed request.  Every route the server
@@ -343,7 +339,7 @@ impl TraceStore {
     /// meets the threshold, the slow reservoir), evicting the oldest
     /// entries past each bound.
     pub fn publish(&self, trace: Trace) {
-        let slow = trace.total_us >= us(self.slow_threshold);
+        let slow = trace.total >= self.slow_threshold;
         self.recorded.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
         let mut state = self.state.lock();
         if slow {
@@ -414,13 +410,13 @@ mod tests {
         );
         let trace = tb.finish(epoch + Duration::from_micros(40));
         assert_eq!(trace.id, 7);
-        assert_eq!(trace.spans[0].start_us, 0);
-        assert_eq!(trace.spans[1].start_us, 10);
-        assert_eq!(trace.spans[1].duration_us, 20);
-        assert!(trace.total_us >= 40);
+        assert_eq!(trace.spans[0].start, Duration::ZERO);
+        assert_eq!(trace.spans[1].start, Duration::from_micros(10));
+        assert_eq!(trace.spans[1].duration, Duration::from_micros(20));
+        assert!(trace.total >= Duration::from_micros(40));
         // Sequential spans are non-overlapping and the sum fits the total.
-        let sum: u64 = trace.spans.iter().map(|s| s.duration_us).sum();
-        assert!(sum <= trace.total_us);
+        let sum: Duration = trace.spans.iter().map(|s| s.duration).sum();
+        assert!(sum <= trace.total);
         // The JSON view is parseable and carries every span.
         let doc = Json::parse(&trace.to_json().to_string()).unwrap();
         assert_eq!(doc.get("spans").unwrap().as_arr().unwrap().len(), 2);

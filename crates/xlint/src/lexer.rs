@@ -247,9 +247,10 @@ impl Lexer<'_> {
         self.pos = (i + 1 + fences).min(self.bytes.len());
     }
 
-    /// Distinguishes `'a` / `'static` (lifetime) from `'x'` / `'\n'`
-    /// (char literal): a quote followed by ident chars and no closing
-    /// quote is a lifetime.
+    /// Distinguishes `'a` / `'static` (lifetime) from `'x'` / `'"'` /
+    /// `'\n'` (char literal): a char literal closes its quote after one
+    /// char or one escape; a quote followed by ident chars otherwise is a
+    /// lifetime.
     fn char_or_lifetime(&mut self, line: u32) {
         let start = self.pos + 1;
         if let Some(&b'\\') = self.bytes.get(start) {
@@ -262,18 +263,25 @@ impl Lexer<'_> {
             self.pos = (i + 1).min(self.bytes.len());
             return;
         }
+        // One char of any kind, then the closing quote: `'"'`, `'{'`, `'é'`
+        // (as stray quotes, these would open a string or unbalance braces).
+        let width = self
+            .bytes
+            .get(start)
+            .map_or(1, |b| b.leading_ones().max(1) as usize);
+        if self.bytes.get(start + width) == Some(&b'\'') {
+            let text = String::from_utf8_lossy(&self.bytes[start..start + width]).into_owned();
+            self.push(TokenKind::Str, text, line);
+            self.pos = start + width + 1;
+            return;
+        }
         let mut i = start;
         while i < self.bytes.len()
             && (self.bytes[i].is_ascii_alphanumeric() || self.bytes[i] == b'_')
         {
             i += 1;
         }
-        if self.bytes.get(i) == Some(&b'\'') && i > start {
-            // 'x' — a char literal ('' cannot happen in valid Rust).
-            let text = String::from_utf8_lossy(&self.bytes[start..i]).into_owned();
-            self.push(TokenKind::Str, text, line);
-            self.pos = i + 1;
-        } else if i > start {
+        if i > start {
             let text = String::from_utf8_lossy(&self.bytes[start..i]).into_owned();
             self.push(TokenKind::Lifetime, text, line);
             self.pos = i;
@@ -366,6 +374,13 @@ mod tests {
         assert!(toks
             .iter()
             .any(|(k, t)| *k == TokenKind::Lifetime && t == "a"));
+        // Punctuation char literals neither open a string nor unbalance the
+        // braces, so the function after them is still found.
+        let source =
+            "fn f(c: char) -> bool { c == '\"' || c == '{' || c == b'}' as char }\nfn g() {}";
+        let file = crate::scan::SourceFile::scan("x.rs".into(), source);
+        let names: Vec<&str> = file.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["f", "g"]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! All walk the token stream of files named by `[[no_alloc.scope]]` /
 //! `[[no_string.scope]]` / `[[no_panic.scope]]` entries in `xlint.toml`
 //! and flag token patterns.  A scope with a `functions` list confines the
-//! rule to those functions; without one it covers the whole file.
+//! rule to those functions; without one it covers the whole file.  A scope
+//! `file` no scanned file matches, or a listed function no matching file
+//! defines, is itself a finding: it would silently cover nothing.
 
 use crate::config::{Config, Scope};
 use crate::lexer::TokenKind;
@@ -55,7 +57,7 @@ fn scoped_scan(
     rule: &str,
     site: fn(&SourceFile, usize) -> Option<String>,
 ) -> Vec<Finding> {
-    let mut findings = Vec::new();
+    let mut findings = scope_drift(workspace, scopes, rule);
     for file in &workspace.files {
         let path = file.display_path();
         let matching: Vec<&Scope> = scopes.iter().filter(|s| s.matches_file(&path)).collect();
@@ -87,6 +89,39 @@ fn scoped_scan(
         }
     }
     findings
+}
+
+/// Drift between the scopes and the code: a scope `file` that matches no
+/// scanned file, and a listed function no matching file defines.
+fn scope_drift(workspace: &Workspace, scopes: &[Scope], rule: &str) -> Vec<Finding> {
+    let mut drift = Vec::new();
+    for scope in scopes {
+        let file = &scope.file;
+        let files: Vec<&SourceFile> = workspace
+            .files
+            .iter()
+            .filter(|f| scope.matches_file(&f.display_path()))
+            .collect();
+        let defined = |name: &str| files.iter().any(|f| f.fns.iter().any(|i| i.name == name));
+        if files.is_empty() {
+            drift.push(format!("scope file `{file}` matches no workspace file"));
+        } else {
+            for name in scope.functions.iter().filter(|name| !defined(name)) {
+                drift.push(format!(
+                    "scope function `{name}` is defined in no file matching `{file}`"
+                ));
+            }
+        }
+    }
+    drift
+        .into_iter()
+        .map(|message| Finding {
+            rule: rule.to_owned(),
+            file: "xlint.toml".to_owned(),
+            line: 1,
+            message: format!("{message} — the scope has drifted from the code"),
+        })
+        .collect()
 }
 
 /// Whether any matching scope covers token `idx`: whole-file scopes always

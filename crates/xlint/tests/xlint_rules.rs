@@ -93,6 +93,8 @@ fn no_alloc_pass_and_fail() {
             "`Vec::` constructor allocates",
             "`.to_vec()` allocates",
             "`Arc::from` allocates",
+            "scope function `retired` is defined in no file matching `src/lib.rs`",
+            "scope file `src/gone.rs` matches no workspace file",
         ],
     );
 }

@@ -128,6 +128,11 @@ fn serve_fixture(tag: &str, config: &ServerConfig) -> (ServerHandle, std::path::
     (handle, dir)
 }
 
+/// The `le` ladder the README documents for both latency histogram
+/// families: 1 µs to 10 s, in seconds, then `+Inf`.
+const DOCUMENTED_LE: &str = "0.000001 0.000002 0.000005 0.00001 0.000025 0.00005 0.0001 0.00025 \
+    0.0005 0.001 0.0025 0.005 0.01 0.025 0.05 0.1 0.25 0.5 1 2.5 5 10 +Inf";
+
 /// Independent structural checks on the exposition — deliberately NOT the
 /// library validator, so the two can disagree.
 fn check_exposition_independently(text: &str) {
@@ -172,6 +177,10 @@ fn check_exposition_independently(text: &str) {
                 .rsplit_once("le=\"")
                 .expect("bucket sample carries an le label");
             let le = le.trim_end_matches('"');
+            assert!(
+                DOCUMENTED_LE.split_whitespace().any(|bound| bound == le),
+                "`{series}` publishes a bound off the documented ladder"
+            );
             let le = if le == "+Inf" {
                 f64::INFINITY
             } else {
