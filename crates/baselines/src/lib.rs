@@ -16,8 +16,7 @@
 //! here; these reproductions implement the published scoring functions and
 //! preserve the computational shape the paper reports (exhaustive searches
 //! that blow up with cardinality for Scorpion and RSExplain, a fixed budget
-//! with degrading accuracy for BOExplain).  See `DESIGN.md` for the
-//! substitution notes.
+//! with degrading accuracy for BOExplain).
 
 #![warn(missing_docs)]
 

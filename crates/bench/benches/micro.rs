@@ -3,8 +3,8 @@
 //! These complement the table/figure experiment binaries with latency
 //! measurements of the individual building blocks: FD detection, CI testing,
 //! FCI, XLearner (with and without the harmonious-skeleton stage), XPlainer's
-//! SUM/AVG optimizations against brute force (the ablation called out in
-//! DESIGN.md), and the baseline engines.
+//! SUM/AVG optimizations against brute force, and the baseline engines
+//! (`ARCHITECTURE.md`, "Experiment harness").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;

@@ -7,12 +7,13 @@
 //!
 //! The quantity being reproduced is the *agreement between XInsight's output
 //! and the (here: generated) ground truth*, scored by a noise-calibrated
-//! panel; see DESIGN.md for the substitution rationale.
+//! panel; the module docs of `xinsight_synth::expert_panel` give the
+//! substitution rationale.
 
 use xinsight_core::pipeline::{XInsight, XInsightOptions};
 use xinsight_core::{ExplainRequest, WhyQuery};
-use xinsight_data::{Aggregate, DatasetBuilder, Filter, Subspace};
-use xinsight_synth::expert_panel::{ClaimVerdict, ExpertPanel};
+use xinsight_data::{Aggregate, DatasetBuilder, Subspace};
+use xinsight_synth::expert_panel::ExpertPanel;
 use xinsight_synth::web;
 
 fn main() {
@@ -122,6 +123,4 @@ fn main() {
         100.0 * unsure as f64 / total as f64,
         100.0 * unreasonable as f64 / total as f64
     );
-    let _ = ClaimVerdict::Reasonable;
-    let _ = Filter::equals("IsBlocked", "Yes");
 }

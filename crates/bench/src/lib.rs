@@ -2,9 +2,10 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (Sec. 4).  Each `src/bin/exp_*.rs` binary corresponds to
-//! one table/figure (see `DESIGN.md` §4 for the index) and prints the same
-//! rows/series the paper reports; `benches/micro.rs` holds the criterion
-//! microbenchmarks.
+//! one table/figure (`README.md`, "Reproducing the paper's experiments", has
+//! the index; `ARCHITECTURE.md`, "Experiment harness", the layout) and prints
+//! the same rows/series the paper reports; `benches/micro.rs` holds the
+//! criterion microbenchmarks.
 //!
 //! Set the environment variable `XINSIGHT_FULL=1` to run the experiments at
 //! the paper's full scale (up to 1 M rows / 150-variable graphs); the default

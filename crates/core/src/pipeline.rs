@@ -42,11 +42,13 @@ fn strategy_name(strategy: SearchStrategy, aggregate: Aggregate) -> &'static str
 }
 
 /// Appends one `<measure>_bin` column per discretizer to the null-free
-/// `clean` rows: the augmentation of a fit, a restore and an ingest.
+/// `clean` rows: the augmentation of a fit, a restore and an ingest.  The
+/// dataset moves through the fold, so no column is copied.
 fn augment(clean: Dataset, discretizers: &[Discretizer]) -> Result<Dataset> {
-    discretizers
-        .iter()
-        .try_fold(clean, |augmented, disc| disc.apply(&augmented, None))
+    discretizers.iter().try_fold(clean, |augmented, disc| {
+        let bins = disc.bin_column(&augmented)?;
+        augmented.with_dimension(&format!("{}_bin", disc.measure()), bins)
+    })
 }
 
 /// What happened to one candidate attribute during request execution.

@@ -90,6 +90,58 @@ impl DimensionColumn {
         })
     }
 
+    /// Builds a column from per-row keys into a source dictionary of
+    /// `n_keys` entries (`None` marks a missing row), assigning codes in
+    /// first-appearance order: the dictionary re-interning the rows'
+    /// strings would build — same order, unseen keys dropped — without
+    /// touching a string per row.  `category(key)` is called once per
+    /// distinct key that occurs, and keys naming the same string must
+    /// already be merged by the caller.
+    pub(crate) fn from_keys(
+        keys: impl ExactSizeIterator<Item = Option<usize>>,
+        n_keys: usize,
+        mut category: impl FnMut(usize) -> Arc<str>,
+    ) -> Self {
+        let mut remap = vec![NULL_CODE; n_keys];
+        let mut categories = Vec::new();
+        let mut codes = Vec::with_capacity(keys.len());
+        for key in keys {
+            codes.push(match key {
+                None => NULL_CODE,
+                Some(key) => {
+                    if remap[key] == NULL_CODE {
+                        remap[key] = categories.len() as u32;
+                        categories.push(category(key));
+                    }
+                    remap[key]
+                }
+            });
+        }
+        let lookup = categories
+            .iter()
+            .enumerate()
+            .map(|(code, c)| (Arc::clone(c), code as u32))
+            .collect();
+        DimensionColumn {
+            codes,
+            categories,
+            lookup,
+        }
+    }
+
+    /// The rows at `rows`, in that order, re-coded in first-appearance
+    /// order (see [`DimensionColumn::from_keys`]); the kept categories
+    /// share this column's interned strings.
+    pub(crate) fn take(&self, rows: &[usize]) -> Self {
+        let keys = rows.iter().map(|&i| match self.codes[i] {
+            NULL_CODE => None,
+            code => Some(code as usize),
+        });
+        Self::from_keys(keys, self.categories.len(), |code| {
+            Arc::clone(&self.categories[code])
+        })
+    }
+
     /// Appends one value, interning its category.
     pub fn push(&mut self, value: &str) {
         let code = match self.lookup.get(value) {
@@ -238,6 +290,12 @@ impl MeasureColumn {
     /// Returns `true` if row `i` is missing.
     pub fn is_null(&self, i: usize) -> bool {
         self.values[i].is_nan()
+    }
+
+    /// The rows at `rows`, in that order; every missing value becomes the
+    /// canonical `f64::NAN`.
+    pub(crate) fn take(&self, rows: &[usize]) -> Self {
+        MeasureColumn::from_optional_values(rows.iter().map(|&i| self.value(i)))
     }
 
     /// Minimum over the selected, non-missing rows.

@@ -1,6 +1,6 @@
 //! The multi-dimensional dataset (`D` in the paper) and its builder.
 
-use crate::column::{Column, DimensionColumn, MeasureColumn};
+use crate::column::{Column, DimensionColumn, MeasureColumn, NULL_CODE};
 use crate::error::{DataError, Result};
 use crate::mask::RowMask;
 use crate::schema::{AttributeKind, Schema};
@@ -69,16 +69,30 @@ impl Dataset {
         RowMask::ones(self.n_rows)
     }
 
-    /// Returns `true` if any cell of row `i` is missing.
-    pub fn row_has_null(&self, i: usize) -> bool {
-        self.columns.iter().any(|c| c.is_null(i))
-    }
-
     /// Returns a copy with every row containing a missing value removed
     /// (the preprocessing step described in Sec. 4.1).
     pub fn drop_null_rows(&self) -> Dataset {
-        let keep: Vec<usize> = (0..self.n_rows)
-            .filter(|&i| !self.row_has_null(i))
+        // One pass per column over its codes / values, not a cell lookup
+        // per row × column.
+        let mut has_null = vec![false; self.n_rows];
+        for column in &self.columns {
+            match column {
+                Column::Dimension(c) => {
+                    for (flag, &code) in has_null.iter_mut().zip(c.codes()) {
+                        *flag |= code == NULL_CODE;
+                    }
+                }
+                Column::Measure(c) => {
+                    for (flag, v) in has_null.iter_mut().zip(c.values()) {
+                        *flag |= v.is_nan();
+                    }
+                }
+            }
+        }
+        let keep: Vec<usize> = has_null
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &null)| (!null).then_some(i))
             .collect();
         self.take_rows(&keep)
     }
@@ -108,8 +122,9 @@ impl Dataset {
         builder.build()
     }
 
-    /// Returns a copy with an extra dimension column appended.
-    pub fn with_dimension(&self, name: &str, column: DimensionColumn) -> Result<Dataset> {
+    /// Returns this dataset with an extra dimension column appended (by
+    /// value: the existing columns move, none is copied).
+    pub fn with_dimension(mut self, name: &str, column: DimensionColumn) -> Result<Dataset> {
         if column.len() != self.n_rows {
             return Err(DataError::LengthMismatch {
                 attribute: name.to_owned(),
@@ -117,28 +132,22 @@ impl Dataset {
                 expected: self.n_rows,
             });
         }
-        let mut schema = self.schema.clone();
-        schema.push(name, AttributeKind::Dimension)?;
-        let mut columns = self.columns.clone();
-        columns.push(Column::Dimension(column));
-        Ok(Dataset {
-            schema,
-            columns,
-            n_rows: self.n_rows,
-        })
+        self.schema.push(name, AttributeKind::Dimension)?;
+        self.columns.push(Column::Dimension(column));
+        Ok(self)
     }
 
+    /// The rows at `rows` of every column: one code gather per dimension
+    /// (re-coded in first-appearance order, exactly the dictionary that
+    /// re-interning the kept cells would build) and one value gather per
+    /// measure.
     fn take_rows(&self, rows: &[usize]) -> Dataset {
         let columns = self
             .columns
             .iter()
             .map(|col| match col {
-                Column::Dimension(c) => Column::Dimension(DimensionColumn::from_optional_values(
-                    rows.iter().map(|&i| c.value(i)),
-                )),
-                Column::Measure(c) => Column::Measure(MeasureColumn::from_optional_values(
-                    rows.iter().map(|&i| c.value(i)),
-                )),
+                Column::Dimension(c) => Column::Dimension(c.take(rows)),
+                Column::Measure(c) => Column::Measure(c.take(rows)),
             })
             .collect();
         Dataset {
@@ -416,7 +425,7 @@ mod tests {
     fn with_dimension_appends_column() {
         let d = lung_cancer();
         let extra = DimensionColumn::from_values(["u", "v", "u", "v"]);
-        let d2 = d.with_dimension("Extra", extra).unwrap();
+        let d2 = d.clone().with_dimension("Extra", extra).unwrap();
         assert_eq!(d2.n_attributes(), 4);
         assert_eq!(d2.value(2, "Extra").unwrap(), Value::Category("u".into()));
         let bad = DimensionColumn::from_values(["only-one"]);

@@ -8,6 +8,7 @@
 use crate::column::DimensionColumn;
 use crate::dataset::Dataset;
 use crate::error::{DataError, Result};
+use std::sync::Arc;
 
 /// A binning specification: sorted cut points defining half-open intervals.
 ///
@@ -58,12 +59,12 @@ impl BinSpec {
     }
 
     /// Human-readable label of bin `idx`.
-    fn label(&self, idx: usize) -> &str {
+    pub fn label(&self, idx: usize) -> &str {
         &self.labels[idx]
     }
 
     /// Index of the bin containing `value`.
-    fn bin_of(&self, value: f64) -> usize {
+    pub fn bin_of(&self, value: f64) -> usize {
         match self.cuts.iter().position(|&c| value <= c) {
             Some(i) => i,
             None => self.cuts.len(),
@@ -108,17 +109,32 @@ impl Discretizer {
     /// Applies the discretizer, returning a new dataset with an appended
     /// dimension column named `<measure>_bin` (or `out_name` when provided).
     pub fn apply(&self, data: &Dataset, out_name: Option<&str>) -> Result<Dataset> {
-        let col = data.measure(&self.measure)?;
         let name = out_name
             .map(str::to_owned)
             .unwrap_or_else(|| format!("{}_bin", self.measure));
-        let values: Vec<Option<String>> = (0..data.n_rows())
-            .map(|i| {
-                col.value(i)
-                    .map(|v| self.spec.label(self.spec.bin_of(v)).to_owned())
-            })
+        data.clone().with_dimension(&name, self.bin_column(data)?)
+    }
+
+    /// The binned measure as a dimension column: one range label per
+    /// non-missing row, coded in first-appearance order — the column that
+    /// interning each row's label would build, with each label interned
+    /// once.
+    pub fn bin_column(&self, data: &Dataset) -> Result<DimensionColumn> {
+        let col = data.measure(&self.measure)?;
+        // Bins whose labels print alike (cuts closer than the label
+        // precision) share the first such bin's key, as they would share a
+        // category when interned by string.
+        let labels = &self.spec.labels;
+        let key_of_bin: Vec<usize> = (0..labels.len())
+            .map(|b| labels.iter().position(|l| *l == labels[b]).unwrap_or(b))
             .collect();
-        data.with_dimension(&name, DimensionColumn::from_optional_values(values))
+        let keys = col
+            .values()
+            .iter()
+            .map(|&v| (!v.is_nan()).then(|| key_of_bin[self.spec.bin_of(v)]));
+        Ok(DimensionColumn::from_keys(keys, labels.len(), |key| {
+            Arc::from(self.spec.label(key))
+        }))
     }
 }
 
@@ -244,6 +260,23 @@ mod tests {
             max - min <= 2,
             "bins should be roughly balanced: {counts:?}"
         );
+    }
+
+    #[test]
+    fn bins_whose_labels_print_alike_share_one_category() {
+        // Cuts closer than the labels' three decimals: bins 1 and 2 are
+        // both "(1.000, 1.000]", as one interned category.
+        let spec = BinSpec::from_cuts(vec![1.0001, 1.0002, 1.0003]).unwrap();
+        assert_eq!(spec.label(1), spec.label(2));
+        let d = DatasetBuilder::new()
+            .measure("M", [1.00025, 0.0, 1.00015, 2.0, 1.00025])
+            .build()
+            .unwrap();
+        let col = Discretizer::new("M", spec).bin_column(&d).unwrap();
+        assert_eq!(col.codes(), &[0, 1, 0, 2, 0]);
+        assert_eq!(col.cardinality(), 3);
+        assert_eq!(col.value(2), Some("(1.000, 1.000]"));
+        assert_eq!(col.code_of("> 1.000"), Some(2));
     }
 
     #[test]

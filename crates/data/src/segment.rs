@@ -606,7 +606,8 @@ mod tests {
         let grown = store
             .append_rows(&[vec![Value::Null, Value::from("p"), Value::Null]])
             .unwrap();
-        assert!(grown.segments()[1].data().row_has_null(0));
+        let sealed = grown.segments()[1].data();
+        assert!(sealed.column(0).is_null(0) && sealed.column(2).is_null(0));
     }
 
     #[test]

@@ -240,10 +240,10 @@ impl EventLoop {
             let _ = self.shared.poller.wait(&mut events, Some(TICK));
             self.shared
                 .stats
-                .loop_last_poll_wait_us
+                .loop_last_poll_wait_ns
                 // relaxed: single-writer gauge sampled by /metrics; a stale
                 // read costs nothing and no other state hangs off it.
-                .store(wait_started.elapsed().as_micros() as u64, Ordering::Relaxed);
+                .store(wait_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             if self.shared.shutdown.load(Ordering::SeqCst) && !self.draining {
                 self.enter_drain();
             }
@@ -762,9 +762,9 @@ impl EventLoop {
             .store(parked, Ordering::Relaxed);
         self.shared
             .stats
-            .loop_last_tick_us
+            .loop_last_tick_ns
             // relaxed: single-writer gauge sampled by /metrics.
-            .store(now.elapsed().as_micros() as u64, Ordering::Relaxed);
+            .store(now.elapsed().as_nanos() as u64, Ordering::Relaxed);
         // relaxed: monotonic tick counter; liveness probes tolerate lag.
         self.shared.stats.loop_ticks.fetch_add(1, Ordering::Relaxed);
     }

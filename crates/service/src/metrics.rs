@@ -541,7 +541,7 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
         &mut out,
         "xinsight_event_loop_tick_seconds",
         "",
-        load(&s.loop_last_tick_us) / 1e6,
+        load(&s.loop_last_tick_ns) / 1e9,
     );
     header(
         &mut out,
@@ -553,7 +553,7 @@ pub fn render(snapshot: &MetricsSnapshot<'_>) -> String {
         &mut out,
         "xinsight_event_loop_poll_wait_seconds",
         "",
-        load(&s.loop_last_poll_wait_us) / 1e6,
+        load(&s.loop_last_poll_wait_ns) / 1e9,
     );
     header(
         &mut out,
@@ -1056,6 +1056,29 @@ mod tests {
         ] {
             let series = format!("xinsight_stage_latency_seconds_{series}");
             assert_eq!(series_value(&text, &series), Some(expected), "{series}");
+        }
+    }
+
+    #[test]
+    fn event_loop_gauges_keep_sub_microsecond_time() {
+        let stats = ServerStats::default();
+        let wait = Duration::from_nanos(800);
+        let tick = Duration::from_nanos(2_500);
+        // The event loop stores `elapsed().as_nanos()`; whole microseconds
+        // would publish the 0.8 µs wait as 0 s.
+        stats
+            .loop_last_poll_wait_ns
+            .store(wait.as_nanos() as u64, Ordering::Relaxed);
+        stats
+            .loop_last_tick_ns
+            .store(tick.as_nanos() as u64, Ordering::Relaxed);
+        let text = render(&snapshot_with(&stats));
+        validate_exposition(&text).expect("rendered exposition must validate");
+        for (series, expected) in [
+            ("xinsight_event_loop_poll_wait_seconds", 8e-7),
+            ("xinsight_event_loop_tick_seconds", 2.5e-6),
+        ] {
+            assert_eq!(series_value(&text, series), Some(expected), "{series}");
         }
     }
 

@@ -134,11 +134,11 @@ pub struct ServerStats {
     /// request trace, so background-work traces (compaction) never skew
     /// the request-stage distributions.
     pub stages: [LatencyHistogram; Stage::ALL.len()],
-    /// Duration of the event loop's most recent sweep tick, µs (gauge).
-    pub loop_last_tick_us: AtomicU64,
-    /// The event loop's most recent poller wait, µs (gauge) — near the
+    /// Duration of the event loop's most recent sweep tick, ns (gauge).
+    pub loop_last_tick_ns: AtomicU64,
+    /// The event loop's most recent poller wait, ns (gauge) — near the
     /// 50 ms tick when idle, near zero under load.
-    pub loop_last_poll_wait_us: AtomicU64,
+    pub loop_last_poll_wait_ns: AtomicU64,
     /// Connection slots occupied at the last sweep (gauge).
     pub loop_slots_occupied: AtomicU64,
     /// Sweep ticks the event loop has run, cumulatively.
@@ -179,8 +179,8 @@ impl Default for ServerStats {
             read_timeouts: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
             stages: std::array::from_fn(|_| LatencyHistogram::default()),
-            loop_last_tick_us: AtomicU64::new(0),
-            loop_last_poll_wait_us: AtomicU64::new(0),
+            loop_last_tick_ns: AtomicU64::new(0),
+            loop_last_poll_wait_ns: AtomicU64::new(0),
             loop_slots_occupied: AtomicU64::new(0),
             loop_ticks: AtomicU64::new(0),
             compactions: AtomicU64::new(0),

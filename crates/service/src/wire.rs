@@ -756,7 +756,7 @@ mod tests {
         let batch = rows_to_dataset(&schema, &parsed.rows).unwrap();
         assert_eq!(batch.n_rows(), 2);
         assert_eq!(batch.value(0, "City").unwrap(), Value::Category("A".into()));
-        assert!(batch.row_has_null(1));
+        assert_eq!(batch.value(1, "City").unwrap(), Value::Null);
         // Unknown attribute / missing attribute / wrong kind are rejected.
         let unknown = vec![vec![("Ghost".to_owned(), Value::Number(1.0))]];
         assert!(rows_to_dataset(&schema, &unknown).is_err());

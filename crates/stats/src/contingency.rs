@@ -120,8 +120,9 @@ impl ContingencyTable {
         let mut total = 0u64;
         const NULL: u32 = xinsight_data::NULL_CODE;
         // The row loop runs once per CI test over every row, so the common
-        // conditioning-set sizes (depths 0–2 dominate a skeleton search) get
-        // zipped loops with no per-row inner loop and no bounds checks.
+        // conditioning-set sizes of a skeleton search (|Z| ≤ 3) get zipped
+        // loops with no per-row inner loop and no bounds checks on the code
+        // slices.
         match *z_codes {
             [] => {
                 for (&cx, &cy) in x_codes.iter().zip(y_codes) {
@@ -148,6 +149,19 @@ impl ContingencyTable {
                         continue;
                     }
                     let stratum = c0 as usize * card1 + c1 as usize;
+                    counts[stratum * stride + cx as usize * y_card + cy as usize] += 1;
+                    total += 1;
+                }
+            }
+            [z0, z1, z2] => {
+                let (card1, card2) = (z_cards[1], z_cards[2]);
+                for ((((&cx, &cy), &c0), &c1), &c2) in
+                    x_codes.iter().zip(y_codes).zip(z0).zip(z1).zip(z2)
+                {
+                    if cx == NULL || cy == NULL || c0 == NULL || c1 == NULL || c2 == NULL {
+                        continue;
+                    }
+                    let stratum = (c0 as usize * card1 + c1 as usize) * card2 + c2 as usize;
                     counts[stratum * stride + cx as usize * y_card + cy as usize] += 1;
                     total += 1;
                 }
@@ -471,6 +485,77 @@ mod tests {
         // Sparse drops empty strata, so stratum counts may differ …
         assert!(sparse.n_strata() <= dense.n_strata());
         // … but the statistics are identical.
+        assert_eq!(dense.chi_square_statistic(), sparse.chi_square_statistic());
+    }
+
+    #[test]
+    fn depth_three_counts_equal_brute_force_and_sparse() {
+        // Three conditioning columns, each with missing cells at its own
+        // rows; Z2 has a single category, so its stride is 1.
+        let n = 300;
+        let cell = |modulus: usize, salt: usize, null_every: usize| -> Vec<Option<String>> {
+            (0..n)
+                .map(|i| {
+                    let h = (i * 2_654_435_761 + salt) % 1_000_003;
+                    (i % null_every != salt % null_every).then(|| format!("c{}", h % modulus))
+                })
+                .collect()
+        };
+        let column = |values: Vec<Option<String>>| {
+            xinsight_data::DimensionColumn::from_optional_values(values)
+        };
+        let d = DatasetBuilder::new()
+            .dimension_column("X", column(cell(3, 1, 17)))
+            .dimension_column("Y", column(cell(2, 2, 19)))
+            .dimension_column("Z0", column(cell(4, 3, 7)))
+            .dimension_column("Z1", column(cell(3, 4, 11)))
+            .dimension_column("Z2", column(cell(1, 5, 13)))
+            .build()
+            .unwrap();
+        let view = crate::DiscoveryView::compile(&d, &["X", "Y", "Z0", "Z1", "Z2"]).unwrap();
+        let cards: Vec<usize> = (0..5).map(|v| view.cardinality(v)).collect();
+        assert_eq!(cards, vec![3, 2, 4, 3, 1]);
+        for v in 2..5 {
+            assert!(view.codes(v).contains(&xinsight_data::NULL_CODE));
+        }
+        let dense = ContingencyTable::from_view(&view, 0, 1, &[2, 3, 4]).unwrap();
+
+        let mut brute = vec![0u64; 4 * 3 * 3 * 2];
+        let mut brute_total = 0;
+        for i in 0..n {
+            let c: Vec<u32> = (0..5).map(|v| view.codes(v)[i]).collect();
+            if c.contains(&xinsight_data::NULL_CODE) {
+                continue;
+            }
+            let stratum = (c[2] as usize * cards[3] + c[3] as usize) * cards[4] + c[4] as usize;
+            brute[stratum * 6 + c[0] as usize * 2 + c[1] as usize] += 1;
+            brute_total += 1;
+        }
+        assert!(brute_total > 0 && brute_total < n as u64);
+        assert_eq!(dense.counts, brute);
+        assert_eq!(dense.total, brute_total);
+
+        let z_codes: Vec<&[u32]> = (2..5).map(|v| view.codes(v)).collect();
+        let sparse = ContingencyTable::build_sparse(
+            view.codes(0),
+            view.codes(1),
+            &z_codes,
+            3,
+            2,
+            &cards[2..],
+        )
+        .unwrap();
+        // The sparse table holds the dense table's non-empty strata, in
+        // ascending joint-key order.
+        let occupied: Vec<u64> = dense
+            .counts
+            .chunks_exact(6)
+            .filter(|s| s.iter().any(|&c| c > 0))
+            .flatten()
+            .copied()
+            .collect();
+        assert_eq!(sparse.counts, occupied);
+        assert_eq!(sparse.total, dense.total);
         assert_eq!(dense.chi_square_statistic(), sparse.chi_square_statistic());
     }
 

@@ -23,7 +23,8 @@
 //!
 //! Rules are **deny-by-default**; intentional exceptions are written in
 //! the source as `// xlint: allow(<rule>, <reason>)` pragmas — the reason
-//! is mandatory, and a pragma without one is itself a finding.
+//! is mandatory, a pragma without one is itself a finding, and so is a
+//! pragma that suppressed nothing in the run.
 //!
 //! ```
 //! use xlint::{config::Config, run_str};
@@ -183,6 +184,9 @@ fn scan_file(path: &Path, root: &Path, out: &mut Vec<SourceFile>) -> std::io::Re
 /// Runs every enabled rule (plus pragma validation) over the workspace.
 /// Findings come back sorted by file, then line.
 pub fn run(config: &Config, workspace: &Workspace) -> Vec<Finding> {
+    for pragma in workspace.files.iter().flat_map(|f| &f.pragmas) {
+        pragma.used.set(false);
+    }
     let mut findings = Vec::new();
     findings.extend(rules::pragmas::check(config, workspace));
     if config.rule_enabled("lock-order") {
@@ -209,6 +213,8 @@ pub fn run(config: &Config, workspace: &Workspace) -> Vec<Finding> {
     if config.rule_enabled("unreferenced-pub") {
         findings.extend(rules::unreferenced::check(config, workspace));
     }
+    // Last: it reads which pragmas the rules above used.
+    findings.extend(rules::pragmas::check_unused(config, workspace));
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     findings
 }

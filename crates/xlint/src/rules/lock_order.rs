@@ -127,10 +127,12 @@ fn check_crate(
                         direct.insert(class);
                         continue;
                     }
-                    if token.text == "lock" && !file.suppressed(RULE, idx) {
+                    if token.text == "lock" {
                         let receiver =
                             receiver_of(file, idx).unwrap_or_else(|| "<expr>".to_owned());
-                        if !lo.ignore_receivers.iter().any(|r| r == &receiver) {
+                        if !lo.ignore_receivers.iter().any(|r| r == &receiver)
+                            && !file.suppressed(RULE, idx)
+                        {
                             findings.push(Finding {
                                 rule: RULE.to_owned(),
                                 file: path.clone(),

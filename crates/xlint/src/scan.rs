@@ -9,6 +9,7 @@
 //! *is there a pragma or justification comment adjacent to this site*.
 
 use crate::lexer::{lex, Token, TokenKind};
+use std::cell::Cell;
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -33,6 +34,9 @@ pub struct Pragma {
     pub reason: Option<String>,
     /// 1-indexed line the pragma comment is on.
     pub line: u32,
+    /// Set once the pragma has suppressed a finding in this run; a
+    /// well-formed pragma left unset suppresses nothing and is reported.
+    pub used: Cell<bool>,
 }
 
 /// One lexed + scanned source file.
@@ -103,12 +107,19 @@ impl SourceFile {
     /// Whether a finding of `rule` at token `idx` is suppressed by an
     /// `// xlint: allow(rule, reason)` pragma: on the same line, anywhere
     /// within the statement, or on the line directly above the statement.
+    /// Every pragma that covers the site is marked [used](Pragma::used), so
+    /// rules call this only for a site they would otherwise report.
     pub fn suppressed(&self, rule: &str, idx: usize) -> bool {
         let line = self.tokens[idx].line;
         let start = self.stmt_start_line(idx);
-        self.pragmas
-            .iter()
-            .any(|p| p.rule == rule && p.reason.is_some() && p.line + 1 >= start && p.line <= line)
+        let mut suppressed = false;
+        for p in &self.pragmas {
+            if p.rule == rule && p.reason.is_some() && p.line + 1 >= start && p.line <= line {
+                p.used.set(true);
+                suppressed = true;
+            }
+        }
+        suppressed
     }
 
     /// Whether a comment containing `marker` sits adjacent to token `idx`:
@@ -295,6 +306,7 @@ fn collect_pragmas(tokens: &[Token]) -> Vec<Pragma> {
             rule: rule.to_owned(),
             reason,
             line: token.line,
+            used: Cell::new(false),
         });
     }
     pragmas

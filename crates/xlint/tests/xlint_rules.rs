@@ -227,6 +227,21 @@ fn malformed_pragmas_are_findings_and_do_not_suppress() {
 }
 
 #[test]
+fn a_pragma_that_suppresses_nothing_is_a_finding() {
+    let text = assert_fail(
+        "pragma/unused",
+        "pragma",
+        &[
+            "src/lib.rs:11:",
+            "pragma for `no-panic-path` suppresses nothing",
+        ],
+    );
+    // The pragma over `payload[0]` did its job; the disabled rule's and the
+    // test module's pragmas are not judged.
+    assert_eq!(text.lines().count(), 1, "only the stale pragma:\n{text}");
+}
+
+#[test]
 fn json_format_emits_machine_readable_findings() {
     let out = xlint(&fixture("no_panic/fail"), &["--format", "json"]);
     // Report mode (no --deny): findings are printed but the exit is 0.

@@ -4,7 +4,8 @@
 //! every workspace crate so examples and downstream users need a single
 //! dependency.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! See `README.md` for a tour and `ARCHITECTURE.md` ("The two phases") for
+//! how a Why Query flows through the crates.
 
 pub use xinsight_baselines as baselines;
 pub use xinsight_core as core;

@@ -5,7 +5,10 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use xinsight::core::json::{Json, MAX_PARSE_DEPTH};
 use xinsight::core::{SearchStrategy, WhyQuery, XPlainer, XPlainerOptions};
-use xinsight::data::{Aggregate, DatasetBuilder, Filter, Predicate, RowMask, Subspace};
+use xinsight::data::{
+    Aggregate, BinSpec, Column, DatasetBuilder, DimensionColumn, Discretizer, Filter,
+    MeasureColumn, Predicate, RowMask, Subspace, NULL_CODE,
+};
 use xinsight::graph::{separation, Dag, MixedGraph};
 use xinsight::service::http::{HttpError, Request, RequestParser, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use xinsight::service::server::status_for;
@@ -86,6 +89,148 @@ proptest! {
         let min = Aggregate::Min.eval(&data, "M", &all).unwrap();
         let max = Aggregate::Max.eval(&data, "M", &all).unwrap();
         prop_assert!(min - 1e-9 <= avg && avg <= max + 1e-9);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Row selection and discretization work on dictionary codes
+// ---------------------------------------------------------------------------
+
+/// A dataset with missing cells in both dimensions and the measure: `A`
+/// from strings (0 = missing), `B` through `from_parts` over a dictionary
+/// with an unused category and codes out of first-appearance order, `M`
+/// with NaN where `m_null` is set.
+fn dataset_with_nulls(a: &[u8], b: &[u8], m: &[f64], m_null: &[bool]) -> xinsight::data::Dataset {
+    let dict: Vec<std::sync::Arc<str>> = ["w", "z", "y", "x"]
+        .into_iter()
+        .map(std::sync::Arc::from)
+        .collect();
+    let b_codes: Vec<u32> = b
+        .iter()
+        .map(|&v| if v == 0 { NULL_CODE } else { 4 - v as u32 })
+        .collect();
+    DatasetBuilder::new()
+        .dimension_column(
+            "A",
+            DimensionColumn::from_optional_values(
+                a.iter().map(|&v| (v != 0).then(|| format!("a{v}"))),
+            ),
+        )
+        .dimension_column("B", DimensionColumn::from_parts(b_codes, dict).unwrap())
+        .measure_column(
+            "M",
+            MeasureColumn::from_optional_values(
+                m.iter().zip(m_null).map(|(&v, &null)| (!null).then_some(v)),
+            ),
+        )
+        .build()
+        .unwrap()
+}
+
+/// `rows` of `data`, rebuilt cell by cell through `from_optional_values`
+/// (every category re-interned by string).
+fn rebuild_rows(data: &xinsight::data::Dataset, rows: &[usize]) -> xinsight::data::Dataset {
+    let mut builder = DatasetBuilder::new();
+    for (idx, name) in data.schema().names().into_iter().enumerate() {
+        builder = match data.column(idx) {
+            Column::Dimension(c) => builder.dimension_column(
+                name,
+                DimensionColumn::from_optional_values(rows.iter().map(|&i| c.value(i))),
+            ),
+            Column::Measure(c) => builder.measure_column(
+                name,
+                MeasureColumn::from_optional_values(rows.iter().map(|&i| c.value(i))),
+            ),
+        };
+    }
+    builder.build().unwrap()
+}
+
+/// Same schema, codes, dictionary order and cardinality, and the same
+/// measure values bit for bit (missing cells included).
+fn assert_same_columns(
+    got: &xinsight::data::Dataset,
+    want: &xinsight::data::Dataset,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.schema(), want.schema());
+    prop_assert_eq!(got.n_rows(), want.n_rows());
+    for idx in 0..want.n_attributes() {
+        match (got.column(idx), want.column(idx)) {
+            (Column::Dimension(g), Column::Dimension(w)) => {
+                prop_assert_eq!(g.codes(), w.codes());
+                prop_assert_eq!(g.categories(), w.categories());
+                prop_assert_eq!(g.cardinality(), w.cardinality());
+                for c in w.categories() {
+                    prop_assert_eq!(g.code_of(c), w.code_of(c));
+                }
+            }
+            (Column::Measure(g), Column::Measure(w)) => {
+                let bits = |c: &MeasureColumn| -> Vec<u64> {
+                    c.values().iter().map(|v| v.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(g), bits(w));
+            }
+            _ => prop_assert!(false, "column {} changed kind", idx),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn drop_null_rows_and_filter_rows_equal_a_rebuild_of_the_kept_rows(
+        a in prop::collection::vec(0u8..5, 1..120),
+        b in prop::collection::vec(0u8..4, 1..120),
+        m in prop::collection::vec(-5.0f64..5.0, 1..120),
+        m_null in prop::collection::vec(any::<bool>(), 1..120),
+        keep in prop::collection::vec(any::<bool>(), 1..120),
+    ) {
+        let n = a.len().min(b.len()).min(m.len()).min(m_null.len()).min(keep.len());
+        let data = dataset_with_nulls(&a[..n], &b[..n], &m[..n], &m_null[..n]);
+
+        let complete: Vec<usize> = (0..n)
+            .filter(|&i| a[i] != 0 && b[i] != 0 && !m_null[i])
+            .collect();
+        let clean = data.drop_null_rows();
+        assert_same_columns(&clean, &rebuild_rows(&data, &complete))?;
+
+        let mask = RowMask::from_bools(keep[..n].iter().copied());
+        let selected: Vec<usize> = mask.iter_selected().collect();
+        assert_same_columns(&data.filter_rows(&mask).unwrap(), &rebuild_rows(&data, &selected))?;
+    }
+
+    #[test]
+    fn discretizer_codes_equal_label_reinterning(
+        m in prop::collection::vec(-5.0f64..5.0, 1..150),
+        m_null in prop::collection::vec(any::<bool>(), 1..150),
+        base in -3.0f64..3.0,
+        gaps in prop::collection::vec(0u8..3, 1..5),
+    ) {
+        let n = m.len().min(m_null.len());
+        // Gaps of 1e-4 make adjacent cuts print alike at the labels' three
+        // decimals, so distinct bins can share a label (rows rarely land in
+        // such narrow bins; `discretize`'s unit tests pin that case).
+        let mut cuts = vec![base];
+        for &g in &gaps {
+            let last = *cuts.last().unwrap();
+            cuts.push(last + [1e-4, 0.5, 1.0][g as usize]);
+        }
+        let spec = BinSpec::from_cuts(cuts).unwrap();
+        let data = DatasetBuilder::new()
+            .measure_column(
+                "M",
+                MeasureColumn::from_optional_values(
+                    m[..n].iter().zip(&m_null[..n]).map(|(&v, &null)| (!null).then_some(v)),
+                ),
+            )
+            .build()
+            .unwrap();
+        let binned = Discretizer::new("M", spec.clone()).apply(&data, None).unwrap();
+        let by_label = DimensionColumn::from_optional_values(
+            (0..n).map(|i| data.measure("M").unwrap().value(i).map(|v| spec.label(spec.bin_of(v)))),
+        );
+        let want = data.clone().with_dimension("M_bin", by_label).unwrap();
+        assert_same_columns(&binned, &want)?;
     }
 }
 
