@@ -210,8 +210,10 @@ pub struct ScoredExplanation {
 /// ranked/priced the way it is?".
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
-    /// `Δ(·)` evaluations per search strategy, e.g.
-    /// `[("avg-optimized", 34)]`.  One Why Query engages one strategy
+    /// Fresh `Δ(·)` work per search strategy, e.g. `[("avg-optimized", 4)]`:
+    /// the per-segment group-by scans the searches computed (two sides per
+    /// segment on a cold cache, zero on a warm one; probes merge those
+    /// tables and cost nothing here).  One Why Query engages one strategy
     /// (chosen from its aggregate), so this usually has one entry; counts
     /// cover the searches that returned an explanation (a search that
     /// found no admissible predicate does not report its spend).
@@ -222,7 +224,8 @@ pub struct Provenance {
     /// their search started.
     pub attributes_skipped: usize,
     /// Snapshot of the [`SelectionCache`](crate::SelectionCache) the
-    /// request was answered through, taken after the search.  Its hits
+    /// request was answered through, taken after the search: one hit or
+    /// miss per side mask and per-segment group-by fetched.  Its hits
     /// include the request's `Δ(D)` replays.  For batch execution the cache
     /// is shared, so this attributes the *cumulative* state, not this
     /// request alone.

@@ -182,7 +182,7 @@ impl WhyQuery {
     }
 
     /// Evaluates `Δ(D)` over a segmented store, merging the per-segment
-    /// partial aggregates exactly (bit-identical for any segmentation of
+    /// statistics exactly (bit-identical for any segmentation of
     /// the same rows).  Errors when either sibling side is empty and the
     /// aggregate undefined there.
     pub fn delta_store(&self, store: &SegmentedDataset) -> Result<f64> {

@@ -120,15 +120,12 @@ pub fn search(ctx: &SearchContext<'_>, homogeneous: bool) -> Option<ExplanationC
                         Some(ctx.predicate_of(&gamma))
                     },
                     remaining_delta: ctx.delta_without(&p_k),
-                    n_delta_evaluations: 0,
+                    n_delta_evaluations: ctx.evaluations(),
                 },
             ));
         }
     }
-    best.map(|(_, mut c)| {
-        c.n_delta_evaluations = ctx.evaluations();
-        c
-    })
+    best.map(|(_, c)| c)
 }
 
 #[cfg(test)]

@@ -12,21 +12,16 @@ use super::{map_items, ExplanationCandidate};
 /// any predicate qualifies as an actual cause.
 ///
 /// Every candidate predicate is evaluated independently (in parallel over the
-/// thread pool, sharing the context's selection cache); the winner is then
+/// thread pool, reading the context's side tables); the winner is then
 /// picked by a serial fold in ascending bitmask order, so the returned
 /// explanation (predicate, responsibility, contingency, remaining delta) is
-/// byte-identical to a fully serial scan.  Only the diagnostic
-/// `n_delta_evaluations` may differ: concurrent workers racing on a shared
-/// clause can each count it once (see `SearchContext::evaluations`).
+/// byte-identical to a fully serial scan.
 pub fn search(ctx: &SearchContext<'_>) -> Option<ExplanationCandidate> {
     let m = ctx.m();
     let total = 1u64 << m;
     // Scan in blocks: workers stream the predicates of a block and keep only
     // that block's best qualifying candidate, so the scan itself holds
-    // O(#blocks) candidates instead of materializing all 2^m.  (The shared
-    // cache still accumulates one partial-aggregate entry per distinct
-    // clause probed — O(2^m) for this strategy — which is what deduplicates
-    // the Δ work; `MAX_BRUTE_FORCE_FILTERS` bounds both costs.)
+    // O(#blocks) candidates instead of materializing all 2^m.
     const BLOCK: u64 = 1024;
     let n_blocks = total.div_ceil(BLOCK);
     let scored: Vec<Option<(f64, ExplanationCandidate)>> =
@@ -61,10 +56,7 @@ pub fn search(ctx: &SearchContext<'_>) -> Option<ExplanationCandidate> {
             best = Some((score, candidate));
         }
     }
-    best.map(|(_, mut c)| {
-        c.n_delta_evaluations = ctx.evaluations();
-        c
-    })
+    best.map(|(_, c)| c)
 }
 
 /// Scores one candidate predicate (given as a filter-index bitmask): finds
@@ -120,8 +112,7 @@ fn evaluate_predicate(ctx: &SearchContext<'_>, p_bits: u64) -> Option<(f64, Expl
             Some(ctx.predicate_of(&gamma))
         },
         remaining_delta: ctx.delta_without(&p),
-        // Filled in by `search` once the full scan is complete.
-        n_delta_evaluations: 0,
+        n_delta_evaluations: ctx.evaluations(),
     };
     Some((score, candidate))
 }

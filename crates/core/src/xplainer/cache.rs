@@ -2,38 +2,38 @@
 //! keyed per segment of the store it serves.
 //!
 //! Every XPlainer strategy spends its time evaluating `Δ(D_P)` and
-//! `Δ(D − D_P)` terms, each of which aggregates the measure over
-//! *(sibling subspace) ∩ (predicate clause)* selections.  The same building
-//! blocks recur constantly: the SUM path's single-filter terms are re-probed
-//! by the AVG greedy rounds and by brute force, sibling-subspace masks are
-//! shared by **every** clause of **every** attribute, and a batch of Why
-//! Queries over the same store overlaps almost entirely.
-//!
-//! [`SelectionCache`] memoizes two layers **per segment**:
+//! `Δ(D − D_P)` terms.  A predicate `P` is a disjunction of equality
+//! filters on one attribute, and those filters select disjoint rows, so
+//! every such term is a merge of **per-category** sufficient statistics of
+//! the measure over a sibling subspace.  [`SelectionCache`] memoizes the
+//! two building blocks of those statistics **per segment**:
 //!
 //! * **side masks** — one [`RowMask`] per `(segment, sibling subspace)`, in
 //!   the segment's local row domain, behind `Arc` so concurrent searches
-//!   share them.  Only a partial-aggregate miss (and the serving layer's
-//!   suffix check) reads them;
-//! * **partial aggregates** — per
-//!   `(segment, measure, side, attribute, clause, complement)` the mergeable
-//!   [`MeasureStats`] sufficient statistics, from which `Δ` under any
-//!   aggregate is derived arithmetically *after* merging the per-segment
-//!   partials in segment order.
+//!   share them.  Only a group-by miss (and the serving layer's suffix
+//!   check) reads them;
+//! * **group-bys** — per `(segment, measure, side, attribute)` one
+//!   [`Groups`] entry: the mergeable [`MeasureStats`] of the side's rows
+//!   for each global code of the attribute, plus one bucket for rows whose
+//!   cell is null.  It is built in one pass over the side's rows and sized
+//!   by the segment's own codes.  The side's total (`Δ(D)`'s two sides, see
+//!   `SelectionCache::side_totals`) is the same entry over no attribute: a
+//!   single bucket holding every side row.
+//!
+//! A [`super::SearchContext`] fetches its two sides' group-bys once, merges
+//! them across segments in segment order, and answers every `Δ` probe from
+//! that table; a probe never reaches the cache.
 //!
 //! **Keys are dense ids, not strings.**  Every key field is a small
 //! integer: the segment's process-unique id and seal epoch, the measure and
-//! the clause attribute as schema column indices, a side as its subspace's
+//! the attribute as schema column indices, and a side as its subspace's
 //! `(column, global dictionary code)` pairs in the subspace's canonical
-//! filter order, and a clause as a bitmap of global codes (a search
-//! context's filter index *is* the category's code).  A subspace value
-//! missing from the dictionary selects no rows, so all such values share
-//! one `ABSENT` code.  Sides of up to four filters and clauses over the
-//! first 256 codes of an attribute are stored inline; wider ones fall back
-//! to a boxed word list.  Nothing is interned: the id space is the store's
-//! own schema and dictionary, so client input cannot grow a side table.  A
-//! search context resolves its query to ids once ([`QueryIds`]), and a
-//! warm `Δ` probe hashes a few words per segment and allocates nothing.
+//! filter order.  A subspace value missing from the dictionary selects no
+//! rows, so all such values share one `ABSENT` code.  Sides of up to four
+//! filters are stored inline; wider ones fall back to a boxed word list.
+//! Nothing is interned: the id space is the store's own schema and
+//! dictionary, so client input cannot grow a side table.  A request
+//! resolves its query to ids once ([`QueryIds`]).
 //!
 //! Segment ids and seal epochs are immutable properties of a sealed segment
 //! and dictionary codes are append-only, so an ingest — which only ever
@@ -43,47 +43,43 @@
 //! ([`SegmentedDataset::lineage`]) rejects reuse with a *different* store
 //! outright.
 //!
-//! Merging per-segment [`MeasureStats`] uses exact summation
-//! ([`xinsight_data::ExactSum`]), so the merged aggregate is bit-identical
-//! for any segmentation of the same rows — the invariant the
-//! "segmented == monolithic" property tests pin down.
+//! Merging [`MeasureStats`] uses exact summation
+//! ([`xinsight_data::ExactSum`]), and min, max, rows and count are
+//! order-free, so a merge over any partition of the same rows — by segment
+//! or by category — is bit-identical to one pass over them: the invariant
+//! the "segmented == monolithic" property tests pin down.
 //!
 //! The cache is written once and shared freely: all methods take `&self`,
 //! interior state lives behind [`parking_lot::RwLock`] maps, and hit/miss
 //! counters are atomic.  One instance serves a single
-//! [`super::SearchContext`] (private, per-attribute reuse), a whole query
-//! (cross-attribute reuse in
-//! [`crate::pipeline::XInsight::execute`]) or a whole batch (cross-query
-//! reuse in [`crate::pipeline::XInsight::execute_batch`]).  Besides the
-//! contexts, the pipeline itself reads `Δ(D)` through the cache
-//! (`SelectionCache::side_totals`) to orient each query, so `Δ(D)` is
-//! computed once per store segment and replayed by every later request and
-//! every attribute's context.
+//! [`super::SearchContext`] (private), a whole query (cross-attribute reuse
+//! in [`crate::pipeline::XInsight::execute`]) or a whole batch (cross-query
+//! reuse in [`crate::pipeline::XInsight::execute_batch`]).
 //!
 //! **The byte budget.**  Each entry's size is exact — a fixed-size key and
-//! slot plus the heap words of a wide key, of the exact-sum partials or of
-//! a mask — and the cache holds at most [`SelectionCache::budget`] bytes of
-//! them (a quarter for masks, the rest for partials).  [`SelectionCache::new`]
-//! is unbounded, for scopes that end on their own (a fresh cache per
-//! `execute_batch` call, the pipeline's default); the serving layer's
-//! **per-model cache**, held across requests *and across ingest*, is built
-//! with [`SelectionCache::with_budget`].  Holding it across ingest is legal
-//! because ingest preserves the store lineage, so a post-ingest request
-//! replays every older segment's partials and computes only the newly
-//! sealed segment: the "merge cached prefix partials with fresh suffix
-//! partials" serve path.  An insert that would overflow the budget first
-//! evicts by CLOCK: a hit sets the entry's referenced bit with a relaxed
-//! store under the read lock, and the eviction sweep (under the write lock
-//! the insert already holds) gives referenced entries a second chance,
-//! clears their bit and evicts the rest until the table is back under
-//! seven eighths of its budget, so sweeps are rare.  Eviction never changes
-//! an answer — an evicted entry is recomputed, bit-identically, on its next
-//! probe — only hit/miss counters and `Δ` evaluation counts.  The serving
-//! layer also replaces the cache wholesale on model reload and on
-//! compaction (both produce freshly-identified segments, so a stale cache
-//! would only hold dead keys).
+//! slot plus the heap words of a wide key, of the group-by's buckets and
+//! their exact-sum partials, or of a mask — and the cache holds at most
+//! [`SelectionCache::budget`] bytes of them (a quarter for masks, the rest
+//! for group-bys).  [`SelectionCache::new`] is unbounded, for scopes that
+//! end on their own (a fresh cache per `execute_batch` call, the pipeline's
+//! default); the serving layer's **per-model cache**, held across requests
+//! *and across ingest*, is built with [`SelectionCache::with_budget`].
+//! Holding it across ingest is legal because ingest preserves the store
+//! lineage, so a post-ingest request replays every older segment's
+//! group-bys and computes only the newly sealed segment.  An insert that
+//! would overflow the budget first evicts by CLOCK: a hit sets the entry's
+//! referenced bit with a relaxed store under the read lock, and the
+//! eviction sweep (under the write lock the insert already holds) gives
+//! referenced entries a second chance, clears their bit and evicts the rest
+//! until the table is back under seven eighths of its budget, so sweeps are
+//! rare.  Eviction never changes an answer — an evicted entry is
+//! recomputed, bit-identically, on its next fetch — only hit/miss counters
+//! and `Δ` evaluation counts.  The serving layer also replaces the cache
+//! wholesale on model reload and on compaction (both produce
+//! freshly-identified segments, so a stale cache would only hold dead
+//! keys).
 
-// HashMap here never leaks iteration order into output: mask/partial memo
+// HashMap here never leaks iteration order into output: mask/group-by memo
 // tables behind the sanctioned fxhash alias; key-looked-up only, and the
 // eviction sweep's visiting order only decides which entries are recomputed
 // later, never an answer (see clippy.toml).  Fx is safe here because every
@@ -98,11 +94,11 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use xinsight_data::{
-    Column, DataError, MeasureStats, Result, RowMask, Segment, SegmentedDataset, Subspace,
+    Column, DataError, DimensionColumn, MeasureStats, Result, RowMask, Segment, SegmentedDataset,
+    Subspace,
 };
 
-/// Inline capacity of an [`Ids`] word list: four filters of a side, or the
-/// first 256 codes of a clause's attribute.
+/// Inline capacity of an [`Ids`] word list: four filters of a side.
 const INLINE_WORDS: usize = 4;
 
 /// The code a side filter carries when its value is missing from the global
@@ -110,9 +106,8 @@ const INLINE_WORDS: usize = 4;
 /// missing cells hold `NULL_CODE`), so such a filter selects nothing.
 const ABSENT: u32 = u32::MAX - 1;
 
-/// The attribute of the empty clause.  The empty clause selects nothing
-/// regardless of attribute, so it is keyed attribute-free and e.g. the
-/// `Δ(D)` probes are shared across attributes.
+/// The attribute of a side's total: a group-by over no column, whose one
+/// bucket holds every side row.
 const NO_ATTRIBUTE: u32 = u32::MAX;
 
 /// The identity of one sealed segment: its process-unique id plus the epoch
@@ -133,23 +128,16 @@ impl SegmentId {
     }
 }
 
-/// A canonical list of 64-bit words — a side's packed `(column, code)`
-/// filters or a clause's code bitmap — inline up to [`INLINE_WORDS`] words
-/// and boxed beyond.  Equal sets have equal lists: sides keep the
-/// subspace's sorted filter order, and bitmaps end at their highest set
-/// word.
+/// A side's packed `(column, code)` filters, in the subspace's sorted
+/// filter order (so equal sides have equal lists), inline up to
+/// [`INLINE_WORDS`] words and boxed beyond.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Ids {
+enum Ids {
     Inline { len: u8, words: [u64; INLINE_WORDS] },
     Boxed(Box<[u64]>),
 }
 
 impl Ids {
-    const EMPTY: Ids = Ids::Inline {
-        len: 0,
-        words: [0; INLINE_WORDS],
-    };
-
     /// `n` zeroed words.
     fn zeroed(n: usize) -> Ids {
         if n <= INLINE_WORDS {
@@ -160,18 +148,6 @@ impl Ids {
         } else {
             Ids::Boxed(vec![0; n].into_boxed_slice())
         }
-    }
-
-    /// The clause of filter indices (= global codes) of one attribute, as a
-    /// bitmap.  Inline, and so allocation-free, while every index is below
-    /// 256.
-    pub(crate) fn clause(indices: &[usize]) -> Ids {
-        let mut ids = Ids::zeroed(indices.iter().max().map_or(0, |&i| i / 64 + 1));
-        let words = ids.words_mut();
-        for &i in indices {
-            words[i / 64] |= 1 << (i % 64);
-        }
-        ids
     }
 
     /// A subspace's filters as `(column, global code)` pairs, in the
@@ -203,19 +179,6 @@ impl Ids {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.words().is_empty()
-    }
-
-    /// Whether a clause bitmap holds `code` (never `NULL_CODE`: it lies past
-    /// any bitmap).
-    fn contains(&self, code: u32) -> bool {
-        let code = code as usize;
-        self.words()
-            .get(code / 64)
-            .is_some_and(|word| word >> (code % 64) & 1 == 1)
-    }
-
     fn heap_bytes(&self) -> usize {
         match self {
             Ids::Inline { .. } => 0,
@@ -231,25 +194,18 @@ struct MaskKey {
     side: Ids,
 }
 
-/// Key of one memoized per-segment partial aggregate.  Built once per `Δ`
-/// side by [`QueryIds::probe`]; only `segment` changes from one segment's
-/// lookup to the next.
+/// Key of one memoized per-segment group-by.  Only `segment` changes from
+/// one segment's lookup to the next.
 #[derive(Debug, Clone, Hash, PartialEq, Eq)]
-pub(crate) struct PartialKey {
+struct GroupKey {
     /// The segment the statistics were computed over.
     segment: SegmentId,
     /// The aggregated measure's column.
     measure: u32,
-    /// The column the clause ranges over ([`NO_ATTRIBUTE`] for the empty
-    /// clause).
+    /// The grouping column ([`NO_ATTRIBUTE`] for the side's total).
     attribute: u32,
-    /// `false` → aggregate over `side ∩ clause`; `true` → over
-    /// `side − clause` (the paper's `D − D_P` selections).
-    complement: bool,
-    /// The sibling-subspace side the aggregate is scoped to.
+    /// The sibling-subspace side whose rows are grouped.
     side: Ids,
-    /// The clause's global codes.
-    clause: Ids,
 }
 
 /// One of the two sibling subspaces of a Why Query.
@@ -279,42 +235,56 @@ impl QueryIds {
         }
     }
 
-    fn side(&self, side: Side) -> &Ids {
-        match side {
+    /// The group-by key of `side` on `attribute`, aimed at no segment yet.
+    fn key(&self, side: Side, attribute: u32) -> GroupKey {
+        let side = match side {
             Side::S1 => &self.s1,
             Side::S2 => &self.s2,
-        }
-    }
-
-    /// The key of one `Δ` side: `side ∩ clause` (or `side − clause`) on the
-    /// column `attribute`.  Allocation-free unless the side or the clause
-    /// is wide.
-    pub(crate) fn probe(
-        &self,
-        side: Side,
-        attribute: u32,
-        clause: Ids,
-        complement: bool,
-    ) -> PartialKey {
-        PartialKey {
+        };
+        GroupKey {
             segment: SegmentId { id: 0, epoch: 0 },
             measure: self.measure,
-            attribute: if clause.is_empty() {
-                NO_ATTRIBUTE
-            } else {
-                attribute
-            },
-            complement,
-            side: self.side(side).clone(),
-            clause,
+            attribute,
+            side: side.clone(),
         }
     }
 }
 
-impl PartialKey {
-    /// Re-targets the key at the other sibling side of the same query.
-    pub(crate) fn set_side(&mut self, ids: &QueryIds, side: Side) {
-        self.side.clone_from(ids.side(side));
+/// A side's measure statistics grouped by one attribute: one bucket per
+/// global code (`by_code[code]`) and one for rows whose cell is null.  The
+/// categories of the attribute select disjoint rows, so `side ∩ clause` is
+/// the merge of the clause's buckets and `side − clause` the merge of every
+/// other bucket plus `null`.
+#[derive(Debug)]
+pub(crate) struct Groups {
+    pub(crate) by_code: Vec<MeasureStats>,
+    pub(crate) null: MeasureStats,
+}
+
+impl Groups {
+    fn new(categories: usize) -> Groups {
+        Groups {
+            by_code: vec![MeasureStats::new(); categories],
+            null: MeasureStats::new(),
+        }
+    }
+
+    /// Merges `other`'s buckets into this one's, code by code.
+    fn merge(&mut self, other: &Groups) {
+        for (total, stats) in self.by_code.iter_mut().zip(&other.by_code) {
+            total.merge(stats);
+        }
+        self.null.merge(&other.null);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.by_code.capacity() * size_of::<MeasureStats>()
+            + self
+                .by_code
+                .iter()
+                .map(MeasureStats::heap_bytes)
+                .sum::<usize>()
+            + self.null.heap_bytes()
     }
 }
 
@@ -438,13 +408,11 @@ impl<K: Hash + Eq, V: Clone> Table<K, V> {
 }
 
 /// Shared, thread-safe, byte-budgeted memoization of per-segment side
-/// masks and partial aggregates (see the module docs for the design).
+/// masks and group-bys (see the module docs for the design).
 #[derive(Debug)]
 pub struct SelectionCache {
     masks: Table<MaskKey, Arc<RowMask>>,
-    /// Per-segment partial aggregates.  A warm replay merges them under the
-    /// read lock, one guard per `Δ` side.
-    partials: Table<PartialKey, MeasureStats>,
+    groups: Table<GroupKey, Arc<Groups>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Lineage of the store this cache was first used with.  Entries are
@@ -468,22 +436,21 @@ impl SelectionCache {
     }
 
     /// Creates an empty cache holding at most `budget` bytes of entries: a
-    /// quarter for side masks, the rest for partial aggregates.  An insert
-    /// that would overflow its table evicts by CLOCK first (see the module
-    /// docs).
+    /// quarter for side masks, the rest for group-bys.  An insert that would
+    /// overflow its table evicts by CLOCK first (see the module docs).
     pub fn with_budget(budget: usize) -> Self {
         let masks = budget / 4;
         SelectionCache {
             masks: Table::new(masks),
-            partials: Table::new(budget - masks),
+            groups: Table::new(budget - masks),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             lineage: OnceLock::new(),
         }
     }
 
-    /// Number of cache lookups (side masks + partial aggregates) answered
-    /// from memory.
+    /// Number of cache lookups (side masks + group-bys) answered from
+    /// memory.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed) // relaxed: monotonic cache counter
     }
@@ -493,54 +460,40 @@ impl SelectionCache {
         self.misses.load(Ordering::Relaxed) // relaxed: monotonic cache counter
     }
 
-    /// Number of distinct side masks currently memoized.
-    fn mask_entries(&self) -> usize {
-        self.masks.len()
-    }
-
-    /// Number of distinct partial aggregates currently memoized.
-    fn partial_entries(&self) -> usize {
-        self.partials.len()
-    }
-
-    /// Bytes currently charged to resident entries (masks + partials);
+    /// Bytes currently charged to resident entries (masks + group-bys);
     /// never above [`SelectionCache::budget`].
     pub fn bytes(&self) -> usize {
-        self.masks.bytes() + self.partials.bytes()
+        self.masks.bytes() + self.groups.bytes()
     }
 
     /// The byte budget this cache was built with (`usize::MAX` when
     /// unbounded).
     pub fn budget(&self) -> usize {
-        self.masks.budget.saturating_add(self.partials.budget)
+        self.masks.budget.saturating_add(self.groups.budget)
     }
 
     /// Number of entries evicted to stay within the budget.
     pub fn evictions(&self) -> u64 {
         // relaxed: monotonic eviction counters
-        self.masks.evictions.load(Ordering::Relaxed)
-            + self.partials.evictions.load(Ordering::Relaxed) // relaxed: see above
+        self.masks.evictions.load(Ordering::Relaxed) + self.groups.evictions.load(Ordering::Relaxed)
+        // relaxed: see above
     }
 
     /// A snapshot of the hit/miss counters and the total entry count
-    /// (masks + partial aggregates) in the engine-wide
+    /// (masks + group-bys) in the engine-wide
     /// [`CacheStats`](xinsight_stats::CacheStats) shape, for the serving
     /// layer's `/metrics` endpoint and the benches.
     pub fn stats(&self) -> xinsight_stats::CacheStats {
         xinsight_stats::CacheStats {
             hits: self.hits(),
             misses: self.misses(),
-            entries: self.mask_entries() + self.partial_entries(),
+            entries: self.masks.len() + self.groups.len(),
         }
     }
 
-    fn count(&self, hits: u64, misses: u64) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed); // relaxed: monotonic cache counter
-        }
-        if misses > 0 {
-            self.misses.fetch_add(misses, Ordering::Relaxed); // relaxed: monotonic cache counter
-        }
+    fn count(&self, fresh: bool) {
+        let counter = if fresh { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache counter
     }
 
     /// Checks that `store` is (a snapshot of) the store this cache serves,
@@ -549,7 +502,7 @@ impl SelectionCache {
     /// older epoch remain exact in every later one; a different store is
     /// rejected.  Public entry points call this; the search path calls it
     /// once per request (through [`SelectionCache::compile`]) and then
-    /// probes by ids.
+    /// fetches by ids.
     fn ensure_store(&self, store: &SegmentedDataset) -> Result<()> {
         let lineage = store.lineage();
         let latched = *self.lineage.get_or_init(|| lineage);
@@ -565,7 +518,7 @@ impl SelectionCache {
 
     /// Resolves a Why Query's measure and sibling subspaces to ids against
     /// `store`, after checking the store against the lineage latch and
-    /// validating the measure: every later probe by these ids relies on
+    /// validating the measure: every later fetch by these ids relies on
     /// both.
     pub(crate) fn compile(
         &self,
@@ -602,7 +555,7 @@ impl SelectionCache {
             side: side.clone(),
         };
         if let Some(mask) = self.masks.get(&key) {
-            self.count(1, 0);
+            self.count(false);
             return Ok(mask);
         }
         let mask = Arc::new(side_mask_of(segment, side)?);
@@ -613,105 +566,74 @@ impl SelectionCache {
                 + mask.heap_bytes(),
         );
         let (mask, fresh) = self.masks.insert(key, mask, bytes);
-        self.count(u64::from(!fresh), u64::from(fresh));
+        self.count(fresh);
         Ok(mask)
     }
 
-    /// The statistics of `measure` over the sibling subspaces `s1` and `s2`
-    /// of the whole store, each merged across segments in segment order:
-    /// the two sides of `Δ(D)`.
-    #[cfg(test)]
-    fn sibling_stats(
-        &self,
-        store: &SegmentedDataset,
-        measure: &str,
-        s1: &Subspace,
-        s2: &Subspace,
-    ) -> Result<(MeasureStats, MeasureStats)> {
-        let ids = self.compile(store, measure, s1, s2)?;
-        self.side_totals(store, &ids)
-    }
-
-    /// The two sides of `Δ(D)` for a compiled query, each merged across
-    /// segments in segment order.
-    ///
-    /// Per segment each side is the empty clause's complement partial, which
-    /// is exactly the entry every [`super::SearchContext`] probes for its own
-    /// `Δ(D)`.  So the pipeline (which orients the query on `Δ(D)`) and
-    /// every context built for the query replay one set of entries instead
-    /// of rescanning the store.  A replay touches no mask; a miss fetches
-    /// the side's memoized mask and computes the partial.
+    /// The two sides of `Δ(D)` for a compiled query: each side's group-by
+    /// over no attribute, merged across segments in segment order.  The
+    /// pipeline orients every query on these, so they are computed once per
+    /// store segment and replayed by every later request.
     pub(crate) fn side_totals(
         &self,
         store: &SegmentedDataset,
         ids: &QueryIds,
     ) -> Result<(MeasureStats, MeasureStats)> {
-        let mut key = ids.probe(Side::S1, NO_ATTRIBUTE, Ids::EMPTY, true);
-        let (a, _) = self.merged_partials(store.segments(), &mut key)?;
-        key.set_side(ids, Side::S2);
-        let (b, _) = self.merged_partials(store.segments(), &mut key)?;
-        Ok((a, b))
+        let (a, _) = self.merged_groups(store, ids, Side::S1, NO_ATTRIBUTE, 0)?;
+        let (b, _) = self.merged_groups(store, ids, Side::S2, NO_ATTRIBUTE, 0)?;
+        Ok((a.null, b.null))
     }
 
-    /// The statistics of one `Δ` side — `key`'s selection in every segment,
-    /// merged in segment order — and whether any per-segment partial was
-    /// freshly computed.  The warm path walks the segments under one read
-    /// guard, merging each resident partial in place (no clone, no
-    /// allocation); from the first missing segment on, each segment is
-    /// looked up or computed on its own.  Counts one hit or miss per
-    /// segment.
-    pub(crate) fn merged_partials(
+    /// The group-by of one side on the column `attribute` over every
+    /// segment of `store`, merged bucket by bucket in segment order into
+    /// `categories` code buckets (the attribute's global cardinality: every
+    /// segment's codes lie below it) plus the null bucket, and the number
+    /// of per-segment group-bys this call computed.
+    pub(crate) fn merged_groups(
         &self,
-        segments: &[Arc<Segment>],
-        key: &mut PartialKey,
-    ) -> Result<(MeasureStats, bool)> {
-        let mut merged = MeasureStats::new();
-        let mut replayed = 0;
-        {
-            let state = self.partials.state.read();
-            for segment in segments {
-                key.segment = SegmentId::of(segment);
-                let Some(slot) = state.map.get(key) else {
-                    break;
-                };
-                slot.touch();
-                merged.merge(&slot.value);
-                replayed += 1;
-            }
-        }
-        self.count(replayed as u64, 0);
-        let mut fresh = false;
-        for segment in &segments[replayed..] {
+        store: &SegmentedDataset,
+        ids: &QueryIds,
+        side: Side,
+        attribute: u32,
+        categories: usize,
+    ) -> Result<(Groups, usize)> {
+        let mut merged = Groups::new(categories);
+        let mut key = ids.key(side, attribute);
+        let mut computed = 0;
+        for segment in store.segments() {
             key.segment = SegmentId::of(segment);
-            let (stats, computed) = self.partial(segment, key)?;
-            merged.merge(&stats);
-            fresh |= computed;
+            let (groups, fresh) = self.group_by(segment, &key)?;
+            merged.merge(&groups);
+            computed += usize::from(fresh);
         }
-        Ok((merged, fresh))
+        Ok((merged, computed))
     }
 
-    /// One segment's partial under `key` (whose `segment` is set), computed
-    /// on a miss.
-    fn partial(&self, segment: &Segment, key: &PartialKey) -> Result<(MeasureStats, bool)> {
-        if let Some(stats) = self.partials.get(key) {
-            self.count(1, 0);
-            return Ok((stats, false));
+    /// One segment's group-by under `key` (whose `segment` is set), and
+    /// whether this call computed it.
+    fn group_by(&self, segment: &Segment, key: &GroupKey) -> Result<(Arc<Groups>, bool)> {
+        if let Some(groups) = self.groups.get(key) {
+            self.count(false);
+            return Ok((groups, false));
         }
         let side = self.side_mask(segment, &key.side)?;
-        let stats = compute_partial(segment, key, &side)?;
-        let bytes = charge::<PartialKey, MeasureStats>(
-            key.side.heap_bytes() + key.clause.heap_bytes() + stats.heap_bytes(),
+        let groups = compute_groups(segment, key, &side)?;
+        let bytes = charge::<GroupKey, Arc<Groups>>(
+            key.side.heap_bytes()
+                + size_of::<Groups>()
+                + 2 * size_of::<usize>()
+                + groups.heap_bytes(),
         );
-        let (stats, fresh) = self.partials.insert(key.clone(), stats, bytes);
-        self.count(u64::from(!fresh), u64::from(fresh));
-        Ok((stats, fresh))
+        let (groups, fresh) = self.groups.insert(key.clone(), Arc::new(groups), bytes);
+        self.count(fresh);
+        Ok((groups, fresh))
     }
 }
 
-/// The per-row dictionary codes of a dimension column of one segment.
-fn dimension_codes(segment: &Segment, column: u32) -> Result<&[u32]> {
+/// A dimension column of one segment, by schema index.
+fn dimension_column(segment: &Segment, column: u32) -> Result<&DimensionColumn> {
     match segment.data().column(column as usize) {
-        Column::Dimension(c) => Ok(c.codes()),
+        Column::Dimension(c) => Ok(c),
         Column::Measure(_) => Err(DataError::WrongKind {
             attribute: segment
                 .data()
@@ -730,16 +652,17 @@ fn side_mask_of(segment: &Segment, side: &Ids) -> Result<RowMask> {
     let mut mask = segment.all_rows();
     for &word in side.words() {
         let code = word as u32;
-        let codes = dimension_codes(segment, (word >> 32) as u32)?;
+        let codes = dimension_column(segment, (word >> 32) as u32)?.codes();
         mask = mask.and(&RowMask::from_bools(codes.iter().map(|&c| c == code)));
     }
     Ok(mask)
 }
 
-/// Aggregates the measure over `side ∩ clause` (or `side − clause`) within
-/// one segment: one pass over the side's rows, testing each row's code
-/// against the clause bitmap; no clause mask is materialized.
-fn compute_partial(segment: &Segment, key: &PartialKey, side: &RowMask) -> Result<MeasureStats> {
+/// Groups the measure over the side's rows of one segment by the key's
+/// attribute, in one pass: a row lands in its code's bucket, or in the null
+/// bucket when its cell is null (`NULL_CODE` lies past every code) or the
+/// key has no attribute.
+fn compute_groups(segment: &Segment, key: &GroupKey, side: &RowMask) -> Result<Groups> {
     let data = segment.data();
     let Column::Measure(values) = data.column(key.measure as usize) else {
         return Err(DataError::WrongKind {
@@ -747,24 +670,27 @@ fn compute_partial(segment: &Segment, key: &PartialKey, side: &RowMask) -> Resul
             expected: "measure",
         });
     };
-    let codes = if key.attribute == NO_ATTRIBUTE {
-        &[]
+    let (codes, categories) = if key.attribute == NO_ATTRIBUTE {
+        (&[][..], 0)
     } else {
-        dimension_codes(segment, key.attribute)?
+        let column = dimension_column(segment, key.attribute)?;
+        (column.codes(), column.categories().len())
     };
-    let mut stats = MeasureStats::new();
-    let mut rows = 0;
+    let mut groups = Groups::new(categories);
     for i in side.iter_selected() {
-        let in_clause = codes.get(i).is_some_and(|&code| key.clause.contains(code));
-        if in_clause != key.complement {
-            rows += 1;
-            if let Some(v) = values.value(i) {
-                stats.observe(v);
-            }
+        let stats = match codes
+            .get(i)
+            .and_then(|&code| groups.by_code.get_mut(code as usize))
+        {
+            Some(stats) => stats,
+            None => &mut groups.null,
+        };
+        stats.add_rows(1);
+        if let Some(v) = values.value(i) {
+            stats.observe(v);
         }
     }
-    stats.add_rows(rows);
-    Ok(stats)
+    Ok(groups)
 }
 
 #[cfg(test)]
@@ -787,25 +713,25 @@ mod tests {
         &store.segments()[0]
     }
 
-    /// The merged partial of `measure` over `side ∩ attribute ∈ values` (or
-    /// `side − …`) through the id path, as a search context probes it.
-    fn probe(
+    /// The group-by of `measure` over `side` on `attribute`, merged over
+    /// every segment, as a search context fetches it, plus the number of
+    /// per-segment group-bys computed.
+    fn fetch(
         cache: &SelectionCache,
         store: &SegmentedDataset,
         measure: &str,
         side: &Subspace,
         attribute: &str,
-        values: &[&str],
-        complement: bool,
-    ) -> Result<(MeasureStats, bool)> {
+    ) -> Result<(Groups, usize)> {
         let ids = cache.compile(store, measure, side, side)?;
-        let codes: Vec<usize> = values
-            .iter()
-            .map(|v| store.global_code(attribute, v).unwrap().unwrap() as usize)
-            .collect();
         let column = store.schema().index_of(attribute)? as u32;
-        let mut key = ids.probe(Side::S1, column, Ids::clause(&codes), complement);
-        cache.merged_partials(store.segments(), &mut key)
+        let categories = store.cardinality(attribute)?;
+        cache.merged_groups(store, &ids, Side::S1, column, categories)
+    }
+
+    /// The bucket of the `Y` category `value`.
+    fn bucket<'g>(groups: &'g Groups, store: &SegmentedDataset, value: &str) -> &'g MeasureStats {
+        &groups.by_code[store.global_code("Y", value).unwrap().unwrap() as usize]
     }
 
     fn a() -> Subspace {
@@ -849,34 +775,69 @@ mod tests {
     }
 
     #[test]
+    fn wide_sides_fall_back_to_a_boxed_word_list() {
+        let store = SegmentedDataset::from_dataset(
+            DatasetBuilder::new()
+                .dimension("A", ["x", "x", "y"])
+                .dimension("B", ["x", "x", "x"])
+                .dimension("C", ["x", "x", "x"])
+                .dimension("D", ["x", "x", "x"])
+                .dimension("E", ["x", "y", "x"])
+                .build()
+                .unwrap(),
+        );
+        let filters = |n: usize| {
+            Subspace::new(
+                ["A", "B", "C", "D", "E"][..n]
+                    .iter()
+                    .map(|&c| Filter::equals(c, "x")),
+            )
+            .unwrap()
+        };
+        let narrow = Ids::side(&store, &filters(4)).unwrap();
+        assert!(matches!(narrow, Ids::Inline { len: 4, .. }));
+        assert_eq!(narrow.heap_bytes(), 0);
+        let wide = Ids::side(&store, &filters(5)).unwrap();
+        assert!(matches!(&wide, Ids::Boxed(words) if words.len() == 5));
+        assert_eq!(wide.heap_bytes(), 40);
+        let cache = SelectionCache::new();
+        let mask = cache
+            .subspace_mask(&store, seg(&store), &filters(5))
+            .unwrap();
+        assert_eq!(mask.iter_selected().collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
     fn partial_aggregates_match_direct_aggregation() {
         let store = data();
         let cache = SelectionCache::new();
-        let (stats, fresh) = probe(&cache, &store, "M", &a(), "Y", &["p", "q"], false).unwrap();
-        assert!(fresh);
-        // X = a ∩ Y ∈ {p, q} selects rows 0 and 1: M = 10, 2.
-        assert_eq!(stats.rows, 2);
-        assert_eq!(stats.count, 2);
-        assert_eq!(stats.sum(), 12.0);
-        assert_eq!(stats.value(Aggregate::Avg), Some(6.0));
-        assert_eq!(stats.value(Aggregate::Min), Some(2.0));
-        assert_eq!(stats.value(Aggregate::Max), Some(10.0));
-        assert_eq!(stats.value(Aggregate::Count), Some(2.0));
-        // Complement: X = a − Y ∈ {p, q} selects row 2 only.
-        let (rest, _) = probe(&cache, &store, "M", &a(), "Y", &["p", "q"], true).unwrap();
-        assert_eq!(rest.rows, 1);
-        assert_eq!(rest.value(Aggregate::Sum), Some(3.0));
-        // Replay hits the cache, and clause order does not matter.
-        let (again, fresh) = probe(&cache, &store, "M", &a(), "Y", &["q", "p"], false).unwrap();
-        assert!(!fresh);
-        assert_eq!(again, stats);
+        let (groups, computed) = fetch(&cache, &store, "M", &a(), "Y").unwrap();
+        assert_eq!(computed, 1);
+        assert_eq!(groups.by_code.len(), 3);
+        let data = seg(&store).data();
+        for value in ["p", "q", "r"] {
+            let selected = a()
+                .mask(data)
+                .unwrap()
+                .and(&Filter::equals("Y", value).mask(data).unwrap());
+            let mut by_hand = seg(&store).measure_stats("M", &selected).unwrap();
+            by_hand.add_rows(selected.count());
+            assert_eq!(*bucket(&groups, &store, value), by_hand, "{value}");
+        }
+        // X = a ∩ Y = p is row 0 alone: M = 10.
+        let p = bucket(&groups, &store, "p");
+        assert_eq!((p.rows, p.count, p.sum()), (1, 1, 10.0));
+        assert_eq!(p.value(Aggregate::Min), Some(10.0));
+        assert_eq!(groups.null, MeasureStats::new());
     }
 
     #[test]
     fn clause_partial_is_the_union_of_its_filters() {
         let store = data();
         let cache = SelectionCache::new();
-        let (stats, _) = probe(&cache, &store, "M", &a(), "Y", &["p", "q"], false).unwrap();
+        let (groups, _) = fetch(&cache, &store, "M", &a(), "Y").unwrap();
+        let mut merged = bucket(&groups, &store, "p").clone();
+        merged.merge(bucket(&groups, &store, "q"));
         let data = seg(&store).data();
         let clause = Filter::equals("Y", "p")
             .mask(data)
@@ -885,39 +846,45 @@ mod tests {
         let selected = a().mask(data).unwrap().and(&clause);
         let mut by_hand = seg(&store).measure_stats("M", &selected).unwrap();
         by_hand.add_rows(selected.count());
-        assert_eq!(stats, by_hand);
+        assert_eq!(merged, by_hand);
     }
 
     #[test]
     fn clause_partials_build_no_masks() {
         let store = data();
         let cache = SelectionCache::new();
-        for clause in [&["p", "q", "r"][..], &["p", "q"], &["r"]] {
-            let (_, fresh) = probe(&cache, &store, "M", &a(), "Y", clause, false).unwrap();
-            assert!(fresh);
-            let (_, replay) = probe(&cache, &store, "M", &a(), "Y", clause, false).unwrap();
-            assert!(!replay, "partial aggregates of every clause are memoized");
-        }
-        // Only the side mask is stored: clauses are tested row by row.
-        assert_eq!(cache.mask_entries(), 1);
-        assert_eq!(cache.partial_entries(), 3);
+        let (groups, computed) = fetch(&cache, &store, "M", &a(), "Y").unwrap();
+        assert_eq!(computed, 1);
+        // A replay computes nothing and returns the same buckets.
+        let (again, computed) = fetch(&cache, &store, "M", &a(), "Y").unwrap();
+        assert_eq!(computed, 0);
+        assert_eq!(again.by_code, groups.by_code);
+        // Every clause is a merge of these buckets: only the side mask and
+        // the one group-by are stored.
+        assert_eq!((cache.masks.len(), cache.groups.len()), (1, 1));
     }
 
     #[test]
     fn empty_selection_semantics_mirror_aggregate_eval() {
         let store = data();
         let cache = SelectionCache::new();
-        // The empty clause intersected with anything is empty…
-        let (none, _) = probe(&cache, &store, "M", &a(), "Y", &[], false).unwrap();
+        let (groups, _) = fetch(&cache, &store, "M", &a(), "Y").unwrap();
+        // A merge of no bucket is empty…
+        let none = MeasureStats::new();
         assert_eq!(none.rows, 0);
         assert_eq!(none.value(Aggregate::Sum), Some(0.0));
         assert_eq!(none.value(Aggregate::Count), Some(0.0));
         assert_eq!(none.value(Aggregate::Avg), None);
         assert_eq!(none.value(Aggregate::Min), None);
-        // …and its complement is the side itself.
-        let (all, _) = probe(&cache, &store, "M", &a(), "Y", &[], true).unwrap();
+        // …and the merge of every bucket plus the null bucket is the side.
+        let mut all = groups.null.clone();
+        groups.by_code.iter().for_each(|stats| all.merge(stats));
         assert_eq!(all.rows, 3);
         assert_eq!(all.value(Aggregate::Sum), Some(15.0));
+        // A side no row matches groups into empty buckets only.
+        let (ghost, _) = fetch(&cache, &store, "M", &Subspace::of("X", "zz"), "Y").unwrap();
+        assert!(ghost.by_code.iter().all(|stats| *stats == none));
+        assert_eq!(ghost.null, none);
     }
 
     #[test]
@@ -925,56 +892,59 @@ mod tests {
         let store = data();
         let cache = SelectionCache::new();
         let b = Subspace::of("X", "b");
-        let (_, fresh_y) = probe(&cache, &store, "M", &b, "Y", &[], true).unwrap();
-        let (_, fresh_x) = probe(&cache, &store, "M", &b, "X", &[], true).unwrap();
-        assert!(fresh_y);
-        assert!(!fresh_x, "empty clause must be keyed attribute-free");
-    }
-
-    #[test]
-    fn wide_clauses_fall_back_to_a_boxed_bitmap() {
-        let narrow = Ids::clause(&[3, 255]);
-        assert!(matches!(narrow, Ids::Inline { len: 4, .. }));
-        assert_eq!(narrow.heap_bytes(), 0);
-        let wide = Ids::clause(&[3, 256]);
-        assert!(matches!(&wide, Ids::Boxed(words) if words.len() == 5));
-        assert_eq!(wide.heap_bytes(), 40);
-        assert!(wide.contains(3) && wide.contains(256) && !wide.contains(255));
-        assert!(!wide.contains(xinsight_data::NULL_CODE));
-        assert_eq!(Ids::clause(&[]), Ids::EMPTY);
-        assert_eq!(Ids::clause(&[1, 1, 0]), Ids::clause(&[0, 1]));
+        let ids = cache.compile(&store, "M", &b, &b).unwrap();
+        let totals = cache.side_totals(&store, &ids).unwrap();
+        let misses = cache.misses();
+        // Grouping the side by two attributes adds one group-by each…
+        fetch(&cache, &store, "M", &b, "Y").unwrap();
+        fetch(&cache, &store, "M", &b, "X").unwrap();
+        assert_eq!(cache.misses(), misses + 2);
+        // …while the side's total is keyed attribute-free and replays.
+        assert_eq!(cache.side_totals(&store, &ids).unwrap(), totals);
+        assert_eq!(cache.misses(), misses + 2);
     }
 
     #[test]
     fn missing_measure_values_are_skipped() {
         let store = SegmentedDataset::from_dataset(
             DatasetBuilder::new()
-                .dimension("X", ["a", "a", "a"])
+                .dimension_column(
+                    "Y",
+                    xinsight_data::DimensionColumn::from_optional_values([
+                        Some("p"),
+                        None,
+                        Some("p"),
+                        None,
+                    ]),
+                )
                 .measure_column(
                     "M",
                     xinsight_data::MeasureColumn::from_optional_values([
                         Some(4.0),
+                        Some(1.0),
                         None,
-                        Some(6.0),
+                        None,
                     ]),
                 )
                 .build()
                 .unwrap(),
         );
         let cache = SelectionCache::new();
-        let (stats, _) = probe(&cache, &store, "M", &Subspace::all(), "X", &[], true).unwrap();
-        assert_eq!(stats.rows, 3);
-        assert_eq!(stats.count, 2);
-        assert_eq!(stats.value(Aggregate::Avg), Some(5.0));
+        let (groups, _) = fetch(&cache, &store, "M", &Subspace::all(), "Y").unwrap();
+        let p = bucket(&groups, &store, "p");
+        assert_eq!((p.rows, p.count), (2, 1));
+        assert_eq!(p.value(Aggregate::Avg), Some(4.0));
+        assert_eq!((groups.null.rows, groups.null.count), (2, 1));
+        assert_eq!(groups.null.sum(), 1.0);
     }
 
     #[test]
     fn unknown_measure_is_an_error() {
         let store = data();
         let cache = SelectionCache::new();
-        assert!(probe(&cache, &store, "nope", &a(), "Y", &[], false).is_err());
+        assert!(fetch(&cache, &store, "nope", &a(), "Y").is_err());
         assert!(matches!(
-            probe(&cache, &store, "Y", &a(), "Y", &[], false),
+            fetch(&cache, &store, "Y", &a(), "Y"),
             Err(DataError::WrongKind { .. })
         ));
     }
@@ -983,17 +953,19 @@ mod tests {
     fn sibling_stats_are_the_contexts_delta_d_entries() {
         let store = data();
         let cache = SelectionCache::new();
+        let totals = |measure, s1, s2| {
+            let ids = cache.compile(&store, measure, s1, s2)?;
+            cache.side_totals(&store, &ids)
+        };
         let (s1, s2) = (a(), Subspace::of("X", "b"));
-        let (a, b) = cache.sibling_stats(&store, "M", &s1, &s2).unwrap();
-        assert_eq!((a.sum(), b.sum()), (15.0, 13.0));
-        // A context's Δ(D) probe (empty clause, complement) replays them.
+        let (a, b) = totals("M", &s1, &s2).unwrap();
+        assert_eq!((a.rows, a.sum(), b.rows, b.sum()), (3, 15.0, 3, 13.0));
+        // A second request replays both totals, whichever way it is oriented.
         let misses = cache.misses();
-        let (stats, fresh) = probe(&cache, &store, "M", &s1, "Y", &[], true).unwrap();
-        assert!(!fresh);
-        assert_eq!(stats, a);
+        assert_eq!(totals("M", &s2, &s1).unwrap(), (b, a));
         assert_eq!(cache.misses(), misses);
         assert!(matches!(
-            cache.sibling_stats(&store, "X", &s1, &s2),
+            totals("X", &s1, &s2),
             Err(DataError::WrongKind { .. })
         ));
     }
@@ -1016,7 +988,7 @@ mod tests {
         assert!(cache
             .subspace_mask(&grown, &grown.segments()[1], &a())
             .is_ok());
-        assert_eq!(cache.mask_entries(), 2, "new segment adds its own key");
+        assert_eq!(cache.masks.len(), 2, "new segment adds its own key");
         // A different store (even with identical contents) is rejected.
         let other = data();
         assert!(matches!(
@@ -1031,23 +1003,26 @@ mod tests {
             .append_rows(&[vec![Value::from("a"), Value::from("q"), Value::from(4.0)]])
             .unwrap();
         let cache = SelectionCache::new();
-        let (cold, fresh) = probe(&cache, &store, "M", &a(), "Y", &["q"], false).unwrap();
-        assert!(fresh);
-        assert_eq!((cold.rows, cold.sum()), (2, 6.0));
+        let (cold, computed) = fetch(&cache, &store, "M", &a(), "Y").unwrap();
+        assert_eq!(computed, 2);
+        let q = bucket(&cold, &store, "q");
+        assert_eq!((q.rows, q.sum()), (2, 6.0));
         let hits = cache.hits();
-        let (warm, fresh) = probe(&cache, &store, "M", &a(), "Y", &["q"], false).unwrap();
-        assert!(!fresh);
-        assert_eq!(warm, cold);
+        let (warm, computed) = fetch(&cache, &store, "M", &a(), "Y").unwrap();
+        assert_eq!(computed, 0);
+        assert_eq!(warm.by_code, cold.by_code);
         assert_eq!(cache.hits(), hits + 2, "one hit per segment");
-        // A newly sealed segment is the only one computed.
+        // A category first seen in a later segment gets a bucket there.
         let grown = store
-            .append_rows(&[vec![Value::from("a"), Value::from("q"), Value::from(1.0)]])
+            .append_rows(&[vec![Value::from("a"), Value::from("z"), Value::from(1.0)]])
             .unwrap();
         let misses = cache.misses();
-        let (suffix, fresh) = probe(&cache, &grown, "M", &a(), "Y", &["q"], false).unwrap();
-        assert!(fresh);
-        assert_eq!((suffix.rows, suffix.sum()), (3, 7.0));
-        // The new segment's side mask and partial.
+        let (suffix, computed) = fetch(&cache, &grown, "M", &a(), "Y").unwrap();
+        assert_eq!(computed, 1);
+        assert_eq!(suffix.by_code.len(), 4);
+        assert_eq!(bucket(&suffix, &grown, "z").sum(), 1.0);
+        assert_eq!(bucket(&suffix, &grown, "q").rows, 2);
+        // The new segment's side mask and group-by.
         assert_eq!(cache.misses(), misses + 2);
     }
 
@@ -1056,29 +1031,28 @@ mod tests {
         let store = data();
         let reference = SelectionCache::new();
         let one = {
-            probe(&reference, &store, "M", &a(), "Y", &["p"], false).unwrap();
+            fetch(&reference, &store, "M", &a(), "Y").unwrap();
             reference.bytes()
         };
         assert!(one > 0);
         assert_eq!(reference.budget(), usize::MAX);
-        // Room for a handful of partials: every probe still answers exactly.
+        // Room for a handful of group-bys: every fetch still answers exactly.
         let cache = SelectionCache::with_budget(4 * one);
-        let clauses: [&[&str]; 7] = [
-            &["p"],
-            &["q"],
-            &["r"],
-            &["p", "q"],
-            &["p", "r"],
-            &["q", "r"],
-            &[],
+        let sides = [
+            a(),
+            Subspace::of("X", "b"),
+            Subspace::of("Y", "p"),
+            Subspace::of("Y", "q"),
+            Subspace::of("Y", "r"),
+            Subspace::all(),
         ];
         for round in 0..3 {
-            for clause in clauses {
-                for complement in [false, true] {
-                    let got = probe(&cache, &store, "M", &a(), "Y", clause, complement).unwrap();
-                    let want =
-                        probe(&reference, &store, "M", &a(), "Y", clause, complement).unwrap();
-                    assert_eq!(got.0, want.0, "round {round} {clause:?}");
+            for side in &sides {
+                for attribute in ["X", "Y"] {
+                    let got = fetch(&cache, &store, "M", side, attribute).unwrap();
+                    let want = fetch(&reference, &store, "M", side, attribute).unwrap();
+                    assert_eq!(got.0.by_code, want.0.by_code, "round {round} {side:?}");
+                    assert_eq!(got.0.null, want.0.null);
                     assert!(cache.bytes() <= cache.budget());
                 }
             }
@@ -1088,9 +1062,9 @@ mod tests {
         // A budget below one entry keeps nothing and still answers.
         let tiny = SelectionCache::with_budget(1);
         for _ in 0..2 {
-            let (stats, fresh) = probe(&tiny, &store, "M", &a(), "Y", &["p"], false).unwrap();
-            assert!(fresh);
-            assert_eq!(stats.sum(), 10.0);
+            let (groups, computed) = fetch(&tiny, &store, "M", &a(), "Y").unwrap();
+            assert_eq!(computed, 1);
+            assert_eq!(bucket(&groups, &store, "p").sum(), 10.0);
         }
         assert_eq!((tiny.bytes(), tiny.stats().entries), (0, 0));
     }

@@ -2,16 +2,18 @@
 //! of the store.
 //!
 //! The strategies (`sum`, `avg`, `brute`) are segmentation-oblivious: they
-//! probe `Δ(·)` terms through this context, and the context answers each
-//! term by merging per-segment partial aggregates from the
-//! [`SelectionCache`] — deterministically, in segment order, with exact
-//! summation — so the chosen explanation is bit-identical for any
-//! segmentation of the same rows.
+//! probe `Δ(·)` terms through this context.  At build time the context
+//! fetches its two sibling sides' per-segment group-bys on the attribute
+//! from the [`SelectionCache`] and merges them, in segment order, into one
+//! per-category table per side.  Every probe after that merges table
+//! entries — the clause's categories, or every other category plus the
+//! null bucket — and never touches the cache or a row again.  Merges are
+//! exact, so the chosen explanation is bit-identical for any segmentation
+//! of the same rows.
 
-use super::cache::{Ids, PartialKey, QueryIds, SelectionCache, Side};
+use super::cache::{Groups, QueryIds, SelectionCache, Side};
 use super::XPlainerOptions;
 use crate::why_query::WhyQuery;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xinsight_data::{MeasureStats, Predicate, Result, SegmentedDataset};
 
@@ -29,8 +31,7 @@ pub(crate) struct CompiledQuery {
 impl CompiledQuery {
     /// Compiles `query` and reads `Δ(D) = x − y` through `cache`.  This
     /// checks the store against the cache's lineage latch and validates the
-    /// measure and both subspaces: every later `Δ` probe relies on all
-    /// three and `expect`s success, so a foreign store or a missing/typo'd
+    /// measure and both subspaces, so a foreign store or a missing/typo'd
     /// measure surfaces as an error here, not a panic deep in a worker.
     pub(crate) fn new(
         store: &SegmentedDataset,
@@ -65,41 +66,34 @@ impl CompiledQuery {
 
 /// Precomputed per-attribute state shared by every search strategy: the
 /// attribute's categories (borrowed from the store's *global* dictionary,
-/// so categories that only appear in later segments are searchable), the
-/// compiled query, `Δ(D)`, `ε` and `σ`, plus a counter of `Δ(·)`
-/// evaluations.
+/// so categories that only appear in later segments are searchable),
+/// `Δ(D)`, `ε` and `σ`, and both sibling sides grouped by the attribute.
 ///
 /// Filter `i` is `attribute = categories[i]`, and `i` is that category's
-/// global dictionary code, so a set of filter indices is directly the
-/// cache's clause bitmap.  All `Δ` terms are answered through a
-/// [`SelectionCache`]: per-segment partial aggregates computed by one
-/// strategy (or one attribute, or one query of a batch) are replayed by the
-/// others instead of being recomputed.  `Δ(D)` comes from the same cache
-/// entries the pipeline orients the query on, so it is computed once per
-/// query.  The context is `Sync`, so the strategies may fan their probe
-/// loops out over the shared rayon pool; one probe walks the segments in
-/// order on its own thread (on a warm cache the whole walk is one read
-/// guard and a few hashed words per segment, cheaper than a task hand-off).
+/// global dictionary code, so it indexes the side tables directly.  The
+/// tables are built from the [`SelectionCache`]'s per-segment group-bys,
+/// which one attribute's context, one strategy or one query of a batch
+/// computes and the others replay.  `Δ(D)` comes from the entries the
+/// pipeline orients the query on, so it is computed once per query.  The
+/// context is `Sync` and its probes only read its own tables, so the
+/// strategies may fan their probe loops out over the shared rayon pool.
 #[derive(Debug)]
 pub struct SearchContext<'a> {
     store: &'a SegmentedDataset,
     query: &'a WhyQuery,
     attribute: String,
-    /// The attribute's schema column.
-    column: u32,
     categories: &'a [Arc<str>],
-    compiled: CompiledQuery,
     delta_d: f64,
     epsilon: f64,
     sigma: f64,
     parallel: bool,
-    /// Number of `Δ(·)` terms actually computed (cache misses); replays from
-    /// the cache are free and not counted.  Serial runs count exactly one per
-    /// distinct term; under parallel scheduling, workers racing on the same
-    /// term may each win one of its per-side, per-segment cache entries and
-    /// both count it, so parallel counts can exceed serial ones by a bounded
-    /// amount.
-    evaluations: AtomicUsize,
+    /// The `s1` and `s2` sides grouped by the attribute, merged across
+    /// segments in segment order.
+    sides: [Groups; 2],
+    /// Number of per-segment group-bys computed to build `sides`; replays
+    /// from the cache are free and not counted.  The build is serial, so
+    /// the count does not depend on the probes' scheduling.
+    evaluations: usize,
     cache: Arc<SelectionCache>,
 }
 
@@ -121,13 +115,13 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Builds the context for one attribute of interest on a shared cache, so
-    /// partial aggregates are reused across attributes, strategies and
-    /// queries — and, because cache entries are keyed per immutable
-    /// segment, across store *epochs* of one lineage: a context built after
-    /// an ingest replays every older segment's partials from the cache and
-    /// only computes the newly sealed segments (the serving layer's
-    /// prefix-merge path hinges on exactly this behaviour).  Its `Δ(D)` is
-    /// a replay of the pipeline's when both share the cache.
+    /// group-bys are reused across attributes, strategies and queries — and,
+    /// because cache entries are keyed per immutable segment, across store
+    /// *epochs* of one lineage: a context built after an ingest replays
+    /// every older segment's group-bys from the cache and only computes the
+    /// newly sealed segments (the serving layer's prefix-merge path hinges
+    /// on exactly this behaviour).  Its `Δ(D)` is a replay of the
+    /// pipeline's when both share the cache.
     pub fn build_with_cache(
         store: &'a SegmentedDataset,
         query: &'a WhyQuery,
@@ -139,8 +133,8 @@ impl<'a> SearchContext<'a> {
         Self::build_compiled(store, query, attribute, options, cache, compiled)
     }
 
-    /// Builds the context from a query compiled against `store` and `cache`
-    /// — no cache probe, no mask: only the attribute is resolved.
+    /// Builds the context from a query compiled against `store` and
+    /// `cache`: resolves the attribute and fetches both sides' group-bys.
     pub(crate) fn build_compiled(
         store: &'a SegmentedDataset,
         query: &'a WhyQuery,
@@ -151,6 +145,10 @@ impl<'a> SearchContext<'a> {
     ) -> Result<Self> {
         let categories = store.categories(attribute)?;
         let column = store.schema().index_of(attribute)? as u32;
+        let group =
+            |side| cache.merged_groups(store, &compiled.ids, side, column, categories.len());
+        let (s1, fresh_s1) = group(Side::S1)?;
+        let (s2, fresh_s2) = group(Side::S2)?;
         let (x, y) = compiled.sibling_values();
         let delta_d = x - y;
         let m = categories.len().max(1);
@@ -158,17 +156,16 @@ impl<'a> SearchContext<'a> {
             store,
             query,
             attribute: attribute.to_owned(),
-            column,
             categories,
-            compiled,
             delta_d,
             epsilon: options
                 .epsilon
                 .unwrap_or(options.epsilon_fraction * delta_d.abs()),
             sigma: options.sigma.unwrap_or(1.0 / m as f64),
             parallel: options.parallel,
+            sides: [s1, s2],
             // Δ(D) is not a search step; it is not billed to the strategies.
-            evaluations: AtomicUsize::new(0),
+            evaluations: fresh_s1 + fresh_s2,
             cache,
         })
     }
@@ -203,7 +200,7 @@ impl<'a> SearchContext<'a> {
         self.sigma
     }
 
-    /// The selection/aggregation cache answering this context's `Δ` terms.
+    /// The selection/aggregation cache the context's tables were built from.
     pub fn cache(&self) -> &Arc<SelectionCache> {
         &self.cache
     }
@@ -214,10 +211,10 @@ impl<'a> SearchContext<'a> {
         self.parallel
     }
 
-    /// Number of `Δ(·)` evaluations actually computed so far (cache replays
-    /// are not counted).
+    /// Number of per-segment group-bys this context computed (cache
+    /// replays are not counted).  Probes compute nothing.
     pub fn evaluations(&self) -> usize {
-        self.evaluations.load(Ordering::Relaxed) // relaxed: advisory effort counter
+        self.evaluations
     }
 
     /// Builds a [`Predicate`] from filter indices.
@@ -228,32 +225,23 @@ impl<'a> SearchContext<'a> {
         )
     }
 
-    /// The statistics of the side `key` is aimed at over its clause
-    /// selection, merged across segments in segment order (exact, so
-    /// segmentation-independent).  Returns the merged statistics and
-    /// whether any per-segment partial was freshly computed.
-    fn side_stats(&self, key: &mut PartialKey) -> (MeasureStats, bool) {
-        self.cache
-            .merged_partials(self.store.segments(), key)
-            .expect("context attributes validated at build time")
-    }
-
-    /// `Δ` over `side ∩ clause` (or `side − clause`), both sides, via the
-    /// cache.  `None` when one sibling side's aggregate is undefined.
+    /// `Δ` over `side ∩ clause` (or `side − clause`), both sides, merged
+    /// from the side tables.  The clause is the set of `indices`: a repeated
+    /// index counts once, and one past the attribute's categories selects
+    /// nothing.  `None` when one sibling side's aggregate is undefined.
     fn delta_clause(&self, indices: &[usize], complement: bool) -> Option<f64> {
-        let ids = &self.compiled.ids;
-        let mut key = ids.probe(Side::S1, self.column, Ids::clause(indices), complement);
-        let (a, fresh_a) = self.side_stats(&mut key);
-        key.set_side(ids, Side::S2);
-        let (b, fresh_b) = self.side_stats(&mut key);
-        if fresh_a || fresh_b {
-            self.evaluations.fetch_add(1, Ordering::Relaxed); // relaxed: advisory effort counter
+        let mut in_clause = vec![false; self.m()];
+        for &i in indices {
+            if let Some(slot) = in_clause.get_mut(i) {
+                *slot = true;
+            }
         }
         let aggregate = self.query.aggregate();
-        match (a.value(aggregate), b.value(aggregate)) {
-            (Some(x), Some(y)) => Some(x - y),
-            _ => None,
-        }
+        let [a, b] = self
+            .sides
+            .each_ref()
+            .map(|groups| select(groups, &in_clause, complement).value(aggregate));
+        Some(a? - b?)
     }
 
     /// `Δ(D_P)` where `P` is the disjunction of the given filters.
@@ -290,6 +278,22 @@ impl<'a> SearchContext<'a> {
         }
         ((a - b) / self.delta_d).max(0.0)
     }
+}
+
+/// The statistics of one side over `side ∩ clause`, the merge of the
+/// clause's buckets, or over `side − clause`, the merge of every other
+/// bucket plus the null bucket (a null cell matches no filter).
+fn select(groups: &Groups, in_clause: &[bool], complement: bool) -> MeasureStats {
+    let mut stats = MeasureStats::new();
+    for (bucket, &selected) in groups.by_code.iter().zip(in_clause) {
+        if selected != complement {
+            stats.merge(bucket);
+        }
+    }
+    if complement {
+        stats.merge(&groups.null);
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -337,7 +341,7 @@ mod tests {
         assert!((ctx.delta_of(&[p_index]).unwrap() - 9.0).abs() < 1e-12);
         // Removing Y = p rows: avg(a) = 2, avg(b) = 1.
         assert!((ctx.delta_without(&[p_index]).unwrap() - 1.0).abs() < 1e-12);
-        assert!(ctx.evaluations() >= 2);
+        assert_eq!(ctx.evaluations(), 2);
     }
 
     #[test]
@@ -399,14 +403,42 @@ mod tests {
     fn cached_replays_are_not_billed_as_evaluations() {
         let (store, query) = fixture();
         let ctx = SearchContext::build(&store, &query, "Y", &XPlainerOptions::default()).unwrap();
+        // One group-by per side, computed at build time.
+        assert_eq!(ctx.evaluations(), 2);
         let first = ctx.delta_of(&[0]);
-        let after_first = ctx.evaluations();
         let replay = ctx.delta_of(&[0]);
         assert_eq!(first, replay);
+        let _ = ctx.delta_without(&[0, 1]);
         assert_eq!(
             ctx.evaluations(),
-            after_first,
-            "replaying a memoized Δ must not count as an evaluation"
+            2,
+            "a probe merges table entries and computes nothing"
+        );
+    }
+
+    #[test]
+    fn clause_indices_have_set_semantics() {
+        let (store, query) = fixture();
+        let ctx = SearchContext::build(&store, &query, "Y", &XPlainerOptions::default()).unwrap();
+        let bits = |delta: Option<f64>| delta.map(f64::to_bits);
+        for i in 0..ctx.m() {
+            // A repeated index counts once.
+            assert_eq!(bits(ctx.delta_of(&[i, i])), bits(ctx.delta_of(&[i])));
+            assert_eq!(
+                bits(ctx.delta_without(&[i, i])),
+                bits(ctx.delta_without(&[i]))
+            );
+            // An index past the attribute's categories selects nothing.
+            assert_eq!(
+                bits(ctx.delta_without(&[i, ctx.m() + 3])),
+                bits(ctx.delta_without(&[i]))
+            );
+        }
+        assert_eq!(bits(ctx.delta_of(&[1, 1, 0])), bits(ctx.delta_of(&[0, 1])));
+        assert_eq!(bits(ctx.delta_of(&[ctx.m()])), bits(ctx.delta_of(&[])));
+        assert_eq!(
+            bits(ctx.delta_without(&[ctx.m(), 99])),
+            bits(Some(ctx.delta_d()))
         );
     }
 

@@ -45,8 +45,7 @@ pub enum SearchStrategy {
 }
 
 /// Upper bound on the number of filters brute force will accept: its cost
-/// is `O(3^m)` `Δ(·)` evaluations, and the shared cache holds one entry per
-/// distinct clause probed.
+/// is `O(3^m)` `Δ(·)` probes.
 pub const MAX_BRUTE_FORCE_FILTERS: usize = 14;
 
 /// Options controlling XPlainer.
@@ -117,8 +116,9 @@ pub struct ExplanationCandidate {
     pub contingency: Option<Predicate>,
     /// `Δ(D − D_P)` for reporting (None when a sibling side became empty).
     pub remaining_delta: Option<f64>,
-    /// Number of `Δ(·)` evaluations spent by the search — the cost metric the
-    /// scalability experiment tracks alongside wall-clock time.
+    /// Number of per-segment group-by scans the search computed (see
+    /// [`SearchContext::evaluations`]); cache replays and `Δ(·)` probes are
+    /// free.  Deterministic for a given cache state, in parallel or not.
     pub n_delta_evaluations: usize,
 }
 
@@ -147,7 +147,7 @@ impl XPlainer {
     /// graph; it only affects the AVG pruning.  Returns `Ok(None)` when the
     /// attribute admits no (counterfactual or actual) cause at the configured
     /// `ε`.  The result is bit-identical for any segmentation of the same
-    /// rows (the per-segment partials merge exactly).
+    /// rows (the per-segment group-bys merge exactly).
     pub fn explain_attribute(
         &self,
         store: &SegmentedDataset,
@@ -167,8 +167,8 @@ impl XPlainer {
     }
 
     /// Like [`XPlainer::explain_attribute`], but answering every `Δ(·)` term
-    /// through a shared [`SelectionCache`], so per-segment masks and partial
-    /// aggregates built here are reused by searches over other attributes
+    /// through a shared [`SelectionCache`], so per-segment masks and
+    /// group-bys built here are reused by searches over other attributes
     /// (and other queries) holding the same cache.  This is the entry point
     /// the batched [`crate::pipeline::XInsight::execute_batch`] engine uses.
     #[allow(clippy::too_many_arguments)]
@@ -237,7 +237,7 @@ impl XPlainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xinsight_data::{DatasetBuilder, Subspace};
+    use xinsight_data::{DatasetBuilder, Subspace, Value};
 
     /// A dataset where `Y ∈ {bad1, bad2}` drives the difference of AVG(Z)
     /// between X = a and X = b (a miniature SYN-B, Sec. 8.12 of the paper).
@@ -311,6 +311,25 @@ mod tests {
         assert_eq!(brute.predicate.values(), opt.predicate.values());
         // The optimized search must not be more expensive than brute force.
         assert!(opt.n_delta_evaluations <= brute.n_delta_evaluations);
+    }
+
+    #[test]
+    fn cold_searches_bill_one_scan_per_side_and_segment_in_parallel_or_not() {
+        let (data, query) = synb_like();
+        let row = vec![Value::from("b"), Value::from("ok1"), Value::from(10.0)];
+        let store = data.append_rows(&[row]).unwrap();
+        for parallel in [false, true] {
+            let xplainer = XPlainer::new(XPlainerOptions {
+                parallel,
+                ..XPlainerOptions::default()
+            });
+            let evaluations = [SearchStrategy::Optimized, SearchStrategy::BruteForce].map(|s| {
+                let found = xplainer.explain_attribute(&store, &query, "Y", s, true);
+                found.unwrap().expect("an explanation").n_delta_evaluations
+            });
+            // Two sides × two segments, whatever the strategy or schedule.
+            assert_eq!(evaluations, [4, 4], "parallel: {parallel}");
+        }
     }
 
     #[test]

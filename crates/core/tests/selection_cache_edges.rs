@@ -2,16 +2,15 @@
 //! carried across queries and ingests the way the serving layer holds a
 //! model's cache, must answer every request exactly as a fresh, unbounded
 //! cache does — bit for bit, through dictionary growth, values missing from
-//! the dictionary, attributes too wide for the inline clause bitmap, and a
-//! byte budget small enough to evict.
+//! the dictionary, an attribute with hundreds of categories, and a byte
+//! budget small enough to evict.
 
 use std::sync::Arc;
 use xinsight_core::pipeline::{XInsight, XInsightOptions};
 use xinsight_core::{ExplainRequest, SearchStrategy, SelectionCache, WhyQuery, XPlainer};
 use xinsight_data::{Aggregate, Dataset, DatasetBuilder, Filter, Subspace};
 
-/// Categories of the wide attribute: more than the 256 codes an inline
-/// clause bitmap holds.
+/// Categories of the wide attribute.
 const WIDE: usize = 300;
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -168,10 +167,10 @@ fn an_attribute_wider_than_the_inline_bitmap_searches_exactly() {
 
 #[test]
 fn a_tiny_budget_evicts_but_never_changes_an_answer() {
-    let cache = Arc::new(SelectionCache::with_budget(16 * 1024));
+    let cache = Arc::new(SelectionCache::with_budget(8 * 1024));
     replay_through_an_ingest(&cache);
     assert!(cache.evictions() > 0);
-    assert!(cache.bytes() <= 16 * 1024);
+    assert!(cache.bytes() <= 8 * 1024);
 }
 
 #[test]

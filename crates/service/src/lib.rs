@@ -29,7 +29,7 @@
 //! * [`lru`] — a byte-budgeted, memory-accounted LRU **result cache** in
 //!   front of the engine, scoped by segment-set fingerprints: entries
 //!   survive ingest (promoted when the new rows provably cannot move the
-//!   answer, merged through the engine's partial cache otherwise) and are
+//!   answer, merged through the engine's group-by cache otherwise) and are
 //!   remapped across background compaction, proven answer-identical to
 //!   the uncached path;
 //! * [`wire`] — the `/v2` JSON wire format (per-request options in, the

@@ -25,9 +25,9 @@
 //! reports the candidate via [`Lookup::Prefix`] and the caller either
 //! [`ResultCache::promote`]s the entry to the current fingerprint (serving
 //! the cached bytes) or recomputes through the engine's per-segment
-//! partial-aggregate cache — the *prefix merge* path, in which every
-//! pre-ingest segment's partials replay and only the new segments are
-//! computed — and records it via [`ResultCache::merged`].
+//! group-by cache — the *prefix merge* path, in which every pre-ingest
+//! segment's group-bys replay and only the new segments are computed — and
+//! records it via [`ResultCache::merged`].
 //!
 //! Fingerprints also make reload and compaction race-free without a
 //! generation counter: both produce freshly-identified segments, so a slow
@@ -38,8 +38,8 @@
 //!
 //! ## Bounding
 //!
-//! Unlike the engine's internal [`SelectionCache`] (never-evicting), this
-//! cache is long-lived, so it is bounded by a configurable **byte
+//! Like the engine's per-model [`SelectionCache`], this cache is
+//! long-lived, so it is bounded by a configurable **byte
 //! budget**: every entry is charged for its key (model id + canonical
 //! query JSON + options), its fingerprint, its value and a fixed
 //! bookkeeping overhead, and the least-recently-used entries are evicted
@@ -109,7 +109,7 @@ pub enum Lookup {
     /// fingerprint (the snapshot before one or more ingests).  The caller
     /// must validate whether the suffix segments can change the answer;
     /// on success call [`ResultCache::promote`], otherwise recompute
-    /// through the engine's partial cache and record
+    /// through the engine's group-by cache and record
     /// [`ResultCache::merged`] (or [`ResultCache::note_miss`] if the
     /// recompute was cut short by a deadline).
     Prefix {
@@ -179,8 +179,8 @@ pub struct ResultCacheStats {
     pub prefix_hits: u64,
     /// Lookups answered by the prefix-merge path: a proper-prefix entry
     /// existed, the suffix could change the answer, and the result was
-    /// recomputed by merging the cached per-segment partials with freshly
-    /// computed partials from only the new segments.
+    /// recomputed by merging the cached per-segment group-bys with freshly
+    /// computed ones from only the new segments.
     pub merged: u64,
     /// Lookups with no usable entry (full compute).
     pub misses: u64,
@@ -326,7 +326,7 @@ impl ResultCache {
 
     /// Records that a [`Lookup::Prefix`] candidate was resolved by the
     /// prefix-merge path: the answer was recomputed through the engine's
-    /// per-segment partial cache (pre-ingest partials replayed, only new
+    /// per-segment group-by cache (pre-ingest group-bys replayed, only new
     /// segments computed) and the caller typically re-inserts it under the
     /// current fingerprint.
     pub fn merged(&self) {
@@ -339,7 +339,7 @@ impl ResultCache {
     }
 
     /// Records a plain miss for a [`Lookup::Prefix`] candidate whose
-    /// recompute did not actually merge the cached partials (e.g. the
+    /// recompute did not actually merge the cached group-bys (e.g. the
     /// request's deadline cut the search short).
     pub fn note_miss(&self) {
         let _state = self.state.lock();

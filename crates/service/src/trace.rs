@@ -163,9 +163,10 @@ pub struct Trace {
 
 impl Trace {
     /// The `/debug/traces` JSON rendering of one trace, with every time
-    /// in whole microseconds.
+    /// in microseconds to nanosecond resolution (a 0.4 µs span reads
+    /// `0.4`, not `0`).
     pub fn to_json(&self) -> Json {
-        let micros = |time: Duration| Json::Num(time.as_micros() as f64);
+        let micros = |time: Duration| Json::Num(time.as_nanos() as f64 / 1e3);
         let spans = self
             .spans
             .iter()

@@ -5,9 +5,10 @@
 //! proprietary.  The simulator reproduces its shape and, crucially, a known
 //! ground-truth causal structure: a subset of the behaviours causally raise
 //! the blocking probability, some behaviours are *consequences* of being on
-//! the path to blocking (children), and the rest are noise.  The simulated
-//! expert panel ([`crate::expert_panel`]) scores explanations and causal
-//! claims against this ground truth.
+//! the path to blocking (children), and the rest are noise.  The user study
+//! binary (Tables 5 and 7) measures XInsight's explanation labels and causal
+//! claims against this ground truth; the experts' own judgements are a human
+//! study that cannot be reproduced.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;

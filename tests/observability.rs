@@ -293,8 +293,18 @@ fn traces_doc(client: &mut HttpClient) -> Json {
     Json::parse(&resp.body).unwrap()
 }
 
-fn span_field(span: &Json, field: &str) -> u64 {
-    span.get(field).and_then(Json::as_u64).unwrap()
+/// A `/debug/traces` time field in whole nanoseconds.  The server prints
+/// microseconds to nanosecond resolution; rounding back to integer
+/// nanoseconds keeps sums and comparisons of spans exact.
+fn span_ns(span: &Json, field: &str) -> u64 {
+    (span.get(field).and_then(Json::as_f64).unwrap() * 1e3).round() as u64
+}
+
+/// Nanoseconds per microsecond, for the bounds below (stated in µs).
+const US: u64 = 1_000;
+
+fn trace_id(trace: &Json) -> u64 {
+    trace.get("id").and_then(Json::as_u64).unwrap()
 }
 
 #[test]
@@ -333,22 +343,22 @@ fn trace_spans_are_monotonic_and_account_for_the_request() {
         "write",
     ];
     for trace in recent {
-        let total_us = span_field(trace, "total_us");
+        let total_ns = span_ns(trace, "total_us");
         let spans = trace.get("spans").and_then(Json::as_arr).unwrap();
         assert!(!spans.is_empty(), "trace carries no spans");
         let mut prev_start = 0u64;
         for span in spans {
             let stage = span.get("stage").and_then(Json::as_str).unwrap();
             assert!(vocabulary.contains(&stage), "unknown stage `{stage}`");
-            let start = span_field(span, "start_us");
-            let duration = span_field(span, "duration_us");
+            let start = span_ns(span, "start_us");
+            let duration = span_ns(span, "duration_us");
             // Spans share one epoch clock: starts are monotonic in
             // recording order and every span ends inside the request.
             assert!(start >= prev_start, "span starts went backwards");
             prev_start = start;
             assert!(
-                start + duration <= total_us + 1_000,
-                "span [{start}, {}] escapes the {total_us}us request window",
+                start + duration <= total_ns + 1_000 * US,
+                "span [{start}, {}] escapes the {total_ns}ns request window",
                 start + duration
             );
         }
@@ -358,14 +368,14 @@ fn trace_spans_are_monotonic_and_account_for_the_request() {
             spans
                 .iter()
                 .filter(|s| s.get("stage").and_then(Json::as_str).unwrap() == name)
-                .map(|s| span_field(s, "start_us") + span_field(s, "duration_us"))
+                .map(|s| span_ns(s, "start_us") + span_ns(s, "duration_us"))
                 .max()
         };
         let start_of = |name: &str| -> Option<u64> {
             spans
                 .iter()
                 .filter(|s| s.get("stage").and_then(Json::as_str).unwrap() == name)
-                .map(|s| span_field(s, "start_us"))
+                .map(|s| span_ns(s, "start_us"))
                 .min()
         };
         for pair in [("parse", "queue_wait"), ("queue_wait", "execute")] {
@@ -387,10 +397,10 @@ fn trace_spans_are_monotonic_and_account_for_the_request() {
         }
         // Durations of the sequential vocabulary sum within the total
         // (spans never invent time the request didn't spend).
-        let sum: u64 = spans.iter().map(|s| span_field(s, "duration_us")).sum();
+        let sum: u64 = spans.iter().map(|s| span_ns(s, "duration_us")).sum();
         assert!(
-            sum <= total_us + 1_000,
-            "spans sum to {sum}us, more than the {total_us}us total"
+            sum <= total_ns + 1_000 * US,
+            "spans sum to {sum}ns, more than the {total_ns}ns total"
         );
     }
 
@@ -401,13 +411,16 @@ fn trace_spans_are_monotonic_and_account_for_the_request() {
         .iter()
         .find(|t| t.get("endpoint").and_then(Json::as_str).unwrap() == "POST /debug/sleep")
         .expect("the 80ms sleep must land in the slow reservoir");
-    let total_us = span_field(sleep_trace, "total_us");
-    assert!(total_us >= 80_000, "sleep trace total {total_us}us < 80ms");
-    let spans = sleep_trace.get("spans").and_then(Json::as_arr).unwrap();
-    let sum: u64 = spans.iter().map(|s| span_field(s, "duration_us")).sum();
+    let total_ns = span_ns(sleep_trace, "total_us");
     assert!(
-        sum * 20 >= total_us * 19,
-        "spans attribute only {sum}us of the {total_us}us request"
+        total_ns >= 80_000 * US,
+        "sleep trace total {total_ns}ns < 80ms"
+    );
+    let spans = sleep_trace.get("spans").and_then(Json::as_arr).unwrap();
+    let sum: u64 = spans.iter().map(|s| span_ns(s, "duration_us")).sum();
+    assert!(
+        sum * 20 >= total_ns * 19,
+        "spans attribute only {sum}ns of the {total_ns}ns request"
     );
 
     handle.shutdown();
@@ -435,7 +448,7 @@ fn trace_ring_is_bounded_and_slow_traces_survive_the_flood() {
         .unwrap()
         .iter()
         .find(|t| t.get("endpoint").and_then(Json::as_str).unwrap() == "POST /debug/sleep")
-        .map(|t| span_field(t, "id"))
+        .map(trace_id)
         .expect("sleep trace in the reservoir");
 
     // …then a keep-alive flood larger than the ring.
@@ -453,7 +466,7 @@ fn trace_ring_is_bounded_and_slow_traces_survive_the_flood() {
     );
     // The flood evicted the slow trace from the ring…
     assert!(
-        !recent.iter().any(|t| span_field(t, "id") == slow_id),
+        !recent.iter().any(|t| trace_id(t) == slow_id),
         "the flood should have evicted the slow trace from the ring"
     );
     // …but the reservoir still holds it.
@@ -462,7 +475,7 @@ fn trace_ring_is_bounded_and_slow_traces_survive_the_flood() {
         .and_then(Json::as_arr)
         .unwrap()
         .iter()
-        .any(|t| span_field(t, "id") == slow_id);
+        .any(|t| trace_id(t) == slow_id);
     assert!(
         survives,
         "slow trace evicted from the always-keep reservoir"

@@ -490,6 +490,128 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Δ from per-category group-bys equals flat-mask aggregation
+// ---------------------------------------------------------------------------
+
+/// One row per random word: `X ∈ {a, b, c}` (the sibling attribute; `c`
+/// rows lie on neither side), `Y` with a null cell in a quarter of the rows
+/// and `M` with a NaN cell in a seventh.  Measures are fractions spread over
+/// nine decades, so exact summation has rounding to get right.
+fn nullable_rows(words: &[u64]) -> xinsight::data::Dataset {
+    let bits = |w: u64, shift: u32, modulus: u64| (w >> shift) % modulus;
+    DatasetBuilder::new()
+        .dimension(
+            "X",
+            words
+                .iter()
+                .map(|&w| ["a", "b", "c"][bits(w, 0, 3) as usize]),
+        )
+        .dimension_column(
+            "Y",
+            DimensionColumn::from_optional_values(words.iter().map(|&w| {
+                let y = bits(w, 8, 8);
+                (y < 6).then(|| format!("y{y}"))
+            })),
+        )
+        .measure_column(
+            "M",
+            MeasureColumn::from_optional_values(words.iter().map(|&w| {
+                let value = bits(w, 24, 120) as f64 - 60.0;
+                let decade = bits(w, 32, 9) as i32 - 3;
+                (bits(w, 16, 7) != 0).then(|| value / 7.0 * 10f64.powi(decade))
+            })),
+        )
+        .build()
+        .unwrap()
+}
+
+/// `data` sealed into consecutive segments ending at the `cuts` (taken
+/// modulo the row count; empty chunks skipped).
+fn segmented_at(
+    data: &xinsight::data::Dataset,
+    cuts: &[usize],
+) -> xinsight::data::SegmentedDataset {
+    let n = data.n_rows();
+    let mut ends: Vec<usize> = cuts.iter().map(|c| c % n).filter(|&e| e > 0).collect();
+    ends.push(n);
+    ends.sort_unstable();
+    ends.dedup();
+    let chunk = |start: usize, end: usize| {
+        data.filter_rows(&RowMask::from_bools(
+            (0..n).map(|i| (start..end).contains(&i)),
+        ))
+        .unwrap()
+    };
+    let mut store = chunk(0, ends[0]).into_segmented();
+    for pair in ends.windows(2) {
+        store = store.seal(&chunk(pair[0], pair[1])).unwrap();
+    }
+    store
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn context_deltas_equal_flat_mask_aggregation(
+        rows in prop::collection::vec(any::<u64>(), 1..90),
+        cuts in prop::collection::vec(0usize..1000, 0..4),
+        clauses in prop::collection::vec(prop::collection::vec(0usize..9, 0..7), 1..8),
+    ) {
+        use std::sync::Arc;
+        use xinsight::core::xplainer::SearchContext;
+        use xinsight::core::SelectionCache;
+
+        let flat = nullable_rows(&rows);
+        let store = segmented_at(&flat, &cuts);
+        let (s1, s2) = (Subspace::of("X", "a"), Subspace::of("X", "b"));
+        let sides = [s1.mask(&flat).unwrap(), s2.mask(&flat).unwrap()];
+        let categories = store.categories("Y").unwrap();
+        // The clause's flat mask: filter indices as a set, and an index past
+        // the categories selects nothing.
+        let clause_mask = |clause: &[usize]| {
+            clause.iter().filter_map(|&i| categories.get(i)).fold(
+                RowMask::zeros(flat.n_rows()),
+                |mask, category| mask.or(&Filter::equals("Y", category.as_ref()).mask(&flat).unwrap()),
+            )
+        };
+        // The reference `Aggregate::eval_opt` over flat masks, as the
+        // baselines evaluate Δ.
+        let reference = |aggregate: Aggregate, select: &dyn Fn(&RowMask) -> RowMask| {
+            let [a, b] = sides.each_ref().map(|side| {
+                aggregate.eval_opt(&flat, "M", &select(side)).unwrap()
+            });
+            Some((a? - b?).to_bits())
+        };
+        let cache = Arc::new(SelectionCache::new());
+        let options = XPlainerOptions::default();
+        for aggregate in [Aggregate::Sum, Aggregate::Count, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
+            let query = WhyQuery::new("M", aggregate, s1.clone(), s2.clone()).unwrap();
+            let ctx = SearchContext::build_with_cache(&store, &query, "Y", &options, Arc::clone(&cache));
+            let Ok(ctx) = ctx else {
+                // Δ(D) is undefined: one side holds no measure value.
+                prop_assert_eq!(reference(aggregate, &|side| side.clone()), None);
+                continue;
+            };
+            prop_assert_eq!(Some(ctx.delta_d().to_bits()), reference(aggregate, &|side| side.clone()));
+            for clause in &clauses {
+                let mask = clause_mask(clause);
+                prop_assert_eq!(
+                    ctx.delta_of(clause).map(f64::to_bits),
+                    reference(aggregate, &|side| side.and(&mask)),
+                    "{} Δ(D_P) for {:?}", aggregate, clause
+                );
+                prop_assert_eq!(
+                    ctx.delta_without(clause).map(f64::to_bits),
+                    reference(aggregate, &|side| side.minus(&mask)),
+                    "{} Δ(D − D_P) for {:?}", aggregate, clause
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // HTTP framing under hostile bytes
 // ---------------------------------------------------------------------------
 
