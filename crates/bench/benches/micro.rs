@@ -292,7 +292,7 @@ fn bench_baselines(c: &mut Criterion) {
 }
 
 /// The serving layer's per-request building blocks: canonical query
-/// serialization (the wire format *and* the LRU key), result-cache hits,
+/// serialization (the wire format *and* the result-cache key), result-cache hits,
 /// and inserts under eviction pressure.  The end-to-end serving numbers
 /// come from the xbench benchmark (`BENCHMARK.json`); these isolate the
 /// cache path that turns a repeated query into a hash lookup.
@@ -330,8 +330,9 @@ fn bench_serving_layer(c: &mut Criterion) {
         })
     });
 
-    // Insert path with the budget sized to keep ~8 entries: every insert
-    // evicts, exercising the accounting + order maintenance.
+    // Insert path with the budget sized to keep ~8 entries: every second
+    // insert runs a CLOCK sweep back under seven eighths of the budget,
+    // exercising the accounting and the eviction sweep.
     let keys: Vec<CacheKey> = (0..64)
         .map(|i| CacheKey {
             model: format!("m{i}"),

@@ -502,8 +502,8 @@ impl XInsight {
                     attribute,
                     self.options.strategy,
                     *homogeneous,
-                    Arc::clone(&cache),
-                    compiled.clone(),
+                    &cache,
+                    &compiled,
                 )
                 .map(SearchOutcome::Done)
         };

@@ -29,8 +29,9 @@
 //! the attribute as schema column indices, and a side as its subspace's
 //! `(column, global dictionary code)` pairs in the subspace's canonical
 //! filter order.  A subspace value missing from the dictionary selects no
-//! rows, so all such values share one `ABSENT` code.  Sides of up to four
-//! filters are stored inline; wider ones fall back to a boxed word list.
+//! rows, so all such values share one `ABSENT` code.  A side is a
+//! [`SmallVec`] of such words: up to four filters inline, wider ones
+//! spilled to the heap (and charged for it).
 //! Nothing is interned: the id space is the store's own schema and
 //! dictionary, so client input cannot grow a side table.  A request
 //! resolves its query to ids once ([`QueryIds`]).
@@ -97,8 +98,9 @@ use xinsight_data::{
     Column, DataError, DimensionColumn, MeasureStats, Result, RowMask, Segment, SegmentedDataset,
     Subspace,
 };
+use xinsight_stats::SmallVec;
 
-/// Inline capacity of an [`Ids`] word list: four filters of a side.
+/// Inline capacity of a side's word list: four filters.
 const INLINE_WORDS: usize = 4;
 
 /// The code a side filter carries when its value is missing from the global
@@ -130,61 +132,24 @@ impl SegmentId {
 
 /// A side's packed `(column, code)` filters, in the subspace's sorted
 /// filter order (so equal sides have equal lists), inline up to
-/// [`INLINE_WORDS`] words and boxed beyond.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Ids {
-    Inline { len: u8, words: [u64; INLINE_WORDS] },
-    Boxed(Box<[u64]>),
-}
+/// [`INLINE_WORDS`] words and spilled to the heap beyond.
+type Ids = SmallVec<u64, INLINE_WORDS>;
 
-impl Ids {
-    /// `n` zeroed words.
-    fn zeroed(n: usize) -> Ids {
-        if n <= INLINE_WORDS {
-            Ids::Inline {
-                len: n as u8,
-                words: [0; INLINE_WORDS],
-            }
-        } else {
-            Ids::Boxed(vec![0; n].into_boxed_slice())
-        }
-    }
-
-    /// A subspace's filters as `(column, global code)` pairs, in the
-    /// subspace's canonical (attribute-sorted) order.  Fails on an unknown
-    /// attribute or a measure, exactly like [`Subspace::mask`].
-    fn side(store: &SegmentedDataset, subspace: &Subspace) -> Result<Ids> {
-        let mut ids = Ids::zeroed(subspace.len());
-        for (word, filter) in ids.words_mut().iter_mut().zip(subspace.filters()) {
+/// A subspace's filters as `(column, global code)` words, in the
+/// subspace's canonical (attribute-sorted) order.  Fails on an unknown
+/// attribute or a measure, exactly like [`Subspace::mask`].
+fn side_ids(store: &SegmentedDataset, subspace: &Subspace) -> Result<Ids> {
+    subspace
+        .filters()
+        .iter()
+        .map(|filter| {
             let code = store
                 .global_code(filter.attribute(), filter.value())?
                 .unwrap_or(ABSENT);
             let column = store.schema().index_of(filter.attribute())? as u64;
-            *word = column << 32 | u64::from(code);
-        }
-        Ok(ids)
-    }
-
-    fn words_mut(&mut self) -> &mut [u64] {
-        match self {
-            Ids::Inline { len, words } => &mut words[..usize::from(*len)],
-            Ids::Boxed(words) => words,
-        }
-    }
-
-    fn words(&self) -> &[u64] {
-        match self {
-            Ids::Inline { len, words } => &words[..usize::from(*len)],
-            Ids::Boxed(words) => words,
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Ids::Inline { .. } => 0,
-            Ids::Boxed(words) => words.len() * size_of::<u64>(),
-        }
-    }
+            Ok(column << 32 | u64::from(code))
+        })
+        .collect()
 }
 
 /// Key of one memoized side mask (scoped to a segment).
@@ -531,8 +496,8 @@ impl SelectionCache {
         store.check_measure(measure)?;
         Ok(QueryIds {
             measure: store.schema().index_of(measure)? as u32,
-            s1: Ids::side(store, s1)?,
-            s2: Ids::side(store, s2)?,
+            s1: side_ids(store, s1)?,
+            s2: side_ids(store, s2)?,
         })
     }
 
@@ -545,7 +510,7 @@ impl SelectionCache {
         subspace: &Subspace,
     ) -> Result<Arc<RowMask>> {
         self.ensure_store(store)?;
-        self.side_mask(segment, &Ids::side(store, subspace)?)
+        self.side_mask(segment, &side_ids(store, subspace)?)
     }
 
     /// The memoized mask of one side within one segment.
@@ -650,7 +615,7 @@ fn dimension_column(segment: &Segment, column: u32) -> Result<&DimensionColumn> 
 /// segment's codes are global codes, so a code compares directly).
 fn side_mask_of(segment: &Segment, side: &Ids) -> Result<RowMask> {
     let mut mask = segment.all_rows();
-    for &word in side.words() {
+    for &word in side.iter() {
         let code = word as u32;
         let codes = dimension_column(segment, (word >> 32) as u32)?.codes();
         mask = mask.and(&RowMask::from_bools(codes.iter().map(|&c| c == code)));
@@ -794,12 +759,13 @@ mod tests {
             )
             .unwrap()
         };
-        let narrow = Ids::side(&store, &filters(4)).unwrap();
-        assert!(matches!(narrow, Ids::Inline { len: 4, .. }));
+        let narrow = side_ids(&store, &filters(4)).unwrap();
+        assert!(!narrow.spilled() && narrow.len() == 4);
         assert_eq!(narrow.heap_bytes(), 0);
-        let wide = Ids::side(&store, &filters(5)).unwrap();
-        assert!(matches!(&wide, Ids::Boxed(words) if words.len() == 5));
-        assert_eq!(wide.heap_bytes(), 40);
+        let wide = side_ids(&store, &filters(5)).unwrap();
+        assert!(wide.spilled() && wide.len() == 5);
+        // The charge is the spilled allocation, at least the five words.
+        assert!(wide.heap_bytes() >= 5 * size_of::<u64>());
         let cache = SelectionCache::new();
         let mask = cache
             .subspace_mask(&store, seg(&store), &filters(5))

@@ -94,7 +94,6 @@ pub struct SearchContext<'a> {
     /// from the cache are free and not counted.  The build is serial, so
     /// the count does not depend on the probes' scheduling.
     evaluations: usize,
-    cache: Arc<SelectionCache>,
 }
 
 impl<'a> SearchContext<'a> {
@@ -130,7 +129,7 @@ impl<'a> SearchContext<'a> {
         cache: Arc<SelectionCache>,
     ) -> Result<Self> {
         let compiled = CompiledQuery::new(store, query, &cache)?;
-        Self::build_compiled(store, query, attribute, options, cache, compiled)
+        Self::build_compiled(store, query, attribute, options, &cache, &compiled)
     }
 
     /// Builds the context from a query compiled against `store` and
@@ -140,8 +139,8 @@ impl<'a> SearchContext<'a> {
         query: &'a WhyQuery,
         attribute: &str,
         options: &XPlainerOptions,
-        cache: Arc<SelectionCache>,
-        compiled: CompiledQuery,
+        cache: &SelectionCache,
+        compiled: &CompiledQuery,
     ) -> Result<Self> {
         let categories = store.categories(attribute)?;
         let column = store.schema().index_of(attribute)? as u32;
@@ -166,7 +165,6 @@ impl<'a> SearchContext<'a> {
             sides: [s1, s2],
             // Δ(D) is not a search step; it is not billed to the strategies.
             evaluations: fresh_s1 + fresh_s2,
-            cache,
         })
     }
 
@@ -198,11 +196,6 @@ impl<'a> SearchContext<'a> {
     /// The conciseness regulariser `σ`.
     pub fn sigma(&self) -> f64 {
         self.sigma
-    }
-
-    /// The selection/aggregation cache the context's tables were built from.
-    pub fn cache(&self) -> &Arc<SelectionCache> {
-        &self.cache
     }
 
     /// Whether the strategies should fan their probe loops out over the

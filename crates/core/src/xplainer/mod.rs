@@ -197,8 +197,8 @@ impl XPlainer {
         attribute: &str,
         strategy: SearchStrategy,
         homogeneous: bool,
-        cache: Arc<SelectionCache>,
-        compiled: CompiledQuery,
+        cache: &SelectionCache,
+        compiled: &CompiledQuery,
     ) -> Result<Option<ExplanationCandidate>> {
         let ctx =
             SearchContext::build_compiled(store, query, attribute, &self.options, cache, compiled)?;

@@ -71,11 +71,6 @@ impl Subspace {
         self.filters.is_empty()
     }
 
-    /// The dimensions constrained by this subspace.
-    pub fn attributes(&self) -> Vec<&str> {
-        self.filters.iter().map(|f| f.attribute()).collect()
-    }
-
     /// Evaluates the subspace into a row mask (`D_s`).
     pub fn mask(&self, data: &Dataset) -> Result<RowMask> {
         let mut mask = data.all_rows();
@@ -179,7 +174,8 @@ mod tests {
         let (fg, v1, v2) = s1.sibling_difference(&s2).unwrap();
         assert_eq!(fg, "Location");
         assert_eq!((v1, v2), ("A", "B"));
-        assert_eq!(s1.attributes(), vec!["Location", "Severity"]);
+        let attributes: Vec<&str> = s1.filters().iter().map(|f| f.attribute()).collect();
+        assert_eq!(attributes, ["Location", "Severity"]);
     }
 
     #[test]

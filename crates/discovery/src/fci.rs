@@ -8,9 +8,9 @@
 use crate::orientation::{apply_fci_rules, orient_colliders};
 use crate::sepset::SepsetMap;
 use crate::skeleton::{
-    find_separating_subset, skeleton_search_compiled, SkeletonOptions, SkeletonResult,
+    find_separating_subset, prune_batch, skeleton_search_compiled, Candidate, SkeletonOptions,
+    SkeletonResult,
 };
-use rayon::prelude::*;
 use std::sync::atomic::AtomicUsize;
 use xinsight_data::{Dataset, Result};
 use xinsight_graph::{MixedGraph, NodeId};
@@ -84,7 +84,7 @@ pub fn fci_skeleton(
     orient_colliders(&mut oriented, &result.sepsets);
 
     let n_extra = AtomicUsize::new(0);
-    let batch: Vec<(NodeId, NodeId, Vec<NodeId>)> = oriented
+    let batch: Vec<Candidate> = oriented
         .edges()
         .iter()
         .map(|e| {
@@ -100,30 +100,17 @@ pub fn fci_skeleton(
         })
         .collect();
 
-    let evaluate = |entry: &(NodeId, NodeId, Vec<NodeId>)| {
-        let (x, y, candidates) = entry;
-        (0..=MAX_PDSEP_SIZE.min(candidates.len())).find_map(|size| {
-            find_separating_subset(compiled.as_ref(), *x, *y, candidates, size, &n_extra)
-        })
-    };
-    let outcomes: Vec<Option<Vec<NodeId>>> = if options.parallel {
-        batch.par_iter().map(evaluate).collect()
-    } else {
-        batch.iter().map(evaluate).collect()
-    };
-
-    for ((x, y, _), separator) in batch.iter().zip(outcomes) {
-        if let Some(subset) = separator {
-            if result.graph.adjacent(*x, *y) {
-                result.graph.remove_edge(*x, *y);
-                result.sepsets.insert(
-                    *x as u32,
-                    *y as u32,
-                    subset.iter().map(|&v| v as u32).collect(),
-                );
-            }
-        }
-    }
+    prune_batch(
+        &mut result.graph,
+        &mut result.sepsets,
+        &batch,
+        options.parallel,
+        |(x, y, candidates)| {
+            (0..=MAX_PDSEP_SIZE.min(candidates.len())).find_map(|size| {
+                find_separating_subset(compiled.as_ref(), *x, *y, candidates, size, &n_extra)
+            })
+        },
+    );
     result.n_ci_tests += n_extra.into_inner();
     // Reset every remaining edge to o-o (the orientation phase starts fresh).
     result.graph = result.graph.skeleton();

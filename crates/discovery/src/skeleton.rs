@@ -54,9 +54,11 @@ pub struct SkeletonResult {
     pub n_ci_tests: usize,
 }
 
-/// One frozen candidate of a depth batch: an ordered pair `(x, y)` plus the
-/// adjacency set `adj(x) \ {y}` captured at the start of the depth.
-type Candidate = (NodeId, NodeId, Vec<NodeId>);
+/// One frozen pruning query: an ordered pair `(x, y)` plus the nodes its
+/// separating sets are drawn from — the adjacency set `adj(x) \ {y}`
+/// captured at the start of a depth, or (in FCI) the pair's Possible-D-SEP
+/// union.
+pub(crate) type Candidate = (NodeId, NodeId, Vec<NodeId>);
 
 /// Runs the PC adjacency search over `vars` (a subset of the dataset's
 /// dimensions) using the given CI test.
@@ -107,30 +109,13 @@ pub(crate) fn skeleton_search_compiled(
             break;
         }
 
-        let evaluate = |candidate: &Candidate| {
-            let (x, y, adj) = candidate;
-            find_separating_subset(compiled, *x, *y, adj, depth, &n_tests)
-        };
-        let outcomes: Vec<Option<Vec<NodeId>>> = if options.parallel {
-            candidates.par_iter().map(evaluate).collect()
-        } else {
-            candidates.iter().map(evaluate).collect()
-        };
-
-        // Deterministic serial merge in batch order: the first candidate that
-        // separated a pair wins; the mirrored candidate finds the edge gone.
-        for ((x, y, _), separator) in candidates.iter().zip(outcomes) {
-            if let Some(subset) = separator {
-                if graph.adjacent(*x, *y) {
-                    graph.remove_edge(*x, *y);
-                    sepsets.insert(
-                        *x as u32,
-                        *y as u32,
-                        subset.iter().map(|&v| v as u32).collect(),
-                    );
-                }
-            }
-        }
+        prune_batch(
+            &mut graph,
+            &mut sepsets,
+            &candidates,
+            options.parallel,
+            |(x, y, adj)| find_separating_subset(compiled, *x, *y, adj, depth, &n_tests),
+        );
         depth += 1;
     }
 
@@ -139,6 +124,38 @@ pub(crate) fn skeleton_search_compiled(
         sepsets,
         n_ci_tests: n_tests.into_inner(),
     })
+}
+
+/// Evaluates a frozen batch of `(x, y, candidates)` pruning queries —
+/// fanned out over the rayon pool when `parallel` — and applies the
+/// separators in one deterministic serial merge in batch order: the first
+/// query that separated a pair removes its edge and records the sepset; a
+/// later query for the same pair (the mirrored candidate) finds the edge
+/// gone.  Shared by the depth batches above and FCI's Possible-D-SEP stage.
+pub(crate) fn prune_batch(
+    graph: &mut MixedGraph,
+    sepsets: &mut SepsetMap,
+    batch: &[Candidate],
+    parallel: bool,
+    evaluate: impl Fn(&Candidate) -> Option<Vec<NodeId>> + Sync,
+) {
+    let outcomes: Vec<Option<Vec<NodeId>>> = if parallel {
+        batch.par_iter().map(&evaluate).collect()
+    } else {
+        batch.iter().map(&evaluate).collect()
+    };
+    for ((x, y, _), separator) in batch.iter().zip(outcomes) {
+        if let Some(subset) = separator {
+            if graph.adjacent(*x, *y) {
+                graph.remove_edge(*x, *y);
+                sepsets.insert(
+                    *x as u32,
+                    *y as u32,
+                    subset.iter().map(|&v| v as u32).collect(),
+                );
+            }
+        }
+    }
 }
 
 /// The complete `o-o` graph over `vars` — the name-interning prelude of the

@@ -26,8 +26,9 @@
 //!   full), the worker pool sized with the engine's `XINSIGHT_THREADS`
 //!   knob, routing, and graceful drain shutdown — idle keep-alive
 //!   connections park in the kernel instead of pinning threads;
-//! * [`lru`] — a byte-budgeted, memory-accounted LRU **result cache** in
-//!   front of the engine, scoped by segment-set fingerprints: entries
+//! * [`lru`] — a byte-budgeted, memory-accounted **result cache** in
+//!   front of the engine, evicting by CLOCK (one referenced bit per entry,
+//!   an LRU approximation), scoped by segment-set fingerprints: entries
 //!   survive ingest (promoted when the new rows provably cannot move the
 //!   answer, merged through the engine's group-by cache otherwise) and are
 //!   remapped across background compaction, proven answer-identical to

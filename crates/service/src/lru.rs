@@ -1,5 +1,5 @@
-//! The memory-accounted, segment-set-scoped LRU result cache in front of
-//! the explain engine.
+//! The memory-accounted, segment-set-scoped result cache in front of the
+//! explain engine, evicting by CLOCK (an LRU approximation).
 //!
 //! Serving traffic repeats itself: dashboards re-issue the same Why Query
 //! on every refresh, and many users look at the same anomaly.  The
@@ -42,30 +42,33 @@
 //! long-lived, so it is bounded by a configurable **byte
 //! budget**: every entry is charged for its key (model id + canonical
 //! query JSON + options), its fingerprint, its value and a fixed
-//! bookkeeping overhead, and the least-recently-used entries are evicted
-//! until the total fits.  Values larger than the whole budget are served
+//! bookkeeping overhead.  Values larger than the whole budget are served
 //! but never admitted.
 //!
-//! Recency is tracked with a monotonic tick per access: a `HashMap` holds
-//! the entries and a `BTreeMap<tick, key>` orders them, making
-//! lookup/insert `O(log n)` without an intrusive linked list.  One mutex
-//! guards both maps (lookups are cheap relative to an explain);
-//! hit/miss/eviction counters are relaxed atomics so `/metrics` never
-//! contends with serving.
+//! Eviction is **CLOCK**, the LRU approximation the [`SelectionCache`]
+//! uses too: each entry keeps one *referenced* bit, which an exact hit or a
+//! promotion sets.  An insert or promotion that would overflow the budget
+//! first sweeps the map — a referenced entry loses its bit and is spared
+//! once, an unreferenced one is evicted — until the incoming bytes fit
+//! under seven eighths of the budget, so sweeps are rare; a second pass
+//! runs only when every entry visited was referenced.  The sweep runs
+//! *before* the new entry is admitted, so it can never evict what it makes
+//! room for.  One map and one mutex hold everything: a hit sets a bit and
+//! bumps two counters without allocating, and the counters live under the
+//! same lock, so a `/metrics` snapshot reconciles exactly.
 //!
 //! [`SelectionCache`]: xinsight_core::SelectionCache
 
-// HashMap here never leaks iteration order into output: cache interior; eviction order comes from the recency BTreeMap (see clippy.toml).
+// HashMap here never leaks iteration order into output: cache interior; the CLOCK sweep's visiting order only decides which entries are recomputed later, never an answer (see clippy.toml).
 #![allow(clippy::disallowed_types)]
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 use xinsight_core::WhyQuery;
 
-/// Fixed per-entry byte charge covering the maps' bookkeeping (hash entry,
-/// tick entry, `Arc` header) on top of the measured key/value lengths.
+/// Fixed per-entry byte charge covering the map's bookkeeping (hash entry,
+/// `Arc` header) on top of the measured key/value lengths.
 pub const ENTRY_OVERHEAD_BYTES: usize = 128;
 
 /// Identity of one sealed segment as the result cache sees it: the
@@ -134,30 +137,58 @@ struct Entry {
     /// Total global-dictionary categories at compute time.
     dict_len: usize,
     bytes: usize,
-    tick: u64,
+    /// The CLOCK bit: set by an exact hit or a promotion, cleared by the
+    /// sweep that spares the entry once.
+    referenced: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LruState {
     entries: HashMap<CacheKey, Entry>,
-    /// `tick → key`, oldest first.  Ticks are unique (monotonic counter).
-    order: BTreeMap<u64, CacheKey>,
-    next_tick: u64,
-    bytes: usize,
+    /// Counters, accounted bytes and the budget; `entries` is filled in
+    /// by [`ResultCache::stats`].
+    stats: ResultCacheStats,
 }
 
 impl LruState {
-    fn fresh_tick(&mut self) -> u64 {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        tick
+    fn remove(&mut self, key: &CacheKey) -> Option<(CacheKey, Entry)> {
+        let (key, entry) = self.entries.remove_entry(key)?;
+        self.stats.bytes -= entry.bytes;
+        Some((key, entry))
     }
 
-    fn remove(&mut self, key: &CacheKey) -> Option<Entry> {
-        let entry = self.entries.remove(key)?;
-        self.order.remove(&entry.tick);
-        self.bytes -= entry.bytes;
-        Some(entry)
+    /// Admits `entry`, sweeping first: a sweep after admission could
+    /// evict the very entry it made room for.
+    fn admit(&mut self, key: CacheKey, entry: Entry) {
+        self.make_room(entry.bytes);
+        self.stats.bytes += entry.bytes;
+        self.entries.insert(key, entry);
+    }
+
+    /// The CLOCK sweep: unless `charge` more bytes fit the budget as is,
+    /// evicts unreferenced entries and clears the bit of referenced ones
+    /// until they fit under seven eighths of it.  The second pass only runs
+    /// when every entry visited was referenced, and finds all their bits
+    /// cleared.
+    fn make_room(&mut self, charge: usize) {
+        let LruState { entries, stats } = self;
+        if stats.bytes.saturating_add(charge) <= stats.byte_budget {
+            return;
+        }
+        let target = (stats.byte_budget - stats.byte_budget / 8).saturating_sub(charge);
+        for _ in 0..2 {
+            if stats.bytes <= target {
+                break;
+            }
+            entries.retain(|_, entry| {
+                if stats.bytes <= target || std::mem::take(&mut entry.referenced) {
+                    return true;
+                }
+                stats.bytes -= entry.bytes;
+                stats.evictions += 1;
+                false
+            });
+        }
     }
 }
 
@@ -196,24 +227,20 @@ pub struct ResultCacheStats {
     pub byte_budget: usize,
 }
 
-/// Bounded, thread-safe, memory-accounted LRU cache of serialized
+impl ResultCacheStats {
+    /// Counts one lookup resolved to the tier `tier` selects.
+    fn tally(&mut self, tier: fn(&mut Self) -> &mut u64) {
+        self.lookups += 1;
+        *tier(self) += 1;
+    }
+}
+
+/// Bounded, thread-safe, memory-accounted CLOCK cache of serialized
 /// explanation results, scoped by segment-set fingerprints (see the
 /// module docs for the design).
 #[derive(Debug)]
 pub struct ResultCache {
     state: Mutex<LruState>,
-    byte_budget: usize,
-    // Tier counters are atomics for lock-free *reads*, but every write
-    // happens while holding `state`, paired with a `lookups` increment —
-    // that is what makes the `/metrics` tier sum reconcile exactly (see
-    // [`ResultCacheStats::lookups`]).
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    prefix_hits: AtomicU64,
-    merged: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    uncacheable: AtomicU64,
 }
 
 fn is_proper_prefix(prefix: &[SegmentRef], full: &[SegmentRef]) -> bool {
@@ -233,20 +260,18 @@ impl ResultCache {
     /// Creates a cache holding at most `byte_budget` accounted bytes.
     pub fn new(byte_budget: usize) -> Self {
         ResultCache {
-            state: Mutex::new(LruState::default()),
-            byte_budget,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            prefix_hits: AtomicU64::new(0),
-            merged: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            uncacheable: AtomicU64::new(0),
+            state: Mutex::new(LruState {
+                entries: HashMap::new(),
+                stats: ResultCacheStats {
+                    byte_budget,
+                    ..ResultCacheStats::default()
+                },
+            }),
         }
     }
 
     /// Looks a result up against the current store fingerprint and
-    /// dictionary size, refreshing recency on an exact hit.
+    /// dictionary size, setting the entry's referenced bit on an exact hit.
     ///
     /// Counting: an exact [`Lookup::Hit`] and a [`Lookup::Miss`] are
     /// counted here; a [`Lookup::Prefix`] is counted by whichever of
@@ -254,26 +279,22 @@ impl ResultCache {
     /// [`ResultCache::note_miss`] resolves it.
     pub fn lookup(&self, key: &CacheKey, fingerprint: &[SegmentRef], dict_len: usize) -> Lookup {
         let mut state = self.state.lock();
-        let state = &mut *state;
-        match state.entries.get_mut(key) {
+        let LruState { entries, stats } = &mut *state;
+        match entries.get_mut(key) {
             Some(entry) if entry.fingerprint == fingerprint => {
-                state.order.remove(&entry.tick);
-                entry.tick = state.next_tick;
-                state.next_tick += 1;
-                state.order.insert(entry.tick, key.clone());
-                self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-                self.hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+                entry.referenced = true;
+                stats.tally(|s| &mut s.hits);
                 Lookup::Hit(Arc::clone(&entry.value))
             }
             Some(entry) if is_proper_prefix(&entry.fingerprint, fingerprint) => Lookup::Prefix {
+                // xlint: allow(no-alloc-hot-path, the public variant owns its prefix; only a post-ingest candidate pays it)
                 prefix: entry.fingerprint.clone(),
                 dict_unchanged: entry.dict_len == dict_len,
             },
             Some(_) | None => {
                 // An unrelated fingerprint is a pre-reload/pre-compaction
                 // leftover: unreachable for serving, superseded on insert.
-                self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-                self.misses.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+                stats.tally(|s| &mut s.misses);
                 Lookup::Miss
             }
         }
@@ -282,7 +303,7 @@ impl ResultCache {
     /// Promotes a [`Lookup::Prefix`] candidate to the current fingerprint
     /// after the caller proved the suffix segments cannot change the
     /// answer: the entry is re-stamped (byte accounting adjusted for the
-    /// longer fingerprint), its recency refreshed, and the cached bytes
+    /// longer fingerprint), its referenced bit set, and the cached bytes
     /// returned as a prefix hit.
     ///
     /// Returns `None` — counted as a miss — if the entry raced away or
@@ -298,29 +319,23 @@ impl ResultCache {
         let found = matches!(state.entries.get(key),
             Some(entry) if is_proper_prefix(&entry.fingerprint, fingerprint));
         if !found {
-            self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-            self.misses.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+            state.stats.tally(|s| &mut s.misses);
             return None;
         }
-        let mut entry = state.remove(key).expect("entry just found");
+        state.stats.tally(|s| &mut s.prefix_hits);
+        // Out of the map before the sweep, so the sweep cannot evict it.
+        let (key, mut entry) = state.remove(key).expect("entry just found");
         let value = Arc::clone(&entry.value);
-        entry.fingerprint = fingerprint.to_vec();
-        entry.dict_len = dict_len;
-        entry.bytes = entry_bytes(key, fingerprint, &entry.value);
-        if entry.bytes > self.byte_budget {
+        entry.bytes = entry_bytes(&key, fingerprint, &value);
+        if entry.bytes > state.stats.byte_budget {
             // Pathological budget: serve the bytes but do not re-admit.
-            self.uncacheable.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-            self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-            self.prefix_hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+            state.stats.uncacheable += 1;
             return Some(value);
         }
-        entry.tick = state.fresh_tick();
-        state.order.insert(entry.tick, key.clone());
-        state.bytes += entry.bytes;
-        state.entries.insert(key.clone(), entry);
-        self.evict_over_budget(&mut state);
-        self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-        self.prefix_hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+        entry.fingerprint = fingerprint.to_vec();
+        entry.dict_len = dict_len;
+        entry.referenced = true;
+        state.admit(key, entry);
         Some(value)
     }
 
@@ -330,30 +345,23 @@ impl ResultCache {
     /// segments computed) and the caller typically re-inserts it under the
     /// current fingerprint.
     pub fn merged(&self) {
-        // Taken under the state lock (like every tier increment) so a
-        // racing `/metrics` snapshot can never see the tier sum and
-        // `lookups` disagree.
-        let _state = self.state.lock();
-        self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-        self.merged.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+        self.state.lock().stats.tally(|s| &mut s.merged);
     }
 
     /// Records a plain miss for a [`Lookup::Prefix`] candidate whose
     /// recompute did not actually merge the cached group-bys (e.g. the
     /// request's deadline cut the search short).
     pub fn note_miss(&self) {
-        let _state = self.state.lock();
-        self.lookups.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-        self.misses.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+        self.state.lock().stats.tally(|s| &mut s.misses);
     }
 
     /// Inserts (or refreshes) a result computed against the given store
-    /// fingerprint, evicting least-recently-used entries until the byte
-    /// budget holds.  A value whose own accounted size exceeds the budget
-    /// is not admitted (it would evict everything and then be evicted
-    /// itself).  An insert carrying a proper prefix of the resident
-    /// entry's fingerprint is dropped: it lost a race against a fresher
-    /// computation (the slow-writer side of the ingest swap).
+    /// fingerprint, first sweeping by CLOCK until it fits (see the module
+    /// docs).  A value whose own accounted size exceeds the budget is not
+    /// admitted (it would evict everything and still not fit).  An insert
+    /// carrying a proper prefix of the resident entry's fingerprint is
+    /// dropped: it lost a race against a fresher computation (the
+    /// slow-writer side of the ingest swap).
     pub fn insert(
         &self,
         key: CacheKey,
@@ -363,64 +371,40 @@ impl ResultCache {
     ) {
         let bytes = entry_bytes(&key, &fingerprint, &value);
         let mut state = self.state.lock();
-        if bytes > self.byte_budget {
-            // Counted under the lock like every other counter write, so a
-            // concurrent snapshot sees a consistent picture.
-            self.uncacheable.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
+        if bytes > state.stats.byte_budget {
+            state.stats.uncacheable += 1;
             return;
         }
-        let state_ref = &mut *state;
-        if let Some(resident) = state_ref.entries.get(&key) {
+        if let Some(resident) = state.entries.get(&key) {
             if is_proper_prefix(&fingerprint, &resident.fingerprint) {
                 return;
             }
         }
-        state_ref.remove(&key);
-        let tick = state_ref.fresh_tick();
-        state_ref.bytes += bytes;
-        state_ref.order.insert(tick, key.clone());
-        state_ref.entries.insert(
+        state.remove(&key);
+        state.admit(
             key,
             Entry {
                 value,
                 fingerprint,
                 dict_len,
                 bytes,
-                tick,
+                referenced: false,
             },
         );
-        self.evict_over_budget(state_ref);
-    }
-
-    fn evict_over_budget(&self, state: &mut LruState) {
-        while state.bytes > self.byte_budget {
-            let Some((&oldest_tick, _)) = state.order.iter().next() else {
-                break;
-            };
-            let oldest_key = state.order.remove(&oldest_tick).expect("tick just seen");
-            let evicted = state
-                .entries
-                .remove(&oldest_key)
-                .expect("order and entries stay in sync");
-            state.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-        }
     }
 
     /// Drops every entry cached for `model` — called on hot-reload so a
     /// swapped model file can change answers without stale replays.
     pub fn invalidate_model(&self, model: &str) {
         let mut state = self.state.lock();
-        let state = &mut *state;
-        let doomed: Vec<CacheKey> = state
-            .entries
-            .keys()
-            .filter(|k| k.model == model)
-            .cloned()
-            .collect();
-        for key in doomed {
-            state.remove(&key).expect("key just listed");
-        }
+        let LruState { entries, stats } = &mut *state;
+        entries.retain(|key, entry| {
+            let keep = key.model != model;
+            if !keep {
+                stats.bytes -= entry.bytes;
+            }
+            keep
+        });
     }
 
     /// Applies a compaction swap to `model`'s entries: entries computed
@@ -432,29 +416,26 @@ impl ResultCache {
     /// store).  Entries of other models are untouched.
     pub fn remap_model(&self, model: &str, old: &[SegmentRef], new: &[SegmentRef]) {
         let mut state = self.state.lock();
-        let state = &mut *state;
-        let affected: Vec<CacheKey> = state
-            .entries
-            .keys()
-            .filter(|k| k.model == model)
-            .cloned()
-            .collect();
-        for key in affected {
-            let mut entry = state.remove(&key).expect("key just listed");
+        let LruState { entries, stats } = &mut *state;
+        entries.retain(|key, entry| {
+            if key.model != model {
+                return true;
+            }
+            stats.bytes -= entry.bytes;
             if entry.fingerprint != old {
-                continue;
+                return false;
+            }
+            entry.bytes = entry_bytes(key, new, &entry.value);
+            if entry.bytes > stats.byte_budget {
+                stats.uncacheable += 1;
+                return false;
             }
             entry.fingerprint = new.to_vec();
-            entry.bytes = entry_bytes(&key, new, &entry.value);
-            if entry.bytes > self.byte_budget {
-                self.uncacheable.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic cache-stats counter
-                continue;
-            }
-            state.bytes += entry.bytes;
-            state.order.insert(entry.tick, key.clone());
-            state.entries.insert(key, entry);
-        }
-        self.evict_over_budget(state);
+            stats.bytes += entry.bytes;
+            true
+        });
+        // A longer fingerprint can outgrow the budget: sweep like an insert.
+        state.make_room(0);
     }
 
     /// A consistent snapshot of the counters and occupancy: taken under
@@ -464,16 +445,8 @@ impl ResultCache {
     pub fn stats(&self) -> ResultCacheStats {
         let state = self.state.lock();
         ResultCacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed), // relaxed: stats snapshot read
-            hits: self.hits.load(Ordering::Relaxed),       // relaxed: stats snapshot read
-            prefix_hits: self.prefix_hits.load(Ordering::Relaxed), // relaxed: stats snapshot read
-            merged: self.merged.load(Ordering::Relaxed),   // relaxed: stats snapshot read
-            misses: self.misses.load(Ordering::Relaxed),   // relaxed: stats snapshot read
-            evictions: self.evictions.load(Ordering::Relaxed), // relaxed: stats snapshot read
-            uncacheable: self.uncacheable.load(Ordering::Relaxed), // relaxed: stats snapshot read
             entries: state.entries.len(),
-            bytes: state.bytes,
-            byte_budget: self.byte_budget,
+            ..state.stats
         }
     }
 }
@@ -509,6 +482,29 @@ mod tests {
     fn bytes_of(key: &CacheKey, fingerprint: &[SegmentRef], value: &str) -> usize {
         entry_bytes(key, fingerprint, value)
     }
+
+    /// The referenced bit of `key`'s resident entry (`None` when not
+    /// resident), read without touching it.
+    fn referenced(cache: &ResultCache, key: &CacheKey) -> Option<bool> {
+        cache
+            .state
+            .lock()
+            .entries
+            .get(key)
+            .map(|entry| entry.referenced)
+    }
+
+    /// Keys of equal accounted size, and that size at fingerprint `fp(1)`.
+    fn same_size_keys(n: usize) -> (Vec<CacheKey>, usize) {
+        let keys: Vec<CacheKey> = (0..n).map(|i| key("m", &format!("{i:02}"))).collect();
+        let per_entry = bytes_of(&keys[0], &fp(1), "v");
+        (keys, per_entry)
+    }
+
+    /// Runs a sweep scenario on many fresh caches: each map draws its own
+    /// `RandomState`, so the sweep visits entries in many orders and an
+    /// order-dependent assertion fails in some round.
+    const ORDERS: usize = 64;
 
     /// `lookup` + unwrap the exact-hit value.
     fn get(cache: &ResultCache, key: &CacheKey, fingerprint: &[SegmentRef]) -> Option<Arc<str>> {
@@ -579,6 +575,100 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes <= stats.byte_budget);
+    }
+
+    #[test]
+    fn a_sweep_never_evicts_the_entry_it_admits() {
+        let (keys, per_entry) = same_size_keys(12);
+        for _ in 0..ORDERS {
+            // Inserts: every admission past the third sweeps first.
+            let cache = ResultCache::new(3 * per_entry);
+            for k in &keys {
+                cache.insert(k.clone(), fp(1), 4, Arc::from("v"));
+                assert_eq!(
+                    referenced(&cache, k),
+                    Some(false),
+                    "insert evicted its own entry"
+                );
+                let stats = cache.stats();
+                assert!(stats.bytes <= stats.byte_budget);
+            }
+            assert!(cache.stats().evictions > 0);
+            // A promotion that outgrows the budget sweeps the others away,
+            // never the promoted entry.
+            let cache = ResultCache::new(3 * per_entry);
+            for k in &keys[..3] {
+                cache.insert(k.clone(), fp(1), 4, Arc::from("v"));
+            }
+            assert!(cache.promote(&keys[0], &fp(2), 4).is_some());
+            assert_eq!(referenced(&cache, &keys[0]), Some(true));
+            assert_eq!(get(&cache, &keys[0], &fp(2)).as_deref(), Some("v"));
+            let stats = cache.stats();
+            assert!(stats.bytes <= stats.byte_budget);
+            assert_eq!((stats.evictions, stats.entries), (1, 2));
+        }
+    }
+
+    #[test]
+    fn a_referenced_entry_survives_a_sweep_and_loses_its_bit() {
+        let (keys, per_entry) = same_size_keys(5);
+        for _ in 0..ORDERS {
+            // Admitting a fifth entry must free two: the three unreferenced
+            // entries suffice, so the referenced one survives.
+            let cache = ResultCache::new(4 * per_entry);
+            for k in &keys[..4] {
+                cache.insert(k.clone(), fp(1), 4, Arc::from("v"));
+            }
+            assert!(get(&cache, &keys[0], &fp(1)).is_some());
+            cache.insert(keys[4].clone(), fp(1), 4, Arc::from("v"));
+            assert!(
+                referenced(&cache, &keys[0]).is_some(),
+                "referenced entry evicted"
+            );
+            assert_eq!(cache.stats().evictions, 2);
+            // Three referenced entries and one unreferenced: the first
+            // pass evicts the unreferenced one and, still over its target,
+            // clears every bit; the second evicts one more.  The survivors
+            // have all spent their second chance.
+            let cache = ResultCache::new(4 * per_entry);
+            for k in &keys[..4] {
+                cache.insert(k.clone(), fp(1), 4, Arc::from("v"));
+            }
+            for k in &keys[..3] {
+                assert!(get(&cache, k, &fp(1)).is_some());
+            }
+            cache.insert(keys[4].clone(), fp(1), 4, Arc::from("v"));
+            assert_eq!(
+                referenced(&cache, &keys[3]),
+                None,
+                "unreferenced entry kept"
+            );
+            let survivors: Vec<bool> = keys[..3]
+                .iter()
+                .filter_map(|k| referenced(&cache, k))
+                .collect();
+            assert_eq!(survivors, [false, false], "survivors keep no bit");
+        }
+    }
+
+    #[test]
+    fn a_sweep_makes_room_when_every_entry_is_referenced() {
+        let (keys, per_entry) = same_size_keys(5);
+        for _ in 0..ORDERS {
+            let cache = ResultCache::new(4 * per_entry);
+            for k in &keys[..4] {
+                cache.insert(k.clone(), fp(1), 4, Arc::from("v"));
+                assert!(get(&cache, k, &fp(1)).is_some());
+            }
+            cache.insert(keys[4].clone(), fp(1), 4, Arc::from("v"));
+            assert_eq!(referenced(&cache, &keys[4]), Some(false));
+            let stats = cache.stats();
+            assert!(stats.bytes <= stats.byte_budget);
+            assert_eq!((stats.evictions, stats.entries), (2, 3));
+            assert!(keys[..4]
+                .iter()
+                .all(|k| referenced(&cache, k) != Some(true)));
+        }
     }
 
     #[test]

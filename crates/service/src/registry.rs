@@ -46,10 +46,13 @@ pub const META_FORMAT_VERSION: u64 = 2;
 /// Byte budget of each model's persistent [`SelectionCache`].  The cache
 /// lives as long as the store lineage and grows with every distinct query
 /// it serves; the budget caps that growth, and past it the cache evicts by
-/// CLOCK (answers never change, only recomputation).  A partial costs
-/// about 220 bytes and partials get three quarters of the budget, so
-/// 64 MiB keeps some 230k per-segment partials resident; a warm
-/// `explain_miss` working set (48 queries over 8 segments) is under 3k.
+/// CLOCK (answers never change, only recomputation).  Group-bys get three
+/// quarters of the budget and side masks one quarter.  On the
+/// `explain_miss` shape (FLIGHT, 50k rows in 8 segments) a per-segment
+/// group-by costs about 420 bytes and a side mask about 900, so 64 MiB
+/// keeps some 120k group-bys resident; that workload's whole warm working
+/// set (8 queries over 8 segments: 560 group-bys and 32 side masks) is
+/// about 265 KB.
 pub const SELECTION_CACHE_BUDGET_BYTES: usize = 64 << 20;
 
 /// One loaded model: the warm engine plus its serving metadata.
@@ -74,10 +77,10 @@ pub struct LoadedModel {
     pub example_rows: Vec<String>,
     /// Fit-time CI-test cache counters, restored from the bundle metadata.
     pub ci_cache_stats: CacheStats,
-    /// The model's persistent per-segment partial-aggregate cache, shared
-    /// across the snapshots of one store lineage and bounded by
+    /// The model's persistent per-segment group-by cache, shared across
+    /// the snapshots of one store lineage and bounded by
     /// [`SELECTION_CACHE_BUDGET_BYTES`]: an ingest clones the `Arc` (the new
-    /// engine replays every pre-ingest segment's partials from it and
+    /// engine replays every pre-ingest segment's group-bys from it and
     /// computes only the new segment — the serving prefix-merge path),
     /// while a reload or compaction installs a fresh cache (the old segment
     /// identities are dead, so keeping the old map would only pin garbage).
@@ -210,11 +213,6 @@ impl ModelRegistry {
         }
     }
 
-    /// The registry directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn paths(&self, id: &str) -> (PathBuf, PathBuf, PathBuf) {
         bundle_paths(&self.dir, id)
     }
@@ -321,7 +319,7 @@ impl ModelRegistry {
             example_queries: current.example_queries.clone(),
             example_rows: current.example_rows.clone(),
             ci_cache_stats: current.ci_cache_stats,
-            // The lineage is unchanged, so the partial cache stays valid:
+            // The lineage is unchanged, so the group-by cache stays valid:
             // the successor engine replays the old segments and computes
             // only the new one.
             selection: Arc::clone(&current.selection),
@@ -341,7 +339,7 @@ impl ModelRegistry {
     /// into a single merged segment (a pure rewrite of immutable data —
     /// same rows, same order, same dictionary codes, byte-identical
     /// answers) and atomically swaps the rewritten engine in with a bumped
-    /// generation and a fresh partial cache.
+    /// generation and a fresh group-by cache.
     ///
     /// The expensive rewrite runs **off** the swap lock; the lock is taken
     /// only to validate that the model was not reloaded or ingested into
@@ -415,7 +413,7 @@ impl ModelRegistry {
             example_rows: current.example_rows.clone(),
             ci_cache_stats: current.ci_cache_stats,
             // A fresh cache: the compacted segment has a new identity, and
-            // dropping the old map releases every pre-compaction partial.
+            // dropping the old map releases every pre-compaction group-by.
             selection: Arc::new(SelectionCache::with_budget(SELECTION_CACHE_BUDGET_BYTES)),
             fingerprint: report.new_fingerprint.clone(),
             dict_len,
@@ -820,7 +818,7 @@ mod tests {
         assert_eq!(after.fingerprint, report.new_fingerprint);
         assert_eq!(after.engine.data().n_segments(), 1);
         assert_eq!(after.n_rows, before.n_rows);
-        // Compaction installs a fresh partial cache; ingest had shared it.
+        // Compaction installs a fresh group-by cache; ingest had shared it.
         assert!(!Arc::ptr_eq(&after.selection, &before.selection));
         // The rewrite is answer-preserving, and the old snapshot still
         // serves (in-flight requests are unaffected).

@@ -12,7 +12,7 @@
 //!                 │  machines,  ◀──completions + notify─────────┤      │
 //!                 │  exact hits)                                ▼      │
 //!                 │   │   ResultCache  ──miss──▶  ModelRegistry        │
-//!                 │   └─▶ (LRU, byte budget)     (warm XInsight per    │
+//!                 │   └─▶ (CLOCK, byte budget)   (warm XInsight per    │
 //!                 │                               model, hot-reload)   │
 //!                 └────────────────────────────────────────────────────┘
 //! ```
@@ -90,7 +90,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission-queue capacity; requests beyond it are answered `503`.
     pub queue_capacity: usize,
-    /// Byte budget of the LRU result cache.
+    /// Byte budget of the result cache (CLOCK eviction, see `lru`).
     pub cache_bytes: usize,
     /// Background compaction threshold: once a model's store holds at
     /// least this many sealed segments, the compactor rewrites them into
@@ -625,7 +625,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         .iter()
         .map(|m| m.ci_cache_stats)
         .fold(CacheStats::default(), CacheStats::merged);
-    // The selection-cache view is *live*: each model's persistent partial
+    // The selection-cache view is *live*: each model's persistent group-by
     // cache is summed at scrape time (the caches are shared across
     // requests and ingests, so per-request accumulation would double
     // count).
@@ -704,7 +704,7 @@ enum CacheOutcome {
     /// to change the answer.
     Hit(Arc<str>),
     /// A proper-prefix entry exists but its suffix may move scores:
-    /// recompute through the model's persistent partial cache (pre-ingest
+    /// recompute through the model's persistent group-by cache (pre-ingest
     /// segments replay, only the new segments compute) and record the
     /// serve as a merge.
     Merge,
@@ -1178,7 +1178,7 @@ fn handle_ingest_v2(shared: &Shared, body: &[u8], trace: &mut TraceBuilder) -> R
             // segment-set fingerprint they were computed against, which is
             // now a proper prefix of the store — follow-up lookups promote
             // them (when the new rows cannot move the answer) or merge
-            // their partials with the new segment's.
+            // their group-bys with the new segment's.
             shared.stats.ingest_v2.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic stats counter
             let store = loaded.engine.data();
             // `ingested` counts rows actually sealed into the store — the
@@ -1979,7 +1979,7 @@ mod tests {
             assert_eq!(cache_counter("merged"), 0.0, "{route}");
 
             // An ingest that *does* intersect S1 forces the merge path: the
-            // recompute replays the old segments' partials and only
+            // recompute replays the old segments' group-bys and only
             // computes the new one.
             ingest("[{\"Location\":\"A\",\"Smoking\":\"Yes\",\"Severity\":3.0}]");
             let (cached, _) = explain();

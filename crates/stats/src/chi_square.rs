@@ -23,11 +23,6 @@ impl ChiSquareTest {
         assert!((0.0..1.0).contains(&alpha), "alpha must be in (0, 1)");
         ChiSquareTest { alpha }
     }
-
-    /// The significance level.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl Default for ChiSquareTest {

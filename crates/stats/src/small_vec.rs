@@ -125,9 +125,16 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
     }
 
     /// Returns `true` when the contents live on the heap.
-    // xlint: allow(unreferenced-pub, the type-level doc example asserts it)
     pub fn spilled(&self) -> bool {
         matches!(self.repr, Repr::Heap(_))
+    }
+
+    /// Bytes of heap the vector owns: its spilled capacity, or 0 inline.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(v) => v.capacity() * std::mem::size_of::<T>(),
+        }
     }
 }
 

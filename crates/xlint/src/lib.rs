@@ -8,13 +8,13 @@
 //! | Rule | Invariant |
 //! |---|---|
 //! | `lock-order` | locks are acquired in the declared hierarchy order (registry swap → models → LRU → trace publish → loop queues), propagated through the intra-crate call graph |
-//! | `no-alloc-hot-path` | the event-loop framing path, trace span recording, stats record paths, the discovery inner loops and the CSV codec's per-cell loops stay allocation-free (`format!`, `to_string`, `clone`, `Arc::new`, … are denied) |
+//! | `no-alloc-hot-path` | the event-loop framing path, trace span recording, stats record paths, the result cache's lookup, the discovery inner loops and the CSV codec's per-cell loops stay allocation-free (`format!`, `to_string`, `clone`, `Arc::new`, … are denied) |
 //! | `no-string-fit-path` | the causal-discovery fit path (skeleton search, FCI, orientation, sepsets) speaks dense `u32` node ids only — no `String` type, `format!`, or `.to_string()`/`.to_owned()`/`.push_str()` after `DiscoveryView` compile |
 //! | `no-panic-path` | no `unwrap`/`expect`/`panic!`/slice-indexing in the event loop or worker dispatch — a panic there kills the loop thread, not one request |
 //! | `relaxed-ordering-justified` | every `Ordering::Relaxed` carries an adjacent `// relaxed:` justification |
 //! | `unsafe-safety-comment` | every `unsafe` site (including the raw epoll FFI in `vendor/polling`) carries a `// SAFETY:` comment |
 //! | `endpoint-inventory` | the route table, trace labels, metrics counter labels, `lib.rs` endpoint table, and README docs all name the same endpoint set |
-//! | `unreferenced-pub` | every `pub fn` outside `#[cfg(test)]` is named in some other `.rs` file, a method only after `.` or `::` (tests, examples and the benchmark harness count as callers; vendored shims are skipped) |
+//! | `unreferenced-pub` | every `pub fn` outside `#[cfg(test)]` is named in some other `.rs` file, a method only where it is called or named by a `Type::name` path (tests, examples and the benchmark harness count as callers; vendored shims are skipped) |
 //!
 //! Everything is dependency-free and hand-rolled in the same offline
 //! spirit as `vendor/`: a Rust [`lexer`], a lightweight item scanner

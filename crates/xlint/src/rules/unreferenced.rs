@@ -7,8 +7,11 @@
 //! under one of the `REFERENCE_DIRS` (integration tests, examples,
 //! benches, the benchmark harness) — has an identifier `load` outside a
 //! comment.  Same-named definitions (`fn load`) do not count.  A method
-//! (first parameter `self`) counts only where its name follows `.` or
-//! `::`, so a same-named free function or local cannot hide it.  There is
+//! (first parameter `self`) counts only where it is used as one: a call
+//! `.name(` or `.name::<`, or a `Type::name` path outside a `use` that
+//! does not continue with `::`.  So a same-named free function, local,
+//! field read (`self.name`) or module path (`super::name::`) cannot hide
+//! it.  There is
 //! no call graph: callers live in test and benchmark crates that an
 //! intra-crate graph cannot see, and a name collision can only hide a dead
 //! function, never flag a live one.  `pub(crate)` functions and the
@@ -97,17 +100,23 @@ fn reference_files(workspace: &Workspace) -> Vec<SourceFile> {
 }
 
 /// Every identifier in `tokens` outside comments, except the name a `fn`
-/// keyword defines, mapped to whether it ever follows `.` or `::` (the
-/// only places a method is named; `..` is a range).
+/// keyword defines, mapped to whether it is ever used as a method: called
+/// after `.` (`..` is a range), or named by a `::` path outside a `use`
+/// that stops there or continues only into a turbofish.
 fn referenced_idents(tokens: &[Token]) -> BTreeMap<&str, bool> {
     let mut idents = BTreeMap::new();
     let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let mut in_use = false;
     for (i, token) in code.iter().enumerate() {
         let before = |k: usize, c: char| i >= k && code[i - k].is_punct(c);
+        let after = |k: usize, c: char| code.get(i + k).is_some_and(|t| t.is_punct(c));
+        in_use = (in_use || token.is_ident("use")) && !token.is_punct(';');
         if token.kind == TokenKind::Ident && !(i > 0 && code[i - 1].is_ident("fn")) {
-            let qualified =
-                (before(1, '.') && !before(2, '.')) || (before(1, ':') && before(2, ':'));
-            *idents.entry(token.text.as_str()).or_insert(false) |= qualified;
+            let turbofish = after(1, ':') && after(2, ':') && after(3, '<');
+            let continues = after(1, ':') && after(2, ':') && !turbofish;
+            let called = (before(1, '.') && !before(2, '.')) && (after(1, '(') || turbofish);
+            let path = before(1, ':') && before(2, ':') && !in_use && !continues;
+            *idents.entry(token.text.as_str()).or_insert(false) |= called || path;
         }
     }
     idents

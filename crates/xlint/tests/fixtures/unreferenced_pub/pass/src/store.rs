@@ -9,4 +9,8 @@ impl Store {
     pub fn size(&self) -> usize {
         0
     }
+
+    pub fn pick<T: Default>(&self) -> T {
+        T::default()
+    }
 }

@@ -183,9 +183,10 @@ fn endpoint_inventory_pass_and_fail() {
 }
 
 /// The pass fixture's callers sit in a sibling module, an integration test
-/// (a method called through `::`) and (pragma-justified) a doc-test,
-/// and its vendored shim is skipped.  The fail fixtures hold dead functions
-/// and methods masked by same-named identifiers.
+/// (a method called through a `Type::name` path and one through a
+/// turbofish) and (pragma-justified) a doc-test, and its vendored shim is
+/// skipped.  The fail fixtures hold dead functions and methods masked by
+/// same-named identifiers.
 #[test]
 fn unreferenced_pub_pass_and_fail() {
     assert_pass("unreferenced_pub/pass");
@@ -200,9 +201,14 @@ fn unreferenced_pub_pass_and_fail() {
         ],
     );
     assert_eq!(text.lines().count(), 2, "`live` has a caller:\n{text}");
-    // A method counts only after `.` or `::`: a same-named free function
-    // (`fail_method_fn`) or local (`fail_method_var`) does not hide it.
-    for (name, dead) in [("fn", &["reading"][..]), ("var", &["level", "apply"])] {
+    // A method counts only where it is used as one: a same-named free
+    // function (`fail_method_fn`), local (`fail_method_var`), field read or
+    // module path (`fail_method_field`) does not hide it.
+    for (name, dead) in [
+        ("fn", &["reading"][..]),
+        ("var", &["level", "apply"]),
+        ("field", &["level", "gauge"]),
+    ] {
         let fixture = format!("unreferenced_pub/fail_method_{name}");
         let text = assert_fail(&fixture, "unreferenced-pub", &[]);
         let flagged = |d: &&str| text.contains(&format!("`pub fn {d}` is named in no other"));
