@@ -764,8 +764,8 @@ mod tests {
         assert_eq!(narrow.heap_bytes(), 0);
         let wide = side_ids(&store, &filters(5)).unwrap();
         assert!(wide.spilled() && wide.len() == 5);
-        // The charge is the spilled allocation, at least the five words.
-        assert!(wide.heap_bytes() >= 5 * size_of::<u64>());
+        // The charge is the spilled allocation: exactly the five words.
+        assert_eq!(wide.heap_bytes(), 5 * size_of::<u64>());
         let cache = SelectionCache::new();
         let mask = cache
             .subspace_mask(&store, seg(&store), &filters(5))

@@ -45,23 +45,14 @@ impl DimensionColumn {
         I: IntoIterator<Item = Option<S>>,
         S: AsRef<str>,
     {
-        let mut col = Self::with_capacity(0);
+        let mut col = Self::from_interned(Vec::new(), Vec::new(), HashMap::new());
         for v in values {
             match v {
                 Some(s) => col.push(s.as_ref()),
-                None => col.push_null(),
+                None => col.codes.push(NULL_CODE),
             }
         }
         col
-    }
-
-    /// An empty column with room for `rows` codes.
-    pub(crate) fn with_capacity(rows: usize) -> Self {
-        DimensionColumn {
-            codes: Vec::with_capacity(rows),
-            categories: Vec::new(),
-            lookup: HashMap::new(),
-        }
     }
 
     /// Builds a dimension column from pre-encoded storage: per-row `codes`
@@ -83,11 +74,23 @@ impl DimensionColumn {
                 return Err(DataError::DuplicateAttribute(category.to_string()));
             }
         }
-        Ok(DimensionColumn {
+        Ok(Self::from_interned(codes, categories, lookup))
+    }
+
+    /// Assembles a column its builder has already interned: `lookup` maps
+    /// every category of the duplicate-free `categories` to its code, and
+    /// every code is in range or [`NULL_CODE`].  Unlike
+    /// [`DimensionColumn::from_parts`], nothing is re-validated.
+    pub(crate) fn from_interned(
+        codes: Vec<u32>,
+        categories: Vec<Arc<str>>,
+        lookup: HashMap<Arc<str>, u32>,
+    ) -> Self {
+        DimensionColumn {
             codes,
             categories,
             lookup,
-        })
+        }
     }
 
     /// Builds a column from per-row keys into a source dictionary of
@@ -122,11 +125,7 @@ impl DimensionColumn {
             .enumerate()
             .map(|(code, c)| (Arc::clone(c), code as u32))
             .collect();
-        DimensionColumn {
-            codes,
-            categories,
-            lookup,
-        }
+        Self::from_interned(codes, categories, lookup)
     }
 
     /// The rows at `rows`, in that order, re-coded in first-appearance
@@ -156,11 +155,6 @@ impl DimensionColumn {
             }
         };
         self.codes.push(code);
-    }
-
-    /// Appends one missing value.
-    pub(crate) fn push_null(&mut self) {
-        self.codes.push(NULL_CODE);
     }
 
     /// Number of rows.

@@ -21,30 +21,51 @@
 //! of a line is an error: fields never span lines.  Cells are trimmed after
 //! unquoting and an empty cell is missing; header names are unquoted but
 //! not trimmed.  Whitespace-only lines are skipped; width and quoting
-//! errors name the physical 1-based line.  The writer quotes a field only
-//! when it contains the separator or a quote (doubling inner quotes),
-//! writes missing values as empty fields and numbers with `{}` (shortest
-//! round-trip) formatting.
+//! errors name the physical 1-based line.  The writer quotes a field (a
+//! header name included) only when it contains the separator or a quote
+//! (doubling inner quotes), writes missing values as empty fields and
+//! numbers with `{}` (shortest round-trip) formatting.
 //!
 //! # Cost model
 //!
-//! Reading is one pass over the lines.  The fields of a line without `"`
-//! are borrowed slices of the input; a line with quotes is unquoted into one
-//! reused scratch buffer.  Each cell is parsed at most once: cells of a
-//! column that is still numeric go straight into its `Vec<f64>`, dimension
-//! cells are interned straight into dictionary codes, and the only per-cell
-//! allocation is the dictionary entry of a category seen for the first
-//! time.  A column that looked numeric until row `r` and then meets a
-//! non-number re-reads its first `r` cells once to intern them.
+//! Reading is one pass over the lines, and each data line is scanned once.
+//! A line without `"` is split over its bytes, on the separator's UTF-8
+//! bytes, into borrowed slices of the input; a line with quotes is unquoted
+//! char by char into one reused scratch buffer.  A cell is trimmed only
+//! when its first or last byte is whitespace or non-ASCII, which keeps
+//! `str::trim`'s Unicode semantics and lets plain cells skip it.  Each cell
+//! is parsed at most once: cells of a column that is still numeric go
+//! straight into its `Vec<f64>`, and dimension cells are interned straight
+//! into dictionary codes.
+//!
+//! Each dimension column owns a code table while it has fewer than 128
+//! categories: a cell of at most 7 bytes is packed with its length into a
+//! `u64` key and looked up in a 256-slot open-addressed table, at most 8
+//! probes from a slot picked by a multiplier drawn at random per column, so
+//! the input cannot steer which cells collide.  Longer cells, cells whose
+//! probes run out, and every cell of a column past the table's bound go
+//! through the column's `HashMap`, which holds every category and becomes
+//! the finished column's lookup.  The only per-cell allocation is the
+//! dictionary entry of a category seen for the first time.  A column that
+//! looked numeric until row `r` and then meets a non-number re-reads its
+//! first `r` cells once to intern them.
 //!
 //! Writing escapes each dictionary category once per column, then appends
 //! the rows' categories and formatted numbers (through one reused buffer)
 //! into a single `String` sized up front.
 
-use crate::column::{Column, DimensionColumn, MeasureColumn};
+// HashMap here never leaks iteration order into output: each column's
+// interning map; codes keep first-appearance order (see clippy.toml).
+#![allow(clippy::disallowed_types)]
+
+use crate::column::{Column, DimensionColumn, MeasureColumn, NULL_CODE};
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::error::{DataError, Result};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::BuildHasher;
+use std::sync::Arc;
 
 /// Options for CSV parsing.
 #[derive(Debug, Clone)]
@@ -68,6 +89,146 @@ impl Default for CsvOptions {
     }
 }
 
+/// The field separator: a char for the unquoting path, its UTF-8 bytes for
+/// the byte scan.
+#[derive(Clone, Copy)]
+struct Separator {
+    ch: char,
+    utf8: [u8; 4],
+    len: usize,
+}
+
+impl Separator {
+    fn new(ch: char) -> Self {
+        let mut utf8 = [0; 4];
+        let len = ch.encode_utf8(&mut utf8).len();
+        Separator { ch, utf8, len }
+    }
+}
+
+/// Longest cell, in bytes, a column's code table keys.
+const SHORT_BYTES: usize = 7;
+/// Slots of a column's code table (a power of two).
+const TABLE_SLOTS: usize = 256;
+/// A column drops its code table when its dictionary reaches this many
+/// categories, so the table is never more than half full.
+const TABLE_CATEGORIES: usize = 128;
+/// Slots a code-table lookup probes before it falls back to the map.
+const MAX_PROBES: usize = 8;
+
+/// A column's code table: packed short cells → codes, linearly probed.
+struct CodeTable {
+    /// Random odd multiplier; the slot is the top bits of `key * multiplier`.
+    multiplier: u64,
+    /// Packed keys (see [`pack`]); 0 marks a vacant slot.
+    keys: [u64; TABLE_SLOTS],
+    codes: [u32; TABLE_SLOTS],
+}
+
+/// What a code-table probe found.
+enum Probe {
+    Found(u32),
+    /// The key is in neither the table nor the map: it may take this slot.
+    Vacant(usize),
+    /// Every probed slot holds another key: ask the map.
+    Exhausted,
+}
+
+impl CodeTable {
+    fn probe(&self, key: u64) -> Probe {
+        let start =
+            (key.wrapping_mul(self.multiplier) >> (64 - TABLE_SLOTS.trailing_zeros())) as usize;
+        for i in 0..MAX_PROBES {
+            let slot = (start + i) % TABLE_SLOTS;
+            match self.keys[slot] {
+                k if k == key => return Probe::Found(self.codes[slot]),
+                0 => return Probe::Vacant(slot),
+                _ => {}
+            }
+        }
+        Probe::Exhausted
+    }
+}
+
+/// A cell of at most [`SHORT_BYTES`] bytes as one `u64`: its bytes, with
+/// its length in the top byte, so no packed key is 0 and no two cells share
+/// one.
+fn pack(cell: &[u8]) -> Option<u64> {
+    if cell.len() > SHORT_BYTES {
+        return None;
+    }
+    let key = cell.iter().rev().fold(0, |key, &b| key << 8 | u64::from(b));
+    Some(key | (cell.len() as u64) << 56)
+}
+
+/// A dimension column while it is being read: codes, the dictionary in
+/// first-appearance order, and the two indexes into it.
+struct Interner {
+    codes: Vec<u32>,
+    categories: Vec<Arc<str>>,
+    /// Every category → its code.
+    lookup: HashMap<Arc<str>, u32>,
+    /// Short categories → codes, while the dictionary is small.  A short
+    /// category interned while the table exists was offered a slot, and
+    /// slots are never freed, so a probe that reaches a vacant slot proves
+    /// the cell new.
+    table: Option<Box<CodeTable>>,
+}
+
+impl Interner {
+    fn with_capacity(rows: usize) -> Self {
+        Interner {
+            codes: Vec::with_capacity(rows),
+            categories: Vec::new(),
+            lookup: HashMap::new(),
+            table: Some(Box::new(CodeTable {
+                multiplier: RandomState::new().hash_one(0u64) | 1,
+                keys: [0; TABLE_SLOTS],
+                codes: [0; TABLE_SLOTS],
+            })),
+        }
+    }
+
+    /// Appends one non-empty cell's code.
+    fn push(&mut self, cell: &str) {
+        let code = self.code(cell);
+        self.codes.push(code);
+    }
+
+    /// The code of `cell`, interning it when it is new.
+    fn code(&mut self, cell: &str) -> u32 {
+        let mut vacant = None;
+        if let (Some(table), Some(key)) = (&self.table, pack(cell.as_bytes())) {
+            match table.probe(key) {
+                Probe::Found(code) => return code,
+                Probe::Vacant(slot) => vacant = Some((slot, key)),
+                Probe::Exhausted => {}
+            }
+        }
+        if vacant.is_none() {
+            if let Some(&code) = self.lookup.get(cell) {
+                return code;
+            }
+        }
+        let code = self.categories.len() as u32;
+        // xlint: allow(no-alloc-hot-path, interning a category seen for the first time: one allocation per distinct value, not per cell)
+        let interned: Arc<str> = Arc::from(cell);
+        self.categories.push(Arc::clone(&interned));
+        self.lookup.insert(interned, code);
+        if self.categories.len() >= TABLE_CATEGORIES {
+            self.table = None;
+        } else if let (Some(table), Some((slot, key))) = (&mut self.table, vacant) {
+            table.keys[slot] = key;
+            table.codes[slot] = code;
+        }
+        code
+    }
+
+    fn finish(self) -> DimensionColumn {
+        DimensionColumn::from_interned(self.codes, self.categories, self.lookup)
+    }
+}
+
 /// One column while it is being read.
 enum Cells {
     /// Every non-empty cell so far parsed as a number (missing ones are
@@ -78,13 +239,13 @@ enum Cells {
         forced: bool,
         saw_value: bool,
     },
-    Dimension(DimensionColumn),
+    Dimension(Interner),
 }
 
 impl Cells {
     fn new(name: &str, options: &CsvOptions, rows: usize) -> Self {
         if options.force_dimensions.iter().any(|n| n == name) {
-            Cells::Dimension(DimensionColumn::with_capacity(rows))
+            Cells::Dimension(Interner::with_capacity(rows))
         } else {
             Cells::Numbers {
                 values: Vec::with_capacity(rows),
@@ -99,7 +260,7 @@ impl Cells {
     /// dimension first.
     fn push(&mut self, cell: &str) -> bool {
         match self {
-            Cells::Dimension(column) if cell.is_empty() => column.push_null(),
+            Cells::Dimension(column) if cell.is_empty() => column.codes.push(NULL_CODE),
             Cells::Dimension(column) => column.push(cell),
             Cells::Numbers { values, .. } if cell.is_empty() => values.push(f64::NAN),
             Cells::Numbers {
@@ -124,18 +285,18 @@ impl Cells {
         &mut self,
         body: &(impl Iterator<Item = (usize, &'a str)> + Clone),
         rows: usize,
-        sep: char,
+        sep: Separator,
         col: usize,
     ) -> Result<()> {
         let Cells::Numbers { values, .. } = self else {
             return Ok(());
         };
-        let mut column = Cells::Dimension(DimensionColumn::with_capacity(values.capacity()));
+        let mut column = Cells::Dimension(Interner::with_capacity(values.capacity()));
         let mut scratch = String::new();
         for (line_no, line) in body.clone().take(rows) {
             split_line(line, sep, line_no, &mut scratch, |i, field| {
                 if i == col {
-                    column.push(field.trim());
+                    column.push(trim_cell(field));
                 }
                 Ok(())
             })?;
@@ -147,7 +308,7 @@ impl Cells {
 
 /// Parses a CSV document (with a header row) into a [`Dataset`].
 pub fn read_csv_str(input: &str, options: &CsvOptions) -> Result<Dataset> {
-    let sep = options.separator;
+    let sep = Separator::new(options.separator);
     let mut scratch = String::new();
     let mut lines = records(input);
     let (header_no, header) = lines
@@ -189,7 +350,7 @@ pub fn read_csv_str(input: &str, options: &CsvOptions) -> Result<Dataset> {
                 name,
                 DimensionColumn::from_optional_values(values.iter().map(|_| None::<&str>)),
             ),
-            Cells::Dimension(column) => builder.dimension_column(name, column),
+            Cells::Dimension(column) => builder.dimension_column(name, column.finish()),
         };
     }
     builder.build()
@@ -211,7 +372,7 @@ fn records(input: &str) -> impl Iterator<Item = (usize, &str)> + Clone {
 fn read_row<'a>(
     line: &str,
     line_no: usize,
-    sep: char,
+    sep: Separator,
     scratch: &mut String,
     columns: &mut [Cells],
     row: usize,
@@ -221,7 +382,7 @@ fn read_row<'a>(
         let Some(column) = columns.get_mut(col) else {
             return Ok(());
         };
-        let cell = field.trim();
+        let cell = trim_cell(field);
         if !column.push(cell) {
             column.demote(body, row, sep, col)?;
             column.push(cell);
@@ -230,23 +391,32 @@ fn read_row<'a>(
     })
 }
 
+/// `field.trim()`, skipped when the first and last bytes are ASCII above
+/// the space: a field that starts and ends with such bytes has no
+/// whitespace char at either end.
+fn trim_cell(field: &str) -> &str {
+    let plain = |b: Option<&u8>| b.is_none_or(|&b| b > b' ' && b.is_ascii());
+    let bytes = field.as_bytes();
+    if plain(bytes.first()) && plain(bytes.last()) {
+        field
+    } else {
+        field.trim()
+    }
+}
+
 /// Calls `each(index, field)` for every field of `line`, in order, and
 /// returns the field count.  A line without `"` is split into borrowed
-/// slices; a line with quotes is unquoted field by field into `scratch`.
+/// slices (see [`split_plain`]); a line with quotes is unquoted field by
+/// field into `scratch`.
 fn split_line(
     line: &str,
-    sep: char,
+    sep: Separator,
     line_no: usize,
     scratch: &mut String,
     mut each: impl FnMut(usize, &str) -> Result<()>,
 ) -> Result<usize> {
     if !line.contains('"') {
-        let mut count = 0;
-        for field in line.split(sep) {
-            each(count, field)?;
-            count += 1;
-        }
-        return Ok(count);
+        return split_plain(line, sep, each);
     }
     let mut count = 0;
     let mut in_quotes = false;
@@ -266,7 +436,7 @@ fn split_line(
             }
         } else if c == '"' {
             in_quotes = true;
-        } else if c == sep {
+        } else if c == sep.ch {
             each(count, scratch)?;
             count += 1;
             scratch.clear();
@@ -284,6 +454,31 @@ fn split_line(
     Ok(count + 1)
 }
 
+/// The unquoted case of [`split_line`]: one scan over the line's bytes,
+/// cutting where the separator's UTF-8 bytes start.  Its first byte is
+/// ASCII or a lead byte, so every cut falls on a char boundary.
+fn split_plain(
+    line: &str,
+    sep: Separator,
+    mut each: impl FnMut(usize, &str) -> Result<()>,
+) -> Result<usize> {
+    let bytes = line.as_bytes();
+    let (first, rest) = (sep.utf8[0], &sep.utf8[1..sep.len]);
+    let (mut count, mut start, mut i) = (0, 0, 0);
+    while i < bytes.len() {
+        if bytes[i] == first && bytes[i + 1..].starts_with(rest) {
+            each(count, &line[start..i])?;
+            count += 1;
+            i += sep.len;
+            start = i;
+        } else {
+            i += 1;
+        }
+    }
+    each(count, &line[start..])?;
+    Ok(count + 1)
+}
+
 /// One column as the writer sees it.
 enum Field<'d> {
     /// Per-row dictionary codes and each category already escaped.
@@ -295,7 +490,13 @@ enum Field<'d> {
 /// Serializes a dataset to CSV (header + rows).
 pub fn write_csv_string(data: &Dataset, options: &CsvOptions) -> String {
     let sep = options.separator;
-    let header = data.schema().names().join(sep.encode_utf8(&mut [0; 4]));
+    let mut header = String::new();
+    for (i, name) in data.schema().names().into_iter().enumerate() {
+        if i > 0 {
+            header.push(sep);
+        }
+        push_field(&mut header, name, sep);
+    }
     let mut row_bytes = 0;
     let columns: Vec<Field> = (0..data.n_attributes())
         .map(|col| match data.column(col) {

@@ -89,7 +89,10 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
                     buf[*len as usize] = item;
                     *len += 1;
                 } else {
-                    let mut v = buf.to_vec();
+                    // Room for exactly the N + 1 items: a doubling `push`
+                    // would charge a spilled key for capacity it never uses.
+                    let mut v = Vec::with_capacity(N + 1);
+                    v.extend_from_slice(buf);
                     v.push(item);
                     self.repr = Repr::Heap(v);
                 }
@@ -199,6 +202,8 @@ mod tests {
         assert!(v.spilled());
         assert_eq!(v.as_slice(), &[1, 2, 3, 4]);
         assert_eq!(v.len(), 4);
+        // The spill owns one slot past the inline buffer, not a doubling.
+        assert_eq!(v.heap_bytes(), 4 * size_of::<u32>());
     }
 
     #[test]

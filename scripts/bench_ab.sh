@@ -3,7 +3,7 @@
 # on the xbench benchmark (BENCHMARK.json).
 #
 #   scripts/bench_ab.sh [--workload W] [--pairs N] [--seed S] [--seconds T]
-#                       [--ref REV] [--dir DIR] [-- XBENCH_ARGS...]
+#                       [--ref REV] [--dir DIR] [--trace] [-- XBENCH_ARGS...]
 #
 # * Builds REV from a `git archive` export and the working tree, each
 #   into its own CARGO_TARGET_DIR under DIR (default: a fresh temporary
@@ -18,15 +18,19 @@
 #   median and quartiles and the number of pairs the working tree won,
 #   followed by the raw per-pair values.  Exits non-zero when any run
 #   fails or reports `correct: false`.
+# * With --trace, every run is traced (`--trace 1`), in the same
+#   alternating order, and the report covers BENCHMARK.json's per-layer
+#   metrics instead: one traced pair alone is biased by which side ran
+#   first.
 #
 # Example:  scripts/bench_ab.sh --workload explain_miss --pairs 10 --seed 101
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
 
-workload=explain_miss pairs=10 seed=1 seconds=12 ref=HEAD dir=
+workload=explain_miss pairs=10 seed=1 seconds=12 ref=HEAD dir= trace=0
 extra=()
-usage() { sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'; exit "${1:-0}"; }
+usage() { sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'; exit "${1:-0}"; }
 while [[ $# -gt 0 ]]; do
     case $1 in
         --workload) workload=$2; shift 2 ;;
@@ -35,6 +39,7 @@ while [[ $# -gt 0 ]]; do
         --seconds) seconds=$2; shift 2 ;;
         --ref) ref=$2; shift 2 ;;
         --dir) dir=$2; shift 2 ;;
+        --trace) trace=1; shift ;;
         --) shift; extra=("$@"); break ;;
         -h | --help) usage 0 ;;
         *) echo "bench_ab: unknown argument $1" >&2; usage 2 ;;
@@ -70,12 +75,12 @@ build() { # build SOURCE_DIR TARGET_DIR
 build "$checkout" "$dir/target-ref"
 build "$root" "$dir/target-work"
 
-results="$dir/results-$workload.jsonl"
+results="$dir/results-$workload-trace$trace.jsonl"
 : >"$results"
 run() { # run SIDE SEED
     local out status=0
     out=$("$dir/target-$1/release/xbench" --workload "$workload" --seed "$2" \
-        --seconds "$seconds" --trace 0 ${extra[@]+"${extra[@]}"} | tail -n 1) || status=$?
+        --seconds "$seconds" --trace "$trace" ${extra[@]+"${extra[@]}"} | tail -n 1) || status=$?
     if [[ $out != '{'* ]]; then
         echo "bench_ab: xbench failed ($1, seed $2, exit $status)" >&2
         exit 1
@@ -91,11 +96,13 @@ for ((i = 0; i < pairs; i++)); do
     done
 done
 
-python3 - "$root/BENCHMARK.json" "$results" "$ref" "$workload" <<'EOF'
+section=end_to_end
+if [[ $trace == 1 ]]; then section=per_layer; fi
+python3 - "$root/BENCHMARK.json" "$results" "$ref" "$workload" "$section" <<'EOF'
 import json, statistics, sys
 
-bench, results, ref, workload = sys.argv[1:]
-metrics = json.load(open(bench))["end_to_end"]
+bench, results, ref, workload, section = sys.argv[1:]
+metrics = json.load(open(bench))[section]
 runs = {"ref": {}, "work": {}}
 ok = True
 for line in open(results):
@@ -104,20 +111,25 @@ for line in open(results):
     ok &= row["result"]["correct"]
 seeds = sorted(set(runs["ref"]) & set(runs["work"]))
 
+def value(side, seed, name):
+    """The metric's number, or None when the run did not report one."""
+    metric = runs[side][seed]["metrics"].get(name)
+    return metric.get("value") if metric else None
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
 
-print(f"# {workload}: {len(seeds)} interleaved pairs, ref = {ref}, work = working tree")
-print(f"{'metric':<15} {'unit':<6} {'ref median [q1, q3]':<30} "
+print(f"# {workload} ({section}): {len(seeds)} interleaved pairs, ref = {ref}, "
+      "work = working tree")
+print(f"{'metric':<32} {'unit':<6} {'ref median [q1, q3]':<30} "
       f"{'work median [q1, q3]':<30} {'change':>8} {'work wins':>10}")
 for metric in metrics:
     name = metric["name"]
-    pairs = [(runs["ref"][s]["metrics"].get(name), runs["work"][s]["metrics"].get(name))
-             for s in seeds]
-    pairs = [(a["value"], b["value"]) for a, b in pairs if a and b]
+    pairs = [(value("ref", s, name), value("work", s, name)) for s in seeds]
+    pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
     if not pairs:
         continue
     ref_values, work_values = [a for a, _ in pairs], [b for _, b in pairs]
@@ -126,7 +138,7 @@ for metric in metrics:
     ties = sum(a == b for a, b in pairs)
     (r1, r2, r3), (w1, w2, w3) = quartiles(ref_values), quartiles(work_values)
     change = f"{(w2 - r2) / r2 * 100:+.1f}%" if r2 else "n/a"
-    print(f"{name:<15} {metric['unit']:<6} {f'{r2:.4g} [{r1:.4g}, {r3:.4g}]':<30} "
+    print(f"{name:<32} {metric['unit']:<6} {f'{r2:.4g} [{r1:.4g}, {r3:.4g}]':<30} "
           f"{f'{w2:.4g} [{w1:.4g}, {w3:.4g}]':<30} {change:>8} {f'{wins}/{len(pairs)}':>10}"
           + (f" ({ties} tied)" if ties else ""))
 print("# per pair (seed: ref -> work)")
@@ -134,9 +146,9 @@ for metric in metrics:
     name = metric["name"]
     cells = []
     for s in seeds:
-        a, b = runs["ref"][s]["metrics"].get(name), runs["work"][s]["metrics"].get(name)
-        if a and b:
-            cells.append(f"{s}: {a['value']:.4g} -> {b['value']:.4g}")
+        a, b = value("ref", s, name), value("work", s, name)
+        if a is not None and b is not None:
+            cells.append(f"{s}: {a:.4g} -> {b:.4g}")
     if cells:
         print(f"{name}: " + ", ".join(cells))
 if not ok:

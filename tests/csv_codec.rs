@@ -126,7 +126,7 @@ fn assert_same(expected: &Dataset, actual: &Dataset) {
 
 /// Categories that survive a round trip: non-empty, already trimmed, no
 /// line breaks — but with separators, quotes, numbers and non-ASCII text.
-const CATEGORIES: [&str; 9] = [
+const CATEGORIES: [&str; 10] = [
     "a",
     "b,c",
     "say \"x\"",
@@ -136,6 +136,7 @@ const CATEGORIES: [&str; 9] = [
     "-0",
     "in,\"side\"",
     "tab\tin",
+    "longer than eight bytes",
 ];
 
 proptest! {
@@ -253,4 +254,221 @@ fn errors_name_the_physical_line() {
         message("A,B\n1,2\n\n\"open,3\n"),
         "line 4: unterminated quoted field"
     );
+}
+
+#[test]
+fn header_names_with_separators_and_quotes_round_trip() {
+    let csv = "\"a,b\",\"say \"\"q\"\"\",c\nx,1,y\nz,2,y\n";
+    let data = read_csv_str(csv, &CsvOptions::default()).unwrap();
+    assert_eq!(data.schema().names(), ["a,b", "say \"q\"", "c"]);
+    let text = write_csv_string(&data, &CsvOptions::default());
+    assert_eq!(text.lines().next(), Some("\"a,b\",\"say \"\"q\"\"\",c"));
+    let back = read_csv_str(&text, &bundle_options(&data)).unwrap();
+    assert_eq!(back, data);
+}
+
+/// The dataset `columns` describe, every cell a category: what reading
+/// their CSV must give, lookups included.
+fn dimensions(columns: &[(&str, Vec<Option<&str>>)]) -> Dataset {
+    columns
+        .iter()
+        .fold(DatasetBuilder::new(), |builder, (name, cells)| {
+            builder.dimension_column(
+                name,
+                DimensionColumn::from_optional_values(cells.iter().copied()),
+            )
+        })
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn a_multi_byte_separator_splits_fields() {
+    // `§` shares its first UTF-8 byte with `¦`.
+    let csv = "A¦B¦C\nx¦1.5¦ü\n\"y¦z\"¦2¦ü\nx§y¦¦é,\n";
+    let data = read_csv_str(csv, &with_separator('¦')).unwrap();
+    let categories = |name| data.dimension(name).unwrap().categories().to_vec();
+    assert_eq!(categories("A"), ["x".into(), "y¦z".into(), "x§y".into()]);
+    assert_eq!(categories("C"), ["ü".into(), "é,".into()]);
+    let b = data.measure("B").unwrap().values();
+    assert_eq!((b[0], b[1]), (1.5, 2.0));
+    assert!(b[2].is_nan());
+    let golden = golden_fixture();
+    let text = write_csv_string(&golden, &with_separator('¦'));
+    let options = CsvOptions {
+        separator: '¦',
+        ..bundle_options(&golden)
+    };
+    assert_same(&golden, &read_csv_str(&text, &options).unwrap());
+}
+
+#[test]
+fn crlf_line_endings_read_like_lf() {
+    let lf = "A,B\nx,y\n\nz,y\n\"q\",x\n";
+    let crlf = lf.replace('\n', "\r\n");
+    let expected = read_csv_str(lf, &CsvOptions::default()).unwrap();
+    assert_eq!(
+        read_csv_str(&crlf, &CsvOptions::default()).unwrap(),
+        expected
+    );
+    assert_eq!(
+        expected,
+        dimensions(&[
+            ("A", vec![Some("x"), Some("z"), Some("q")]),
+            ("B", vec![Some("y"), Some("y"), Some("x")]),
+        ])
+    );
+    let Err(DataError::Csv(message)) =
+        read_csv_str("A,B\r\n\r\nx,1\r\ny\r\n", &CsvOptions::default())
+    else {
+        panic!("a short row must be a CSV error");
+    };
+    assert_eq!(message, "line 4 has 1 fields, expected 2");
+}
+
+#[test]
+fn unicode_whitespace_around_cells_is_trimmed_like_str_trim() {
+    let cells = [
+        "\u{a0}x\u{3000}",
+        " x ",
+        "x",
+        "\u{3000}\u{a0}",
+        "a\u{a0}b",
+        "\u{a0}a\u{a0}b",
+        "\u{85}y\u{2028}",
+        "é",
+        "\u{b}z\u{c}",
+    ];
+    let mut csv = String::from("A,B\n");
+    for (row, cell) in cells.iter().enumerate() {
+        csv.push_str(&format!("{cell},\u{3000}{row}.5\u{a0}\n"));
+    }
+    let data = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+    let trimmed = cells.map(|cell| Some(cell.trim()).filter(|c| !c.is_empty()));
+    assert_eq!(
+        data.dimension("A").unwrap(),
+        &DimensionColumn::from_optional_values(trimmed)
+    );
+    let b: Vec<f64> = (0..cells.len()).map(|row| row as f64 + 0.5).collect();
+    assert_eq!(data.measure("B").unwrap().values(), b);
+}
+
+#[test]
+fn categories_longer_than_eight_bytes_keep_their_codes() {
+    let cells = [
+        "abcdefg",
+        "abcdefgh",
+        "abcdefghi",
+        "a",
+        "a\0",
+        "abcdefgh",
+        "a longer category name",
+        "abcdefg",
+        "a\0",
+        "日本語のカテゴリ",
+        "a",
+        "a longer category name",
+    ];
+    let mut csv = String::from("A,B\n");
+    for cell in cells {
+        csv.push_str(&format!("{cell},b\n"));
+    }
+    let data = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+    assert_eq!(
+        data,
+        dimensions(&[
+            ("A", cells.iter().map(|&c| Some(c)).collect()),
+            ("B", vec![Some("b"); cells.len()]),
+        ])
+    );
+    let a = data.dimension("A").unwrap();
+    assert_eq!(a.cardinality(), 7);
+    assert_eq!(a.code_of("a\0"), Some(4));
+}
+
+#[test]
+fn a_column_with_hundreds_of_categories_keeps_first_appearance_order() {
+    // 400 distinct short categories and 400 long ones, each repeated, in
+    // an order that is neither sorted nor grouped.
+    let labels: Vec<String> = (0..1_200)
+        .map(|i| {
+            let k = (i * 7_919) % 400;
+            if i % 3 == 0 {
+                format!("a-rather-long-label-{k}")
+            } else {
+                format!("k{k}")
+            }
+        })
+        .collect();
+    let mut csv = String::from("A,B\n");
+    for (i, label) in labels.iter().enumerate() {
+        let b = if i % 5 == 0 { "" } else { label.as_str() };
+        csv.push_str(&format!("{label},{b}\n"));
+    }
+    let data = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+    let expected = dimensions(&[
+        ("A", labels.iter().map(|l| Some(l.as_str())).collect()),
+        (
+            "B",
+            labels
+                .iter()
+                .enumerate()
+                .map(|(i, l)| (i % 5 != 0).then_some(l.as_str()))
+                .collect(),
+        ),
+    ]);
+    assert_eq!(data, expected);
+    let a = data.dimension("A").unwrap();
+    assert!(a.cardinality() > 300, "{}", a.cardinality());
+    for (code, category) in a.categories().iter().enumerate() {
+        assert_eq!(a.code_of(category), Some(code as u32));
+    }
+}
+
+#[test]
+fn a_quoted_line_between_unquoted_ones_shares_their_codes() {
+    let csv = "A,B\nx,1\n\"y,z\",2\nx,3\n\"x\", \"4\" \ny,z,5\n";
+    let Err(DataError::Csv(message)) = read_csv_str(csv, &CsvOptions::default()) else {
+        panic!("a three-field row must be a CSV error");
+    };
+    assert_eq!(message, "line 6 has 3 fields, expected 2");
+    let csv = "A,B\nx,1\n\"y,z\",2\nx,3\n\"x\", \"4\" \ny,5\n";
+    let data = read_csv_str(csv, &CsvOptions::default()).unwrap();
+    let a = data.dimension("A").unwrap();
+    let categories: Vec<&str> = a.categories().iter().map(|c| c.as_ref()).collect();
+    assert_eq!(categories, ["x", "y,z", "y"]);
+    assert_eq!(a.codes(), [0, 1, 0, 0, 2]);
+    assert_eq!(
+        data.measure("B").unwrap().values(),
+        [1.0, 2.0, 3.0, 4.0, 5.0]
+    );
+}
+
+#[test]
+fn a_column_demoted_after_a_long_numeric_prefix_keeps_its_text() {
+    // 2,000 numeric rows (over 600 distinct spellings, some with padding
+    // or trailing zeros), one empty cell, then a word.
+    let mut cells: Vec<String> = (0..2_000)
+        .map(|i| match (i % 4, i / 4) {
+            (0, k) => format!("{}", k % 300),
+            (1, k) => format!("{}.50", k % 300),
+            (2, k) => format!(" {} ", k % 150),
+            (_, k) => format!("-{}e0", k % 7),
+        })
+        .collect();
+    cells.insert(1_000, String::new());
+    cells.push("late".into());
+    let mut csv = String::from("A,B\n");
+    for cell in &cells {
+        csv.push_str(&format!("{cell},b\n"));
+    }
+    let data = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+    assert_eq!(kind(&data, "A"), AttributeKind::Dimension);
+    let expected = DimensionColumn::from_optional_values(
+        cells
+            .iter()
+            .map(|c| Some(c.trim()).filter(|c| !c.is_empty())),
+    );
+    assert_eq!(data.dimension("A").unwrap(), &expected);
+    assert!(expected.cardinality() > 300);
 }
