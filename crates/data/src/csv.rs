@@ -319,8 +319,7 @@ pub fn read_csv_str(input: &str, options: &CsvOptions) -> Result<Dataset> {
         names.push(name.to_owned());
         Ok(())
     })?;
-    // Every row is one line, so the newline count bounds the row count.
-    let rows = input.bytes().filter(|&b| b == b'\n').count();
+    let rows = estimate_rows(input.len(), lines.clone());
     let mut columns: Vec<Cells> = names
         .iter()
         .map(|name| Cells::new(name, options, rows))
@@ -354,6 +353,22 @@ pub fn read_csv_str(input: &str, options: &CsvOptions) -> Result<Dataset> {
         };
     }
     builder.build()
+}
+
+/// Rows to reserve per column, without a pass over the whole input: its
+/// length over the mean length (newline included) of the first data lines,
+/// plus 1/16 headroom.  A column that outgrows the estimate grows as any
+/// `Vec` does.
+fn estimate_rows<'a>(input_len: usize, body: impl Iterator<Item = (usize, &'a str)>) -> usize {
+    const SAMPLE: usize = 32;
+    let (lines, bytes) = body.take(SAMPLE).fold((0, 0), |(lines, bytes), (_, line)| {
+        (lines + 1, bytes + line.len() + 1)
+    });
+    if lines == 0 {
+        return 0;
+    }
+    let rows = input_len / bytes.div_ceil(lines);
+    rows + rows / 16 + 1
 }
 
 /// The non-blank lines of `input`, each with its physical 1-based number.

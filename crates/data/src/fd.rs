@@ -305,6 +305,7 @@ pub fn detect_fds(
         .collect();
     let n_rows = data.n_rows();
     let mut fds = Vec::new();
+    let mut image = Vec::new();
     for &x in &dims {
         let xcol = data.dimension(x)?;
         let card_x = xcol.cardinality();
@@ -324,7 +325,7 @@ pub fn detect_fds(
                 // observed over the same rows.
                 continue;
             }
-            if holds(xcol, ycol) {
+            if holds(xcol, ycol, &mut image) {
                 fds.push(FunctionalDependency {
                     determinant: x.to_owned(),
                     dependent: y.to_owned(),
@@ -338,22 +339,34 @@ pub fn detect_fds(
 }
 
 /// Checks whether every observed value of `x` maps to a single value of `y`.
-fn holds(x: &crate::column::DimensionColumn, y: &crate::column::DimensionColumn) -> bool {
-    let mut image: HashMap<u32, u32> = HashMap::with_capacity(x.cardinality());
-    for (cx, cy) in x.codes().iter().zip(y.codes().iter()) {
-        if *cx == crate::column::NULL_CODE || *cy == crate::column::NULL_CODE {
+///
+/// Dictionary codes are dense, so the mapping is an array indexed by the
+/// code of `x` (`image`, a scratch buffer reused across calls) holding the
+/// code of `y` seen with it, [`NULL_CODE`](crate::column::NULL_CODE) while
+/// none is.  Rows with a missing value in either column are skipped.
+fn holds(
+    x: &crate::column::DimensionColumn,
+    y: &crate::column::DimensionColumn,
+    image: &mut Vec<u32>,
+) -> bool {
+    const NULL: u32 = crate::column::NULL_CODE;
+    image.clear();
+    image.resize(x.cardinality(), NULL);
+    let mut mapped = false;
+    for (&cx, &cy) in x.codes().iter().zip(y.codes()) {
+        if cx == NULL || cy == NULL {
             continue;
         }
-        match image.get(cx) {
-            Some(&prev) if prev != *cy => return false,
-            Some(_) => {}
-            None => {
-                image.insert(*cx, *cy);
-            }
+        let seen = &mut image[cx as usize];
+        if *seen == NULL {
+            *seen = cy;
+            mapped = true;
+        } else if *seen != cy {
+            return false;
         }
     }
     // A vacuous mapping (no overlapping non-null rows) is not an FD we trust.
-    !image.is_empty()
+    mapped
 }
 
 #[cfg(test)]
@@ -369,6 +382,29 @@ mod tests {
             .dimension("Weather", ["Rain", "Sun", "Sun", "Rain", "Snow", "Sun"])
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn holds_skips_null_rows_and_rejects_a_vacuous_mapping() {
+        use crate::column::DimensionColumn;
+        let column =
+            |values: &[Option<&str>]| DimensionColumn::from_optional_values(values.to_vec());
+        // NULLs in both columns: the rows where either is missing carry no
+        // evidence, so X → Y holds on the rest even though a NULL-X row and
+        // a NULL-Y row pair "a" with "q".
+        let x = column(&[Some("a"), Some("b"), None, Some("a"), Some("a"), Some("b")]);
+        let y = column(&[Some("p"), Some("q"), Some("q"), None, Some("p"), Some("q")]);
+        let mut image = Vec::new();
+        assert!(holds(&x, &y, &mut image));
+        // A conflicting row where both are present breaks it.
+        let y2 = column(&[Some("p"), Some("q"), Some("q"), None, Some("q"), Some("q")]);
+        assert!(!holds(&x, &y2, &mut image));
+        // No row has both values: a vacuous mapping is not an FD.
+        let x3 = column(&[Some("a"), None, Some("b"), None]);
+        let y3 = column(&[None, Some("p"), None, Some("q")]);
+        assert!(!holds(&x3, &y3, &mut image));
+        // The scratch image is reset between calls.
+        assert!(holds(&x, &y, &mut image));
     }
 
     #[test]

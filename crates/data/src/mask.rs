@@ -56,6 +56,65 @@ impl RowMask {
         RowMask { bits, len }
     }
 
+    /// One mask per category of a dictionary-coded column: mask `c` selects
+    /// the rows whose code is `c`, for `c < categories`.  A row whose code
+    /// is [`NULL_CODE`](crate::NULL_CODE), or any code `≥ categories`, sets
+    /// no bit in any mask.
+    pub fn one_hot(codes: &[u32], categories: usize) -> Vec<RowMask> {
+        let mut masks = vec![RowMask::zeros(codes.len()); categories];
+        for (w, chunk) in codes.chunks(64).enumerate() {
+            for (bit, &code) in chunk.iter().enumerate() {
+                if let Some(mask) = masks.get_mut(code as usize) {
+                    mask.bits[w] |= 1 << bit;
+                }
+            }
+        }
+        masks
+    }
+
+    /// Number of rows selected in `self` and in every mask of `others` (all
+    /// of one length): the popcount of their word-wise AND, counted without
+    /// allocating.
+    pub fn and_count(&self, others: &[&RowMask]) -> usize {
+        for other in others {
+            assert_eq!(self.len, other.len, "mask length mismatch");
+        }
+        let ones = |w: u64| w.count_ones() as usize;
+        let a = &self.bits;
+        // The common operand counts get zipped loops with no inner loop
+        // over `others` and no bounds checks.
+        match *others {
+            [] => self.count(),
+            [b] => a.iter().zip(&b.bits).map(|(x, y)| ones(x & y)).sum(),
+            [b, c] => a
+                .iter()
+                .zip(&b.bits)
+                .zip(&c.bits)
+                .map(|((x, y), z)| ones(x & y & z))
+                .sum(),
+            [b, c, d] => a
+                .iter()
+                .zip(&b.bits)
+                .zip(&c.bits)
+                .zip(&d.bits)
+                .map(|(((x, y), z), v)| ones(x & y & z & v))
+                .sum(),
+            [b, c, d, e] => a
+                .iter()
+                .zip(&b.bits)
+                .zip(&c.bits)
+                .zip(&d.bits)
+                .zip(&e.bits)
+                .map(|((((x, y), z), v), u)| ones(x & y & z & v & u))
+                .sum(),
+            _ => a
+                .iter()
+                .enumerate()
+                .map(|(w, &x)| ones(others.iter().fold(x, |acc, m| acc & m.bits[w])))
+                .sum(),
+        }
+    }
+
     /// Heap bytes held by the packed words (the mask's allocation; the
     /// struct itself is not counted).
     pub fn heap_bytes(&self) -> usize {
@@ -242,6 +301,44 @@ mod tests {
         let selected: Vec<usize> = mask.iter_selected().collect();
         assert!(selected.iter().all(|&i| mask.get(i)));
         assert_eq!(selected.len(), mask.count());
+    }
+
+    #[test]
+    fn one_hot_skips_null_codes_and_covers_the_tail_word() {
+        let null = crate::NULL_CODE;
+        // 130 rows: two full words and a two-row tail; every fifth row NULL.
+        let codes: Vec<u32> = (0..130u32)
+            .map(|i| if i % 5 == 4 { null } else { i % 3 })
+            .collect();
+        let masks = RowMask::one_hot(&codes, 4);
+        assert_eq!(masks.len(), 4);
+        for (c, mask) in masks.iter().enumerate() {
+            assert_eq!(mask.len(), 130);
+            let expect: Vec<usize> = (0..130).filter(|&i| codes[i] == c as u32).collect();
+            assert_eq!(mask.iter_selected().collect::<Vec<_>>(), expect, "code {c}");
+        }
+        assert!(masks[3].is_none_selected());
+        let total: usize = masks.iter().map(RowMask::count).sum();
+        assert_eq!(total, 130 - 26);
+    }
+
+    #[test]
+    fn and_count_equals_the_count_of_the_and() {
+        let masks: Vec<RowMask> = (0..6)
+            .map(|k| RowMask::from_bools((0..200).map(|i| (i * (k + 3)) % (k + 2) != 0)))
+            .collect();
+        for n in 1..=masks.len() {
+            let (first, rest) = masks[..n].split_first().unwrap();
+            let refs: Vec<&RowMask> = rest.iter().collect();
+            let expect = rest.iter().fold(first.clone(), |acc, m| acc.and(m)).count();
+            assert_eq!(first.and_count(&refs), expect, "{n} operands");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mask length mismatch")]
+    fn and_count_rejects_mismatched_lengths() {
+        let _ = RowMask::zeros(4).and_count(&[&RowMask::zeros(5)]);
     }
 
     #[test]

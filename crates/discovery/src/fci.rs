@@ -8,7 +8,7 @@
 use crate::orientation::{apply_fci_rules, orient_colliders};
 use crate::sepset::SepsetMap;
 use crate::skeleton::{
-    find_separating_subset, prune_batch, skeleton_search_compiled, Candidate, SkeletonOptions,
+    find_separating_subset, prune_batch, skeleton_search_compiled, EdgeQuery, SkeletonOptions,
     SkeletonResult,
 };
 use std::sync::atomic::AtomicUsize;
@@ -84,7 +84,7 @@ pub fn fci_skeleton(
     orient_colliders(&mut oriented, &result.sepsets);
 
     let n_extra = AtomicUsize::new(0);
-    let batch: Vec<Candidate> = oriented
+    let batch: Vec<EdgeQuery> = oriented
         .edges()
         .iter()
         .map(|e| {
@@ -96,7 +96,12 @@ pub fn fci_skeleton(
                 .collect();
             candidates.sort_unstable();
             candidates.dedup();
-            (x, y, candidates)
+            EdgeQuery {
+                x,
+                y,
+                from_x: Some(candidates),
+                from_y: None,
+            }
         })
         .collect();
 
@@ -105,9 +110,9 @@ pub fn fci_skeleton(
         &mut result.sepsets,
         &batch,
         options.parallel,
-        |(x, y, candidates)| {
+        |x, y, candidates| {
             (0..=MAX_PDSEP_SIZE.min(candidates.len())).find_map(|size| {
-                find_separating_subset(compiled.as_ref(), *x, *y, candidates, size, &n_extra)
+                find_separating_subset(compiled.as_ref(), x, y, candidates, size, &n_extra)
             })
         },
     );

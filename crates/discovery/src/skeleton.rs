@@ -2,14 +2,21 @@
 //! parallel.
 //!
 //! The search proceeds in *depths* (conditioning-set sizes).  At each depth
-//! the candidate `(x, y)` pairs and their adjacency sets are **frozen** from
-//! the graph as it stood when the depth began; every candidate is then
-//! evaluated independently (serially or fanned out over the rayon pool) and
-//! the removals are applied in one deterministic serial merge.  This is the
-//! order-independent "stable" formulation of the PC adjacency search: the
+//! every surviving edge `{x, y}` and the adjacency sets of both its ends are
+//! **frozen** from the graph as it stood when the depth began; every edge is
+//! then evaluated independently (serially or fanned out over the rayon pool)
+//! and the removals are applied in one deterministic serial merge.  This is
+//! the order-independent "stable" formulation of the PC adjacency search: the
 //! result does not depend on evaluation order, so the parallel and serial
 //! execution modes produce **identical** graphs, sepsets and test counts by
 //! construction (property-tested in `tests/offline_equivalence.rs`).
+//!
+//! An edge is one work item: its two directions, `(x, y)` over
+//! `adj(x) \ {y}` and then `(y, x)` over `adj(y) \ {x}`, run one after the
+//! other on the same thread.  The conditioning sets the two directions share
+//! are then asked once and answered once more from a CI cache, exactly as in
+//! a serial run, so a cached parallel fit also has the serial fit's cache
+//! statistics.
 //!
 //! All CI queries run through a test compiled once per search
 //! ([`CiTest::compile`]): variable names are resolved to dense ids up front
@@ -54,11 +61,19 @@ pub struct SkeletonResult {
     pub n_ci_tests: usize,
 }
 
-/// One frozen pruning query: an ordered pair `(x, y)` plus the nodes its
-/// separating sets are drawn from — the adjacency set `adj(x) \ {y}`
-/// captured at the start of a depth, or (in FCI) the pair's Possible-D-SEP
-/// union.
-pub(crate) type Candidate = (NodeId, NodeId, Vec<NodeId>);
+/// One frozen work item of a pruning batch: an edge `{x, y}` plus, for each
+/// direction that runs, the nodes its separating sets are drawn from — the
+/// adjacency sets `adj(x) \ {y}` and `adj(y) \ {x}` captured at the start
+/// of a depth, or (in FCI) the pair's Possible-D-SEP union, asked from `x`
+/// only.
+pub(crate) struct EdgeQuery {
+    pub(crate) x: NodeId,
+    pub(crate) y: NodeId,
+    /// Pool of `(x, y)`, when that direction runs.
+    pub(crate) from_x: Option<Vec<NodeId>>,
+    /// Pool of `(y, x)`, when that direction runs.
+    pub(crate) from_y: Option<Vec<NodeId>>,
+}
 
 /// Runs the PC adjacency search over `vars` (a subset of the dataset's
 /// dimensions) using the given CI test.
@@ -94,27 +109,33 @@ pub(crate) fn skeleton_search_compiled(
                 break;
             }
         }
-        // Freeze this depth's candidate batch: both orientations of every
-        // surviving edge, each with its adjacency set as of depth start.
-        let candidates: Vec<Candidate> = graph
+        // Freeze this depth's batch: one item per surviving edge, each
+        // direction with its adjacency set as of depth start.
+        let pool = |x: NodeId, y: NodeId| {
+            let adj: Vec<NodeId> = graph.neighbors_iter(x).filter(|&v| v != y).collect();
+            (adj.len() >= depth).then_some(adj)
+        };
+        let batch: Vec<EdgeQuery> = graph
             .edges()
             .iter()
-            .flat_map(|e| [(e.a, e.b), (e.b, e.a)])
-            .filter_map(|(x, y)| {
-                let adj: Vec<NodeId> = graph.neighbors_iter(x).filter(|&v| v != y).collect();
-                (adj.len() >= depth).then_some((x, y, adj))
+            .map(|e| EdgeQuery {
+                x: e.a,
+                y: e.b,
+                from_x: pool(e.a, e.b),
+                from_y: pool(e.b, e.a),
             })
+            .filter(|q| q.from_x.is_some() || q.from_y.is_some())
             .collect();
-        if candidates.is_empty() {
+        if batch.is_empty() {
             break;
         }
 
         prune_batch(
             &mut graph,
             &mut sepsets,
-            &candidates,
+            &batch,
             options.parallel,
-            |(x, y, adj)| find_separating_subset(compiled, *x, *y, adj, depth, &n_tests),
+            |x, y, adj| find_separating_subset(compiled, x, y, adj, depth, &n_tests),
         );
         depth += 1;
     }
@@ -126,34 +147,37 @@ pub(crate) fn skeleton_search_compiled(
     })
 }
 
-/// Evaluates a frozen batch of `(x, y, candidates)` pruning queries —
-/// fanned out over the rayon pool when `parallel` — and applies the
-/// separators in one deterministic serial merge in batch order: the first
-/// query that separated a pair removes its edge and records the sepset; a
-/// later query for the same pair (the mirrored candidate) finds the edge
-/// gone.  Shared by the depth batches above and FCI's Possible-D-SEP stage.
+/// Evaluates a frozen batch of edge queries — one item per edge, fanned out
+/// over the rayon pool when `parallel` — and applies the separators in one
+/// deterministic serial merge in batch order.  An item runs `evaluate` on
+/// `(x, y)` and then on `(y, x)`, each over its own pool, on one thread;
+/// when both find a separator, `(x, y)`'s is recorded.  Shared by the depth
+/// batches above and FCI's Possible-D-SEP stage.
 pub(crate) fn prune_batch(
     graph: &mut MixedGraph,
     sepsets: &mut SepsetMap,
-    batch: &[Candidate],
+    batch: &[EdgeQuery],
     parallel: bool,
-    evaluate: impl Fn(&Candidate) -> Option<Vec<NodeId>> + Sync,
+    evaluate: impl Fn(NodeId, NodeId, &[NodeId]) -> Option<Vec<NodeId>> + Sync,
 ) {
-    let outcomes: Vec<Option<Vec<NodeId>>> = if parallel {
-        batch.par_iter().map(&evaluate).collect()
-    } else {
-        batch.iter().map(&evaluate).collect()
+    let run = |q: &EdgeQuery| {
+        let forward = q.from_x.as_deref().and_then(|adj| evaluate(q.x, q.y, adj));
+        let reverse = q.from_y.as_deref().and_then(|adj| evaluate(q.y, q.x, adj));
+        forward.or(reverse)
     };
-    for ((x, y, _), separator) in batch.iter().zip(outcomes) {
+    let outcomes: Vec<Option<Vec<NodeId>>> = if parallel {
+        batch.par_iter().map(run).collect()
+    } else {
+        batch.iter().map(run).collect()
+    };
+    for (q, separator) in batch.iter().zip(outcomes) {
         if let Some(subset) = separator {
-            if graph.adjacent(*x, *y) {
-                graph.remove_edge(*x, *y);
-                sepsets.insert(
-                    *x as u32,
-                    *y as u32,
-                    subset.iter().map(|&v| v as u32).collect(),
-                );
-            }
+            graph.remove_edge(q.x, q.y);
+            sepsets.insert(
+                q.x as u32,
+                q.y as u32,
+                subset.iter().map(|&v| v as u32).collect(),
+            );
         }
     }
 }

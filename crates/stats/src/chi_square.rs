@@ -48,13 +48,14 @@ impl CiTest for ChiSquareTest {
         vars: &'a [&'a str],
     ) -> Result<Box<dyn IndexedCiTest + 'a>> {
         Ok(Box::new(CompiledChiSquare {
-            view: DiscoveryView::compile(data, vars)?,
+            view: DiscoveryView::compile(data, vars)?.with_category_masks(),
             alpha: self.alpha,
         }))
     }
 }
 
-/// View-native chi-square: all queries run on precompiled code slices.
+/// View-native chi-square: all queries run on precompiled code slices, and
+/// small tables on the view's one-hot category masks.
 struct CompiledChiSquare<'a> {
     view: DiscoveryView<'a>,
     alpha: f64,

@@ -5,7 +5,7 @@
 
 use crate::view::DiscoveryView;
 use std::collections::HashMap;
-use xinsight_data::{DataError, Dataset, Result};
+use xinsight_data::{DataError, Dataset, Result, RowMask};
 
 /// Largest number of dense counter cells (`∏|Z_i| · |X| · |Y|`) a table will
 /// allocate eagerly; beyond this the build switches to the sparse per-stratum
@@ -50,16 +50,21 @@ impl ContingencyTable {
         Self::from_view(&view, 0, 1, &z_ids)
     }
 
-    /// Builds the table for view variables `x`, `y` conditioned on `z`, in a
-    /// single pass over the code slices.
+    /// Builds the table for view variables `x`, `y` conditioned on `z`.
     ///
     /// When the dense counter space `∏|Z_i| · |X| · |Y|` stays small the
     /// strata are allocated eagerly (and empty strata are retained, matching
-    /// [`ContingencyTable::build`] of old); past an internal cell limit
-    /// (currently 2²² counters) the build switches to a sparse map keyed by
-    /// the joint `Z` configuration, so high-cardinality conditioning sets
-    /// cost memory proportional to the strata that actually occur.  Both paths yield
-    /// identical [`chi_square_statistic`](ContingencyTable::chi_square_statistic)
+    /// [`ContingencyTable::build`] of old) and counted in a single pass over
+    /// the code slices.  When the view holds one-hot category masks for
+    /// every involved variable and the table is small enough that
+    /// `cells · ⌈n/64⌉ < n` (fewer than 64 cells on a large table), each
+    /// cell is instead counted as the popcount of its masks' AND — word
+    /// operations in place of row visits, with the same integer counts.
+    /// Past an internal cell limit (currently 2²² counters) the build
+    /// switches to a sparse map keyed by the joint `Z` configuration, so
+    /// high-cardinality conditioning sets cost memory proportional to the
+    /// strata that actually occur.  All paths yield identical
+    /// [`chi_square_statistic`](ContingencyTable::chi_square_statistic)
     /// values, because empty strata contribute neither statistic nor degrees
     /// of freedom.
     ///
@@ -90,6 +95,16 @@ impl ContingencyTable {
         let cells = joint
             .checked_mul((x_card as u128) * (y_card as u128))
             .ok_or_else(|| DataError::Overflow("contingency cell space exceeds u128".to_owned()))?;
+        let words = view.n_rows().div_ceil(64) as u128;
+        if cells * words < view.n_rows() as u128 {
+            let z_masks: Option<Vec<&[RowMask]>> =
+                z.iter().map(|&zi| view.category_masks(zi)).collect();
+            if let (Some(x_masks), Some(y_masks), Some(z_masks)) =
+                (view.category_masks(x), view.category_masks(y), z_masks)
+            {
+                return Ok(Self::build_bitmap(x_masks, y_masks, &z_masks));
+            }
+        }
         if cells <= DENSE_CELL_LIMIT {
             Self::build_dense(
                 x_codes,
@@ -192,6 +207,43 @@ impl ContingencyTable {
             counts,
             total,
         })
+    }
+
+    /// Counts every cell as `|X = cx ∧ Y = cy ∧ Z = s|` from the one-hot
+    /// masks of each variable (mask `c` of a variable selects its rows with
+    /// code `c`; a NULL code sets no bit).  The layout is
+    /// [`build_dense`](Self::build_dense)'s: every stratum of the joint `Z`
+    /// space, stratum-major, the last `Z` variable varying fastest.
+    fn build_bitmap(x_masks: &[RowMask], y_masks: &[RowMask], z_masks: &[&[RowMask]]) -> Self {
+        let (x_card, y_card) = (x_masks.len(), y_masks.len());
+        let n_strata: usize = z_masks.iter().map(|m| m.len()).product();
+        let mut counts = Vec::with_capacity(n_strata * x_card * y_card);
+        // Operands of one cell: the stratum's Z masks (decoded last variable
+        // first; an AND takes them in any order), then the Y mask; the X
+        // mask is the receiver of `and_count`.
+        let mut operands: Vec<&RowMask> = Vec::with_capacity(z_masks.len() + 1);
+        for stratum in 0..n_strata {
+            let mut rest = stratum;
+            operands.clear();
+            operands.extend(z_masks.iter().rev().map(|masks| {
+                let mask = &masks[rest % masks.len()];
+                rest /= masks.len();
+                mask
+            }));
+            for x_mask in x_masks {
+                for y_mask in y_masks {
+                    operands.push(y_mask);
+                    counts.push(x_mask.and_count(&operands) as u64);
+                    operands.pop();
+                }
+            }
+        }
+        ContingencyTable {
+            x_cardinality: x_card,
+            y_cardinality: y_card,
+            total: counts.iter().sum(),
+            counts,
+        }
     }
 
     fn build_sparse(
@@ -305,7 +357,136 @@ impl ContingencyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xinsight_data::DatasetBuilder;
+    use proptest::prelude::*;
+    use xinsight_data::{DatasetBuilder, DimensionColumn, NULL_CODE};
+
+    /// Row counts the counting-arm property runs at: one row, a word short,
+    /// exactly one word, a one-row tail word, and a fit-sized table.
+    const ARM_ROWS: [usize; 5] = [1, 63, 64, 65, 20_000];
+
+    /// Intended cardinalities `[X, Y, Z…]` per case (0 = an all-NULL
+    /// column), covering depths 0–3 with cell counts just under and just
+    /// over the 64-cell switch of the bitmap arm.
+    const ARM_SHAPES: [&[usize]; 15] = [
+        &[3, 3],
+        &[1, 4],
+        &[0, 3],
+        &[8, 7],
+        &[8, 8],
+        &[3, 3, 7],
+        &[4, 4, 4],
+        &[2, 3, 0],
+        &[3, 1, 5],
+        &[2, 2, 3, 5],
+        &[2, 2, 4, 4],
+        &[3, 3, 1, 3],
+        &[2, 2, 2, 2, 3],
+        &[2, 2, 2, 2, 4],
+        &[3, 3, 3, 3, 3],
+    ];
+
+    /// A dataset of one column per entry of `cards`, with random codes and
+    /// NULLs in every column (each column's own row `c mod n` is always
+    /// NULL, the rest NULL at rate `null_rate`).
+    fn arm_data(cards: &[usize], n: usize, null_rate: f64, seed: u64) -> Dataset {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut builder = DatasetBuilder::new();
+        for (c, &card) in cards.iter().enumerate() {
+            let values: Vec<Option<String>> = (0..n)
+                .map(|i| {
+                    let draw = next();
+                    let null = card == 0
+                        || i == c % n
+                        || ((draw >> 11) as f64) / ((1u64 << 53) as f64) < null_rate;
+                    (!null).then(|| format!("v{}", draw % card.max(1) as u64))
+                })
+                .collect();
+            builder = builder.dimension_column(
+                &format!("C{c}"),
+                DimensionColumn::from_optional_values(values),
+            );
+        }
+        builder.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        // The bitmap arm, the dense row scan and the sparse map count the
+        // same table: equal cells (the sparse table holding the dense
+        // table's non-empty strata), equal totals and bit-equal statistics,
+        // and `from_view` picks one of them with the same result.
+        #[test]
+        fn the_counting_arms_agree(
+            shape in 0usize..ARM_SHAPES.len(),
+            rows in 0usize..ARM_ROWS.len(),
+            null_rate in 0.0f64..0.3,
+            seed in 1u64..1_000_000,
+        ) {
+            let cards = ARM_SHAPES[shape];
+            let n = ARM_ROWS[rows];
+            let data = arm_data(cards, n, null_rate, seed);
+            let names: Vec<String> = (0..cards.len()).map(|c| format!("C{c}")).collect();
+            let vars: Vec<&str> = names.iter().map(String::as_str).collect();
+            let view = DiscoveryView::compile(&data, &vars).unwrap().with_category_masks();
+            for v in 0..vars.len() as u32 {
+                prop_assert!(view.codes(v).contains(&NULL_CODE));
+            }
+            let z: Vec<u32> = (2..vars.len() as u32).collect();
+            let card = |v: u32| view.cardinality(v).max(1);
+            let z_codes: Vec<&[u32]> = z.iter().map(|&v| view.codes(v)).collect();
+            let z_cards: Vec<usize> = z.iter().map(|&v| card(v)).collect();
+            let n_strata = z_cards.iter().product();
+
+            let dense = ContingencyTable::build_dense(
+                view.codes(0), view.codes(1), &z_codes, card(0), card(1), &z_cards, n_strata,
+            ).unwrap();
+            let sparse = ContingencyTable::build_sparse(
+                view.codes(0), view.codes(1), &z_codes, card(0), card(1), &z_cards,
+            ).unwrap();
+            let z_masks: Vec<&[RowMask]> =
+                z.iter().map(|&v| view.category_masks(v).unwrap()).collect();
+            let bitmap = ContingencyTable::build_bitmap(
+                view.category_masks(0).unwrap(), view.category_masks(1).unwrap(), &z_masks,
+            );
+            let chosen = ContingencyTable::from_view(&view, 0, 1, &z).unwrap();
+
+            let complete = (0..n)
+                .filter(|&i| (0..vars.len() as u32).all(|v| view.codes(v)[i] != NULL_CODE))
+                .count() as u64;
+            prop_assert_eq!(dense.total, complete);
+            let bits = |t: &ContingencyTable| {
+                let (stat, dof) = t.chi_square_statistic();
+                (stat.to_bits(), dof.to_bits())
+            };
+            for table in [&bitmap, &chosen] {
+                prop_assert_eq!(&table.counts, &dense.counts);
+                prop_assert_eq!(table.total, dense.total);
+                prop_assert_eq!(bits(table), bits(&dense));
+            }
+            let stride = card(0) * card(1);
+            let occupied: Vec<u64> = dense
+                .counts
+                .chunks_exact(stride)
+                .filter(|s| s.iter().any(|&c| c > 0))
+                .flatten()
+                .copied()
+                .collect();
+            if occupied.is_empty() {
+                prop_assert!(sparse.counts.iter().all(|&c| c == 0));
+            } else {
+                prop_assert_eq!(&sparse.counts, &occupied);
+            }
+            prop_assert_eq!(sparse.total, dense.total);
+            prop_assert_eq!(bits(&sparse), bits(&dense));
+        }
+    }
 
     fn dependent_data() -> Dataset {
         // X perfectly determines Y.

@@ -13,7 +13,10 @@
 //!   cardinalities held for zero-cost repeated access,
 //! * [`ContingencyTable`] — stratified cross tabulations of dimensions, built
 //!   in one pass from a view (with a sparse stratum fallback for
-//!   high-cardinality conditioning sets),
+//!   high-cardinality conditioning sets), or, for a table of fewer than 64
+//!   cells in a compiled test, counted by AND and popcount over the view's
+//!   one-hot category masks (one [`RowMask`](xinsight_data::RowMask) per
+//!   category of each variable of cardinality ≤ 32),
 //! * [`ChiSquareTest`] — the CI test for categorical data,
 //! * [`CiTest`] — the trait the discovery algorithms program against, with
 //!   [`CiTest::compile`] producing an [`IndexedCiTest`] that answers queries

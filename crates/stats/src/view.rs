@@ -10,7 +10,12 @@
 //! Everything downstream (contingency tables, CI tests, the skeleton search)
 //! then works purely on integer ids and `&[u32]` slices.
 
-use xinsight_data::{DataError, Dataset, Result};
+use xinsight_data::{DataError, Dataset, Result, RowMask};
+
+/// Largest cardinality whose column gets one-hot category masks: a mask
+/// costs `⌈n/64⌉` words per category, so up to 32 categories the masks take
+/// no more bytes (`32 · n/8`) than the `u32` code slice they mirror (`4n`).
+const MASK_MAX_CARDINALITY: usize = 32;
 
 /// A compiled view over a subset of a dataset's dimensions.
 ///
@@ -39,6 +44,11 @@ pub struct DiscoveryView<'a> {
     codes: Vec<&'a [u32]>,
     cards: Vec<usize>,
     n_rows: usize,
+    /// One-hot category masks per variable (`max(1, cardinality)` masks,
+    /// mask `c` selecting the rows with code `c`), empty for a variable
+    /// above [`MASK_MAX_CARDINALITY`]; the whole list is empty until
+    /// [`DiscoveryView::with_category_masks`] builds it.
+    masks: Vec<Vec<RowMask>>,
 }
 
 impl<'a> DiscoveryView<'a> {
@@ -60,7 +70,38 @@ impl<'a> DiscoveryView<'a> {
             codes,
             cards,
             n_rows: data.n_rows(),
+            masks: Vec::new(),
         })
+    }
+
+    /// Builds one-hot category masks for every variable of cardinality
+    /// ≤ 32, so that small contingency tables can be counted by AND and
+    /// popcount ([`ContingencyTable::from_view`](crate::ContingencyTable::from_view)).
+    /// A NULL code sets no bit, so a row with a missing value drops out of
+    /// every cell.  Worth its one pass per column only for a view that
+    /// answers many queries, as a compiled CI test does.
+    pub(crate) fn with_category_masks(mut self) -> Self {
+        self.masks = self
+            .codes
+            .iter()
+            .zip(&self.cards)
+            .map(|(codes, &card)| {
+                if card <= MASK_MAX_CARDINALITY {
+                    RowMask::one_hot(codes, card.max(1))
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        self
+    }
+
+    /// The one-hot category masks of variable `id`, if they were built.
+    pub(crate) fn category_masks(&self, id: u32) -> Option<&[RowMask]> {
+        self.masks
+            .get(id as usize)
+            .filter(|masks| !masks.is_empty())
+            .map(Vec::as_slice)
     }
 
     /// Number of compiled variables.
@@ -138,6 +179,37 @@ mod tests {
         let d = data();
         assert!(DiscoveryView::compile(&d, &["A", "Nope"]).is_err());
         assert!(DiscoveryView::compile(&d, &["A", "M"]).is_err());
+    }
+
+    #[test]
+    fn category_masks_are_built_only_on_request_and_only_for_small_columns() {
+        let d = DatasetBuilder::new()
+            .dimension_column(
+                "X",
+                xinsight_data::DimensionColumn::from_optional_values([Some("a"), None, Some("b")]),
+            )
+            .build()
+            .unwrap();
+        let plain = DiscoveryView::compile(&d, &["X"]).unwrap();
+        assert!(plain.category_masks(0).is_none());
+        let masked = plain.with_category_masks();
+        let masks = masked.category_masks(0).unwrap();
+        assert_eq!(masks.len(), 2);
+        assert_eq!(masks[0].iter_selected().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(masks[1].iter_selected().collect::<Vec<_>>(), vec![2]);
+
+        let wide: Vec<String> = (0..=MASK_MAX_CARDINALITY).map(|i| i.to_string()).collect();
+        let d = DatasetBuilder::new()
+            .dimension("Wide", wide.iter().map(String::as_str))
+            .dimension("Narrow", wide.iter().map(|v| &v[..1]))
+            .build()
+            .unwrap();
+        let view = DiscoveryView::compile(&d, &["Wide", "Narrow"])
+            .unwrap()
+            .with_category_masks();
+        assert_eq!(view.cardinality(0), MASK_MAX_CARDINALITY + 1);
+        assert!(view.category_masks(0).is_none());
+        assert!(view.category_masks(1).is_some());
     }
 
     #[test]
